@@ -18,13 +18,8 @@ from . import config as cfgmod
 from .config import ConfigError, ExperimentConfig
 from .controller import ControlMode
 from .perf import perf_from_terminal
-from .plants import (
-    electromechanical_reference,
-    make_electromechanical,
-    make_single_link,
-    single_link_reference,
-)
-from .sim import SimConfig, SimulationDivergenceError, export_trajectory, run, convergence_check  # noqa: F401
+from .plants import PLANTS
+from .sim import SimConfig, SimulationDivergenceError, export_trajectory, run
 
 OUT_DIR_ENV = "FUNNELDSC_OUT_DIR"
 
@@ -35,12 +30,8 @@ EXIT_ERROR = 2
 
 def build_problem(cfg: ExperimentConfig):
     """Materialize plant, reference, perf function and sim config."""
-    if cfg.plant == "electromechanical":
-        plant = make_electromechanical()
-        reference = electromechanical_reference()
-    else:
-        plant = make_single_link()
-        reference = single_link_reference()
+    entry = PLANTS[cfg.plant]
+    plant, reference = entry.plant(), entry.reference()
     perf = perf_from_terminal(b=cfg.perf_b, c=cfg.perf_c, h=cfg.perf_h, T=cfg.perf_T)
     sim_cfg = SimConfig(
         dt=cfg.dt,
@@ -95,10 +86,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
 
 
 def _sweep_worker(args):
+    """Run one sweep config; returns (path, exit status, error message)."""
     path, out_root = args
-    cfg = cfgmod.load_config(path)
-    name = Path(path).stem
-    return path, run_experiment(cfg, out_dir=Path(out_root) / name)
+    try:
+        cfg = cfgmod.load_config(path)
+        return path, run_experiment(cfg, out_dir=Path(out_root) / Path(path).stem), None
+    except (ValueError, OSError) as exc:
+        return path, EXIT_ERROR, str(exc)
 
 
 def _parse_args(argv):
@@ -126,8 +120,10 @@ def main(argv=None) -> int:
         with multiprocessing.Pool() as pool:
             results = pool.map(_sweep_worker, [(p, out_root) for p in args.sweep])
         status = EXIT_OK
-        for path, code in results:
+        for path, code, message in results:
             print(f"{path}: exit {code}")
+            if message is not None:
+                print(f"error: {path}: {message}", file=sys.stderr)
             status = max(status, code)
         return status
 

@@ -13,6 +13,8 @@ from typing import Optional
 
 from .controller import ControlMode, StageGains
 from .perf import TransformKind
+from .plants import PLANTS
+from .sim import step_count
 
 __all__ = [
     "ExperimentConfig",
@@ -27,11 +29,16 @@ __all__ = [
 
 _HALF_PI = math.pi / 2.0
 
-PLANT_KEYS = ("electromechanical", "single-link")
-
 
 class ConfigError(ValueError):
     """A configuration file or flag failed validation."""
+
+
+def plant_order(plant: str) -> int:
+    """Order of the registered plant ``plant``; ConfigError if unknown."""
+    if plant not in PLANTS:
+        raise ConfigError(f"plant must be one of {sorted(PLANTS)}, got {plant!r}")
+    return PLANTS[plant].plant().n
 
 
 @dataclass(frozen=True)
@@ -54,14 +61,21 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        if self.plant not in PLANT_KEYS:
-            raise ConfigError(f"plant must be one of {PLANT_KEYS}, got {self.plant!r}")
+        expected = plant_order(self.plant)
         if not self.perf_c > 0.0 or self.perf_c >= _HALF_PI:
             raise ConfigError(f"perf.c must lie in (0, pi/2), got {self.perf_c!r}")
         for key in ("perf_b", "perf_h", "perf_T", "dt", "t_end"):
             if not getattr(self, key) > 0.0:
                 raise ConfigError(f"{key.replace('_', '.', 1)} must be strictly positive")
-        expected = 3 if self.plant == "electromechanical" else 2
+        try:
+            step_count(self.t_end, self.dt)
+        except ValueError as exc:
+            raise ConfigError(f"sim.{exc}") from None
+        if not (float(self.record_every).is_integer() and self.record_every >= 1):
+            raise ConfigError(
+                f"sim.record_every must be a positive integer, got {self.record_every!r}"
+            )
+        object.__setattr__(self, "record_every", int(self.record_every))
         if len(self.gains) != expected:
             raise ConfigError(
                 f"plant {self.plant!r} needs {expected} stage-gain blocks, got {len(self.gains)}"
@@ -190,7 +204,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key-value format into a validated config."""
     pairs = _parse_pairs(text)
     preset = pairs.get("preset", "custom")
-    plant = pairs.get("plant", preset if preset in PLANT_KEYS else None)
+    plant = pairs.get("plant", preset if preset in PLANTS else None)
     if plant is None:
         raise ConfigError("key 'plant' is required for custom configs")
     try:
@@ -205,7 +219,7 @@ def parse_config(text: str) -> ExperimentConfig:
     except ValueError:
         raise ConfigError(f"key 'transform': unknown kind {pairs['transform']!r}") from None
 
-    n = 3 if plant == "electromechanical" else 2
+    n = plant_order(plant)
     gains = []
     for i in range(1, n + 1):
         keys = _STAGE1_KEYS if i == 1 else _STAGE_KEYS
@@ -239,7 +253,7 @@ def parse_config(text: str) -> ExperimentConfig:
         dt=_get_float(pairs, "sim.dt"),
         t_end=_get_float(pairs, "sim.t_end"),
         x0=x0,
-        record_every=int(_get_float(pairs, "sim.record_every")) if "sim.record_every" in pairs else 10,
+        record_every=_get_float(pairs, "sim.record_every") if "sim.record_every" in pairs else 10,
         exact_filter=exact_raw == "true",
         sign_smoothing=_get_float(pairs, "sign_smoothing") if "sign_smoothing" in pairs else 0.0,
         transform_kind=kind,

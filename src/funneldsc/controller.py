@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,8 +29,7 @@ __all__ = [
     "ControllerChain",
     "zeta",
     "saturated_term",
-    "filter_derivative",
-    "adaptive_law_derivative",
+    "BASIS_BLOCK",
 ]
 
 
@@ -41,6 +40,12 @@ class ControlMode(enum.Enum):
 
 # stand-in weight matrix for the approximator-free mode
 _EMPTY_THETA = np.zeros((0, 0))
+
+# Rows per tabulated basis block.  A fixed block bounds the table's memory
+# whatever the horizon (4096 rows of 11 rules is about 0.5 MB with the
+# energies), while refilling costs one vectorised pass per 2048 steps,
+# within noise of tabulating the whole run up front.
+BASIS_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,8 @@ class StageSignals:
 
     Lists are stage-indexed: ``z[0]`` is the transformed output error,
     ``zeta_vals[0]``/``gamma[0]``/... belong to stage 2, ``alpha[0]`` is the
-    first virtual control.
+    first virtual control.  ``theta_dot`` holds the weight derivatives, one
+    row per stage (empty in approximator-free mode).
     """
 
     z: list
@@ -98,6 +104,7 @@ class StageSignals:
     xi: list
     zeta_vals: list
     u: float
+    theta_dot: np.ndarray
     e: float = 0.0
     eta: float = 0.0
     psi: float = 0.0
@@ -126,18 +133,6 @@ def saturated_term(s: float, guard: float) -> float:
     return s * s / math.sqrt(s * s + guard * guard)
 
 
-def filter_derivative(lam: float, s: float, alpha_prev: float) -> float:
-    """First-order filter dynamics sdot = (alpha_prev - s) / lam."""
-    return (alpha_prev - s) / lam
-
-
-def adaptive_law_derivative(
-    gains: StageGains, theta_hat: np.ndarray, basis: np.ndarray, drive: float
-) -> np.ndarray:
-    """Weight update -varpi*theta_hat + mu*drive*basis."""
-    return -gains.varpi * theta_hat + gains.mu * drive * basis
-
-
 class ControllerChain:
     """Evaluates the full control chain for one plant/reference pairing.
 
@@ -154,7 +149,6 @@ class ControllerChain:
         mode: ControlMode = ControlMode.FUZZY,
         grid: Optional[GaussianGrid] = None,
         sign_smoothing: float = 0.0,
-        cross_guard_literal: bool = True,
     ):
         if bounds.n < 2:
             raise ValueError("controller chain requires plant order >= 2")
@@ -176,20 +170,12 @@ class ControllerChain:
         self.mode = mode
         self.grid = grid
         self.sign_smoothing = sign_smoothing
-        self.cross_guard_literal = cross_guard_literal
-        self._basis_cache: tuple = (None, None, None)
-        self._tab_step = None
-        self._tab_count = 0
-        self._tab_basis = None
-        self._tab_energy = None
+        self._table = None  # (step, first row, basis rows, energies)
         # hot-loop constants
         self._delta2 = tuple(g.delta**2 for g in self.gains)
         self._sigma2 = tuple(g.sigma**2 for g in self.gains)
         self._rho2 = tuple(None if g.rho is None else g.rho**2 for g in self.gains)
         self._tau2 = tuple(None if g.tau is None else g.tau**2 for g in self.gains)
-        self._centers = tuple(float(c[0]) for c in grid.centers)
-        self._inv2w2 = tuple(0.5 / float(w) ** 2 for w in grid.widths)
-        self._amps = tuple(float(a) for a in grid.amplitudes)
         self._varpi_col = np.array([[g.varpi] for g in self.gains])
         self._mu_vec = np.array([g.mu for g in self.gains])
         self._varpi = tuple(g.varpi for g in self.gains)
@@ -216,195 +202,51 @@ class ControllerChain:
 
     # -- evaluation -------------------------------------------------------
 
-    def tabulate_basis(self, step: float, count: int) -> None:
-        """Precompute the reference-basis values on the uniform time grid
-        ``{0, step, 2*step, ...}`` used by a fixed-step integrator."""
-        ys = np.array([self.reference.value(i * step) for i in range(count)])
-        diff = ys[:, None] - np.array(self._centers)[None, :]
-        act = np.array(self._amps) * np.exp(-(diff * diff) * np.array(self._inv2w2))
-        tot = act.sum(axis=1)
-        dead = tot == 0.0
-        if dead.any():
-            # all centers underflowed: fall back to one-hot nearest center
-            nearest = np.abs(diff[dead]).argmin(axis=1)
-            act[dead] = 0.0
-            act[dead, nearest] = 1.0
-            tot[dead] = 1.0
-        basis_tab = act / tot[:, None]
-        self._tab_basis = basis_tab
-        self._tab_energy = (basis_tab * basis_tab).sum(axis=1).tolist()
-        self._tab_step = step
-        self._tab_count = count
+    def tabulate_basis(self, step: float, first: int, count: int) -> None:
+        """Tabulate the reference basis on rows ``first .. first+count-1`` of
+        the uniform time grid ``{0, step, 2*step, ...}`` that a fixed-step
+        integrator queries.  A later query on that grid outside the block
+        refills it with the :data:`BASIS_BLOCK` rows that hold the query."""
+        ys = np.array([self.reference.value(i * step) for i in range(first, first + count)])
+        basis = self.grid.basis(ys[:, None])
+        self._table = (step, first, basis, (basis * basis).sum(axis=1).tolist())
 
     def _basis_at(self, t: float, y_r: float):
-        tab_step = self._tab_step
-        if tab_step is not None:
-            pos = t / tab_step
+        if self._table is not None:
+            step, first, basis, energy = self._table
+            pos = t / step
             i = int(pos + 0.5)
             # grid times may differ by rounding noise from k*dt arithmetic
-            if 0 <= i < self._tab_count and abs(pos - i) < 1e-6:
-                return self._tab_basis[i], self._tab_energy[i]
-        cached_t, basis, energy = self._basis_cache
-        if cached_t != t:
-            # scalar fast path of GaussianGrid.basis; identical semantics
-            act = [
-                a * math.exp(-((y_r - c) ** 2) * k)
-                for a, c, k in zip(self._amps, self._centers, self._inv2w2)
-            ]
-            total = math.fsum(act)
-            if total == 0.0:
-                basis = self.grid.basis(y_r)
-            else:
-                basis = np.array([v / total for v in act])
-            energy = float(basis @ basis)
-            self._basis_cache = (t, basis, energy)
-        return basis, energy
+            if abs(pos - i) < 1e-6:
+                row = i - first
+                if not 0 <= row < len(energy):
+                    row = i % BASIS_BLOCK
+                    self.tabulate_basis(step, i - row, BASIS_BLOCK)
+                    _, _, basis, energy = self._table
+                return basis[row], energy[row]
+        basis = self.grid.basis(y_r)
+        return basis, float(basis @ basis)
 
     def evaluate(self, x: Sequence[float], state: ControllerState, t: float) -> StageSignals:
-        """Compute all stage signals and the actual control input.
+        """Compute all stage signals, the control input and the weight
+        derivatives.
 
         Raises :class:`funneldsc.perf.FunnelBreachError` if the output error
         left the performance funnel.
         """
         theta = np.array([w.theta_hat for w in state.theta_hat]) if state.theta_hat else _EMPTY_THETA
-        return self._evaluate(x, state.filter_states, theta, t)
+        return self.kernel(x, state.filter_states, theta, t, signals=True)[3]
 
-    def _evaluate(self, x, filter_states, theta, t: float) -> StageSignals:
-        # hot path: raw lists/arrays, no wrapper objects
-        n = self.bounds.n
-        g_lo = self.bounds.gain_lower
-        g_hi = self.bounds.gain_upper
-        rates = self.bounds.lipschitz_rate
-        tr = self.transform
-        fuzzy = self.mode is ControlMode.FUZZY
+    def kernel(self, x, filter_states, theta, t: float, signals: bool = False):
+        """One evaluation of the chain at plant state ``x``, filter states
+        ``filter_states`` (stages 2..n) and weight matrix ``theta`` (one row
+        per stage, empty in approximator-free mode).
 
-        y_r = self.reference.value(t)
-        dy_r = self.reference.derivative(t)
-        e = x[0] - y_r
-        eta_v = tr.perf.eta(t)
-        z1 = tr._transform(e, t, eta_v)
-        atan_z1 = math.atan(z1)
-        psi_v = math.pi * (1.0 + z1 * z1) / (2.0 * eta_v)
-        cphi = math.cos(2.0 / math.pi * eta_v * atan_z1)
-        phi_v = cphi * cphi
-        if phi_v < tr.phi_floor:
-            phi_v = tr.phi_floor
-        eta_d = tr.perf.eta_dot(t)
-        basis, energy = self._basis_at(t, y_r)
-        drifts = (theta @ basis).tolist() if fuzzy else None
-
-        # stage 1: funnel-shaping virtual control
-        g1 = self.gains[0]
-        if fuzzy:
-            drift_term = drifts[0]
-        else:
-            drift_term = z1 * phi_v * psi_v * energy
-        beta1 = drift_term - dy_r - 2.0 / (math.pi * phi_v) * eta_d * atan_z1
-        chi1 = rates[0](x[:1], (y_r,), t) * abs(e)
-        w = z1 * phi_v * psi_v
-        alpha1 = (
-            -w * beta1 * beta1 / (g_lo[0] * math.sqrt((w * beta1) ** 2 + self._delta2[0]))
-            - w * chi1 * chi1 / (g_lo[0] * math.sqrt((w * chi1) ** 2 + self._sigma2[0]))
-            - w / g_lo[0]
-            - g1.varpi * z1 / (2.0 * g_lo[0] * phi_v * psi_v)
-        )
-
-        z = [z1]
-        r = []
-        alpha = [alpha1]
-        beta = [beta1]
-        chi = [chi1]
-        gamma = []
-        xi = []
-        zeta_vals = []
-        u = 0.0
-        dev2 = e * e
-        smoothing = self.sign_smoothing
-        varrho = self._varrho
-        invlam = self._invlam
-
-        for i in range(2, n + 1):
-            s_i = filter_states[i - 2]
-            a_prev = alpha[i - 2]
-            x_i = x[i - 1]
-            z_i = x_i - s_i
-            r_i = s_i - a_prev
-            if smoothing > 0.0:
-                sgn = math.tanh(z_i / smoothing)
-            else:
-                sgn = 0.0 if z_i == 0.0 else math.copysign(1.0, z_i)
-            zt = 1.0 / (1.0 + z_i * z_i) + varrho[i - 1] * sgn
-            if fuzzy:
-                drift_i = drifts[i - 1]
-            else:
-                drift_i = zt * energy
-            beta_i = drift_i - (a_prev - s_i) * invlam[i - 1]
-            d_i = x_i - y_r
-            dev2 += d_i * d_i
-            chi_i = rates[i - 1](x[:i], (y_r,) * i, t) * math.sqrt(dev2)
-            if i == 2:
-                coupling = g_hi[0] * phi_v * psi_v * abs(z1)
-            else:
-                coupling = g_hi[i - 2] * abs(zeta_vals[i - 3])
-            gamma_i = coupling * abs(z_i) / zt
-            xi_i = coupling * abs(r_i) / zt
-            guard4 = gamma_i if self.cross_guard_literal else xi_i
-            glo = g_lo[i - 1]
-            value = -(
-                zt * beta_i * beta_i / (glo * math.sqrt((zt * beta_i) ** 2 + self._delta2[i - 1]))
-                + zt * chi_i * chi_i / (glo * math.sqrt((zt * chi_i) ** 2 + self._sigma2[i - 1]))
-                + zt * gamma_i * gamma_i / (glo * math.sqrt((zt * gamma_i) ** 2 + self._rho2[i - 1]))
-                + zt * xi_i * xi_i / (glo * math.sqrt((zt * guard4) ** 2 + self._tau2[i - 1]))
-                + self._varpi[i - 1] * (math.atan(z_i) + varrho[i - 1] * abs(z_i)) / (glo * zt)
-                + zt / glo
-            )
-            z.append(z_i)
-            r.append(r_i)
-            beta.append(beta_i)
-            chi.append(chi_i)
-            gamma.append(gamma_i)
-            xi.append(xi_i)
-            zeta_vals.append(zt)
-            if i < n:
-                alpha.append(value)
-            else:
-                u = value
-
-        return StageSignals(
-            z=z, r=r, alpha=alpha, beta=beta, chi=chi, gamma=gamma, xi=xi,
-            zeta_vals=zeta_vals, u=u, e=e, eta=eta_v,
-            psi=psi_v, varphi=phi_v, y_r=y_r,
-        )
-
-    def state_derivatives(
-        self, state: ControllerState, signals: StageSignals, t: float
-    ):
-        """Filter and adaptive-weight derivatives at one evaluation point."""
-        theta = np.array([w.theta_hat for w in state.theta_hat]) if state.theta_hat else _EMPTY_THETA
-        s_dot, theta_dot = self._state_derivatives(state.filter_states, theta, signals, t)
-        return s_dot, list(theta_dot)
-
-    def _state_derivatives(self, filter_states, theta, signals: StageSignals, t: float):
-        n = self.bounds.n
-        s_dot = [
-            (signals.alpha[i - 2] - filter_states[i - 2]) / self.gains[i - 1].lam
-            for i in range(2, n + 1)
-        ]
-        if self.mode is not ControlMode.FUZZY:
-            return s_dot, _EMPTY_THETA
-        basis, _ = self._basis_at(t, signals.y_r)
-        drives = np.empty(n)
-        drives[0] = signals.z[0] * signals.varphi * signals.psi
-        drives[1:] = signals.zeta_vals
-        theta_dot = (self._mu_vec * drives)[:, None] * basis - self._varpi_col * theta
-        return s_dot, theta_dot
-
-    def _hot_eval(self, x, filter_states, theta, t: float):
-        """Merged evaluation for the integrator's inner stages.
-
-        Returns (u, alpha, theta_dot) only, skipping every diagnostic the
-        stepper does not consume.  Must stay numerically identical to
-        :meth:`_evaluate` followed by :meth:`_state_derivatives`.
+        Returns ``(u, alpha, theta_dot, sig)``: the control input, the
+        virtual controls alpha_1..alpha_{n-1}, the weight derivatives and,
+        only when ``signals`` is set, the full :class:`StageSignals` (else
+        None).  Raises :class:`funneldsc.perf.FunnelBreachError` if the
+        output error left the performance funnel.
         """
         n = self.bounds.n
         g_lo = self.bounds.gain_lower
@@ -426,16 +268,16 @@ class ControllerChain:
             phi_v = tr.phi_floor
         eta_d = tr.perf.eta_dot(t)
         basis, energy = self._basis_at(t, y_r)
-        drifts = (theta @ basis).tolist() if fuzzy else None
 
+        # stage 1: funnel-shaping virtual control
         w = z1 * phi_v * psi_v
         if fuzzy:
+            drifts = (theta @ basis).tolist()
             drift_term = drifts[0]
             drives = np.empty(n)
             drives[0] = w
         else:
             drift_term = w * energy
-            drives = None
         beta1 = drift_term - dy_r - 2.0 / (math.pi * phi_v) * eta_d * atan_z1
         chi1 = rates[0](x[:1], (y_r,), t) * abs(e)
         alpha1 = (
@@ -446,6 +288,7 @@ class ControllerChain:
         )
 
         alpha = [alpha1]
+        stages = []  # per-stage diagnostics, kept only when signals are asked for
         u = 0.0
         dev2 = e * e
         zt_prev = 0.0
@@ -453,6 +296,7 @@ class ControllerChain:
         varrho = self._varrho
         invlam = self._invlam
 
+        # stages 2..n track the filtered virtual controls
         for i in range(2, n + 1):
             s_i = filter_states[i - 2]
             a_prev = alpha[i - 2]
@@ -479,17 +323,19 @@ class ControllerChain:
                 coupling = g_hi[i - 2] * abs(zt_prev)
             gamma_i = coupling * abs(z_i) / zt
             xi_i = coupling * abs(r_i) / zt
-            guard4 = gamma_i if self.cross_guard_literal else xi_i
             glo = g_lo[i - 1]
             value = -(
                 zt * beta_i * beta_i / (glo * math.sqrt((zt * beta_i) ** 2 + self._delta2[i - 1]))
                 + zt * chi_i * chi_i / (glo * math.sqrt((zt * chi_i) ** 2 + self._sigma2[i - 1]))
                 + zt * gamma_i * gamma_i / (glo * math.sqrt((zt * gamma_i) ** 2 + self._rho2[i - 1]))
-                + zt * xi_i * xi_i / (glo * math.sqrt((zt * guard4) ** 2 + self._tau2[i - 1]))
+                # the paper's guard on the xi term is gamma, not xi
+                + zt * xi_i * xi_i / (glo * math.sqrt((zt * gamma_i) ** 2 + self._tau2[i - 1]))
                 + self._varpi[i - 1] * (math.atan(z_i) + varrho[i - 1] * abs(z_i)) / (glo * zt)
                 + zt / glo
             )
             zt_prev = zt
+            if signals:
+                stages.append((z_i, r_i, beta_i, chi_i, gamma_i, xi_i, zt))
             if i < n:
                 alpha.append(value)
             else:
@@ -499,4 +345,12 @@ class ControllerChain:
             theta_dot = (self._mu_vec * drives)[:, None] * basis - self._varpi_col * theta
         else:
             theta_dot = _EMPTY_THETA
-        return u, alpha, theta_dot
+        if not signals:
+            return u, alpha, theta_dot, None
+        z, r, beta, chi, gamma, xi, zeta_vals = map(list, zip(*stages))
+        sig = StageSignals(
+            z=[z1] + z, r=r, alpha=alpha, beta=[beta1] + beta, chi=[chi1] + chi,
+            gamma=gamma, xi=xi, zeta_vals=zeta_vals, u=u, theta_dot=theta_dot,
+            e=e, eta=eta_v, psi=psi_v, varphi=phi_v, y_r=y_r,
+        )
+        return u, alpha, theta_dot, sig

@@ -65,20 +65,31 @@ class GaussianGrid:
         return cls(centers=centers, widths=widths, amplitudes=amplitudes)
 
     def basis(self, x) -> np.ndarray:
-        """Normalized basis vector at input x (scalar or length-dim vector)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dim,):
-            raise ValueError(f"input dimension {x.shape} does not match grid ({self.dim},)")
-        d2 = np.sum((x[None, :] - self.centers) ** 2, axis=1) / self.widths**2
-        activation = self.amplitudes**self.dim * np.exp(-0.5 * d2)
-        total = activation.sum()
-        if total == 0.0:
+        """Normalized basis at input x.
+
+        ``x`` is a scalar or a length-``dim`` vector, giving shape ``(m,)``,
+        or a batch of shape ``(k, dim)``, giving shape ``(k, m)``.  This is
+        the only place the rule activations are computed.
+        """
+        x = np.asarray(x, dtype=float)
+        single = x.ndim <= 1
+        batch = x.reshape(1, -1) if single else x
+        if batch.ndim != 2 or batch.shape[1] != self.dim:
+            raise ValueError(f"input shape {x.shape} does not match grid dimension {self.dim}")
+        diff = batch[:, None, :] - self.centers[None, :, :]
+        exponent = (diff * diff).sum(axis=2) * (0.5 / self.widths**2)
+        activation = self.amplitudes**self.dim * np.exp(-exponent)
+        total = activation.sum(axis=1)
+        dead = total == 0.0
+        if dead.any():
             # input far outside the grid: fall back to the nearest rule so the
             # probability-vector invariant survives underflow
-            out = np.zeros(self.m)
-            out[int(np.argmin(d2))] = 1.0
-            return out
-        return activation / total
+            nearest = exponent[dead].argmin(axis=1)
+            activation[dead] = 0.0
+            activation[np.flatnonzero(dead), nearest] = 1.0
+            total[dead] = 1.0
+        out = activation / total[:, None]
+        return out[0] if single else out
 
     def approximate(self, weights: "AdaptiveWeights", x) -> float:
         """Linear expansion basis(x) . theta_hat."""

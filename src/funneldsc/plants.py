@@ -3,15 +3,17 @@
 A plant of order n is a cascade
     xdot_i = f_i(x_1..x_i) + g_i(x_1..x_i) * x_{i+1} + w_i(t)   (i < n)
     xdot_n = f_n(x) + g_n(x) * u + w_n(t)
-The controller never reads f_i, g_i or w_i directly; it only sees the gain
-bounds and Lipschitz-rate functions exposed through :class:`PlantBounds`.
+Each plant writes the whole cascade out in one hand-written ``rhs``.  The
+controller never reads f_i, g_i or w_i; it only sees the gain bounds and
+Lipschitz-rate functions exposed through :class:`PlantBounds`.  ``PLANTS``
+registers the built-in plants by name.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 __all__ = [
     "StrictFeedbackPlant",
@@ -21,10 +23,9 @@ __all__ = [
     "make_single_link",
     "electromechanical_reference",
     "single_link_reference",
+    "PLANTS",
 ]
 
-StageFn = Callable[[Sequence[float]], float]
-DisturbanceFn = Callable[[float], float]
 RateFn = Callable[[Sequence[float], Sequence[float], float], float]
 
 
@@ -50,24 +51,21 @@ class ReferenceSignal:
 class StrictFeedbackPlant:
     """Order-n strict-feedback cascade with per-stage disturbances.
 
-    ``drift``, ``gain`` and ``disturbance`` are simulator-only; controllers
-    must go through :meth:`bounds`.
+    ``rhs(x, u, t)`` is the hand-written right-hand side of the whole
+    cascade and is simulator-only; controllers must go through
+    :meth:`bounds`.
     """
 
     n: int
-    drift: tuple
-    gain: tuple
-    disturbance: tuple
+    rhs: Callable[[Sequence[float], float, float], list]
     gain_lower: tuple
     gain_upper: tuple
     lipschitz_rate: tuple
-    # optional hand-fused right-hand side, must equal the per-stage form
-    fused: Optional[Callable[[Sequence[float], float, float], list]] = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("plant order must be at least 1")
-        for name in ("drift", "gain", "disturbance", "gain_lower", "gain_upper", "lipschitz_rate"):
+        for name in ("gain_lower", "gain_upper", "lipschitz_rate"):
             if len(getattr(self, name)) != self.n:
                 raise ValueError(f"{name} must have {self.n} entries")
         for lo, hi in zip(self.gain_lower, self.gain_upper):
@@ -84,25 +82,12 @@ class StrictFeedbackPlant:
         )
 
     def state_derivative(self, x: Sequence[float], u: float, t: float) -> list:
-        """Right-hand side of the cascade at state x, input u, time t."""
+        """Right-hand side at state x, input u, time t, with its inputs
+        checked; the integrator calls :attr:`rhs` directly and checks the
+        state after every step instead."""
         if not all(math.isfinite(v) for v in x) or not math.isfinite(u):
             raise ValueError(f"non-finite plant input at t={t}")
-        return self._derivative(x, u, t)
-
-    def _derivative(self, x, u: float, t: float) -> list:
-        # hot path: callers guarantee finiteness (the integrator checks
-        # the state after every step anyway)
-        if self.fused is not None:
-            return self.fused(x, u, t)
-        n = self.n
-        out = []
-        for i in range(n):
-            xbar = x[: i + 1]
-            drive = u if i == n - 1 else x[i + 1]
-            out.append(
-                self.drift[i](xbar) + self.gain[i](xbar) * drive + self.disturbance[i](t)
-            )
-        return out
+        return self.rhs(x, u, t)
 
 
 # -- electromechanical servo (order 3) -----------------------------------
@@ -136,17 +121,11 @@ def make_electromechanical() -> StrictFeedbackPlant:
     l3 = (_KB + _RA) / (EM_M * _LA)
     return StrictFeedbackPlant(
         n=3,
-        drift=(
-            lambda xb: 0.0,
-            lambda xb: -n_over_m * math.sin(xb[0]) - b_over_m * xb[1],
-            lambda xb: -kb_ml * xb[1] - r_ml * xb[2],
-        ),
-        gain=(lambda xb: 1.0, lambda xb: 1.0, lambda xb: 1.0),
-        disturbance=(
-            lambda t: 2.0 * math.sin(5.0 * t),
-            lambda t: 5.0 * math.cos(2.0 * t),
-            lambda t: 10.0 * math.sin(t),
-        ),
+        rhs=lambda x, u, t: [
+            x[1] + 2.0 * math.sin(5.0 * t),
+            -n_over_m * math.sin(x[0]) - b_over_m * x[1] + x[2] + 5.0 * math.cos(2.0 * t),
+            -kb_ml * x[1] - r_ml * x[2] + u + 10.0 * math.sin(t),
+        ],
         gain_lower=(0.1, 0.1, 0.1),
         gain_upper=(10.0, 10.0, 10.0),
         lipschitz_rate=(
@@ -154,11 +133,6 @@ def make_electromechanical() -> StrictFeedbackPlant:
             lambda xb, yb, t: l2,
             lambda xb, yb, t: l3,
         ),
-        fused=lambda x, u, t: [
-            x[1] + 2.0 * math.sin(5.0 * t),
-            -n_over_m * math.sin(x[0]) - b_over_m * x[1] + x[2] + 5.0 * math.cos(2.0 * t),
-            -kb_ml * x[1] - r_ml * x[2] + u + 10.0 * math.sin(t),
-        ],
     )
 
 
@@ -182,27 +156,18 @@ def make_single_link() -> StrictFeedbackPlant:
     l2 = (_SL_B + _SL_M * _G * _SL_L) / _SL_I
     return StrictFeedbackPlant(
         n=2,
-        drift=(
-            lambda xb: 0.0,
-            lambda xb: -(_SL_B * xb[1] + _SL_M * _G * _SL_L * math.sin(xb[0])) / _SL_I,
-        ),
-        gain=(lambda xb: 1.0, lambda xb: 1.0 / _SL_I),
-        disturbance=(
-            lambda t: 0.0,
-            lambda t: 10.0 * math.cos(5.0 * t),
-        ),
+        rhs=lambda x, u, t: [
+            x[1],
+            -(_SL_B * x[1] + _SL_M * _G * _SL_L * math.sin(x[0])) / _SL_I
+            + (1.0 / _SL_I) * u
+            + 10.0 * math.cos(5.0 * t),
+        ],
         gain_lower=(0.5, 0.5),
         gain_upper=(10.0, 10.0),
         lipschitz_rate=(
             lambda xb, yb, t: 1.0,
             lambda xb, yb, t: l2,
         ),
-        fused=lambda x, u, t: [
-            x[1],
-            -(_SL_B * x[1] + _SL_M * _G * _SL_L * math.sin(x[0])) / _SL_I
-            + (1.0 / _SL_I) * u
-            + 10.0 * math.cos(5.0 * t),
-        ],
     )
 
 
@@ -211,3 +176,16 @@ def single_link_reference() -> ReferenceSignal:
         value=lambda t: math.pi + 2.0 * math.sin(10.0 * t),
         derivative=lambda t: 20.0 * math.cos(10.0 * t),
     )
+
+
+class PlantEntry(NamedTuple):
+    """Factories of one built-in plant and of the reference it tracks."""
+
+    plant: Callable[[], StrictFeedbackPlant]
+    reference: Callable[[], ReferenceSignal]
+
+
+PLANTS = {
+    "electromechanical": PlantEntry(make_electromechanical, electromechanical_reference),
+    "single-link": PlantEntry(make_single_link, single_link_reference),
+}

@@ -142,8 +142,39 @@ class TestValidation:
             replace(single_link_preset(), perf_c=2.0)
 
     def test_unknown_plant(self):
-        with pytest.raises(ConfigError, match="plant"):
+        with pytest.raises(ConfigError, match="plant") as info:
             replace(single_link_preset(), plant="pendulum")
+        assert "electromechanical" in str(info.value) and "single-link" in str(info.value)
+
+    def test_unknown_plant_in_file(self):
+        text = serialize_config(single_link_preset()).replace(
+            "plant = single-link", "plant = nope"
+        )
+        with pytest.raises(ConfigError, match="single-link"):
+            parse_config(text)
+
+    def test_non_integer_record_every_in_file(self):
+        text = serialize_config(single_link_preset()).replace(
+            "sim.record_every = 10", "sim.record_every = 2.7"
+        )
+        with pytest.raises(ConfigError, match="record_every"):
+            parse_config(text)
+
+    def test_t_end_off_the_step_grid_in_file(self):
+        text = serialize_config(replace(single_link_preset(), dt=1e-3)).replace(
+            "sim.t_end = 3.0", "sim.t_end = 0.01234"
+        )
+        with pytest.raises(ConfigError, match="multiple"):
+            parse_config(text)
+
+    def test_record_every_must_be_an_integer(self):
+        with pytest.raises(ConfigError, match="record_every"):
+            replace(single_link_preset(), record_every=2.7)
+
+    @pytest.mark.parametrize("cfg", [electromechanical_preset(), single_link_preset()])
+    def test_presets_are_whole_multiples_of_dt(self, cfg):
+        for t_end in (cfg.t_end, 0.6, 0.02, 0.005):
+            replace(cfg, t_end=t_end)
 
 
 def short_single_link(**overrides):
@@ -204,6 +235,48 @@ class TestCli:
         path.write_text("preset = custom\n")
         assert cli.main(["--config", str(path)]) == cli.EXIT_ERROR
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--t-end", "0.01234", "--dt", "1e-3"], ["--dt", "7e-4"]]
+    )
+    def test_main_rejects_t_end_off_the_step_grid(self, tmp_path, capsys, flags):
+        status = cli.main(["--preset", "single-link", *flags, "--out", str(tmp_path)])
+        assert status == cli.EXIT_ERROR
+        assert "multiple" in capsys.readouterr().err
+        assert not (tmp_path / "verification.json").exists()
+
+    def test_main_rejects_non_integer_record_every(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            serialize_config(short_single_link()).replace(
+                "sim.record_every = 10", "sim.record_every = 2.7"
+            )
+        )
+        assert cli.main(["--config", str(path), "--out", str(tmp_path)]) == cli.EXIT_ERROR
+        assert "record_every" in capsys.readouterr().err
+
+    def test_sweep_reports_config_errors_and_runs_the_rest(self, tmp_path, capfd):
+        good = tmp_path / "good.cfg"
+        good.write_text(serialize_config(short_single_link()))
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            serialize_config(short_single_link()).replace("plant = single-link", "plant = nope")
+        )
+        breach = tmp_path / "breach.cfg"
+        breach.write_text(
+            serialize_config(replace(weak_gain_single_link(), dt=1e-4, record_every=100))
+        )
+        out_root = tmp_path / "sweep"
+        status = cli.main(["--sweep", str(good), str(bad), str(breach), "--out", str(out_root)])
+        assert status == cli.EXIT_ERROR  # 2 outranks the breach's 1
+        captured = capfd.readouterr()
+        assert f"{bad}: exit 2" in captured.out.splitlines()
+        assert f"{good}: exit 0" in captured.out.splitlines()
+        assert f"{breach}: exit 1" in captured.out.splitlines()
+        assert "nope" in captured.err
+        assert (out_root / "good" / "verification.json").exists()
+        assert (out_root / "breach" / "verification.json").exists()
+        assert not (out_root / "bad").exists()
 
     def test_sweep_runs_each_config(self, tmp_path):
         paths = []

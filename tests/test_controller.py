@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from funneldsc.config import electromechanical_preset, single_link_preset
 from funneldsc.controller import (
+    BASIS_BLOCK,
     ControlMode,
     ControllerChain,
     ControllerState,
     StageGains,
-    adaptive_law_derivative,
-    filter_derivative,
     saturated_term,
     zeta,
 )
@@ -82,17 +81,6 @@ class TestHelpers:
         # rounding noise of the subtraction scales with |s|
         tol = 1e-12 + 4.0 * abs(s) * 1e-16
         assert -tol <= slack <= guard + tol
-
-    def test_filter_derivative(self):
-        assert filter_derivative(0.5, 2.0, 3.0) == pytest.approx(2.0)
-
-    def test_adaptive_law(self):
-        g = StageGains(delta=1.0, sigma=1.0, varpi=2.0, mu=3.0)
-        theta = np.array([1.0, -1.0])
-        basis = np.array([0.5, 0.5])
-        out = adaptive_law_derivative(g, theta, basis, drive=4.0)
-        np.testing.assert_allclose(out, [-2.0 + 6.0, 2.0 + 6.0])
-
 
 class TestStageGains:
     def test_rejects_nonpositive_core_gains(self):
@@ -176,30 +164,6 @@ def random_state(chain, rng, t=0.0):
     return x, ControllerState(theta_hat=theta, filter_states=s)
 
 
-class TestHotPathConsistency:
-    @pytest.mark.parametrize(
-        "chain",
-        [em_chain(), em_chain(mode=ControlMode.APPROX_FREE), sl_chain(),
-         sl_chain(mode=ControlMode.FUZZY), em_chain(sign_smoothing=0.05)],
-    )
-    def test_hot_eval_matches_reference_path(self, chain):
-        rng = np.random.default_rng(7)
-        for trial in range(25):
-            t = float(rng.uniform(0.0, 0.45))
-            x, state = random_state(chain, rng, t)
-            signals = chain.evaluate(x, state, t)
-            _, theta_dot_ref = chain.state_derivatives(state, signals, t)
-            theta2d = (
-                np.array([w.theta_hat for w in state.theta_hat])
-                if state.theta_hat else np.zeros((0, 0))
-            )
-            u, alpha, theta_dot = chain._hot_eval(x, state.filter_states, theta2d, t)
-            assert u == signals.u
-            assert alpha == signals.alpha
-            for a, b in zip(theta_dot_ref, theta_dot):
-                np.testing.assert_array_equal(a, b)
-
-
 class TestStageFormulas:
     def test_first_virtual_control_oracle(self):
         chain = em_chain()
@@ -281,18 +245,6 @@ class TestStageFormulas:
         )
         assert sig.u == pytest.approx(expected, rel=1e-10)
 
-    def test_cross_guard_flag_changes_fourth_term(self):
-        rng = np.random.default_rng(9)
-        literal = em_chain()
-        swapped = em_chain(cross_guard_literal=False)
-        t = 0.2
-        x, state = random_state(literal, rng, t)
-        sig_a = literal.evaluate(x, state, t)
-        sig_b = swapped.evaluate(x, state, t)
-        # the two readings differ whenever gamma != xi at the last stage
-        assert sig_a.gamma[1] != pytest.approx(sig_a.xi[1])
-        assert sig_a.u != sig_b.u
-
     def test_approx_free_replaces_estimates_with_energy_damping(self):
         chain = sl_chain()
         x, state = (3.34, 0.1), chain.init_state((3.34, 0.1))
@@ -320,34 +272,49 @@ class TestAdaptiveLaw:
         t = 0.15
         x, state = random_state(chain, rng, t)
         sig = chain.evaluate(x, state, t)
-        s_dot, theta_dot = chain.state_derivatives(state, sig, t)
         basis = chain.grid.basis(sig.y_r)
         drives = [sig.z[0] * sig.varphi * sig.psi, sig.zeta_vals[0], sig.zeta_vals[1]]
         for i, g in enumerate(chain.gains):
             expected = -g.varpi * state.theta_hat[i].theta_hat + g.mu * drives[i] * basis
-            np.testing.assert_allclose(theta_dot[i], expected, rtol=1e-10, atol=1e-12)
-        for k in range(2):
-            assert s_dot[k] == pytest.approx(
-                (sig.alpha[k] - state.filter_states[k]) / chain.gains[k + 1].lam
-            )
+            np.testing.assert_allclose(sig.theta_dot[i], expected, rtol=1e-10, atol=1e-12)
 
 
-class TestBasisTabulation:
-    def test_table_agrees_with_direct_evaluation(self):
-        chain = em_chain()
-        step = 1e-3
-        chain.tabulate_basis(step, 501)
-        for i in (0, 1, 7, 499):
-            t = i * step
-            y_r = chain.reference.value(t)
-            basis, energy = chain._basis_at(t, y_r)
-            np.testing.assert_allclose(basis, chain.grid.basis(y_r), rtol=1e-12, atol=1e-300)
-            assert energy == pytest.approx(chain.grid.regressor_energy(y_r), rel=1e-12)
-        # off-grid times fall back to the direct path
-        t = 0.25 * step
+class TestBasisBlocks:
+    STEP = 1e-3
+
+    def check_row(self, chain, i, step=STEP):
+        t = i * step
         y_r = chain.reference.value(t)
-        basis, _ = chain._basis_at(t, y_r)
+        basis, energy = chain._basis_at(t, y_r)
+        assert chain._table[1] <= i < chain._table[1] + BASIS_BLOCK
         np.testing.assert_allclose(basis, chain.grid.basis(y_r), rtol=1e-12, atol=1e-300)
+        assert energy == pytest.approx(chain.grid.regressor_energy(y_r), rel=1e-12)
+
+    def test_rows_match_direct_evaluation_across_a_block_boundary(self):
+        chain = em_chain()
+        chain.tabulate_basis(self.STEP, 0, BASIS_BLOCK)
+        for i in (0, 1, 7, BASIS_BLOCK - 1, BASIS_BLOCK, BASIS_BLOCK + 1, 2 * BASIS_BLOCK - 1):
+            self.check_row(chain, i)
+        # moving back before the block refills the earlier one
+        self.check_row(chain, BASIS_BLOCK - 2)
+        assert chain._table[1] == 0
+
+    def test_last_half_steps_of_a_run_off_the_block_size(self):
+        chain = em_chain()
+        n_steps = BASIS_BLOCK + 1234  # half-step rows 0 .. 2 * n_steps
+        assert (2 * n_steps + 1) % BASIS_BLOCK != 0
+        chain.tabulate_basis(0.5 * self.STEP, 0, BASIS_BLOCK)
+        for i in (2 * n_steps - 1, 2 * n_steps):  # last stage time, closing sample
+            self.check_row(chain, i, 0.5 * self.STEP)
+
+    def test_off_grid_times_use_the_direct_path(self):
+        chain = em_chain()
+        chain.tabulate_basis(self.STEP, 0, BASIS_BLOCK)
+        t = 0.25 * self.STEP
+        y_r = chain.reference.value(t)
+        basis, energy = chain._basis_at(t, y_r)
+        np.testing.assert_array_equal(basis, chain.grid.basis(y_r))
+        assert energy == pytest.approx(chain.grid.regressor_energy(y_r), rel=1e-12)
 
 
 class TestBreachPropagation:

@@ -69,8 +69,7 @@ def kernel_values(chain: ControllerChain, case: dict):
         filter_states=list(case["s"]),
     )
     sig = chain.evaluate(list(case["x"]), state, case["t"])
-    theta_dot = np.array(chain.state_derivatives(state, sig, case["t"])[1])
-    return sig.u, sig.alpha, theta_dot
+    return sig.u, sig.alpha, sig.theta_dot
 
 
 def closed_loop_record(name: str) -> dict:

@@ -1,13 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from funneldsc.plants import (
     EM_B,
     EM_M,
     EM_N,
+    PLANTS,
     PlantBounds,
     StrictFeedbackPlant,
     electromechanical_reference,
@@ -15,9 +14,6 @@ from funneldsc.plants import (
     make_single_link,
     single_link_reference,
 )
-
-finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-
 
 class TestElectromechanicalConstants:
     def test_lumped_parameters(self):
@@ -67,19 +63,6 @@ class TestElectromechanicalDynamics:
         got = self.plant.state_derivative(x, u, t)
         assert got == pytest.approx([d1, d2, d3], rel=1e-12)
 
-    @given(x1=finite, x2=finite, x3=finite, u=finite, t=st.floats(0.0, 10.0))
-    @settings(max_examples=200, deadline=None)
-    def test_fused_path_equals_stagewise_path(self, x1, x2, x3, u, t):
-        x = (x1, x2, x3)
-        fused = self.plant.fused(x, u, t)
-        stagewise = [
-            self.plant.drift[i](x[: i + 1])
-            + self.plant.gain[i](x[: i + 1]) * (u if i == 2 else x[i + 1])
-            + self.plant.disturbance[i](t)
-            for i in range(3)
-        ]
-        assert fused == stagewise
-
     def test_rejects_non_finite_input(self):
         with pytest.raises(ValueError):
             self.plant.state_derivative((float("nan"), 0.0, 0.0), 0.0, 0.0)
@@ -100,19 +83,6 @@ class TestSingleLink:
             + 10.0 * math.cos(5.0 * t)
         got = self.plant.state_derivative(x, u, t)
         assert got == pytest.approx([d1, d2], rel=1e-12)
-
-    @given(x1=finite, x2=finite, u=finite, t=st.floats(0.0, 10.0))
-    @settings(max_examples=200, deadline=None)
-    def test_fused_path_equals_stagewise_path(self, x1, x2, u, t):
-        x = (x1, x2)
-        fused = self.plant.fused(x, u, t)
-        stagewise = [
-            self.plant.drift[i](x[: i + 1])
-            + self.plant.gain[i](x[: i + 1]) * (u if i == 1 else x[i + 1])
-            + self.plant.disturbance[i](t)
-            for i in range(2)
-        ]
-        assert fused == stagewise
 
     def test_bounds(self):
         b = self.plant.bounds()
@@ -143,14 +113,25 @@ class TestReferences:
         assert ref.derivative(0.0) == pytest.approx(20.0)
 
 
+class TestRegistry:
+    def test_names_map_to_plant_and_reference(self):
+        assert set(PLANTS) == {"electromechanical", "single-link"}
+        assert PLANTS["electromechanical"].plant().n == 3
+        assert PLANTS["single-link"].plant().n == 2
+        assert PLANTS["electromechanical"].reference().value(0.0) == pytest.approx(2.0)
+        assert PLANTS["single-link"].reference().value(0.0) == pytest.approx(math.pi)
+
+
+def zero_rhs(x, u, t):
+    return [0.0] * len(x)
+
+
 class TestValidation:
     def test_rejects_bad_gain_bounds(self):
         with pytest.raises(ValueError):
             StrictFeedbackPlant(
                 n=1,
-                drift=(lambda xb: 0.0,),
-                gain=(lambda xb: 1.0,),
-                disturbance=(lambda t: 0.0,),
+                rhs=zero_rhs,
                 gain_lower=(0.0,),
                 gain_upper=(1.0,),
                 lipschitz_rate=(lambda xb, yb, t: 1.0,),
@@ -160,10 +141,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             StrictFeedbackPlant(
                 n=2,
-                drift=(lambda xb: 0.0,),
-                gain=(lambda xb: 1.0,) * 2,
-                disturbance=(lambda t: 0.0,) * 2,
-                gain_lower=(0.1, 0.1),
+                rhs=zero_rhs,
+                gain_lower=(0.1,),
                 gain_upper=(1.0, 1.0),
                 lipschitz_rate=(lambda xb, yb, t: 1.0,) * 2,
             )
@@ -171,6 +150,5 @@ class TestValidation:
     def test_rejects_order_zero(self):
         with pytest.raises(ValueError):
             StrictFeedbackPlant(
-                n=0, drift=(), gain=(), disturbance=(),
-                gain_lower=(), gain_upper=(), lipschitz_rate=(),
+                n=0, rhs=zero_rhs, gain_lower=(), gain_upper=(), lipschitz_rate=(),
             )

@@ -20,6 +20,7 @@ from funneldsc.sim import (
     rk4_step,
     run,
     step,
+    step_count,
 )
 
 
@@ -73,8 +74,9 @@ class TestStep:
         x0 = [3.3, 0.0]
         cstate = chain.init_state(x0)
         bundle = (x0, list(cstate.filter_states), np.zeros((0, 0)))
-        new_bundle, sig0 = step(plant, chain, bundle, 0.0, 1e-4)
+        new_bundle, (u0, _, _, sig0) = step(plant, chain, bundle, 0.0, 1e-4)
         assert sig0.e == pytest.approx(3.3 - reference.value(0.0))
+        assert u0 == sig0.u
         assert new_bundle[0] != bundle[0]
 
     def test_exact_and_explicit_filters_agree(self):
@@ -173,9 +175,7 @@ class TestDivergenceHandling:
 
         plant = StrictFeedbackPlant(
             n=2,
-            drift=(lambda xb: 0.0, lambda xb: quint(xb[1])),
-            gain=(lambda xb: 1e-300, lambda xb: 1.0),
-            disturbance=(lambda t: 0.0, lambda t: 0.0),
+            rhs=lambda x, u, t: [1e-300 * x[1], quint(x[1]) + u],
             gain_lower=(1e-300, 0.5),
             gain_upper=(1e-300, 10.0),
             lipschitz_rate=(lambda xb, yb, t: 1.0, lambda xb, yb, t: 1.0),
@@ -196,6 +196,19 @@ class TestConfigValidation:
             SimConfig(dt=1e-3, t_end=0.0, x0=(0.0, 0.0))
         with pytest.raises(ValueError):
             SimConfig(dt=1e-3, t_end=1.0, x0=(0.0, 0.0), record_every=0)
+
+    def test_rejects_silent_rounding(self):
+        with pytest.raises(ValueError, match="record_every"):
+            SimConfig(dt=1e-3, t_end=1.0, x0=(0.0, 0.0), record_every=2.7)
+        with pytest.raises(ValueError, match="multiple"):
+            SimConfig(dt=1e-3, t_end=0.01234, x0=(0.0, 0.0))
+        with pytest.raises(ValueError, match="multiple"):
+            SimConfig(dt=1e-3, t_end=4e-4, x0=(0.0, 0.0))
+
+    def test_step_count_tolerates_decimal_rounding(self):
+        assert step_count(0.6, 1e-5) == 60_000
+        assert step_count(3.0, 1e-5) == 300_000
+        assert step_count(0.6, 1e-4) == 6_000
 
 
 class TestExport:
