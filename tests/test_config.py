@@ -167,10 +167,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="multiple"):
             parse_config(text)
 
-    def test_record_every_must_be_an_integer(self):
-        with pytest.raises(ConfigError, match="record_every"):
-            replace(single_link_preset(), record_every=2.7)
-
     @pytest.mark.parametrize("cfg", [electromechanical_preset(), single_link_preset()])
     def test_presets_are_whole_multiples_of_dt(self, cfg):
         for t_end in (cfg.t_end, 0.6, 0.02, 0.005):
