@@ -14,7 +14,7 @@ from typing import Optional
 from .controller import ControlMode, StageGains
 from .perf import TransformKind
 from .plants import PLANTS
-from .sim import step_count
+from .sim import check_explicit_step, step_count
 
 __all__ = [
     "ExperimentConfig",
@@ -82,6 +82,11 @@ class ExperimentConfig:
             )
         if len(self.x0) != expected:
             raise ConfigError(f"init.x0 needs {expected} entries, got {len(self.x0)}")
+        if not self.exact_filter:
+            try:
+                check_explicit_step(self.gains, self.dt)
+            except ValueError as exc:
+                raise ConfigError(f"sim.dt: {exc}") from None
         object.__setattr__(self, "gains", tuple(self.gains))
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
 

@@ -38,12 +38,9 @@ class ControlMode(enum.Enum):
     APPROX_FREE = "approx-free"
 
 
-# stand-in weight matrix for the approximator-free mode
-_EMPTY_THETA = np.zeros((0, 0))
-
 # Rows per tabulated basis block.  A fixed block bounds the table's memory
-# whatever the horizon (4096 rows of 11 rules is about 0.5 MB with the
-# energies), while refilling costs one vectorised pass per 2048 steps,
+# whatever the horizon (4096 rows of 11 rules is about 0.6 MB with the
+# Gram products), while refilling costs one vectorised pass per 2048 steps,
 # within noise of tabulating the whole run up front.
 BASIS_BLOCK = 4096
 
@@ -92,7 +89,9 @@ class StageSignals:
     Lists are stage-indexed: ``z[0]`` is the transformed output error,
     ``zeta_vals[0]``/``gamma[0]``/... belong to stage 2, ``alpha[0]`` is the
     first virtual control.  ``theta_dot`` holds the weight derivatives, one
-    row per stage (empty in approximator-free mode).
+    row per stage (empty in approximator-free mode); only
+    :meth:`ControllerChain.evaluate` fills it, the integrator's samples
+    leave it None.
     """
 
     z: list
@@ -104,7 +103,7 @@ class StageSignals:
     xi: list
     zeta_vals: list
     u: float
-    theta_dot: np.ndarray
+    theta_dot: Optional[np.ndarray] = None
     e: float = 0.0
     eta: float = 0.0
     psi: float = 0.0
@@ -170,14 +169,15 @@ class ControllerChain:
         self.mode = mode
         self.grid = grid
         self.sign_smoothing = sign_smoothing
-        self._table = None  # (step, first row, basis rows, energies)
+        # (step, first row, basis rows, b_i.b_i, b_i.b_{i+1}, b_i.b_{i+2}),
+        # the last two None in approximator-free mode
+        self._table = None
         # hot-loop constants
         self._delta2 = tuple(g.delta**2 for g in self.gains)
         self._sigma2 = tuple(g.sigma**2 for g in self.gains)
         self._rho2 = tuple(None if g.rho is None else g.rho**2 for g in self.gains)
         self._tau2 = tuple(None if g.tau is None else g.tau**2 for g in self.gains)
-        self._varpi_col = np.array([[g.varpi] for g in self.gains])
-        self._mu_vec = np.array([g.mu for g in self.gains])
+        self._mu = tuple(g.mu for g in self.gains)
         self._varpi = tuple(g.varpi for g in self.gains)
         self._varrho = tuple(g.varrho for g in self.gains)
         self._invlam = tuple(None if g.lam is None else 1.0 / g.lam for g in self.gains)
@@ -203,29 +203,73 @@ class ControllerChain:
     # -- evaluation -------------------------------------------------------
 
     def tabulate_basis(self, step: float, first: int, count: int) -> None:
-        """Tabulate the reference basis on rows ``first .. first+count-1`` of
+        """Tabulate the reference basis on rows ``first .. first+count+1`` of
         the uniform time grid ``{0, step, 2*step, ...}`` that a fixed-step
-        integrator queries.  A later query on that grid outside the block
-        refills it with the :data:`BASIS_BLOCK` rows that hold the query."""
-        ys = np.array([self.reference.value(i * step) for i in range(first, first + count)])
+        integrator queries, with the energies b_i.b_i and, in fuzzy mode, the
+        Gram products b_i.b_{i+1} and b_i.b_{i+2}.  The block serves rows
+        ``first .. first+count-1``; its two rows of overlap let a step read
+        rows i..i+2 from one block.  A later query on that grid outside the
+        block refills it with the :data:`BASIS_BLOCK` rows that hold the
+        query."""
+        ys = np.array([self.reference.value(i * step) for i in range(first, first + count + 2)])
         basis = self.grid.basis(ys[:, None])
-        self._table = (step, first, basis, (basis * basis).sum(axis=1).tolist())
+        cross = (None, None)
+        if self.mode is ControlMode.FUZZY:
+            cross = (
+                (basis[:-1] * basis[1:]).sum(axis=1).tolist(),
+                (basis[:-2] * basis[2:]).sum(axis=1).tolist(),
+            )
+        self._table = (step, first, basis, (basis * basis).sum(axis=1).tolist(), *cross)
+
+    def _table_row(self, t: float, step: float):
+        """Row of grid time ``t = i*step`` in the table, refilled with the
+        block that holds row i when needed; None when t is off the grid."""
+        pos = t / step
+        i = int(pos + 0.5)
+        # grid times may differ by rounding noise from k*dt arithmetic
+        if abs(pos - i) >= 1e-6:
+            return None
+        table = self._table
+        if table is None or table[0] != step or not 0 <= i - table[1] < len(table[3]) - 2:
+            self.tabulate_basis(step, i - i % BASIS_BLOCK, BASIS_BLOCK)
+            table = self._table
+        return i - table[1]
 
     def _basis_at(self, t: float, y_r: float):
         if self._table is not None:
-            step, first, basis, energy = self._table
-            pos = t / step
-            i = int(pos + 0.5)
-            # grid times may differ by rounding noise from k*dt arithmetic
-            if abs(pos - i) < 1e-6:
-                row = i - first
-                if not 0 <= row < len(energy):
-                    row = i % BASIS_BLOCK
-                    self.tabulate_basis(step, i - row, BASIS_BLOCK)
-                    _, _, basis, energy = self._table
-                return basis[row], energy[row]
+            row = self._table_row(t, self._table[0])
+            if row is not None:
+                table = self._table
+                return table[2][row], table[3][row]
         basis = self.grid.basis(y_r)
         return basis, float(basis @ basis)
+
+    def basis_at(self, t: float) -> np.ndarray:
+        """Basis of the reference at time t, from the table when t is on its grid."""
+        return self._basis_at(t, self.reference.value(t))[0]
+
+    def step_basis(self, t: float, dt: float):
+        """Basis rows b1, bh, b4 at t, t+dt/2 and t+dt as a (3, m) array, and
+        their Gram products b1.bh, bh.bh, b1.b4 and bh.b4 (fuzzy mode).
+
+        Served from the half-step table, which is tabulated here when it is
+        missing or built for another step; a t off that grid evaluates the
+        three rows directly."""
+        h = 0.5 * dt
+        row = self._table_row(t, h)
+        if row is None:
+            ys = [[self.reference.value(t + k * h)] for k in range(3)]
+            rows = self.grid.basis(np.array(ys))
+            gram = (rows @ rows.T).tolist()
+            return rows, gram[0][1], gram[1][1], gram[0][2], gram[1][2]
+        _, _, basis, energy, cross1, cross2 = self._table
+        return basis[row:row + 3], cross1[row], energy[row + 1], cross2[row], cross1[row + 1]
+
+    def weight_derivative(self, theta: np.ndarray, drives, basis: np.ndarray) -> np.ndarray:
+        """The adaptive law theta_i' = mu_i * drive_i * basis - varpi_i * theta_i,
+        one row per stage, for the drives the kernel returns."""
+        mu_drives = np.array([m * d for m, d in zip(self._mu, drives)])
+        return mu_drives[:, None] * basis - np.array(self._varpi)[:, None] * theta
 
     def evaluate(self, x: Sequence[float], state: ControllerState, t: float) -> StageSignals:
         """Compute all stage signals, the control input and the weight
@@ -234,19 +278,27 @@ class ControllerChain:
         Raises :class:`funneldsc.perf.FunnelBreachError` if the output error
         left the performance funnel.
         """
-        theta = np.array([w.theta_hat for w in state.theta_hat]) if state.theta_hat else _EMPTY_THETA
-        return self.kernel(x, state.filter_states, theta, t, signals=True)[3]
+        if self.mode is not ControlMode.FUZZY:
+            sig = self.kernel(x, state.filter_states, None, t, signals=True)[3]
+            sig.theta_dot = np.zeros((0, 0))
+            return sig
+        theta = np.array([w.theta_hat for w in state.theta_hat])
+        basis = self.basis_at(t)
+        _, _, drives, sig = self.kernel(x, state.filter_states, (theta @ basis).tolist(), t, signals=True)
+        sig.theta_dot = self.weight_derivative(theta, drives, basis)
+        return sig
 
-    def kernel(self, x, filter_states, theta, t: float, signals: bool = False):
+    def kernel(self, x, filter_states, drifts, t: float, signals: bool = False):
         """One evaluation of the chain at plant state ``x``, filter states
-        ``filter_states`` (stages 2..n) and weight matrix ``theta`` (one row
-        per stage, empty in approximator-free mode).
+        ``filter_states`` (stages 2..n) and stage drift estimates ``drifts``,
+        the floats theta_i . basis(t) (ignored in approximator-free mode).
 
-        Returns ``(u, alpha, theta_dot, sig)``: the control input, the
-        virtual controls alpha_1..alpha_{n-1}, the weight derivatives and,
-        only when ``signals`` is set, the full :class:`StageSignals` (else
-        None).  Raises :class:`funneldsc.perf.FunnelBreachError` if the
-        output error left the performance funnel.
+        Returns ``(u, alpha, drives, sig)``: the control input, the virtual
+        controls alpha_1..alpha_{n-1}, the drives (w, zeta_2, ..., zeta_n)
+        of the adaptive law (None in approximator-free mode) and, only when
+        ``signals`` is set, the full :class:`StageSignals` (else None).
+        Raises :class:`funneldsc.perf.FunnelBreachError` if the output error
+        left the performance funnel.
         """
         n = self.bounds.n
         g_lo = self.bounds.gain_lower
@@ -267,16 +319,15 @@ class ControllerChain:
         if phi_v < tr.phi_floor:
             phi_v = tr.phi_floor
         eta_d = tr.perf.eta_dot(t)
-        basis, energy = self._basis_at(t, y_r)
 
         # stage 1: funnel-shaping virtual control
         w = z1 * phi_v * psi_v
         if fuzzy:
-            drifts = (theta @ basis).tolist()
             drift_term = drifts[0]
-            drives = np.empty(n)
-            drives[0] = w
+            drives = [w]
         else:
+            drives = None
+            energy = self._basis_at(t, y_r)[1]
             drift_term = w * energy
         beta1 = drift_term - dy_r - 2.0 / (math.pi * phi_v) * eta_d * atan_z1
         chi1 = rates[0](x[:1], (y_r,), t) * abs(e)
@@ -310,7 +361,7 @@ class ControllerChain:
             zt = 1.0 / (1.0 + z_i * z_i) + varrho[i - 1] * sgn
             if fuzzy:
                 drift_i = drifts[i - 1]
-                drives[i - 1] = zt
+                drives.append(zt)
             else:
                 drift_i = zt * energy
             beta_i = drift_i - (a_prev - s_i) * invlam[i - 1]
@@ -341,16 +392,12 @@ class ControllerChain:
             else:
                 u = value
 
-        if fuzzy:
-            theta_dot = (self._mu_vec * drives)[:, None] * basis - self._varpi_col * theta
-        else:
-            theta_dot = _EMPTY_THETA
         if not signals:
-            return u, alpha, theta_dot, None
+            return u, alpha, drives, None
         z, r, beta, chi, gamma, xi, zeta_vals = map(list, zip(*stages))
         sig = StageSignals(
             z=[z1] + z, r=r, alpha=alpha, beta=[beta1] + beta, chi=[chi1] + chi,
-            gamma=gamma, xi=xi, zeta_vals=zeta_vals, u=u, theta_dot=theta_dot,
+            gamma=gamma, xi=xi, zeta_vals=zeta_vals, u=u,
             e=e, eta=eta_v, psi=psi_v, varphi=phi_v, y_r=y_r,
         )
-        return u, alpha, theta_dot, sig
+        return u, alpha, drives, sig

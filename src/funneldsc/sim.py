@@ -3,20 +3,29 @@
 The augmented state couples the plant, the first-order filters of the
 control chain, and (in fuzzy mode) the adaptive weights.  Each step
 evaluates the plant's one right-hand side (``plant.rhs``) and the
-controller's one kernel (``ControllerChain.kernel``).  Two steppers:
+controller's one kernel (``ControllerChain.kernel``), which takes the
+stage drift estimates theta_i . basis as floats and returns the drives of
+the adaptive law.  Two steppers:
 
-- exact filter (default): RK4 in (x, theta), with the filters moved along
-  their closed-form exponential toward the virtual control ``alpha`` frozen
-  at the step start.  This removes the filter time constant from the
-  step-size limit, but freezing ``alpha`` caps the observed global order at
-  about 1 (1.06 and 1.19 measured on the single-link case).
+- exact filter (default): RK4 in x, with the filters moved along their
+  closed-form exponential toward the virtual control ``alpha`` frozen at
+  the step start.  The weights take the same RK4 step of their linear law
+  in closed form, once per step: one projection of theta on the step's
+  three basis rows (t, t+dt/2, t+dt) gives every stage's drift estimate as
+  a scalar recurrence, and one update forms the new weights (see
+  :func:`_weight_step_coefficients`).  The filter update removes the
+  filter time constant from the step-size limit, but freezing ``alpha``
+  caps the observed global order at about 1 (1.06 and 1.19 measured on
+  the single-link case).
 - ``exact_filter=False``: classical RK4 through :func:`rk4_step` on the
-  flattened (x, filters, weights) state; it needs dt <= lam_min / 5.
+  flattened (x, filters, weights) state, the weight derivatives taken from
+  ``ControllerChain.weight_derivative``; it needs dt <= lam_min / 5
+  (:func:`check_explicit_step`).
 """
-
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -33,6 +42,7 @@ __all__ = [
     "VerificationReport",
     "SimulationDivergenceError",
     "step_count",
+    "check_explicit_step",
     "rk4_step",
     "step",
     "run",
@@ -75,6 +85,17 @@ class SimConfig:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every!r}")
         step_count(self.t_end, self.dt)
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+
+
+def check_explicit_step(gains: Sequence[StageGains], dt: float) -> None:
+    """Raise ValueError unless dt <= lam_min / 5, the explicit RK4 limit
+    of the fastest filter (``exact_filter=False``)."""
+    limit = min(g.lam for g in gains[1:]) / _EXPLICIT_STIFFNESS_FACTOR
+    if dt > limit:
+        raise ValueError(
+            f"explicit stepping needs dt <= {limit:.3g} for the fastest filter "
+            f"(got dt={dt:.3g}); set sim.exact_filter = true or lower dt"
+        )
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -137,6 +158,64 @@ def rk4_step(f, y: Sequence[float], t: float, dt: float) -> list:
     ]
 
 
+@functools.lru_cache(maxsize=8)
+def _weight_step_coefficients(mus: tuple, varpis: tuple, dt: float):
+    """Coefficients of one RK4 step of the adaptive law in closed form.
+
+    Stage i's law theta' = mu*d(t)*b(t) - varpi*theta is linear in theta,
+    so with a = varpi*dt/2 and h = dt/2 the drift estimates theta_k . b of
+    RK stages 2..4 are scalar recurrences in the drives d1..d4, the
+    projections P = theta.[b1, bh, b4] and the Gram products g of the rows:
+
+        f2 = (1-a) Ph + h mu d1 g1h
+        f3 = (1-a+a^2) Ph - a h mu d1 g1h + h mu d2 ghh
+        f4 = (1-2a(1-a+a^2)) P4 + 2a^2 h mu d1 g14 + (dt mu d3 - 2a h mu d2) gh4
+
+    and theta_new = A theta + C @ [b1, bh, b4], with A the RK4 polynomial
+    1 - z + z^2/2 - z^3/6 + z^4/24 of z = varpi*dt and
+    C = (dt/6) mu [d1 (1-2a+2a^2-2a^3), d2 (2-2a+2a^2) + d3 (2-2a), d4].
+
+    Returns the per-stage factors of f2, f3, f4 and C, each in the order
+    of the terms above, and A as a column.
+    """
+    h = 0.5 * dt
+    c2, c3, c4, cmix, growth = [], [], [], [], []
+    for mu, varpi in zip(mus, varpis):
+        a = varpi * h
+        q = 1.0 - a + a * a
+        hmu = h * mu
+        e = dt / 6.0 * mu
+        c2.append((1.0 - a, hmu))
+        c3.append((q, -a * hmu, hmu))
+        c4.append((1.0 - 2.0 * a * q, 2.0 * a * a * hmu, dt * mu, -2.0 * a * hmu))
+        cmix.append((e * (1.0 - 2.0 * a * q), e * 2.0 * q, e * (2.0 - 2.0 * a), e))
+        z = varpi * dt
+        growth.append(1.0 - z + z * z / 2.0 - z**3 / 6.0 + z**4 / 24.0)
+    growth = np.array(growth)[:, None]
+    growth.flags.writeable = False  # shared by every caller of the cache
+    return tuple(c2), tuple(c3), tuple(c4), tuple(cmix), growth
+
+
+def _open_step(chain: ControllerChain, bundle, t: float, dt: float, exact_filter: bool, signals: bool):
+    """The kernel at the step start, ``(u, alpha, drives, sig)``, and what
+    the closed-form weight step needs: the basis rows, their Gram products
+    and the projections P = theta.[b1, bh, b4] as an n x 3 list (None in
+    approximator-free mode and on the explicit path)."""
+    x, s, theta = bundle
+    if not exact_filter or chain.mode is not ControlMode.FUZZY:
+        return chain.kernel(x, s, _drifts(chain, theta, t), t, signals), None
+    rows, *gram = chain.step_basis(t, dt)
+    proj = (theta @ rows.T).tolist()
+    return chain.kernel(x, s, [p[0] for p in proj], t, signals), (rows, gram, proj)
+
+
+def _drifts(chain: ControllerChain, theta, t: float):
+    """Stage drift estimates theta_i . basis(t); None in approximator-free mode."""
+    if chain.mode is not ControlMode.FUZZY:
+        return None
+    return (theta @ chain.basis_at(t)).tolist()
+
+
 def step(
     plant: StrictFeedbackPlant,
     chain: ControllerChain,
@@ -144,35 +223,44 @@ def step(
     t: float,
     dt: float,
     exact_filter: bool = True,
-    start=None,
+    opened=None,
 ):
     """Advance the (x, filters, weights) bundle from t to t+dt.
 
-    ``start`` is ``chain.kernel`` at (bundle, t) when the caller already
-    has it; by default it is computed here with the stage signals.  Returns
-    (new_bundle, start).  With ``exact_filter`` the plant and weights take
-    an RK4 step while the filters follow their closed-form exponential
-    toward the virtual control frozen at the step start; otherwise the
-    whole flattened (x, filters, weights) state takes one :func:`rk4_step`.
+    ``opened`` is ``_open_step`` of (bundle, t) when the caller already has
+    it; by default it is computed here with the stage signals.  Returns
+    (new_bundle, start), ``start`` being the kernel output at (bundle, t).
+    With ``exact_filter`` the plant takes an RK4 step, the weights take the
+    same RK4 step of their law in closed form (see
+    :func:`_weight_step_coefficients`) and the filters follow their
+    closed-form exponential toward the virtual control frozen at the step
+    start; otherwise the whole flattened (x, filters, weights) state takes
+    one :func:`rk4_step`.
     """
     x, s, theta = bundle
-    if start is None:
-        start = chain.kernel(x, s, theta, t, signals=True)
-    u0, alphas, k1t, _ = start
+    if opened is None:
+        opened = _open_step(chain, bundle, t, dt, exact_filter, True)
+    start, proj = opened
+    u0, alphas, d1, _ = start
     kernel, rhs = chain.kernel, plant.rhs
     lams = [g.lam for g in chain.gains[1:]]
 
     if not exact_filter:
         n, n_f = len(x), len(s)
+        fuzzy = chain.mode is ControlMode.FUZZY
 
         def f(tt, y):
+            basis = chain.basis_at(tt) if fuzzy else None
             if y is flat:  # the step start, already evaluated
-                xv, sv, (u, alpha, kt, _) = x, s, start
+                xv, sv, tv, (u, alpha, drives, _) = x, s, theta, start
             else:
                 xv, sv = y[:n], y[n:n + n_f]
-                u, alpha, kt, _ = kernel(xv, sv, np.reshape(y[n + n_f:], theta.shape), tt)
+                tv = np.reshape(y[n + n_f:], theta.shape)
+                drifts = (tv @ basis).tolist() if fuzzy else None
+                u, alpha, drives, _ = kernel(xv, sv, drifts, tt)
             s_dot = [(a - si) / lam for a, si, lam in zip(alpha, sv, lams)]
-            return rhs(xv, u, tt) + s_dot + kt.ravel().tolist()
+            kt = chain.weight_derivative(tv, drives, basis).ravel().tolist() if fuzzy else []
+            return rhs(xv, u, tt) + s_dot + kt
 
         flat = list(x) + list(s) + theta.ravel().tolist()
         y = rk4_step(f, flat, t, dt)
@@ -180,25 +268,47 @@ def step(
 
     s_half = [a + (si - a) * math.exp(-0.5 * dt / lam) for a, si, lam in zip(alphas, s, lams)]
     s_full = [a + (si - a) * math.exp(-dt / lam) for a, si, lam in zip(alphas, s, lams)]
-
-    def adv(xv, tv, sv, tt):
-        u, _, kt, _ = kernel(xv, sv, tv, tt)
-        return rhs(xv, u, tt), kt
-
     half = 0.5 * dt
+    # drift estimates theta_k . b of RK stages 2..4 (None without weights)
+    f2 = f3 = f4 = None
+    closed = proj is not None
+    if closed:
+        rows, (g1h, ghh, g14, gh4), P = proj
+        c2, c3, c4, cmix, growth = _weight_step_coefficients(chain._mu, chain._varpi, dt)
+
     k1x = rhs(x, u0, t)
     x2 = [xi + half * ki for xi, ki in zip(x, k1x)]
-    k2x, k2t = adv(x2, theta + half * k1t, s_half, t + half)
+    if closed:
+        f2 = [k0 * p[1] + k1 * da * g1h for (k0, k1), p, da in zip(c2, P, d1)]
+    u2, _, d2, _ = kernel(x2, s_half, f2, t + half)
+    k2x = rhs(x2, u2, t + half)
     x3 = [xi + half * ki for xi, ki in zip(x, k2x)]
-    k3x, k3t = adv(x3, theta + half * k2t, s_half, t + half)
+    if closed:
+        f3 = [
+            k0 * p[1] + k1 * da * g1h + k2 * db * ghh
+            for (k0, k1, k2), p, da, db in zip(c3, P, d1, d2)
+        ]
+    u3, _, d3, _ = kernel(x3, s_half, f3, t + half)
+    k3x = rhs(x3, u3, t + half)
     x4 = [xi + dt * ki for xi, ki in zip(x, k3x)]
-    k4x, k4t = adv(x4, theta + dt * k3t, s_full, t + dt)
+    if closed:
+        f4 = [
+            k0 * p[2] + k1 * da * g14 + (k2 * dc + k3 * db) * gh4
+            for (k0, k1, k2, k3), p, da, db, dc in zip(c4, P, d1, d2, d3)
+        ]
+    u4, _, d4, _ = kernel(x4, s_full, f4, t + dt)
+    k4x = rhs(x4, u4, t + dt)
     x_new = [
         xi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
         for xi, a, b, c, d in zip(x, k1x, k2x, k3x, k4x)
     ]
-    theta_new = theta + (dt / 6.0) * (k1t + 2.0 * (k2t + k3t) + k4t)
-    return (x_new, s_full, theta_new), start
+    if closed:
+        mix = [
+            [k0 * da, k1 * db + k2 * dc, k3 * dd]
+            for (k0, k1, k2, k3), da, db, dc, dd in zip(cmix, d1, d2, d3, d4)
+        ]
+        theta = growth * theta + np.array(mix) @ rows
+    return (x_new, s_full, theta), start
 
 
 def run(
@@ -221,12 +331,7 @@ def run(
     if len(config.x0) != n:
         raise ValueError(f"x0 must have {n} entries")
     if not config.exact_filter:
-        lam_min = min(g.lam for g in gains[1:])
-        if config.dt > lam_min / _EXPLICIT_STIFFNESS_FACTOR:
-            raise ValueError(
-                f"explicit stepping needs dt <= {lam_min / _EXPLICIT_STIFFNESS_FACTOR:.3g} "
-                f"for the fastest filter (got dt={config.dt:.3g})"
-            )
+        check_explicit_step(gains, config.dt)
 
     chain = ControllerChain(
         bounds=plant.bounds(),
@@ -278,7 +383,7 @@ def run(
         traj.signals.append(sig)
         traj.eta.append(sig.eta)
         traj.filters.append(tuple(sv))
-        traj.theta_norms.append(tuple(float(np.linalg.norm(a)) for a in tv))
+        traj.theta_norms.append(tuple(np.linalg.norm(tv, axis=1).tolist()) if tv.size else ())
 
     dt = config.dt
     ref_value = reference.value
@@ -290,7 +395,8 @@ def run(
         try:
             # full diagnostic evaluation only at recorded samples; the step
             # reuses it as its first stage
-            start = chain.kernel(xv, sv, tv, t, signals=recorded)
+            opened = _open_step(chain, bundle, t, dt, config.exact_filter, recorded)
+            start = opened[0]
             if recorded:
                 sig = start[3]
                 record(t, sig, xv, sv, tv)
@@ -302,7 +408,7 @@ def run(
                     bump(f"alpha{j}", aj)
                 for j, nt in enumerate(traj.theta_norms[-1], start=1):
                     bump(f"theta{j}", nt)
-            new_bundle, _ = step(plant, chain, bundle, t, dt, config.exact_filter, start)
+            new_bundle, _ = step(plant, chain, bundle, t, dt, config.exact_filter, opened)
         except FunnelBreachError as br:
             breach = br.t
             break
@@ -329,7 +435,7 @@ def run(
         t_final = n_steps * config.dt
         try:
             xv, sv, tv = bundle
-            sig = chain.kernel(xv, sv, tv, t_final, signals=True)[3]
+            sig = chain.kernel(xv, sv, _drifts(chain, tv, t_final), t_final, signals=True)[3]
             ae = abs(sig.e)
             max_err = max(max_err, ae)
             if t_final >= perf.T:

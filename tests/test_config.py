@@ -167,6 +167,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="multiple"):
             parse_config(text)
 
+    def test_explicit_filter_step_above_the_filter_limit(self):
+        # fastest single-link filter: lam = 1e-3, so explicit RK4 needs dt <= 2e-4
+        cfg = replace(single_link_preset(), dt=2e-4, t_end=0.01, exact_filter=False)
+        with pytest.raises(ConfigError, match="explicit"):
+            replace(cfg, dt=1e-3)
+        replace(cfg, dt=1e-3, exact_filter=True)
+
     @pytest.mark.parametrize("cfg", [electromechanical_preset(), single_link_preset()])
     def test_presets_are_whole_multiples_of_dt(self, cfg):
         for t_end in (cfg.t_end, 0.6, 0.02, 0.005):
@@ -250,6 +257,25 @@ class TestCli:
         )
         assert cli.main(["--config", str(path), "--out", str(tmp_path)]) == cli.EXIT_ERROR
         assert "record_every" in capsys.readouterr().err
+
+    def test_main_rejects_explicit_filter_step_above_the_limit(self, tmp_path, capsys):
+        ok = short_single_link(t_end=0.01, exact_filter=False)
+        text = serialize_config(ok)
+        stiff = tmp_path / "stiff.cfg"
+        stiff.write_text(text.replace("sim.dt = 0.0001", "sim.dt = 0.001"))
+        assert stiff.read_text() != text
+        loose = tmp_path / "loose.cfg"
+        loose.write_text(text)
+        for argv in (["--config", str(stiff)], ["--config", str(loose), "--dt", "1e-3"]):
+            assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_ERROR
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "explicit" in err[0]
+        assert not (tmp_path / "out" / "verification.json").exists()
+        status = cli.main(["--sweep", str(stiff), "--out", str(tmp_path / "sweep")])
+        assert status == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert f"{stiff}: exit 2" in captured.out.splitlines()
+        assert "explicit" in captured.err
 
     def test_sweep_reports_config_errors_and_runs_the_rest(self, tmp_path, capfd):
         good = tmp_path / "good.cfg"

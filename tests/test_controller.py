@@ -307,6 +307,26 @@ class TestBasisBlocks:
         for i in (2 * n_steps - 1, 2 * n_steps):  # last stage time, closing sample
             self.check_row(chain, i, 0.5 * self.STEP)
 
+    def test_step_rows_across_a_block_boundary(self):
+        chain = em_chain()
+        dt = 2.0 * self.STEP  # the step's rows sit on the table's half-step grid
+        chain.tabulate_basis(self.STEP, 0, BASIS_BLOCK)
+        # rows i..i+2 reach into the block's two rows of overlap
+        for i in (BASIS_BLOCK - 2, BASIS_BLOCK - 1, BASIS_BLOCK):
+            rows, g1h, ghh, g14, gh4 = chain.step_basis(i * self.STEP, dt)
+            assert chain._table[1] == (0 if i < BASIS_BLOCK else BASIS_BLOCK)
+            ys = [[chain.reference.value((i + k) * self.STEP)] for k in range(3)]
+            want = chain.grid.basis(np.array(ys))
+            np.testing.assert_allclose(rows, want, rtol=1e-12, atol=1e-300)
+            gram = want @ want.T
+            assert [g1h, ghh, g14, gh4] == pytest.approx(
+                [gram[0, 1], gram[1, 1], gram[0, 2], gram[1, 2]], rel=1e-12)
+        # off the half-step grid the rows are evaluated directly
+        t = 0.25 * self.STEP
+        rows, *_ = chain.step_basis(t, dt)
+        ys = [[chain.reference.value(t + k * self.STEP)] for k in range(3)]
+        np.testing.assert_array_equal(rows, chain.grid.basis(np.array(ys)))
+
     def test_off_grid_times_use_the_direct_path(self):
         chain = em_chain()
         chain.tabulate_basis(self.STEP, 0, BASIS_BLOCK)

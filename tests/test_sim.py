@@ -1,10 +1,12 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from funneldsc.config import single_link_preset, weak_gain_single_link
+from funneldsc.cli import build_problem
+from funneldsc.config import electromechanical_preset, single_link_preset, weak_gain_single_link
 from funneldsc.controller import ControlMode, ControllerChain
 from funneldsc.perf import ErrorTransform, perf_from_terminal
 from funneldsc.plants import (
@@ -104,6 +106,94 @@ class TestStep:
         # fastest filter has lam = 1e-3; explicit stepping needs dt <= lam/5
         with pytest.raises(ValueError, match="explicit"):
             run(plant, reference, gains, perf, cfg)
+
+
+def fresh_chain(cfg, plant, reference, perf):
+    """A chain as ``run()`` builds it, without a basis table."""
+    return ControllerChain(
+        bounds=plant.bounds(), gains=cfg.gains, transform=ErrorTransform(perf=perf),
+        reference=reference, mode=cfg.mode, sign_smoothing=cfg.sign_smoothing,
+    )
+
+
+def assert_close_normwise(got, want, rtol):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestProjectedWeightStep:
+    """The fuzzy step advances the weights by RK4 of their law in closed form."""
+
+    @pytest.mark.parametrize("z", [1e-5, 1e-3, 0.1, 1.0, 4.0, 10.0])
+    def test_closed_form_equals_matrix_rk4(self, z):
+        rng = np.random.default_rng(int(z * 1e5))
+        dt = 1e-4
+        base = electromechanical_preset()
+        # varpi * dt spans z / 10 .. z over the stages
+        gains = tuple(
+            replace(g, varpi=z / dt * f, mu=float(rng.uniform(0.5, 20.0)))
+            for g, f in zip(base.gains, (1.0, 0.3, 0.1))
+        )
+        cfg = replace(base, gains=gains)
+        plant, reference, perf, _ = build_problem(cfg)
+        chain = fresh_chain(cfg, plant, reference, perf)
+        n, m = plant.n, chain.grid.m
+        seen, drives = [], []
+
+        def kernel(x, s, drifts, t, signals=False):
+            seen.append(drifts)
+            drives.append(rng.normal(size=n).tolist())
+            return 0.0, [0.0] * (n - 1), drives[-1], None
+
+        chain.kernel = kernel
+        t = 1237 * dt
+        theta = rng.normal(size=(n, m))
+        bundle = ([0.1, 0.2, 0.3], [0.0, 0.0], theta)
+        (_, _, theta_new), _ = step(plant, chain, bundle, t, dt)
+
+        b1, bh, b4 = (chain.grid.basis(reference.value(t + k * 0.5 * dt)) for k in range(3))
+        mu = np.array([g.mu for g in gains])[:, None]
+        varpi = np.array([g.varpi for g in gains])[:, None]
+
+        def law(th, d, b):
+            return mu * np.array(d)[:, None] * b - varpi * th
+
+        stages = [theta]
+        k1 = law(theta, drives[0], b1)
+        stages.append(theta + 0.5 * dt * k1)
+        k2 = law(stages[1], drives[1], bh)
+        stages.append(theta + 0.5 * dt * k2)
+        k3 = law(stages[2], drives[2], bh)
+        stages.append(theta + dt * k3)
+        k4 = law(stages[3], drives[3], b4)
+        want = theta + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        assert len(seen) == 4
+        for drifts, th, b in zip(seen, stages, (b1, bh, bh, b4)):
+            assert_close_normwise(drifts, th @ b, 1e-12)
+        assert_close_normwise(theta_new, want, 1e-12)
+
+    @pytest.mark.parametrize("preset, dt, exact", [
+        (electromechanical_preset, 1e-5, True),
+        (lambda: single_link_preset(mode=ControlMode.FUZZY), 1e-4, False),
+    ])
+    def test_step_on_a_chain_without_table_matches_run(self, preset, dt, exact):
+        cfg = replace(preset(), dt=dt, t_end=300 * dt, record_every=1, exact_filter=exact)
+        plant, reference, perf, sim_cfg = build_problem(cfg)
+        traj, _ = run(plant, reference, cfg.gains, perf, sim_cfg)
+        chain = fresh_chain(cfg, plant, reference, perf)
+        assert chain._table is None
+        state = chain.init_state(list(cfg.x0))
+        theta = np.array([w.theta_hat for w in state.theta_hat])
+        bundle = (list(cfg.x0), list(state.filter_states), theta)
+        for k in range(300):
+            bundle, (u, _, _, sig) = step(plant, chain, bundle, k * dt, dt, exact)
+            assert u == pytest.approx(traj.signals[k].u, rel=1e-10)
+            np.testing.assert_allclose(bundle[0], traj.states[k + 1], rtol=1e-10)
+            np.testing.assert_allclose(bundle[1], traj.filters[k + 1], rtol=1e-10)
+            np.testing.assert_allclose(
+                np.linalg.norm(bundle[2], axis=1), traj.theta_norms[k + 1], rtol=1e-10)
+        assert max(traj.theta_norms[-1]) > 0.0
 
 
 class TestRunBookkeeping:
