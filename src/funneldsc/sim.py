@@ -22,6 +22,7 @@ the adaptive law.  Two steppers:
   ``ControllerChain.weight_derivative``; it needs dt <= lam_min / 5
   (:func:`check_explicit_step`).
 """
+
 from __future__ import annotations
 
 import csv
