@@ -6,8 +6,14 @@ the kernel's ``u``, ``alpha`` and ``theta_dot`` at fixed states for five
 chain configurations, and the verdicts and peaks of short runs, one per
 plant and mode plus the explicit-filter path.  Kernel values must agree to
 rtol 1e-10, closed-loop peaks to the benchmark's rtol 1e-6.
+
+Its ``exports`` section, recorded at commit 578d3fc while ``Trajectory``
+still kept one ``StageSignals`` per sample, holds the header and every row
+of the ``trajectory.csv`` that ``cli.run_experiment`` writes for two short
+runs; the values must agree to rtol 1e-10.
 """
 
+import csv
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from funneldsc.cli import build_problem
+from funneldsc.cli import build_problem, run_experiment
 from funneldsc.config import electromechanical_preset, single_link_preset
 from funneldsc.controller import ControlMode, ControllerChain, ControllerState
 from funneldsc.fuzzy import AdaptiveWeights
@@ -25,6 +31,7 @@ from funneldsc.sim import run
 GOLDEN = json.loads(Path(__file__).with_name("golden_values.json").read_text())
 KERNEL_RTOL = 1e-10
 PEAK_RTOL = 1e-6
+EXPORT_RTOL = 1e-10
 
 FUZZY, FREE = ControlMode.FUZZY, ControlMode.APPROX_FREE
 
@@ -49,6 +56,14 @@ RUNS = {
     "sl-approx-free": lambda: replace(single_link_preset(), dt=1e-4, t_end=0.6, record_every=7),
     "sl-approx-free-explicit": lambda: replace(
         single_link_preset(), dt=1e-4, t_end=0.6, exact_filter=False),
+}
+
+# export name -> config of a short run whose trajectory.csv is compared
+EXPORTS = {
+    "sl-approx-free": lambda: replace(
+        single_link_preset(), dt=1e-4, t_end=0.02, record_every=20),
+    "em-fuzzy": lambda: replace(
+        electromechanical_preset(), dt=2e-5, t_end=0.001, record_every=5),
 }
 
 
@@ -112,3 +127,21 @@ def test_closed_loop_peaks_match_golden(name):
     assert set(got["signal_sup_norms"]) == set(want["signal_sup_norms"])
     for key, value in want["signal_sup_norms"].items():
         assert got["signal_sup_norms"][key] == pytest.approx(value, rel=PEAK_RTOL, abs=0.0), key
+
+
+def exported_csv(name: str, out_dir) -> tuple:
+    """Header and float rows of the trajectory.csv written for ``name``."""
+    run_experiment(EXPORTS[name](), out_dir=out_dir)
+    with open(Path(out_dir) / "trajectory.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, [[float(v) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTS))
+def test_export_matches_golden(name, tmp_path):
+    header, rows = exported_csv(name, tmp_path)
+    want = GOLDEN["exports"][name]
+    assert header == want["header"]
+    assert len(rows) == len(want["rows"])
+    for got_row, want_row in zip(rows, want["rows"]):
+        np.testing.assert_allclose(got_row, want_row, rtol=EXPORT_RTOL, atol=0.0)
