@@ -64,8 +64,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
         return EXIT_ERROR
 
     (out / "config.txt").write_text(cfgmod.serialize_config(cfg))
-    if traj.times:
-        export_trajectory(traj, plant.n, out / "trajectory.csv")
+    if len(traj.data):
+        export_trajectory(traj, out / "trajectory.csv")
     summary = report.as_dict()
     summary["breach_time"] = traj.breach
     (out / "verification.json").write_text(json.dumps(summary, indent=2) + "\n")
@@ -76,6 +76,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
         f"max |e|          : {report.max_abs_error:.6g}",
         f"max |e| after T  : {report.max_abs_error_after_T:.6g}",
         f"max |u|          : {report.max_abs_control:.6g}",
+        f"peak |u| at t    : {_g(report.peak_control_time)}",
+        f"min funnel margin: {_g(report.min_funnel_margin)} (recorded samples)",
+        f"min margin at t  : {_g(report.min_margin_time)}",
     ]
     if traj.breach is not None:
         lines.append(f"funnel breach at t = {traj.breach:.6g}")
@@ -83,6 +86,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
     (out / "verification.txt").write_text(text + "\n")
     print(text)
     return EXIT_OK if report.transient_ok and report.steady_ok else EXIT_BOUND_VIOLATED
+
+
+def _g(value) -> str:
+    return "n/a" if value is None else f"{value:.6g}"
 
 
 def _sweep_worker(args):

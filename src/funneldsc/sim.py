@@ -21,6 +21,11 @@ the adaptive law.  Two steppers:
   flattened (x, filters, weights) state, the weight derivatives taken from
   ``ControllerChain.weight_derivative``; it needs dt <= lam_min / 5
   (:func:`check_explicit_step`).
+
+Every ``record_every``-th step start and the closing sample append one row
+of floats to a flat buffer, which :class:`Trajectory` exposes as a
+``(samples, columns)`` array.  The sup norms and the funnel margin are read
+from its columns after the run; :func:`export_trajectory` writes it in blocks.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -111,20 +117,23 @@ def step_count(t_end: float, dt: float) -> int:
 
 @dataclass
 class Trajectory:
-    """Decimated record of one run; ``breach`` holds the first breach time."""
+    """Recorded samples of one run, one row of ``data`` per sample; ``names``
+    labels the columns: those of ``trajectory.csv``, then ``z1..zn``, which
+    are not exported.  ``breach`` holds the first breach time."""
 
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    signals: list = field(default_factory=list)
-    eta: list = field(default_factory=list)
-    filters: list = field(default_factory=list)
-    theta_norms: list = field(default_factory=list)
+    names: tuple
+    data: np.ndarray
     breach: Optional[float] = None
+
+    def column(self, name: str) -> np.ndarray:
+        """The samples of one named column, as a view."""
+        return self.data[:, self.names.index(name)]
 
 
 @dataclass
 class VerificationReport:
-    """Outcome of the two funnel bounds plus boundedness diagnostics."""
+    """Outcome of the two funnel bounds plus boundedness diagnostics; the
+    funnel margin eta - |arctan e| is its minimum over the recorded samples."""
 
     transient_ok: bool
     steady_ok: bool
@@ -132,16 +141,12 @@ class VerificationReport:
     max_abs_error_after_T: float
     max_abs_control: float
     signal_sup_norms: dict
+    min_funnel_margin: Optional[float]
+    min_margin_time: Optional[float]
+    peak_control_time: Optional[float]
 
     def as_dict(self) -> dict:
-        return {
-            "transient_ok": self.transient_ok,
-            "steady_ok": self.steady_ok,
-            "max_abs_error": self.max_abs_error,
-            "max_abs_error_after_T": self.max_abs_error_after_T,
-            "max_abs_control": self.max_abs_control,
-            "signal_sup_norms": dict(self.signal_sup_norms),
-        }
+        return asdict(self)
 
 
 def rk4_step(f, y: Sequence[float], t: float, dt: float) -> list:
@@ -347,17 +352,21 @@ def run(
     # the integrator only queries the basis on the half-step grid
     chain.tabulate_basis(0.5 * config.dt, 0, BASIS_BLOCK)
 
-    traj = Trajectory()
-    sup: dict = {}
-
-    def bump(key, value):
-        v = abs(value)
-        if v > sup.get(key, 0.0):
-            sup[key] = v
+    # one row of floats per recorded sample: the CSV columns, then z
+    filters = [f"s{i}" for i in range(2, n + 1)]
+    alphas = [f"alpha{i}" for i in range(1, n)]
+    norms = [f"theta_norm{i}" for i in range(1, n + 1)] if config.mode is ControlMode.FUZZY else []
+    zs = [f"z{i}" for i in range(1, n + 1)]
+    names = (
+        "t", *(f"x{i}" for i in range(1, n + 1)), "y_r", "e", "arctan_e", "eta", "neg_eta", "u",
+        *filters, *alphas, *norms, *zs,
+    )
+    samples = array("d")
 
     max_err = 0.0
     max_err_after = 0.0
     max_u = 0.0
+    peak_u_t = 0.0
     steady_ok = True
     tan_c = math.tan(perf.c)
 
@@ -365,8 +374,8 @@ def run(
     try:
         cstate = chain.init_state(x)
     except FunnelBreachError as br:
-        traj.breach = br.t
-        report = VerificationReport(False, False, abs(br.e), 0.0, 0.0, {})
+        traj = Trajectory(names, np.empty((0, len(names))), br.t)
+        report = VerificationReport(False, False, abs(br.e), 0.0, 0.0, {}, None, None, None)
         return traj, report
     s = list(cstate.filter_states)
     if cstate.theta_hat:
@@ -379,12 +388,9 @@ def run(
     breach = None
 
     def record(tt, sig, xv, sv, tv):
-        traj.times.append(tt)
-        traj.states.append(tuple(xv))
-        traj.signals.append(sig)
-        traj.eta.append(sig.eta)
-        traj.filters.append(tuple(sv))
-        traj.theta_norms.append(tuple(np.linalg.norm(tv, axis=1).tolist()) if tv.size else ())
+        e, eta = sig.e, sig.eta
+        wn = np.linalg.norm(tv, axis=1).tolist() if tv.size else ()
+        samples.extend([tt, *xv, sig.y_r, e, math.atan(e), eta, -eta, sig.u, *sv, *sig.alpha, *wn, *sig.z])
 
     dt = config.dt
     ref_value = reference.value
@@ -399,16 +405,7 @@ def run(
             opened = _open_step(chain, bundle, t, dt, config.exact_filter, recorded)
             start = opened[0]
             if recorded:
-                sig = start[3]
-                record(t, sig, xv, sv, tv)
-                for j, zj in enumerate(sig.z, start=1):
-                    bump(f"z{j}", zj)
-                for j, sj in enumerate(sv, start=2):
-                    bump(f"s{j}", sj)
-                for j, aj in enumerate(sig.alpha, start=1):
-                    bump(f"alpha{j}", aj)
-                for j, nt in enumerate(traj.theta_norms[-1], start=1):
-                    bump(f"theta{j}", nt)
+                record(t, start[3], xv, sv, tv)
             new_bundle, _ = step(plant, chain, bundle, t, dt, config.exact_filter, opened)
         except FunnelBreachError as br:
             breach = br.t
@@ -426,7 +423,7 @@ def run(
         au = abs(u0)
         if au > max_u:
             max_u = au
-        bump("u", u0)
+            peak_u_t = t
         bundle = new_bundle
         if not all(math.isfinite(v) for v in bundle[0]):
             raise SimulationDivergenceError(t + dt)
@@ -447,8 +444,24 @@ def run(
         except FunnelBreachError as br:
             breach = br.t
 
-    traj.breach = breach
+    traj = Trajectory(names, np.frombuffer(samples).reshape(-1, len(names)), breach)
+    data = traj.data
     transient_ok = breach is None
+    # sup norms over the samples that opened a step: all but the closing one
+    opening = data[:-1] if transient_ok else data
+    first = names.index("u")
+    peaks = dict(zip(names[first:], np.abs(opening[:, first:]).max(axis=0).tolist())) if len(opening) else {}
+    peaks["u"] = max_u
+    sup = {
+        name.replace("_norm", ""): peaks[name]
+        for name in (*zs, *filters, *alphas, "u", *norms)
+        if peaks.get(name, 0.0) > 0.0
+    }
+    margin_t = margin = None
+    if len(data):
+        margins = data[:, names.index("eta")] - np.abs(data[:, names.index("arctan_e")])
+        i = int(np.argmin(margins))
+        margin, margin_t = float(margins[i]), float(data[i, 0])
     report = VerificationReport(
         transient_ok=transient_ok,
         steady_ok=steady_ok and transient_ok,
@@ -456,6 +469,9 @@ def run(
         max_abs_error_after_T=max_err_after,
         max_abs_control=max_u,
         signal_sup_norms=sup,
+        min_funnel_margin=margin,
+        min_margin_time=margin_t,
+        peak_control_time=peak_u_t,
     )
     return traj, report
 
@@ -467,23 +483,12 @@ def convergence_check(report_a: VerificationReport, report_b: VerificationReport
     return abs(a - b) / scale
 
 
-def export_trajectory(traj: Trajectory, n: int, path) -> None:
+def export_trajectory(traj: Trajectory, path) -> None:
     """Write a run as delimiter-separated text, one row per recorded sample."""
-    n_theta = len(traj.theta_norms[0]) if traj.theta_norms else 0
-    header = (
-        ["t"]
-        + [f"x{i}" for i in range(1, n + 1)]
-        + ["y_r", "e", "arctan_e", "eta", "neg_eta", "u"]
-        + [f"s{i}" for i in range(2, n + 1)]
-        + [f"alpha{i}" for i in range(1, n)]
-        + [f"theta_norm{i}" for i in range(1, n_theta + 1)]
-    )
+    width = traj.names.index("z1")  # the z columns are not exported
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, x, sig, eta, s, tn in zip(
-            traj.times, traj.states, traj.signals, traj.eta, traj.filters, traj.theta_norms
-        ):
-            writer.writerow(
-                [t, *x, sig.y_r, sig.e, math.atan(sig.e), eta, -eta, sig.u, *s, *sig.alpha, *tn]
-            )
+        writer.writerow(traj.names[:width])
+        # in blocks, to bound the row lists held at once
+        for start in range(0, len(traj.data), 4096):
+            writer.writerows(traj.data[start:start + 4096, :width].tolist())

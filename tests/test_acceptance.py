@@ -56,14 +56,17 @@ def timed_run(cfg):
 
 
 def funnel_holds_at_samples(traj) -> bool:
-    return all(math.atan(abs(sig.e)) < eta for sig, eta in zip(traj.signals, traj.eta))
+    return all(
+        math.atan(abs(e)) < eta
+        for e, eta in zip(traj.column("e").tolist(), traj.column("eta").tolist())
+    )
 
 
 def steady_holds_at_samples(traj, perf) -> bool:
     bound = math.tan(perf.c)
     return all(
-        abs(sig.e) < bound
-        for tt, sig in zip(traj.times, traj.signals)
+        abs(e) < bound
+        for tt, e in zip(traj.column("t").tolist(), traj.column("e").tolist())
         if tt >= perf.T
     )
 

@@ -197,6 +197,18 @@ class TestCli:
         assert report["breach_time"] is None
         assert "PASS" in (tmp_path / "verification.txt").read_text()
 
+    def test_artifacts_report_funnel_margin_and_peak_control_time(self, tmp_path):
+        cli.run_experiment(short_single_link(), out_dir=tmp_path)
+        report = json.loads((tmp_path / "verification.json").read_text())
+        text = (tmp_path / "verification.txt").read_text()
+        for key, label in (
+            ("peak_control_time", "peak |u| at t"),
+            ("min_funnel_margin", "min funnel margin"),
+            ("min_margin_time", "min margin at t"),
+        ):
+            assert isinstance(report[key], float)
+            assert f"{label}" in text and f"{report[key]:.6g}" in text
+
     def test_exit_one_on_funnel_breach(self, tmp_path):
         cfg = replace(weak_gain_single_link(), dt=1e-4, t_end=3.0, record_every=100)
         status = cli.run_experiment(cfg, out_dir=tmp_path)

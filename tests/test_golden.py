@@ -96,7 +96,7 @@ def closed_loop_record(name: str) -> dict:
         kind=cfg.transform_kind, sign_smoothing=cfg.sign_smoothing,
     )
     record = report.as_dict()
-    record["samples"] = len(traj.times)
+    record["samples"] = len(traj.data)
     record["breach"] = traj.breach
     return record
 

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -116,6 +117,11 @@ def fresh_chain(cfg, plant, reference, perf):
     )
 
 
+def columns(traj, names):
+    """The named columns of a trajectory side by side, one row per sample."""
+    return traj.data[:, [traj.names.index(name) for name in names]]
+
+
 def assert_close_normwise(got, want, rtol):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
@@ -181,6 +187,10 @@ class TestProjectedWeightStep:
         cfg = replace(preset(), dt=dt, t_end=300 * dt, record_every=1, exact_filter=exact)
         plant, reference, perf, sim_cfg = build_problem(cfg)
         traj, _ = run(plant, reference, cfg.gains, perf, sim_cfg)
+        n = plant.n
+        states = columns(traj, [f"x{i}" for i in range(1, n + 1)])
+        filters = columns(traj, [f"s{i}" for i in range(2, n + 1)])
+        theta_norms = columns(traj, [f"theta_norm{i}" for i in range(1, n + 1)])
         chain = fresh_chain(cfg, plant, reference, perf)
         assert chain._table is None
         state = chain.init_state(list(cfg.x0))
@@ -188,12 +198,12 @@ class TestProjectedWeightStep:
         bundle = (list(cfg.x0), list(state.filter_states), theta)
         for k in range(300):
             bundle, (u, _, _, sig) = step(plant, chain, bundle, k * dt, dt, exact)
-            assert u == pytest.approx(traj.signals[k].u, rel=1e-10)
-            np.testing.assert_allclose(bundle[0], traj.states[k + 1], rtol=1e-10)
-            np.testing.assert_allclose(bundle[1], traj.filters[k + 1], rtol=1e-10)
+            assert u == pytest.approx(traj.column("u")[k], rel=1e-10)
+            np.testing.assert_allclose(bundle[0], states[k + 1], rtol=1e-10)
+            np.testing.assert_allclose(bundle[1], filters[k + 1], rtol=1e-10)
             np.testing.assert_allclose(
-                np.linalg.norm(bundle[2], axis=1), traj.theta_norms[k + 1], rtol=1e-10)
-        assert max(traj.theta_norms[-1]) > 0.0
+                np.linalg.norm(bundle[2], axis=1), theta_norms[k + 1], rtol=1e-10)
+        assert max(theta_norms[-1]) > 0.0
 
 
 class TestRunBookkeeping:
@@ -211,13 +221,14 @@ class TestRunBookkeeping:
 
     def test_record_decimation_and_closing_sample(self):
         traj, _ = self.run_short()
-        assert traj.times[0] == 0.0
-        assert traj.times[-1] == pytest.approx(0.05)
+        times = traj.column("t")
+        assert times[0] == 0.0
+        assert times[-1] == pytest.approx(0.05)
         # one sample per record_every steps plus the closing sample
-        assert len(traj.times) == 500 // 50 + 1
-        spacing = np.diff(traj.times[:-1])
+        assert len(times) == 500 // 50 + 1
+        spacing = np.diff(times[:-1])
         np.testing.assert_allclose(spacing, 50 * 1e-4, rtol=1e-9)
-        assert len(traj.states) == len(traj.signals) == len(traj.eta) == len(traj.times)
+        assert traj.data.shape == (len(times), len(traj.names))
 
     def test_sup_norms_are_finite_and_populated(self):
         _, report = self.run_short()
@@ -241,6 +252,92 @@ class TestRunBookkeeping:
         assert convergence_check(a, b) < 0.05
 
 
+class TestColumnarRecord:
+    """Samples are float rows; sup norms and diagnostics come from the columns."""
+
+    def setup_method(self):
+        self.plant, self.reference, self.gains, self.perf = sl_problem()
+
+    def run_sl(self, mode=ControlMode.APPROX_FREE, dt=1e-4, t_end=0.05, record_every=7, x0=(3.3, 0.0)):
+        cfg = SimConfig(dt=dt, t_end=t_end, x0=x0, mode=mode, record_every=record_every)
+        return run(self.plant, self.reference, self.gains, self.perf, cfg)
+
+    def run_weak(self, record_every):
+        cfg = weak_gain_single_link()
+        sim_cfg = SimConfig(dt=1e-4, t_end=3.0, x0=cfg.x0, mode=cfg.mode, record_every=record_every)
+        return run(self.plant, self.reference, cfg.gains, self.perf, sim_cfg)
+
+    @pytest.mark.parametrize("case", ["fuzzy", "approx-free", "breach"])
+    def test_sup_norms_are_column_peaks_of_the_opening_samples(self, case):
+        if case == "breach":
+            traj, report = self.run_weak(record_every=1)
+            assert traj.breach is not None
+            opening = len(traj.data)  # no closing sample after a breach
+        else:
+            mode = ControlMode.FUZZY if case == "fuzzy" else ControlMode.APPROX_FREE
+            traj, report = self.run_sl(mode)
+            opening = len(traj.data) - 1
+        n = self.plant.n
+        keys = (
+            [f"z{i}" for i in range(1, n + 1)] + [f"s{i}" for i in range(2, n + 1)]
+            + [f"alpha{i}" for i in range(1, n)]
+        )
+        want = {key: max(abs(v) for v in traj.column(key)[:opening].tolist()) for key in keys}
+        want["u"] = report.max_abs_control
+        if case == "fuzzy":
+            for i in range(1, n + 1):
+                want[f"theta{i}"] = max(traj.column(f"theta_norm{i}")[:opening].tolist())
+        assert all(v > 0.0 for v in want.values())
+        assert list(report.signal_sup_norms.items()) == list(want.items())
+
+    def test_record_every_above_the_step_count_gives_two_rows(self):
+        traj, _ = self.run_sl(record_every=1000)
+        assert traj.column("t").tolist() == [0.0, pytest.approx(0.05)]
+
+    def test_recording_allocates_only_the_rows(self):
+        # one float64 row per sample; a per-sample object in the record
+        # (about 1.4 kB a sample before the record became columnar) fails
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj, _ = self.run_sl(t_end=0.1, record_every=1)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        samples, cols = traj.data.shape
+        assert samples == 1001
+        # the buffer over-allocates by up to 1/16 as it grows
+        assert retained <= 8 * cols * samples * 17 / 16 + 32 * 1024
+
+    @pytest.mark.parametrize("case", ["pass", "breach"])
+    def test_min_funnel_margin_over_the_recorded_samples(self, case):
+        traj, report = self.run_weak(record_every=10) if case == "breach" else self.run_sl(t_end=0.6)
+        times = traj.column("t").tolist()
+        margins = [
+            eta - abs(math.atan(e))
+            for e, eta in zip(traj.column("e").tolist(), traj.column("eta").tolist())
+        ]
+        i = min(range(len(margins)), key=margins.__getitem__)
+        assert report.min_funnel_margin == margins[i]
+        assert report.min_margin_time == times[i]
+        assert 0.0 < report.min_funnel_margin < math.pi / 2
+
+    def test_peak_control_time_is_the_step_start_of_the_peak(self):
+        traj, report = self.run_sl(t_end=0.3, record_every=1, x0=(2.0, 1.0))
+        u = [abs(v) for v in traj.column("u")[:-1].tolist()]
+        i = max(range(len(u)), key=u.__getitem__)
+        assert report.max_abs_control == u[i]
+        assert report.peak_control_time == traj.column("t")[i]
+        assert report.peak_control_time > 0.0
+
+    def test_report_dict_carries_the_diagnostics(self):
+        _, report = self.run_sl()
+        d = report.as_dict()
+        for key in ("min_funnel_margin", "min_margin_time", "peak_control_time"):
+            assert d[key] == getattr(report, key)
+            assert isinstance(d[key], float)
+
+
 class TestBreachHandling:
     def test_weak_gains_report_a_breach(self):
         cfg = weak_gain_single_link()
@@ -253,8 +350,8 @@ class TestBreachHandling:
         assert traj.breach is not None
         assert not report.transient_ok
         assert not report.steady_ok
-        # the record stops at the breach
-        assert traj.times[-1] <= traj.breach
+        # the record stops before the breach
+        assert traj.column("t").max() < traj.breach
 
 
 class TestDivergenceHandling:
@@ -310,7 +407,7 @@ class TestExport:
         )
         traj, _ = run(plant, reference, gains, perf, cfg)
         out = tmp_path / "traj.csv"
-        export_trajectory(traj, plant.n, out)
+        export_trajectory(traj, out)
         with open(out) as fh:
             rows = list(csv.reader(fh))
         header = rows[0]
@@ -319,7 +416,7 @@ class TestExport:
         assert "s2" in header and "alpha1" in header
         # approximator-free runs carry no weight-norm columns
         assert not any(h.startswith("theta_norm") for h in header)
-        assert len(rows) - 1 == len(traj.times)
+        assert len(rows) - 1 == len(traj.data)
         for row in rows[1:]:
             assert len(row) == len(header)
 
@@ -331,7 +428,7 @@ class TestExport:
         )
         traj, _ = run(plant, reference, gains, perf, cfg)
         out = tmp_path / "traj.csv"
-        export_trajectory(traj, plant.n, out)
+        export_trajectory(traj, out)
         with open(out) as fh:
             header = fh.readline().strip().split(",")
         assert header[-2:] == ["theta_norm1", "theta_norm2"]
