@@ -76,9 +76,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
         f"max |e|          : {report.max_abs_error:.6g}",
         f"max |e| after T  : {report.max_abs_error_after_T:.6g}",
         f"max |u|          : {report.max_abs_control:.6g}",
-        f"peak |u| at t    : {_g(report.peak_control_time)}",
-        f"min funnel margin: {_g(report.min_funnel_margin)} (recorded samples)",
-        f"min margin at t  : {_g(report.min_margin_time)}",
+        f"peak |u| at t    : {_fmt(report.peak_control_time)}",
+        f"min funnel margin: {_fmt(report.min_funnel_margin)} (recorded samples)",
+        f"min margin at t  : {_fmt(report.min_margin_time)}",
     ]
     if traj.breach is not None:
         lines.append(f"funnel breach at t = {traj.breach:.6g}")
@@ -88,7 +88,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
     return EXIT_OK if report.transient_ok and report.steady_ok else EXIT_BOUND_VIOLATED
 
 
-def _g(value) -> str:
+def _fmt(value) -> str:
     return "n/a" if value is None else f"{value:.6g}"
 
 

@@ -390,7 +390,8 @@ def run(
     def record(tt, sig, xv, sv, tv):
         e, eta = sig.e, sig.eta
         wn = np.linalg.norm(tv, axis=1).tolist() if tv.size else ()
-        samples.extend([tt, *xv, sig.y_r, e, math.atan(e), eta, -eta, sig.u, *sv, *sig.alpha, *wn, *sig.z])
+        samples.extend(
+            [tt, *xv, sig.y_r, e, math.atan(e), eta, -eta, sig.u, *sv, *sig.alpha, *wn, *sig.z])
 
     dt = config.dt
     ref_value = reference.value
@@ -450,12 +451,12 @@ def run(
     # sup norms over the samples that opened a step: all but the closing one
     opening = data[:-1] if transient_ok else data
     first = names.index("u")
-    peaks = dict(zip(names[first:], np.abs(opening[:, first:]).max(axis=0).tolist())) if len(opening) else {}
-    peaks["u"] = max_u
+    peaks = np.abs(opening[:, first:]).max(axis=0, initial=0.0).tolist()
+    peaks = dict(zip(names[first:], peaks), u=max_u)
     sup = {
         name.replace("_norm", ""): peaks[name]
         for name in (*zs, *filters, *alphas, "u", *norms)
-        if peaks.get(name, 0.0) > 0.0
+        if peaks[name] > 0.0
     }
     margin_t = margin = None
     if len(data):

@@ -207,7 +207,7 @@ class TestCli:
             ("min_margin_time", "min margin at t"),
         ):
             assert isinstance(report[key], float)
-            assert f"{label}" in text and f"{report[key]:.6g}" in text
+            assert label in text and f"{report[key]:.6g}" in text
 
     def test_exit_one_on_funnel_breach(self, tmp_path):
         cfg = replace(weak_gain_single_link(), dt=1e-4, t_end=3.0, record_every=100)
