@@ -22,10 +22,9 @@ the adaptive law.  Two steppers:
   ``ControllerChain.weight_derivative``; it needs dt <= lam_min / 5
   (:func:`check_explicit_step`).
 
-Every ``record_every``-th step start and the closing sample append one row
-of floats to a flat buffer, which :class:`Trajectory` exposes as a
-``(samples, columns)`` array.  The sup norms and the funnel margin are read
-from its columns after the run; :func:`export_trajectory` writes it in blocks.
+Each recorded sample (every ``record_every``-th step start, and t_end) is one
+row of floats in one buffer, seen as the array ``Trajectory.data``; the sup
+norms and the funnel margin are read from its columns after the run.
 """
 
 from __future__ import annotations
