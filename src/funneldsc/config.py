@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2.0
+# config key of each float field of ExperimentConfig
+_FLOAT_KEYS = {
+    "perf_b": "perf.b", "perf_c": "perf.c", "perf_h": "perf.h", "perf_T": "perf.T",
+    "dt": "sim.dt", "t_end": "sim.t_end", "sign_smoothing": "sign_smoothing",
+}
 
 
 class ConfigError(ValueError):
@@ -62,11 +67,19 @@ class ExperimentConfig:
 
     def __post_init__(self):
         expected = plant_order(self.plant)
+        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+        for name, key in _FLOAT_KEYS.items():
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, name)!r}")
+        if not all(math.isfinite(v) for v in self.x0):
+            raise ConfigError(f"init.x0 must be finite, got {self.x0!r}")
         if not self.perf_c > 0.0 or self.perf_c >= _HALF_PI:
             raise ConfigError(f"perf.c must lie in (0, pi/2), got {self.perf_c!r}")
-        for key in ("perf_b", "perf_h", "perf_T", "dt", "t_end"):
-            if not getattr(self, key) > 0.0:
-                raise ConfigError(f"{key.replace('_', '.', 1)} must be strictly positive")
+        for name in ("perf_b", "perf_h", "perf_T", "dt", "t_end"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{_FLOAT_KEYS[name]} must be strictly positive")
+        if self.sign_smoothing < 0.0:
+            raise ConfigError(f"sign_smoothing must be nonnegative, got {self.sign_smoothing!r}")
         try:
             step_count(self.t_end, self.dt)
         except ValueError as exc:
@@ -88,7 +101,6 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(f"sim.dt: {exc}") from None
         object.__setattr__(self, "gains", tuple(self.gains))
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
 
 
 def electromechanical_preset(
@@ -155,6 +167,16 @@ PRESETS = {
 
 _STAGE1_KEYS = ("delta", "sigma", "varpi", "mu")
 _STAGE_KEYS = _STAGE1_KEYS + ("rho", "tau", "varrho", "lam")
+# every key a file may hold besides the stage{i}.* gains of the plant's stages
+_TOP_KEYS = (
+    "preset", "plant", "mode", "transform", "perf.b", "perf.c", "perf.h", "perf.T",
+    "sim.dt", "sim.t_end", "sim.record_every", "sim.exact_filter", "sign_smoothing",
+    "init.x0", "out",
+)
+
+
+def _stage_keys(i: int) -> tuple:
+    return _STAGE1_KEYS if i == 1 else _STAGE_KEYS
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -175,8 +197,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         "init.x0 = " + ", ".join(repr(v) for v in cfg.x0),
     ]
     for i, g in enumerate(cfg.gains, start=1):
-        keys = _STAGE1_KEYS if i == 1 else _STAGE_KEYS
-        for key in keys:
+        for key in _stage_keys(i):
             lines.append(f"stage{i}.{key} = {getattr(g, key)!r}")
     if cfg.out is not None:
         lines.append(f"out = {cfg.out}")
@@ -184,7 +205,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def _parse_pairs(text: str) -> dict:
-    pairs = {}
+    pairs, lines = {}, {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -192,7 +213,11 @@ def _parse_pairs(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {ln}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ConfigError(f"key {key!r} is given twice, on lines {lines[key]} and {ln}")
+        lines[key] = ln
+        pairs[key] = value.strip()
     return pairs
 
 
@@ -225,10 +250,13 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"key 'transform': unknown kind {pairs['transform']!r}") from None
 
     n = plant_order(plant)
+    known = {*_TOP_KEYS, *(f"stage{i}.{key}" for i in range(1, n + 1) for key in _stage_keys(i))}
+    for key in pairs:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} for plant {plant!r}")
     gains = []
     for i in range(1, n + 1):
-        keys = _STAGE1_KEYS if i == 1 else _STAGE_KEYS
-        kwargs = {key: _get_float(pairs, f"stage{i}.{key}") for key in keys}
+        kwargs = {key: _get_float(pairs, f"stage{i}.{key}") for key in _stage_keys(i)}
         try:
             gains.append(StageGains(**kwargs))
         except ValueError as exc:

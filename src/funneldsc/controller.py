@@ -63,15 +63,13 @@ class StageGains:
     lam: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("delta", "sigma", "varpi", "mu"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"StageGains.{name} must be strictly positive")
-        for name in ("rho", "tau", "lam"):
+        for name in ("delta", "sigma", "varpi", "mu", "rho", "tau", "varrho", "lam"):
             v = getattr(self, name)
-            if v is not None and not v > 0.0:
-                raise ValueError(f"StageGains.{name} must be strictly positive")
-        if self.varrho is not None and not self.varrho > 1.0:
-            raise ValueError("StageGains.varrho must exceed 1")
+            if v is None and name in ("rho", "tau", "varrho", "lam"):
+                continue
+            floor, rule = (1.0, "exceed 1") if name == "varrho" else (0.0, "be strictly positive")
+            if not floor < v < math.inf:
+                raise ValueError(f"StageGains.{name} must {rule} and be finite, got {v!r}")
 
 
 @dataclass
@@ -160,8 +158,8 @@ class ControllerChain:
             grid = GaussianGrid.reference_grid(dim=1)
         if grid.dim != 1:
             raise ValueError("chain evaluates the basis on the scalar reference")
-        if sign_smoothing < 0.0:
-            raise ValueError("sign_smoothing must be nonnegative")
+        if not 0.0 <= sign_smoothing < math.inf:
+            raise ValueError("sign_smoothing must be nonnegative and finite")
         self.bounds = bounds
         self.gains = list(gains)
         self.transform = transform
@@ -235,22 +233,22 @@ class ControllerChain:
             table = self._table
         return i - table[1]
 
-    def _basis_at(self, t: float, y_r: float):
+    def basis_at(self, t: float):
+        """Basis row of the reference at time t and its energy b.b, from the
+        table when t is on its grid."""
         if self._table is not None:
             row = self._table_row(t, self._table[0])
             if row is not None:
                 table = self._table
                 return table[2][row], table[3][row]
-        basis = self.grid.basis(y_r)
+        basis = self.grid.basis(self.reference.value(t))
         return basis, float(basis @ basis)
 
-    def basis_at(self, t: float) -> np.ndarray:
-        """Basis of the reference at time t, from the table when t is on its grid."""
-        return self._basis_at(t, self.reference.value(t))[0]
-
     def step_basis(self, t: float, dt: float):
-        """Basis rows b1, bh, b4 at t, t+dt/2 and t+dt as a (3, m) array, and
-        their Gram products b1.bh, bh.bh, b1.b4 and bh.b4 (fuzzy mode).
+        """What one step from t needs of the basis: the rows b1, bh, b4 at t,
+        t+dt/2 and t+dt as a (3, m) array, their energies as a list, and the
+        Gram products (b1.bh, bh.bh, b1.b4, bh.b4), None from a table of
+        approximator-free mode.
 
         Served from the half-step table, which is tabulated here when it is
         missing or built for another step; a t off that grid evaluates the
@@ -260,10 +258,11 @@ class ControllerChain:
         if row is None:
             ys = [[self.reference.value(t + k * h)] for k in range(3)]
             rows = self.grid.basis(np.array(ys))
-            gram = (rows @ rows.T).tolist()
-            return rows, gram[0][1], gram[1][1], gram[0][2], gram[1][2]
+            g = (rows @ rows.T).tolist()
+            return rows, [g[0][0], g[1][1], g[2][2]], (g[0][1], g[1][1], g[0][2], g[1][2])
         _, _, basis, energy, cross1, cross2 = self._table
-        return basis[row:row + 3], cross1[row], energy[row + 1], cross2[row], cross1[row + 1]
+        gram = None if cross1 is None else (cross1[row], energy[row + 1], cross2[row], cross1[row + 1])
+        return basis[row:row + 3], energy[row:row + 3], gram
 
     def weight_derivative(self, theta: np.ndarray, drives, basis: np.ndarray) -> np.ndarray:
         """The adaptive law theta_i' = mu_i * drive_i * basis - varpi_i * theta_i,
@@ -278,20 +277,22 @@ class ControllerChain:
         Raises :class:`funneldsc.perf.FunnelBreachError` if the output error
         left the performance funnel.
         """
+        basis, energy = self.basis_at(t)
         if self.mode is not ControlMode.FUZZY:
-            sig = self.kernel(x, state.filter_states, None, t, signals=True)[3]
+            sig = self.kernel(x, state.filter_states, energy, t, signals=True)[3]
             sig.theta_dot = np.zeros((0, 0))
             return sig
         theta = np.array([w.theta_hat for w in state.theta_hat])
-        basis = self.basis_at(t)
         _, _, drives, sig = self.kernel(x, state.filter_states, (theta @ basis).tolist(), t, signals=True)
         sig.theta_dot = self.weight_derivative(theta, drives, basis)
         return sig
 
     def kernel(self, x, filter_states, drifts, t: float, signals: bool = False):
-        """One evaluation of the chain at plant state ``x``, filter states
-        ``filter_states`` (stages 2..n) and stage drift estimates ``drifts``,
-        the floats theta_i . basis(t) (ignored in approximator-free mode).
+        """One evaluation of the chain at plant state ``x`` and filter states
+        ``filter_states`` (stages 2..n).  ``drifts`` is the basis input the
+        caller read for time t: in fuzzy mode the stage drift estimates
+        theta_i . basis(t), in approximator-free mode the float energy
+        basis(t) . basis(t).  The kernel reads no basis itself.
 
         Returns ``(u, alpha, drives, sig)``: the control input, the virtual
         controls alpha_1..alpha_{n-1}, the drives (w, zeta_2, ..., zeta_n)
@@ -327,7 +328,7 @@ class ControllerChain:
             drives = [w]
         else:
             drives = None
-            energy = self._basis_at(t, y_r)[1]
+            energy = drifts
             drift_term = w * energy
         beta1 = drift_term - dy_r - 2.0 / (math.pi * phi_v) * eta_d * atan_z1
         chi1 = rates[0](x[:1], (y_r,), t) * abs(e)

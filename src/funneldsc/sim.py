@@ -3,9 +3,12 @@
 The augmented state couples the plant, the first-order filters of the
 control chain, and (in fuzzy mode) the adaptive weights.  Each step
 evaluates the plant's one right-hand side (``plant.rhs``) and the
-controller's one kernel (``ControllerChain.kernel``), which takes the
-stage drift estimates theta_i . basis as floats and returns the drives of
-the adaptive law.  Two steppers:
+controller's one kernel (``ControllerChain.kernel``), which returns the
+drives of the adaptive law and reads no basis itself: the step reads the
+basis once (``ControllerChain.step_basis``: the rows at t, t+dt/2 and
+t+dt, their energies and their Gram products) and hands the kernel floats,
+the drift estimates theta_i . basis in fuzzy mode and the energy
+basis . basis in approximator-free mode.  Two steppers:
 
 - exact filter (default): RK4 in x, with the filters moved along their
   closed-form exponential toward the virtual control ``alpha`` frozen at
@@ -22,9 +25,12 @@ the adaptive law.  Two steppers:
   ``ControllerChain.weight_derivative``; it needs dt <= lam_min / 5
   (:func:`check_explicit_step`).
 
-Each recorded sample (every ``record_every``-th step start, and t_end) is one
-row of floats in one buffer, seen as the array ``Trajectory.data``; the sup
-norms and the funnel margin are read from its columns after the run.
+``run()`` is one loop over the n_steps + 1 sample times; sample k opens
+step k, and the last, at t_end, is opened, recorded and verified like the
+others but takes no step and adds nothing to max|u|.  Each recorded sample
+(every ``record_every``-th step start, and t_end) is one row of floats in
+one buffer, seen as the array ``Trajectory.data``; the sup norms and the
+funnel margin are read from its columns after the run.
 """
 
 from __future__ import annotations
@@ -108,6 +114,8 @@ def step_count(t_end: float, dt: float) -> int:
     """Number of steps of size dt in [0, t_end]; raises ValueError unless
     t_end is a whole multiple of dt."""
     ratio = t_end / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_end/dt must be finite, got t_end={t_end!r}, dt={dt!r}")
     n = round(ratio)
     if n < 1 or abs(ratio - n) > _STEP_COUNT_RTOL * ratio:
         raise ValueError(f"t_end={t_end!r} is not a whole multiple of dt={dt!r}")
@@ -203,22 +211,21 @@ def _weight_step_coefficients(mus: tuple, varpis: tuple, dt: float):
 
 def _open_step(chain: ControllerChain, bundle, t: float, dt: float, exact_filter: bool, signals: bool):
     """The kernel at the step start, ``(u, alpha, drives, sig)``, and what
-    the closed-form weight step needs: the basis rows, their Gram products
-    and the projections P = theta.[b1, bh, b4] as an n x 3 list (None in
-    approximator-free mode and on the explicit path)."""
+    the rest of the step needs: the basis rows, their energies, their Gram
+    products and the projections P = theta.[b1, bh, b4] as an n x 3 list
+    (P only for the closed-form weight step, else None).  This is the
+    step's one read of the basis."""
     x, s, theta = bundle
-    if not exact_filter or chain.mode is not ControlMode.FUZZY:
-        return chain.kernel(x, s, _drifts(chain, theta, t), t, signals), None
-    rows, *gram = chain.step_basis(t, dt)
-    proj = (theta @ rows.T).tolist()
-    return chain.kernel(x, s, [p[0] for p in proj], t, signals), (rows, gram, proj)
-
-
-def _drifts(chain: ControllerChain, theta, t: float):
-    """Stage drift estimates theta_i . basis(t); None in approximator-free mode."""
+    rows, energies, gram = chain.step_basis(t, dt)
+    proj = None
     if chain.mode is not ControlMode.FUZZY:
-        return None
-    return (theta @ chain.basis_at(t)).tolist()
+        basis_in = energies[0]
+    elif not exact_filter:  # one matvec, as at the RK stages of rk4_step
+        basis_in = (theta @ rows[0]).tolist()
+    else:
+        proj = (theta @ rows.T).tolist()
+        basis_in = [p[0] for p in proj]
+    return chain.kernel(x, s, basis_in, t, signals), (rows, energies, gram, proj)
 
 
 def step(
@@ -245,26 +252,27 @@ def step(
     x, s, theta = bundle
     if opened is None:
         opened = _open_step(chain, bundle, t, dt, exact_filter, True)
-    start, proj = opened
+    start, (rows, energies, gram, proj) = opened
     u0, alphas, d1, _ = start
     kernel, rhs = chain.kernel, plant.rhs
     lams = [g.lam for g in chain.gains[1:]]
+    half = 0.5 * dt
 
     if not exact_filter:
         n, n_f = len(x), len(s)
         fuzzy = chain.mode is ControlMode.FUZZY
 
         def f(tt, y):
-            basis = chain.basis_at(tt) if fuzzy else None
+            k = round((tt - t) / half)  # RK stage time t, t+dt/2 or t+dt
             if y is flat:  # the step start, already evaluated
                 xv, sv, tv, (u, alpha, drives, _) = x, s, theta, start
             else:
                 xv, sv = y[:n], y[n:n + n_f]
                 tv = np.reshape(y[n + n_f:], theta.shape)
-                drifts = (tv @ basis).tolist() if fuzzy else None
-                u, alpha, drives, _ = kernel(xv, sv, drifts, tt)
+                basis_in = (tv @ rows[k]).tolist() if fuzzy else energies[k]
+                u, alpha, drives, _ = kernel(xv, sv, basis_in, tt)
             s_dot = [(a - si) / lam for a, si, lam in zip(alpha, sv, lams)]
-            kt = chain.weight_derivative(tv, drives, basis).ravel().tolist() if fuzzy else []
+            kt = chain.weight_derivative(tv, drives, rows[k]).ravel().tolist() if fuzzy else []
             return rhs(xv, u, tt) + s_dot + kt
 
         flat = list(x) + list(s) + theta.ravel().tolist()
@@ -273,25 +281,26 @@ def step(
 
     s_half = [a + (si - a) * math.exp(-0.5 * dt / lam) for a, si, lam in zip(alphas, s, lams)]
     s_full = [a + (si - a) * math.exp(-dt / lam) for a, si, lam in zip(alphas, s, lams)]
-    half = 0.5 * dt
-    # drift estimates theta_k . b of RK stages 2..4 (None without weights)
-    f2 = f3 = f4 = None
+    # the kernel's basis input at RK stages 2..4: the rows' energies in
+    # approximator-free mode, the drift estimates theta_k . b in fuzzy mode
+    _, f2, f4 = energies
+    f3 = f2
     closed = proj is not None
     if closed:
-        rows, (g1h, ghh, g14, gh4), P = proj
+        g1h, ghh, g14, gh4 = gram
         c2, c3, c4, cmix, growth = _weight_step_coefficients(chain._mu, chain._varpi, dt)
 
     k1x = rhs(x, u0, t)
     x2 = [xi + half * ki for xi, ki in zip(x, k1x)]
     if closed:
-        f2 = [k0 * p[1] + k1 * da * g1h for (k0, k1), p, da in zip(c2, P, d1)]
+        f2 = [k0 * p[1] + k1 * da * g1h for (k0, k1), p, da in zip(c2, proj, d1)]
     u2, _, d2, _ = kernel(x2, s_half, f2, t + half)
     k2x = rhs(x2, u2, t + half)
     x3 = [xi + half * ki for xi, ki in zip(x, k2x)]
     if closed:
         f3 = [
             k0 * p[1] + k1 * da * g1h + k2 * db * ghh
-            for (k0, k1, k2), p, da, db in zip(c3, P, d1, d2)
+            for (k0, k1, k2), p, da, db in zip(c3, proj, d1, d2)
         ]
     u3, _, d3, _ = kernel(x3, s_half, f3, t + half)
     k3x = rhs(x3, u3, t + half)
@@ -299,7 +308,7 @@ def step(
     if closed:
         f4 = [
             k0 * p[2] + k1 * da * g14 + (k2 * dc + k3 * db) * gh4
-            for (k0, k1, k2, k3), p, da, db, dc in zip(c4, P, d1, d2, d3)
+            for (k0, k1, k2, k3), p, da, db, dc in zip(c4, proj, d1, d2, d3)
         ]
     u4, _, d4, _ = kernel(x4, s_full, f4, t + dt)
     k4x = rhs(x4, u4, t + dt)
@@ -383,35 +392,33 @@ def run(
         theta = np.zeros((0, 0))
 
     bundle = (x, s, theta)
-    t = 0.0
     breach = None
-
-    def record(tt, sig, xv, sv, tv):
-        e, eta = sig.e, sig.eta
-        wn = np.linalg.norm(tv, axis=1).tolist() if tv.size else ()
-        samples.extend(
-            [tt, *xv, sig.y_r, e, math.atan(e), eta, -eta, sig.u, *sv, *sig.alpha, *wn, *sig.z])
-
     dt = config.dt
     ref_value = reference.value
     after_T = perf.T
-    for k in range(n_steps):
+    # sample k opens step k; the last one, at t_end, closes the run
+    for k in range(n_steps + 1):
         t = k * dt
         xv, sv, tv = bundle
-        recorded = k % config.record_every == 0
+        closing = k == n_steps
+        recorded = closing or k % config.record_every == 0
         try:
             # full diagnostic evaluation only at recorded samples; the step
             # reuses it as its first stage
             opened = _open_step(chain, bundle, t, dt, config.exact_filter, recorded)
             start = opened[0]
             if recorded:
-                record(t, start[3], xv, sv, tv)
-            new_bundle, _ = step(plant, chain, bundle, t, dt, config.exact_filter, opened)
+                sig = start[3]
+                e, eta = sig.e, sig.eta
+                wn = np.linalg.norm(tv, axis=1).tolist() if tv.size else ()
+                samples.extend(
+                    [t, *xv, sig.y_r, e, math.atan(e), eta, -eta, sig.u, *sv, *sig.alpha, *wn, *sig.z])
+            if not closing:
+                new_bundle, _ = step(plant, chain, bundle, t, dt, config.exact_filter, opened)
         except FunnelBreachError as br:
             breach = br.t
             break
-        u0 = start[0]
-        # streaming verification at the sample that opened this step
+        # streaming verification at the sample
         ae = abs(xv[0] - ref_value(t))
         if ae > max_err:
             max_err = ae
@@ -420,29 +427,15 @@ def run(
                 max_err_after = ae
             if ae >= tan_c:
                 steady_ok = False
-        au = abs(u0)
+        if closing:
+            break
+        au = abs(start[0])
         if au > max_u:
             max_u = au
             peak_u_t = t
         bundle = new_bundle
         if not all(math.isfinite(v) for v in bundle[0]):
             raise SimulationDivergenceError(t + dt)
-
-    if breach is None:
-        # closing sample at t_end
-        t_final = n_steps * config.dt
-        try:
-            xv, sv, tv = bundle
-            sig = chain.kernel(xv, sv, _drifts(chain, tv, t_final), t_final, signals=True)[3]
-            ae = abs(sig.e)
-            max_err = max(max_err, ae)
-            if t_final >= perf.T:
-                max_err_after = max(max_err_after, ae)
-                if ae >= tan_c:
-                    steady_ok = False
-            record(t_final, sig, xv, sv, tv)
-        except FunnelBreachError as br:
-            breach = br.t
 
     traj = Trajectory(names, np.frombuffer(samples).reshape(-1, len(names)), breach)
     data = traj.data

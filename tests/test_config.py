@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -115,7 +116,9 @@ class TestParsing:
             parse_config(text)
 
     def test_bad_exact_filter(self):
-        text = serialize_config(single_link_preset()) + "sim.exact_filter = maybe\n"
+        text = serialize_config(single_link_preset()).replace(
+            "sim.exact_filter = true", "sim.exact_filter = maybe"
+        )
         with pytest.raises(ConfigError, match="exact_filter"):
             parse_config(text)
 
@@ -127,7 +130,41 @@ class TestParsing:
             parse_config(text)
 
 
+    @pytest.mark.parametrize("line", [
+        "sim.record_evry = 1", "sign_smothing = 0.1", "stage3.delta = 1.0", "stage1.rho = 1.0",
+    ])
+    def test_unknown_key(self, line):
+        text = serialize_config(single_link_preset()) + line + "\n"
+        with pytest.raises(ConfigError, match=f"unknown key '{line.split(' ')[0]}'"):
+            parse_config(text)
+
+    def test_repeated_key(self):
+        text = serialize_config(single_link_preset())
+        first = text.splitlines().index("perf.h = 1.0") + 1
+        last = len(text.splitlines()) + 1
+        with pytest.raises(ConfigError, match=f"'perf.h' is given twice, on lines {first} and {last}"):
+            parse_config(text + "perf.h = 2.0\n")
+
+
 class TestValidation:
+    @pytest.mark.parametrize("field, key", [
+        ("perf_b", "perf.b"), ("perf_c", "perf.c"), ("perf_h", "perf.h"), ("perf_T", "perf.T"),
+        ("dt", "sim.dt"), ("t_end", "sim.t_end"), ("sign_smoothing", "sign_smoothing"),
+    ])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_numbers(self, field, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            replace(single_link_preset(), **{field: value})
+
+    @pytest.mark.parametrize("x0", [(math.inf, 0.0), (0.0, math.nan)])
+    def test_rejects_non_finite_x0(self, x0):
+        with pytest.raises(ConfigError, match="init.x0 must be finite"):
+            replace(single_link_preset(), x0=x0)
+
+    def test_rejects_negative_sign_smoothing(self):
+        with pytest.raises(ConfigError, match="sign_smoothing must be nonnegative"):
+            replace(single_link_preset(), sign_smoothing=-1.0)
+
     def test_wrong_gain_count(self):
         cfg = single_link_preset()
         with pytest.raises(ConfigError, match="stage-gain"):
@@ -311,6 +348,60 @@ class TestCli:
         assert (out_root / "good" / "verification.json").exists()
         assert (out_root / "breach" / "verification.json").exists()
         assert not (out_root / "bad").exists()
+
+    def check_rejected(self, tmp_path, capfd, word, edit=None, flags=None):
+        """A bad file through --config and --sweep (beside a good file) and
+        bad flags each exit 2 with one ``error:`` line naming ``word``."""
+        text = serialize_config(short_single_link())
+        runs = []
+        if edit is not None:
+            assert edit[0] in text
+            bad = tmp_path / "bad.cfg"
+            bad.write_text(text.replace(*edit) if edit[0] else text + edit[1])
+            runs.append(["--config", str(bad)])
+        if flags is not None:
+            runs.append(["--preset", "single-link", "--dt", "1e-4", "--t-end", "0.05", *flags])
+        for argv in runs:
+            assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_ERROR
+            err = capfd.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and word in err[0]
+        assert not (tmp_path / "out" / "verification.json").exists()
+        if edit is not None:
+            good = tmp_path / "good.cfg"
+            good.write_text(text)
+            status = cli.main(["--sweep", str(good), str(bad), "--out", str(tmp_path / "sweep")])
+            assert status == cli.EXIT_ERROR
+            captured = capfd.readouterr()
+            assert f"{good}: exit 0" in captured.out.splitlines()
+            assert f"{bad}: exit 2" in captured.out.splitlines()
+            err = captured.err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {bad}:") and word in err[0]
+
+    @pytest.mark.parametrize("word, edit, flags", [
+        ("sim.t_end", ("sim.t_end = 0.05", "sim.t_end = inf"), ["--t-end", "inf"]),
+        ("sim.dt", ("sim.dt = 0.0001", "sim.dt = nan"), ["--dt", "nan"]),
+        ("init.x0", ("init.x0 = 0.0, 0.0", "init.x0 = inf, 0.0"), ["--x0", "inf,0"]),
+        ("perf.b", ("perf.b = 0.9", "perf.b = inf"), None),
+        ("perf.h", ("perf.h = 1.0", "perf.h = inf"), None),
+        ("perf.T", ("perf.T = 0.5", "perf.T = inf"), None),
+        ("stage2: StageGains.lam", ("stage2.lam = 0.001", "stage2.lam = inf"), None),
+    ])
+    def test_non_finite_numbers_exit_2(self, tmp_path, capfd, word, edit, flags):
+        self.check_rejected(tmp_path, capfd, word, edit, flags)
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_sign_smoothing_exits_2(self, tmp_path, capfd, value):
+        edit = ("sign_smoothing = 0.0", f"sign_smoothing = {value}")
+        self.check_rejected(tmp_path, capfd, "sign_smoothing", edit, ["--sign-smoothing", value])
+
+    @pytest.mark.parametrize("word, extra", [
+        ("sim.record_evry", "sim.record_evry = 1"),
+        ("sign_smothing", "sign_smothing = 0.1"),
+        ("stage3.delta", "stage3.delta = 1.0"),
+        ("perf.h", "perf.h = 2.0"),
+    ])
+    def test_unknown_or_repeated_key_exits_2(self, tmp_path, capfd, word, extra):
+        self.check_rejected(tmp_path, capfd, word, ("", extra + "\n"))
 
     def test_sweep_runs_each_config(self, tmp_path):
         paths = []

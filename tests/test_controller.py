@@ -91,6 +91,14 @@ class TestStageGains:
         with pytest.raises(ValueError):
             StageGains(delta=1.0, sigma=1.0, varpi=1.0, mu=1.0, varrho=1.0, rho=1.0, tau=1.0, lam=1.0)
 
+    @pytest.mark.parametrize("name", ["delta", "sigma", "varpi", "mu", "rho", "tau", "varrho", "lam"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_gains(self, name, value):
+        gains = dict(delta=1.0, sigma=1.0, varpi=1.0, mu=1.0, rho=1.0, tau=1.0, varrho=2.0, lam=1.0)
+        StageGains(**gains)
+        with pytest.raises(ValueError, match=f"StageGains.{name} must .* and be finite"):
+            StageGains(**{**gains, name: value})
+
 
 class TestChainConstruction:
     def test_requires_order_two(self):
@@ -122,6 +130,11 @@ class TestChainConstruction:
     def test_rejects_negative_smoothing(self):
         with pytest.raises(ValueError):
             sl_chain(sign_smoothing=-1.0)
+
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf])
+    def test_rejects_non_finite_smoothing(self, smoothing):
+        with pytest.raises(ValueError):
+            sl_chain(sign_smoothing=smoothing)
 
 
 class TestInitialization:
@@ -250,19 +263,31 @@ class TestStageFormulas:
         x, state = (3.34, 0.1), chain.init_state((3.34, 0.1))
         t = 0.05
         sig = chain.evaluate(list(x), state, t)
-        y_r = chain.reference.value(t)
-        energy = chain.grid.regressor_energy(y_r)
-        w = sig.z[0] * sig.varphi * sig.psi
-        beta1_expected = (
-            w * energy
-            - chain.reference.derivative(t)
-            - 2.0 / (math.pi * sig.varphi) * chain.transform.perf.eta_dot(t) * math.atan(sig.z[0])
-        )
-        assert sig.beta[0] == pytest.approx(beta1_expected, rel=1e-10)
-        beta2_expected = sig.zeta_vals[0] * energy - (
-            sig.alpha[0] - state.filter_states[0]
-        ) / chain.gains[1].lam
-        assert sig.beta[1] == pytest.approx(beta2_expected, rel=1e-8)
+        energy = chain.grid.regressor_energy(chain.reference.value(t))
+        assert_energy_damping(chain, sig, state, t, energy)
+
+    def test_approx_free_kernel_uses_the_energy_it_is_given(self):
+        chain = sl_chain()
+        x, state = (3.34, 0.1), chain.init_state((3.34, 0.1))
+        t = 0.05
+        sig = chain.kernel(list(x), state.filter_states, 0.37, t, signals=True)[3]
+        assert_energy_damping(chain, sig, state, t, 0.37)
+
+
+def assert_energy_damping(chain, sig, state, t, energy):
+    """beta_1 and beta_2 of an approximator-free evaluation with regressor
+    energy ``energy`` in place of the drift estimates."""
+    w = sig.z[0] * sig.varphi * sig.psi
+    beta1_expected = (
+        w * energy
+        - chain.reference.derivative(t)
+        - 2.0 / (math.pi * sig.varphi) * chain.transform.perf.eta_dot(t) * math.atan(sig.z[0])
+    )
+    assert sig.beta[0] == pytest.approx(beta1_expected, rel=1e-10)
+    beta2_expected = sig.zeta_vals[0] * energy - (
+        sig.alpha[0] - state.filter_states[0]
+    ) / chain.gains[1].lam
+    assert sig.beta[1] == pytest.approx(beta2_expected, rel=1e-8)
 
 
 class TestAdaptiveLaw:
@@ -283,12 +308,14 @@ class TestBasisBlocks:
     STEP = 1e-3
 
     def check_row(self, chain, i, step=STEP):
+        """Row i as ``basis_at`` and as the first row of ``step_basis``."""
         t = i * step
         y_r = chain.reference.value(t)
-        basis, energy = chain._basis_at(t, y_r)
-        assert chain._table[1] <= i < chain._table[1] + BASIS_BLOCK
-        np.testing.assert_allclose(basis, chain.grid.basis(y_r), rtol=1e-12, atol=1e-300)
-        assert energy == pytest.approx(chain.grid.regressor_energy(y_r), rel=1e-12)
+        rows, energies, _ = chain.step_basis(t, 2.0 * step)
+        for basis, energy in (chain.basis_at(t), (rows[0], energies[0])):
+            assert chain._table[1] <= i < chain._table[1] + BASIS_BLOCK
+            np.testing.assert_allclose(basis, chain.grid.basis(y_r), rtol=1e-12, atol=1e-300)
+            assert energy == pytest.approx(chain.grid.regressor_energy(y_r), rel=1e-12)
 
     def test_rows_match_direct_evaluation_across_a_block_boundary(self):
         chain = em_chain()
@@ -313,7 +340,7 @@ class TestBasisBlocks:
         chain.tabulate_basis(self.STEP, 0, BASIS_BLOCK)
         # rows i..i+2 reach into the block's two rows of overlap
         for i in (BASIS_BLOCK - 2, BASIS_BLOCK - 1, BASIS_BLOCK):
-            rows, g1h, ghh, g14, gh4 = chain.step_basis(i * self.STEP, dt)
+            rows, energies, (g1h, ghh, g14, gh4) = chain.step_basis(i * self.STEP, dt)
             assert chain._table[1] == (0 if i < BASIS_BLOCK else BASIS_BLOCK)
             ys = [[chain.reference.value((i + k) * self.STEP)] for k in range(3)]
             want = chain.grid.basis(np.array(ys))
@@ -321,6 +348,7 @@ class TestBasisBlocks:
             gram = want @ want.T
             assert [g1h, ghh, g14, gh4] == pytest.approx(
                 [gram[0, 1], gram[1, 1], gram[0, 2], gram[1, 2]], rel=1e-12)
+            assert energies == pytest.approx(np.diag(gram).tolist(), rel=1e-12)
         # off the half-step grid the rows are evaluated directly
         t = 0.25 * self.STEP
         rows, *_ = chain.step_basis(t, dt)
@@ -332,9 +360,11 @@ class TestBasisBlocks:
         chain.tabulate_basis(self.STEP, 0, BASIS_BLOCK)
         t = 0.25 * self.STEP
         y_r = chain.reference.value(t)
-        basis, energy = chain._basis_at(t, y_r)
+        basis, energy = chain.basis_at(t)
         np.testing.assert_array_equal(basis, chain.grid.basis(y_r))
         assert energy == pytest.approx(chain.grid.regressor_energy(y_r), rel=1e-12)
+        _, energies, _ = chain.step_basis(t, 2.0 * self.STEP)
+        assert energies[0] == pytest.approx(chain.grid.regressor_energy(y_r), rel=1e-12)
 
 
 class TestBreachPropagation:

@@ -206,6 +206,43 @@ class TestProjectedWeightStep:
         assert max(theta_norms[-1]) > 0.0
 
 
+class TestOneBasisRead:
+    """Each step reads the basis table once, in both modes and both steppers."""
+
+    @pytest.mark.parametrize("preset, dt, exact", [
+        (single_link_preset, 1e-4, True),
+        (lambda: single_link_preset(mode=ControlMode.FUZZY), 1e-4, True),
+        (electromechanical_preset, 1e-5, True),
+        (single_link_preset, 1e-4, False),
+        (lambda: single_link_preset(mode=ControlMode.FUZZY), 1e-4, False),
+    ], ids=["sl-approx-free", "sl-fuzzy", "em-fuzzy", "sl-approx-free-explicit", "sl-fuzzy-explicit"])
+    def test_one_table_row_per_step(self, preset, dt, exact, monkeypatch):
+        steps = 50
+        cfg = replace(preset(), dt=dt, t_end=steps * dt, exact_filter=exact)
+        plant, reference, perf, sim_cfg = build_problem(cfg)
+        reads = []
+        table_row = ControllerChain._table_row
+
+        def counted(chain, t, row_step):
+            reads.append(t)
+            return table_row(chain, t, row_step)
+
+        monkeypatch.setattr(ControllerChain, "_table_row", counted)
+        chain = fresh_chain(cfg, plant, reference, perf)
+        state = chain.init_state(list(cfg.x0))
+        theta = np.array([w.theta_hat for w in state.theta_hat]) if state.theta_hat else np.zeros((0, 0))
+        bundle = (list(cfg.x0), list(state.filter_states), theta)
+        reads.clear()
+        for k in range(steps):
+            bundle, _ = step(plant, chain, bundle, k * dt, dt, exact)
+            assert len(reads) == k + 1
+        # run(): one read per step, one for the closing sample and one per
+        # filter that init_state preloads from the table
+        reads.clear()
+        run(plant, reference, cfg.gains, perf, sim_cfg)
+        assert len(reads) == steps + 1 + (plant.n - 1)
+
+
 class TestRunBookkeeping:
     def setup_method(self):
         self.plant, self.reference, self.gains, self.perf = sl_problem()
@@ -396,6 +433,13 @@ class TestConfigValidation:
         assert step_count(0.6, 1e-5) == 60_000
         assert step_count(3.0, 1e-5) == 300_000
         assert step_count(0.6, 1e-4) == 6_000
+
+    @pytest.mark.parametrize("t_end, dt", [(math.inf, 1e-3), (1e300, 1e-300), (math.nan, 1e-3)])
+    def test_step_count_rejects_a_non_finite_ratio(self, t_end, dt):
+        with pytest.raises(ValueError, match="finite"):
+            step_count(t_end, dt)
+        with pytest.raises(ValueError):
+            SimConfig(dt=dt, t_end=t_end, x0=(0.0, 0.0))
 
 
 class TestExport:
