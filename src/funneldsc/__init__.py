@@ -27,7 +27,6 @@ from .sim import (
     SimulationDivergenceError,
     Trajectory,
     VerificationReport,
-    convergence_check,
     export_trajectory,
     run,
     step,

@@ -247,7 +247,9 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         kind = TransformKind(pairs.get("transform", "symmetric-tan"))
     except ValueError:
-        raise ConfigError(f"key 'transform': unknown kind {pairs['transform']!r}") from None
+        raise ConfigError(
+            f"key 'transform': the only accepted value is 'symmetric-tan', got {pairs['transform']!r}"
+        ) from None
 
     n = plant_order(plant)
     known = {*_TOP_KEYS, *(f"stage{i}.{key}" for i in range(1, n + 1) for key in _stage_keys(i))}

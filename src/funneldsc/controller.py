@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fuzzy import AdaptiveWeights, GaussianGrid
-from .perf import ErrorTransform
+from .perf import PHI_FLOOR, ErrorTransform
 from .plants import PlantBounds, ReferenceSignal
 
 __all__ = [
@@ -68,8 +68,9 @@ class StageGains:
             if v is None and name in ("rho", "tau", "varrho", "lam"):
                 continue
             floor, rule = (1.0, "exceed 1") if name == "varrho" else (0.0, "be strictly positive")
-            if not floor < v < math.inf:
-                raise ValueError(f"StageGains.{name} must {rule} and be finite, got {v!r}")
+            # the chain squares the gains once at construction
+            if not (floor < v and math.isfinite(float(v) * v)):
+                raise ValueError(f"StageGains.{name} must {rule} and be finite, also squared, got {v!r}")
 
 
 @dataclass
@@ -134,7 +135,8 @@ class ControllerChain:
     """Evaluates the full control chain for one plant/reference pairing.
 
     Pure function of (plant state, controller state, time); the integrator
-    owns all mutation of :class:`ControllerState`.
+    owns all mutation of :class:`ControllerState`.  The basis is always the
+    11-rule reference grid on the scalar reference, kept as ``self.grid``.
     """
 
     def __init__(
@@ -144,7 +146,6 @@ class ControllerChain:
         transform: ErrorTransform,
         reference: ReferenceSignal,
         mode: ControlMode = ControlMode.FUZZY,
-        grid: Optional[GaussianGrid] = None,
         sign_smoothing: float = 0.0,
     ):
         if bounds.n < 2:
@@ -154,10 +155,6 @@ class ControllerChain:
         for i, g in enumerate(gains[1:], start=2):
             if g.rho is None or g.tau is None or g.varrho is None or g.lam is None:
                 raise ValueError(f"stage {i} gains need rho, tau, varrho and lam")
-        if grid is None:
-            grid = GaussianGrid.reference_grid(dim=1)
-        if grid.dim != 1:
-            raise ValueError("chain evaluates the basis on the scalar reference")
         if not 0.0 <= sign_smoothing < math.inf:
             raise ValueError("sign_smoothing must be nonnegative and finite")
         self.bounds = bounds
@@ -165,7 +162,7 @@ class ControllerChain:
         self.transform = transform
         self.reference = reference
         self.mode = mode
-        self.grid = grid
+        self.grid = GaussianGrid.reference_grid(dim=1)
         self.sign_smoothing = sign_smoothing
         # (step, first row, basis rows, b_i.b_i, b_i.b_{i+1}, b_i.b_{i+2}),
         # the last two None in approximator-free mode
@@ -317,8 +314,8 @@ class ControllerChain:
         psi_v = math.pi * (1.0 + z1 * z1) / (2.0 * eta_v)
         cphi = math.cos(2.0 / math.pi * eta_v * atan_z1)
         phi_v = cphi * cphi
-        if phi_v < tr.phi_floor:
-            phi_v = tr.phi_floor
+        if phi_v < PHI_FLOOR:
+            phi_v = PHI_FLOOR
         eta_d = tr.perf.eta_dot(t)
 
         # stage 1: funnel-shaping virtual control

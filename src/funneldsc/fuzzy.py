@@ -8,7 +8,7 @@ universal approximator and the regressor energy ``|basis|^2`` lies in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,13 +90,6 @@ class GaussianGrid:
             total[dead] = 1.0
         out = activation / total[:, None]
         return out[0] if single else out
-
-    def approximate(self, weights: "AdaptiveWeights", x) -> float:
-        """Linear expansion basis(x) . theta_hat."""
-        theta = weights.theta_hat
-        if theta.shape != (self.m,):
-            raise ValueError("weight vector length does not match rule count")
-        return float(self.basis(x) @ theta)
 
     def regressor_energy(self, x) -> float:
         """Squared basis norm |basis(x)|^2, always within [1/m, 1]."""

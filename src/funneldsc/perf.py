@@ -4,20 +4,23 @@ The envelope ``eta(t)`` shrinks from pi/2 at t=0 to a terminal accuracy ``c``
 exactly at a user-chosen settling time ``T``, independently of initial
 conditions.  The error transformation maps a tracking error ``e`` constrained
 by ``|arctan(e)| < eta(t)`` to an unconstrained variable ``z1``; boundedness
-of ``z1`` certifies the funnel bound.
+of ``z1`` certifies the funnel bound.  This is the paper's one
+transformation; the controller's auxiliaries ``psi`` and ``varphi`` and
+its ``eta_dot`` term are derived for it alone.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "FunnelBreachError",
     "PerfFunction",
     "TransformKind",
     "ErrorTransform",
+    "PHI_FLOOR",
     "perf_from_terminal",
 ]
 
@@ -27,13 +30,17 @@ _HALF_PI = math.pi / 2.0
 # 0*inf at the pole of the exponent.
 _POLE_GUARD = 1e-12
 
+# Floor of the auxiliary varphi, which the controller divides by; it only
+# binds in the unreachable limit |z1| -> inf while eta is still near pi/2.
+PHI_FLOOR = 1e-12
+
 
 class FunnelBreachError(ValueError):
     """The tracking error left the performance funnel.
 
-    Raised when the transformation domain |arctan(e)| < eta(t) (or its
-    tanh-based analogue for the asymmetric kinds) is violated.  Simulations
-    treat this as a verification failure, never as a silent clamp.
+    Raised when the transformation domain |arctan(e)| < eta(t) is violated.
+    Simulations treat this as a verification failure, never as a silent
+    clamp.
     """
 
     def __init__(self, t: float, e: float, eta: float):
@@ -97,35 +104,21 @@ def perf_from_terminal(b: float, c: float, h: float, T: float) -> PerfFunction:
 
 
 class TransformKind(enum.Enum):
-    """Which barrier shape maps the error into the funnel coordinate.
+    """The error transformation: the paper's tangent barrier, the only kind.
 
-    SYMMETRIC_TAN uses the tangent barrier on both sides.  The asymmetric
-    kinds swap in an arctanh barrier on one side: ASYMMETRIC_TAN_UPPER keeps
-    the tangent branch for negative errors, ASYMMETRIC_TAN_LOWER for
-    nonnegative errors.
+    Kept so that callers passing ``kind=`` and saved config files holding
+    ``transform = symmetric-tan`` keep working.
     """
 
     SYMMETRIC_TAN = "symmetric-tan"
-    ASYMMETRIC_TAN_UPPER = "asymmetric-tan-upper"
-    ASYMMETRIC_TAN_LOWER = "asymmetric-tan-lower"
 
 
 @dataclass(frozen=True)
 class ErrorTransform:
-    """Funnel transformation z1 = tan((pi/2) * arctan(e) / eta(t)) and helpers.
-
-    ``phi_floor`` bounds the cosine-squared auxiliary away from zero; the
-    controller divides by it and the floor only matters in the unreachable
-    limit |z1| -> inf while eta is still near pi/2.
-    """
+    """Funnel transformation z1 = tan((pi/2) * arctan(e) / eta(t)) and helpers."""
 
     perf: PerfFunction
     kind: TransformKind = TransformKind.SYMMETRIC_TAN
-    phi_floor: float = field(default=1e-12)
-
-    def __post_init__(self):
-        if not self.phi_floor > 0.0:
-            raise ValueError("phi_floor must be strictly positive")
 
     # -- forward / inverse ------------------------------------------------
 
@@ -133,54 +126,16 @@ class ErrorTransform:
         """Map error e to the unconstrained coordinate z1; raises on breach."""
         return self._transform(e, t, self.perf.eta(t))
 
-    def _transform(self, e: float, t: float, eta: float) -> float:
-        if self.kind is TransformKind.SYMMETRIC_TAN:
-            return self._tan_branch(e, t, eta)
-        if self.kind is TransformKind.ASYMMETRIC_TAN_LOWER:
-            # tangent branch for e >= 0, arctanh barrier below
-            if e >= 0.0:
-                return self._tan_branch(e, t, eta)
-            return self._atanh_branch(e, t, eta)
-        # ASYMMETRIC_TAN_UPPER: arctanh barrier for e >= 0, tangent below
-        if e >= 0.0:
-            return self._atanh_branch(e, t, eta)
-        return self._tan_branch(e, t, eta)
-
-    def inverse_transform(self, z1: float, t: float) -> float:
-        """Map z1 back to the error; exact inverse of :meth:`transform`."""
-        eta = self.perf.eta(t)
-        if self.kind is TransformKind.SYMMETRIC_TAN:
-            return self._tan_inverse(z1, eta)
-        if self.kind is TransformKind.ASYMMETRIC_TAN_LOWER:
-            if z1 >= 0.0:
-                return self._tan_inverse(z1, eta)
-            return self._atanh_inverse(z1, t, eta)
-        if z1 >= 0.0:
-            return self._atanh_inverse(z1, t, eta)
-        return self._tan_inverse(z1, eta)
-
-    def _tan_branch(self, e: float, t: float, eta: float) -> float:
+    @staticmethod
+    def _transform(e: float, t: float, eta: float) -> float:
         theta = math.atan(e)
         if abs(theta) >= eta:
             raise FunnelBreachError(t, e, eta)
         return math.tan(_HALF_PI * theta / eta)
 
-    @staticmethod
-    def _tan_inverse(z1: float, eta: float) -> float:
-        return math.tan(eta * math.atan(z1) / _HALF_PI)
-
-    def _atanh_branch(self, e: float, t: float, eta: float) -> float:
-        w = (2.0 / math.pi) * math.tanh(e) / eta
-        if abs(w) >= 1.0:
-            raise FunnelBreachError(t, e, eta)
-        return math.atanh(w)
-
-    def _atanh_inverse(self, z1: float, t: float, eta: float) -> float:
-        w = _HALF_PI * eta * math.tanh(z1)
-        if abs(w) >= 1.0:
-            # only reachable with z1 outside the image of the forward map
-            raise FunnelBreachError(t, w, eta)
-        return math.atanh(w)
+    def inverse_transform(self, z1: float, t: float) -> float:
+        """Map z1 back to the error; exact inverse of :meth:`transform`."""
+        return math.tan(self.perf.eta(t) * math.atan(z1) / _HALF_PI)
 
     # -- controller auxiliaries ------------------------------------------
 
@@ -189,6 +144,6 @@ class ErrorTransform:
         return math.pi * (1.0 + z1 * z1) / (2.0 * self.perf.eta(t))
 
     def varphi(self, z1: float, t: float) -> float:
-        """cos^2((2/pi)*eta(t)*arctan(z1)), floored at phi_floor."""
+        """cos^2((2/pi)*eta(t)*arctan(z1)), floored at PHI_FLOOR."""
         c = math.cos(2.0 / math.pi * self.perf.eta(t) * math.atan(z1))
-        return max(c * c, self.phi_floor)
+        return max(c * c, PHI_FLOOR)

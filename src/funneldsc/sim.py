@@ -58,7 +58,6 @@ __all__ = [
     "rk4_step",
     "step",
     "run",
-    "convergence_check",
     "export_trajectory",
 ]
 
@@ -467,13 +466,6 @@ def run(
         peak_control_time=peak_u_t,
     )
     return traj, report
-
-
-def convergence_check(report_a: VerificationReport, report_b: VerificationReport) -> float:
-    """Relative difference of the peak tracking error between two runs."""
-    a, b = report_a.max_abs_error, report_b.max_abs_error
-    scale = max(abs(a), abs(b), 1e-300)
-    return abs(a - b) / scale
 
 
 def export_trajectory(traj: Trajectory, path) -> None:

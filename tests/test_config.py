@@ -16,7 +16,6 @@ from funneldsc.config import (
     weak_gain_single_link,
 )
 from funneldsc.controller import ControlMode
-from funneldsc.perf import TransformKind
 
 
 class TestPresets:
@@ -61,7 +60,6 @@ class TestRoundTrip:
             single_link_preset(),
             dt=2e-4,
             sign_smoothing=0.01,
-            transform_kind=TransformKind.ASYMMETRIC_TAN_UPPER,
             exact_filter=False,
             out="results",
         )
@@ -385,6 +383,9 @@ class TestCli:
         ("perf.h", ("perf.h = 1.0", "perf.h = inf"), None),
         ("perf.T", ("perf.T = 0.5", "perf.T = inf"), None),
         ("stage2: StageGains.lam", ("stage2.lam = 0.001", "stage2.lam = inf"), None),
+        # finite, but squaring it overflows
+        ("stage1: StageGains.delta", ("stage1.delta = 1000000.0", "stage1.delta = 1e300"), None),
+        ("stage2: StageGains.rho", ("stage2.rho = 1000000.0", "stage2.rho = 1e300"), None),
     ])
     def test_non_finite_numbers_exit_2(self, tmp_path, capfd, word, edit, flags):
         self.check_rejected(tmp_path, capfd, word, edit, flags)
@@ -402,6 +403,11 @@ class TestCli:
     ])
     def test_unknown_or_repeated_key_exits_2(self, tmp_path, capfd, word, extra):
         self.check_rejected(tmp_path, capfd, word, ("", extra + "\n"))
+
+    @pytest.mark.parametrize("kind", ["asymmetric-tan-upper", "asymmetric-tan-lower"])
+    def test_removed_transform_kind_exits_2(self, tmp_path, capfd, kind):
+        word = "the only accepted value is 'symmetric-tan'"
+        self.check_rejected(tmp_path, capfd, word, ("transform = symmetric-tan", f"transform = {kind}"))
 
     def test_sweep_runs_each_config(self, tmp_path):
         paths = []

@@ -74,17 +74,6 @@ class TestBasisInvariants:
 
 
 class TestApproximation:
-    def test_linear_expansion(self):
-        g = GaussianGrid.reference_grid()
-        w = AdaptiveWeights(np.arange(11.0))
-        y = 3.0
-        assert g.approximate(w, y) == pytest.approx(float(g.basis(y) @ w.theta_hat))
-
-    def test_weight_length_mismatch(self):
-        g = GaussianGrid.reference_grid()
-        with pytest.raises(ValueError):
-            g.approximate(AdaptiveWeights.zeros(7), 0.0)
-
     def test_input_dimension_mismatch(self):
         g = GaussianGrid.reference_grid()
         with pytest.raises(ValueError):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from funneldsc.perf import (
     ErrorTransform,
     FunnelBreachError,
+    PHI_FLOOR,
     PerfFunction,
-    TransformKind,
     perf_from_terminal,
 )
 
@@ -130,43 +130,7 @@ class TestSymmetricTransform:
         assert self.tr.psi(0.0, t) > 0.0
 
     def test_varphi_floor(self):
-        tr = ErrorTransform(perf=default_perf(), phi_floor=1e-12)
+        tr = ErrorTransform(perf=default_perf())
         # near-vertical branch: cos^2 collapses, floor takes over
-        assert tr.varphi(1e12, 0.0) == 1e-12
+        assert tr.varphi(1e12, 0.0) == PHI_FLOOR
         assert tr.varphi(0.0, 0.0) == pytest.approx(1.0)
-
-    def test_phi_floor_validation(self):
-        with pytest.raises(ValueError):
-            ErrorTransform(perf=default_perf(), phi_floor=0.0)
-
-
-class TestAsymmetricTransforms:
-    @pytest.mark.parametrize(
-        "kind", [TransformKind.ASYMMETRIC_TAN_UPPER, TransformKind.ASYMMETRIC_TAN_LOWER]
-    )
-    def test_roundtrip(self, kind):
-        tr = ErrorTransform(perf=default_perf(), kind=kind)
-        t = 0.2
-        for e in (-0.9, -0.2, 0.0, 0.2, 0.9):
-            z1 = tr.transform(e, t)
-            assert tr.inverse_transform(z1, t) == pytest.approx(e, rel=1e-10, abs=1e-12)
-
-    def test_branch_selection(self):
-        t = 0.2
-        upper = ErrorTransform(perf=default_perf(), kind=TransformKind.ASYMMETRIC_TAN_UPPER)
-        lower = ErrorTransform(perf=default_perf(), kind=TransformKind.ASYMMETRIC_TAN_LOWER)
-        sym = ErrorTransform(perf=default_perf())
-        e = 0.4
-        # the tangent side must agree with the symmetric map
-        assert lower.transform(e, t) == sym.transform(e, t)
-        assert upper.transform(-e, t) == sym.transform(-e, t)
-        # the opposite side uses the bounded-barrier branch instead
-        eta = sym.perf.eta(t)
-        expected = math.atanh((2.0 / math.pi) * math.tanh(e) / eta)
-        assert upper.transform(e, t) == pytest.approx(expected, rel=1e-12)
-        assert lower.transform(-e, t) == pytest.approx(-expected, rel=1e-12)
-
-    def test_breach_on_barrier_side(self):
-        upper = ErrorTransform(perf=default_perf(), kind=TransformKind.ASYMMETRIC_TAN_UPPER)
-        with pytest.raises(FunnelBreachError):
-            upper.transform(50.0, 2.0)

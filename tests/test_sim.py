@@ -18,7 +18,6 @@ from funneldsc.plants import (
 from funneldsc.sim import (
     SimConfig,
     SimulationDivergenceError,
-    convergence_check,
     export_trajectory,
     rk4_step,
     run,
@@ -281,12 +280,6 @@ class TestRunBookkeeping:
     def test_rejects_wrong_initial_state_length(self):
         with pytest.raises(ValueError, match="x0"):
             self.run_short(x0=(0.0, 0.0, 0.0))
-
-    def test_convergence_check(self):
-        _, a = self.run_short()
-        _, b = self.run_short(dt=5e-5)
-        assert convergence_check(a, a) == 0.0
-        assert convergence_check(a, b) < 0.05
 
 
 class TestColumnarRecord:
