@@ -29,20 +29,12 @@ __all__ = [
     "ControllerChain",
     "zeta",
     "saturated_term",
-    "BASIS_BLOCK",
 ]
 
 
 class ControlMode(enum.Enum):
     FUZZY = "fuzzy"
     APPROX_FREE = "approx-free"
-
-
-# Rows per tabulated basis block.  A fixed block bounds the table's memory
-# whatever the horizon (4096 rows of 11 rules is about 0.6 MB with the
-# Gram products), while refilling costs one vectorised pass per 2048 steps,
-# within noise of tabulating the whole run up front.
-BASIS_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -68,9 +60,10 @@ class StageGains:
             if v is None and name in ("rho", "tau", "varrho", "lam"):
                 continue
             floor, rule = (1.0, "exceed 1") if name == "varrho" else (0.0, "be strictly positive")
-            # the chain squares the gains once at construction
-            if not (floor < v and math.isfinite(float(v) * v)):
-                raise ValueError(f"StageGains.{name} must {rule} and be finite, also squared, got {v!r}")
+            # the chain squares the gains and inverts lam once at construction
+            also = "squared and inverted" if name == "lam" else "squared"
+            if not (floor < v and math.isfinite(float(v) * v) and (name != "lam" or math.isfinite(1.0 / v))):
+                raise ValueError(f"StageGains.{name} must {rule} and be finite, also {also}, got {v!r}")
 
 
 @dataclass
@@ -134,9 +127,10 @@ def saturated_term(s: float, guard: float) -> float:
 class ControllerChain:
     """Evaluates the full control chain for one plant/reference pairing.
 
-    Pure function of (plant state, controller state, time); the integrator
-    owns all mutation of :class:`ControllerState`.  The basis is always the
-    11-rule reference grid on the scalar reference, kept as ``self.grid``.
+    Pure function of (plant state, controller state, time): the chain keeps
+    no cache, and the integrator owns all mutation of
+    :class:`ControllerState`.  The basis is always the 11-rule reference
+    grid on the scalar reference, kept as ``self.grid``.
     """
 
     def __init__(
@@ -164,9 +158,6 @@ class ControllerChain:
         self.mode = mode
         self.grid = GaussianGrid.reference_grid(dim=1)
         self.sign_smoothing = sign_smoothing
-        # (step, first row, basis rows, b_i.b_i, b_i.b_{i+1}, b_i.b_{i+2}),
-        # the last two None in approximator-free mode
-        self._table = None
         # hot-loop constants
         self._delta2 = tuple(g.delta**2 for g in self.gains)
         self._sigma2 = tuple(g.sigma**2 for g in self.gains)
@@ -197,69 +188,18 @@ class ControllerChain:
 
     # -- evaluation -------------------------------------------------------
 
-    def tabulate_basis(self, step: float, first: int, count: int) -> None:
-        """Tabulate the reference basis on rows ``first .. first+count+1`` of
-        the uniform time grid ``{0, step, 2*step, ...}`` that a fixed-step
-        integrator queries, with the energies b_i.b_i and, in fuzzy mode, the
-        Gram products b_i.b_{i+1} and b_i.b_{i+2}.  The block serves rows
-        ``first .. first+count-1``; its two rows of overlap let a step read
-        rows i..i+2 from one block.  A later query on that grid outside the
-        block refills it with the :data:`BASIS_BLOCK` rows that hold the
-        query."""
-        ys = np.array([self.reference.value(i * step) for i in range(first, first + count + 2)])
-        basis = self.grid.basis(ys[:, None])
-        cross = (None, None)
-        if self.mode is ControlMode.FUZZY:
-            cross = (
-                (basis[:-1] * basis[1:]).sum(axis=1).tolist(),
-                (basis[:-2] * basis[2:]).sum(axis=1).tolist(),
-            )
-        self._table = (step, first, basis, (basis * basis).sum(axis=1).tolist(), *cross)
-
-    def _table_row(self, t: float, step: float):
-        """Row of grid time ``t = i*step`` in the table, refilled with the
-        block that holds row i when needed; None when t is off the grid."""
-        pos = t / step
-        i = int(pos + 0.5)
-        # grid times may differ by rounding noise from k*dt arithmetic
-        if abs(pos - i) >= 1e-6:
-            return None
-        table = self._table
-        if table is None or table[0] != step or not 0 <= i - table[1] < len(table[3]) - 2:
-            self.tabulate_basis(step, i - i % BASIS_BLOCK, BASIS_BLOCK)
-            table = self._table
-        return i - table[1]
-
-    def basis_at(self, t: float):
-        """Basis row of the reference at time t and its energy b.b, from the
-        table when t is on its grid."""
-        if self._table is not None:
-            row = self._table_row(t, self._table[0])
-            if row is not None:
-                table = self._table
-                return table[2][row], table[3][row]
-        basis = self.grid.basis(self.reference.value(t))
-        return basis, float(basis @ basis)
-
-    def step_basis(self, t: float, dt: float):
-        """What one step from t needs of the basis: the rows b1, bh, b4 at t,
-        t+dt/2 and t+dt as a (3, m) array, their energies as a list, and the
-        Gram products (b1.bh, bh.bh, b1.b4, bh.b4), None from a table of
-        approximator-free mode.
-
-        Served from the half-step table, which is tabulated here when it is
-        missing or built for another step; a t off that grid evaluates the
-        three rows directly."""
-        h = 0.5 * dt
-        row = self._table_row(t, h)
-        if row is None:
-            ys = [[self.reference.value(t + k * h)] for k in range(3)]
-            rows = self.grid.basis(np.array(ys))
-            g = (rows @ rows.T).tolist()
-            return rows, [g[0][0], g[1][1], g[2][2]], (g[0][1], g[1][1], g[0][2], g[1][2])
-        _, _, basis, energy, cross1, cross2 = self._table
-        gram = None if cross1 is None else (cross1[row], energy[row + 1], cross2[row], cross1[row + 1])
-        return basis[row:row + 3], energy[row:row + 3], gram
+    def tabulate_basis(self, times: Sequence[float]):
+        """``(rows, energies, cross1, cross2)``: the reference basis at
+        ``times`` as a (len(times), m) array, the energies b_i.b_i and, in
+        fuzzy mode, the Gram products b_i.b_{i+1} and b_i.b_{i+2} as lists
+        (None in approximator-free mode).  Each energy is a sum of squares,
+        so no row depends on the other times of the call.  Stores nothing."""
+        rows = self.grid.basis(np.array([self.reference.value(t) for t in times])[:, None])
+        energies = (rows * rows).sum(axis=1).tolist()
+        if self.mode is not ControlMode.FUZZY:
+            return rows, energies, None, None
+        cross1 = (rows[:-1] * rows[1:]).sum(axis=1).tolist()
+        return rows, energies, cross1, (rows[:-2] * rows[2:]).sum(axis=1).tolist()
 
     def weight_derivative(self, theta: np.ndarray, drives, basis: np.ndarray) -> np.ndarray:
         """The adaptive law theta_i' = mu_i * drive_i * basis - varpi_i * theta_i,
@@ -274,7 +214,7 @@ class ControllerChain:
         Raises :class:`funneldsc.perf.FunnelBreachError` if the output error
         left the performance funnel.
         """
-        basis, energy = self.basis_at(t)
+        (basis,), (energy,), _, _ = self.tabulate_basis([t])
         if self.mode is not ControlMode.FUZZY:
             sig = self.kernel(x, state.filter_states, energy, t, signals=True)[3]
             sig.theta_dot = np.zeros((0, 0))

@@ -4,11 +4,15 @@ The augmented state couples the plant, the first-order filters of the
 control chain, and (in fuzzy mode) the adaptive weights.  Each step
 evaluates the plant's one right-hand side (``plant.rhs``) and the
 controller's one kernel (``ControllerChain.kernel``), which returns the
-drives of the adaptive law and reads no basis itself: the step reads the
-basis once (``ControllerChain.step_basis``: the rows at t, t+dt/2 and
-t+dt, their energies and their Gram products) and hands the kernel floats,
-the drift estimates theta_i . basis in fuzzy mode and the energy
-basis . basis in approximator-free mode.  Two steppers:
+drives of the adaptive law and reads no basis itself.  A step needs the
+basis rows at t, t+dt/2 and t+dt, their energies and their Gram products;
+it reads them once, from a block of ``ControllerChain.tabulate_basis``, and
+hands the kernel floats, the drift estimates theta_i . basis in fuzzy mode
+and the energy basis . basis in approximator-free mode.  ``run()`` owns the
+blocks: it tabulates the half-step grid i*dt/2 in blocks of
+:data:`BASIS_BLOCK` rows plus two rows of overlap, and step k reads rows
+2k..2k+2 of the block that holds row 2k.  A standalone :func:`step`
+tabulates its own three rows.  Two steppers:
 
 - exact filter (default): RK4 in x, with the filters moved along their
   closed-form exponential toward the virtual control ``alpha`` frozen at
@@ -44,7 +48,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .controller import BASIS_BLOCK, ControlMode, ControllerChain, StageGains
+from .controller import ControlMode, ControllerChain, StageGains
 from .perf import ErrorTransform, FunnelBreachError, PerfFunction, TransformKind
 from .plants import ReferenceSignal, StrictFeedbackPlant
 
@@ -61,6 +65,11 @@ __all__ = [
     "export_trajectory",
 ]
 
+# Rows per tabulated basis block in run().  A fixed block bounds the
+# table's memory whatever the horizon (4096 rows of 11 rules is about
+# 0.6 MB with the Gram products), while refilling costs one vectorised pass
+# per 2048 steps, within noise of tabulating the whole run up front.
+BASIS_BLOCK = 4096
 # Explicit RK4 stability margin for the fastest filter: dt <= lam_min / 5.
 _EXPLICIT_STIFFNESS_FACTOR = 5.0
 # Relative slack on t_end/dt that still counts as a whole number of steps;
@@ -208,14 +217,20 @@ def _weight_step_coefficients(mus: tuple, varpis: tuple, dt: float):
     return tuple(c2), tuple(c3), tuple(c4), tuple(cmix), growth
 
 
-def _open_step(chain: ControllerChain, bundle, t: float, dt: float, exact_filter: bool, signals: bool):
+def _open_step(chain: ControllerChain, bundle, t: float, exact_filter: bool, signals: bool, block, row: int):
     """The kernel at the step start, ``(u, alpha, drives, sig)``, and what
-    the rest of the step needs: the basis rows, their energies, their Gram
-    products and the projections P = theta.[b1, bh, b4] as an n x 3 list
-    (P only for the closed-form weight step, else None).  This is the
-    step's one read of the basis."""
+    the rest of the step needs: the basis rows b1, bh, b4 at t, t+dt/2 and
+    t+dt, their energies, their Gram products (b1.bh, bh.bh, b1.b4, bh.b4),
+    None in approximator-free mode, and the projections
+    P = theta.[b1, bh, b4] as an n x 3 list (P only for the closed-form
+    weight step, else None).
+
+    ``block`` is a ``ControllerChain.tabulate_basis`` result whose rows
+    ``row .. row+2`` are the step's; this is the step's one read of it."""
     x, s, theta = bundle
-    rows, energies, gram = chain.step_basis(t, dt)
+    basis, energy, cross1, cross2 = block
+    rows, energies = basis[row:row + 3], energy[row:row + 3]
+    gram = None if cross1 is None else (cross1[row], energy[row + 1], cross2[row], cross1[row + 1])
     proj = None
     if chain.mode is not ControlMode.FUZZY:
         basis_in = energies[0]
@@ -239,7 +254,9 @@ def step(
     """Advance the (x, filters, weights) bundle from t to t+dt.
 
     ``opened`` is ``_open_step`` of (bundle, t) when the caller already has
-    it; by default it is computed here with the stage signals.  Returns
+    it, as ``run()`` does from its block of the half-step grid.  By default
+    it is computed here with the stage signals, from one
+    ``ControllerChain.tabulate_basis`` call at t, t+dt/2 and t+dt.  Returns
     (new_bundle, start), ``start`` being the kernel output at (bundle, t).
     With ``exact_filter`` the plant takes an RK4 step, the weights take the
     same RK4 step of their law in closed form (see
@@ -249,13 +266,14 @@ def step(
     one :func:`rk4_step`.
     """
     x, s, theta = bundle
+    half = 0.5 * dt
     if opened is None:
-        opened = _open_step(chain, bundle, t, dt, exact_filter, True)
+        block = chain.tabulate_basis([t, t + half, t + dt])
+        opened = _open_step(chain, bundle, t, exact_filter, True, block, 0)
     start, (rows, energies, gram, proj) = opened
     u0, alphas, d1, _ = start
     kernel, rhs = chain.kernel, plant.rhs
     lams = [g.lam for g in chain.gains[1:]]
-    half = 0.5 * dt
 
     if not exact_filter:
         n, n_f = len(x), len(s)
@@ -337,7 +355,8 @@ def run(
     """Integrate the closed loop over [0, t_end] and verify the funnel bounds.
 
     Returns (Trajectory, VerificationReport).  A funnel breach stops the run
-    at the breach time and is reported, not raised; divergence raises
+    at the breach time and is reported, not raised; divergence, a non-finite
+    plant state or a float overflow in the controller, raises
     :class:`SimulationDivergenceError`.
     """
     n = plant.n
@@ -356,8 +375,6 @@ def run(
     )
 
     n_steps = step_count(config.t_end, config.dt)
-    # the integrator only queries the basis on the half-step grid
-    chain.tabulate_basis(0.5 * config.dt, 0, BASIS_BLOCK)
 
     # one row of floats per recorded sample: the CSV columns, then z
     filters = [f"s{i}" for i in range(2, n + 1)]
@@ -384,6 +401,8 @@ def run(
         traj = Trajectory(names, np.empty((0, len(names))), br.t)
         report = VerificationReport(False, False, abs(br.e), 0.0, 0.0, {}, None, None, None)
         return traj, report
+    except OverflowError as exc:
+        raise SimulationDivergenceError(0.0) from exc
     s = list(cstate.filter_states)
     if cstate.theta_hat:
         theta = np.array([w.theta_hat for w in cstate.theta_hat])
@@ -393,18 +412,24 @@ def run(
     bundle = (x, s, theta)
     breach = None
     dt = config.dt
+    half = 0.5 * dt
+    first = -BASIS_BLOCK  # first row of the basis block; sample 0 fills one
     ref_value = reference.value
     after_T = perf.T
-    # sample k opens step k; the last one, at t_end, closes the run
+    # sample k opens step k, which reads rows 2k..2k+2 of the half-step
+    # grid; the last sample, at t_end, closes the run
     for k in range(n_steps + 1):
         t = k * dt
         xv, sv, tv = bundle
         closing = k == n_steps
         recorded = closing or k % config.record_every == 0
+        if 2 * k - first >= BASIS_BLOCK:
+            first = 2 * k
+            block = chain.tabulate_basis([i * half for i in range(first, first + BASIS_BLOCK + 2)])
         try:
             # full diagnostic evaluation only at recorded samples; the step
             # reuses it as its first stage
-            opened = _open_step(chain, bundle, t, dt, config.exact_filter, recorded)
+            opened = _open_step(chain, bundle, t, config.exact_filter, recorded, block, 2 * k - first)
             start = opened[0]
             if recorded:
                 sig = start[3]
@@ -417,6 +442,8 @@ def run(
         except FunnelBreachError as br:
             breach = br.t
             break
+        except OverflowError as exc:
+            raise SimulationDivergenceError(t) from exc
         # streaming verification at the sample
         ae = abs(xv[0] - ref_value(t))
         if ae > max_err:

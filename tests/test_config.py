@@ -386,9 +386,33 @@ class TestCli:
         # finite, but squaring it overflows
         ("stage1: StageGains.delta", ("stage1.delta = 1000000.0", "stage1.delta = 1e300"), None),
         ("stage2: StageGains.rho", ("stage2.rho = 1000000.0", "stage2.rho = 1e300"), None),
+        # finite and positive, but its reciprocal overflows
+        ("stage2: StageGains.lam", ("stage2.lam = 0.001", "stage2.lam = 1e-320"), None),
     ])
     def test_non_finite_numbers_exit_2(self, tmp_path, capfd, word, edit, flags):
         self.check_rejected(tmp_path, capfd, word, edit, flags)
+
+    def test_huge_finite_state_exits_2(self, tmp_path, capfd):
+        """A state so large that the controller's squares overflow is
+        reported as divergence at t = 0 through --config, --x0 and --sweep."""
+        text = serialize_config(short_single_link())
+        edit = ("init.x0 = 0.0, 0.0", "init.x0 = 3.14159, 1e160")
+        assert edit[0] in text
+        huge = tmp_path / "huge.cfg"
+        huge.write_text(text.replace(*edit))
+        word = "error: simulation diverged at t=0"
+        for argv in (["--config", str(huge)], ["--preset", "single-link", "--x0", "3.14159,1e160"]):
+            assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_ERROR
+            assert capfd.readouterr().err.splitlines() == [word]
+        assert not (tmp_path / "out" / "verification.json").exists()
+        good = tmp_path / "good.cfg"
+        good.write_text(text)
+        status = cli.main(["--sweep", str(good), str(huge), "--out", str(tmp_path / "sweep")])
+        assert status == cli.EXIT_ERROR
+        captured = capfd.readouterr()
+        assert f"{good}: exit 0" in captured.out.splitlines()
+        assert f"{huge}: exit 2" in captured.out.splitlines()
+        assert captured.err.splitlines() == [word]
 
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     def test_bad_sign_smoothing_exits_2(self, tmp_path, capfd, value):

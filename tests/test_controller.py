@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from funneldsc import sim
+from funneldsc.cli import build_problem
 from funneldsc.config import electromechanical_preset, single_link_preset
 from funneldsc.controller import (
-    BASIS_BLOCK,
     ControlMode,
     ControllerChain,
     ControllerState,
@@ -99,6 +101,10 @@ class TestStageGains:
         StageGains(**gains)
         with pytest.raises(ValueError, match=f"StageGains.{name} must .* and be finite"):
             StageGains(**{**gains, name: value})
+
+    def test_rejects_lam_whose_reciprocal_overflows(self):
+        with pytest.raises(ValueError, match="StageGains.lam must .* also squared and inverted, got 1e-320"):
+            StageGains(delta=1.0, sigma=1.0, varpi=1.0, mu=1.0, rho=1.0, tau=1.0, varrho=2.0, lam=1e-320)
 
 
 class TestChainConstruction:
@@ -302,66 +308,175 @@ class TestAdaptiveLaw:
 
 
 class TestBasisBlocks:
-    STEP = 1e-3
+    """``run()`` tabulates the half-step grid i*dt/2 in blocks of
+    ``sim.BASIS_BLOCK`` rows plus two rows of overlap through
+    ``tabulate_basis``, and step k reads rows 2k..2k+2; every row is the
+    basis at its grid time."""
 
-    def check_row(self, chain, i, step=STEP):
-        """Row i as ``basis_at`` and as the first row of ``step_basis``."""
-        t = i * step
-        y_r = chain.reference.value(t)
-        rows, energies, _ = chain.step_basis(t, 2.0 * step)
-        for basis, energy in (chain.basis_at(t), (rows[0], energies[0])):
-            assert chain._table[1] <= i < chain._table[1] + BASIS_BLOCK
-            np.testing.assert_allclose(basis, chain.grid.basis(y_r), rtol=1e-12, atol=1e-300)
-            assert energy == pytest.approx(chain.grid.regressor_energy(y_r), rel=1e-12)
+    BLOCK = 6
+    DT = 1e-5
 
-    def test_rows_match_direct_evaluation_across_a_block_boundary(self):
+    def record_run(self, monkeypatch, n_steps):
+        """The multi-time ``tabulate_basis`` calls of an em fuzzy run with
+        ``sim.BASIS_BLOCK = BLOCK``, as (times, block) pairs, and the
+        ``_open_step`` calls as (t, block, row) triples."""
+        monkeypatch.setattr(sim, "BASIS_BLOCK", self.BLOCK)
+        blocks, opens = [], []
+        tabulate, open_step = ControllerChain.tabulate_basis, sim._open_step
+
+        def tabulated(chain, times):
+            block = tabulate(chain, times)
+            if len(times) > 1:  # init_state's evaluations read one time each
+                blocks.append((list(times), block))
+            return block
+
+        def opened(chain, bundle, t, exact_filter, signals, block, row):
+            opens.append((t, block, row))
+            return open_step(chain, bundle, t, exact_filter, signals, block, row)
+
+        monkeypatch.setattr(ControllerChain, "tabulate_basis", tabulated)
+        monkeypatch.setattr(sim, "_open_step", opened)
+        cfg = replace(electromechanical_preset(), dt=self.DT, t_end=n_steps * self.DT, record_every=n_steps)
+        plant, reference, perf, sim_cfg = build_problem(cfg)
+        _, report = sim.run(plant, reference, cfg.gains, perf, sim_cfg)
+        assert report.transient_ok
+        return blocks, opens
+
+    @staticmethod
+    def check_rows(rows, times, energies=None):
         chain = em_chain()
-        chain.tabulate_basis(self.STEP, 0, BASIS_BLOCK)
-        for i in (0, 1, 7, BASIS_BLOCK - 1, BASIS_BLOCK, BASIS_BLOCK + 1, 2 * BASIS_BLOCK - 1):
-            self.check_row(chain, i)
-        # moving back before the block refills the earlier one
-        self.check_row(chain, BASIS_BLOCK - 2)
-        assert chain._table[1] == 0
+        for j, t in enumerate(times):
+            y_r = chain.reference.value(t)
+            np.testing.assert_allclose(rows[j], chain.grid.basis(y_r), rtol=1e-12, atol=1e-300)
+            if energies is not None:
+                assert energies[j] == pytest.approx(chain.grid.regressor_energy(y_r), rel=1e-12)
 
-    def test_last_half_steps_of_a_run_off_the_block_size(self):
-        chain = em_chain()
-        n_steps = BASIS_BLOCK + 1234  # half-step rows 0 .. 2 * n_steps
-        assert (2 * n_steps + 1) % BASIS_BLOCK != 0
-        chain.tabulate_basis(0.5 * self.STEP, 0, BASIS_BLOCK)
-        for i in (2 * n_steps - 1, 2 * n_steps):  # last stage time, closing sample
-            self.check_row(chain, i, 0.5 * self.STEP)
+    def test_rows_match_direct_evaluation_across_a_block_boundary(self, monkeypatch):
+        n_steps = 10  # half-step rows 0 .. 2 * n_steps + 2
+        h = 0.5 * self.DT
+        blocks, opens = self.record_run(monkeypatch, n_steps)
+        firsts = list(range(0, 2 * n_steps + 1, self.BLOCK))
+        assert [times for times, _ in blocks] == [
+            [i * h for i in range(first, first + self.BLOCK + 2)] for first in firsts]
+        for times, (rows, energies, _, _) in blocks:
+            self.check_rows(rows, times, energies)
+        # consecutive blocks share their two rows of overlap
+        for (_, before), (_, after) in zip(blocks, blocks[1:]):
+            np.testing.assert_array_equal(before[0][-2:], after[0][:2])
+        # sample k reads its three rows from the block that holds row 2k
+        assert len(opens) == n_steps + 1
+        for k, (t, block, row) in enumerate(opens):
+            assert t == k * self.DT
+            assert block is blocks[2 * k // self.BLOCK][1]
+            self.check_rows(block[0][row:row + 3], [t, t + h, t + self.DT])
+
+    def test_last_half_steps_of_a_run_off_the_block_size(self, monkeypatch):
+        n_steps = 10
+        assert (2 * n_steps + 1) % self.BLOCK != 0
+        h = 0.5 * self.DT
+        blocks, opens = self.record_run(monkeypatch, n_steps)
+        times, (rows, energies, _, _) = blocks[-1]
+        # the last stage time and the closing sample sit in the last block
+        last = [(2 * n_steps - 1) * h, 2 * n_steps * h]
+        assert set(last) <= set(times)
+        self.check_rows(rows, times, energies)
+        t, block, row = opens[-1]
+        assert t == n_steps * self.DT and block is blocks[-1][1] and times[row] == 2 * n_steps * h
 
     def test_step_rows_across_a_block_boundary(self):
         chain = em_chain()
-        dt = 2.0 * self.STEP  # the step's rows sit on the table's half-step grid
-        chain.tabulate_basis(self.STEP, 0, BASIS_BLOCK)
-        # rows i..i+2 reach into the block's two rows of overlap
-        for i in (BASIS_BLOCK - 2, BASIS_BLOCK - 1, BASIS_BLOCK):
-            rows, energies, (g1h, ghh, g14, gh4) = chain.step_basis(i * self.STEP, dt)
-            assert chain._table[1] == (0 if i < BASIS_BLOCK else BASIS_BLOCK)
-            ys = [[chain.reference.value((i + k) * self.STEP)] for k in range(3)]
+        dt = 2e-3
+        h = 0.5 * dt
+        x0 = [3.0, 0.5, 0.2]
+        state = chain.init_state(x0)
+        theta = np.array([w.theta_hat for w in state.theta_hat]) + 0.1
+        bundle = (x0, list(state.filter_states), theta)
+        blocks = [chain.tabulate_basis([i * h for i in range(first, first + self.BLOCK + 2)])
+                  for first in (0, self.BLOCK)]
+        # rows i..i+2 reach into a block's two rows of overlap
+        for i, block, row in ((self.BLOCK - 2, blocks[0], self.BLOCK - 2),
+                              (self.BLOCK - 1, blocks[0], self.BLOCK - 1),
+                              (self.BLOCK, blocks[1], 0)):
+            _, (rows, energies, (g1h, ghh, g14, gh4), proj) = sim._open_step(
+                chain, bundle, i * h, True, False, block, row)
+            ys = [[chain.reference.value((i + k) * h)] for k in range(3)]
             want = chain.grid.basis(np.array(ys))
             np.testing.assert_allclose(rows, want, rtol=1e-12, atol=1e-300)
             gram = want @ want.T
             assert [g1h, ghh, g14, gh4] == pytest.approx(
                 [gram[0, 1], gram[1, 1], gram[0, 2], gram[1, 2]], rel=1e-12)
             assert energies == pytest.approx(np.diag(gram).tolist(), rel=1e-12)
-        # off the half-step grid the rows are evaluated directly
-        t = 0.25 * self.STEP
-        rows, *_ = chain.step_basis(t, dt)
-        ys = [[chain.reference.value(t + k * self.STEP)] for k in range(3)]
-        np.testing.assert_array_equal(rows, chain.grid.basis(np.array(ys)))
+            np.testing.assert_allclose(proj, theta @ want.T, rtol=1e-12)
 
-    def test_off_grid_times_use_the_direct_path(self):
+    def test_off_grid_times_use_the_direct_path(self, monkeypatch):
         chain = em_chain()
-        chain.tabulate_basis(self.STEP, 0, BASIS_BLOCK)
-        t = 0.25 * self.STEP
-        y_r = chain.reference.value(t)
-        basis, energy = chain.basis_at(t)
-        np.testing.assert_array_equal(basis, chain.grid.basis(y_r))
-        assert energy == pytest.approx(chain.grid.regressor_energy(y_r), rel=1e-12)
-        _, energies, _ = chain.step_basis(t, 2.0 * self.STEP)
-        assert energies[0] == pytest.approx(chain.grid.regressor_energy(y_r), rel=1e-12)
+        calls = []
+        tabulate = ControllerChain.tabulate_basis
+
+        def counted(chain, times):
+            calls.append(list(times))
+            return tabulate(chain, times)
+
+        monkeypatch.setattr(ControllerChain, "tabulate_basis", counted)
+        x0 = [3.0, 0.5, 0.2]
+        state = chain.init_state(x0)
+        assert calls == [[0.0]] * 2  # one read per preloaded filter
+        t, dt = 0.25e-3, 2e-3
+        calls.clear()
+        chain.evaluate(x0, state, t)
+        theta = np.array([w.theta_hat for w in state.theta_hat])
+        sim.step(make_electromechanical(), chain, (x0, list(state.filter_states), theta), t, dt)
+        # evaluate reads t; a standalone step reads t, t+dt/2 and t+dt
+        assert calls == [[t], [t, t + 0.5 * dt, t + dt]]
+        rows, energies, cross1, cross2 = tabulate(chain, calls[1])
+        self.check_rows(rows, calls[1], energies)
+        gram = rows @ rows.T
+        assert cross1 == pytest.approx([gram[0, 1], gram[1, 2]], rel=1e-12)
+        assert cross2 == pytest.approx([gram[0, 2]], rel=1e-12)
+
+
+class TestOneBasisRoutine:
+    """``tabulate_basis`` is the one basis read; it keeps nothing."""
+
+    @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE])
+    def test_batch_size_does_not_change_a_row(self, mode):
+        chain = em_chain(mode)
+        # a half-step grid and times off it, where the reference varies
+        times = [i * 5e-4 for i in range(300)] + [0.1234567 + i * 3.3e-3 for i in range(100)]
+        rows, energies, cross1, cross2 = chain.tabulate_basis(times)
+        assert rows.shape == (len(times), chain.grid.m)
+        assert energies == (rows * rows).sum(axis=1).tolist()
+        for j, t in enumerate(times):
+            one = chain.tabulate_basis([t])
+            np.testing.assert_array_equal(one[0], rows[j:j + 1])
+            assert one[1] == [energies[j]]
+            if mode is ControlMode.FUZZY:
+                assert one[2:] == ([], [])
+            else:
+                assert one[2:] == (None, None)
+        for j in range(len(times) - 2):
+            three = chain.tabulate_basis(times[j:j + 3])
+            np.testing.assert_array_equal(three[0], rows[j:j + 3])
+            assert three[1] == energies[j:j + 3]
+            if mode is ControlMode.FUZZY:
+                assert three[2] == cross1[j:j + 2] and three[3] == cross2[j:j + 1]
+            else:
+                assert three[2:] == (None, None)
+
+    @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE])
+    def test_chain_assigns_nothing_after_construction(self, mode):
+        chain = em_chain(mode)
+        before = dict(vars(chain))
+        x0 = [3.0, 0.5, 0.2]
+        state = chain.init_state(x0)
+        chain.evaluate(x0, state, 0.013)
+        theta = np.array([w.theta_hat for w in state.theta_hat]) if state.theta_hat else np.zeros((0, 0))
+        bundle = (x0, list(state.filter_states), theta)
+        for k in range(3):
+            bundle, _ = sim.step(make_electromechanical(), chain, bundle, k * 1e-5, 1e-5)
+        after = vars(chain)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
 
 
 class TestBreachPropagation:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from funneldsc import sim
 from funneldsc.cli import build_problem
 from funneldsc.config import electromechanical_preset, single_link_preset, weak_gain_single_link
 from funneldsc.controller import ControlMode, ControllerChain
@@ -109,7 +110,7 @@ class TestStep:
 
 
 def fresh_chain(cfg, plant, reference, perf):
-    """A chain as ``run()`` builds it, without a basis table."""
+    """A chain as ``run()`` builds it."""
     return ControllerChain(
         bounds=plant.bounds(), gains=cfg.gains, transform=ErrorTransform(perf=perf),
         reference=reference, mode=cfg.mode, sign_smoothing=cfg.sign_smoothing,
@@ -182,7 +183,7 @@ class TestProjectedWeightStep:
         (electromechanical_preset, 1e-5, True),
         (lambda: single_link_preset(mode=ControlMode.FUZZY), 1e-4, False),
     ])
-    def test_step_on_a_chain_without_table_matches_run(self, preset, dt, exact):
+    def test_standalone_step_matches_run(self, preset, dt, exact):
         cfg = replace(preset(), dt=dt, t_end=300 * dt, record_every=1, exact_filter=exact)
         plant, reference, perf, sim_cfg = build_problem(cfg)
         traj, _ = run(plant, reference, cfg.gains, perf, sim_cfg)
@@ -191,7 +192,6 @@ class TestProjectedWeightStep:
         filters = columns(traj, [f"s{i}" for i in range(2, n + 1)])
         theta_norms = columns(traj, [f"theta_norm{i}" for i in range(1, n + 1)])
         chain = fresh_chain(cfg, plant, reference, perf)
-        assert chain._table is None
         state = chain.init_state(list(cfg.x0))
         theta = np.array([w.theta_hat for w in state.theta_hat])
         bundle = (list(cfg.x0), list(state.filter_states), theta)
@@ -205,41 +205,59 @@ class TestProjectedWeightStep:
         assert max(theta_norms[-1]) > 0.0
 
 
-class TestOneBasisRead:
-    """Each step reads the basis table once, in both modes and both steppers."""
+CASES = pytest.mark.parametrize("preset, dt, exact", [
+    (single_link_preset, 1e-4, True),
+    (lambda: single_link_preset(mode=ControlMode.FUZZY), 1e-4, True),
+    (electromechanical_preset, 1e-5, True),
+    (single_link_preset, 1e-4, False),
+    (lambda: single_link_preset(mode=ControlMode.FUZZY), 1e-4, False),
+], ids=["sl-approx-free", "sl-fuzzy", "em-fuzzy", "sl-approx-free-explicit", "sl-fuzzy-explicit"])
 
-    @pytest.mark.parametrize("preset, dt, exact", [
-        (single_link_preset, 1e-4, True),
-        (lambda: single_link_preset(mode=ControlMode.FUZZY), 1e-4, True),
-        (electromechanical_preset, 1e-5, True),
-        (single_link_preset, 1e-4, False),
-        (lambda: single_link_preset(mode=ControlMode.FUZZY), 1e-4, False),
-    ], ids=["sl-approx-free", "sl-fuzzy", "em-fuzzy", "sl-approx-free-explicit", "sl-fuzzy-explicit"])
+
+class TestOneBasisRead:
+    """The basis is read through one ``tabulate_basis`` call per standalone
+    step and per block of ``run()``, in both modes and both steppers."""
+
+    STEPS = 50
+    BLOCK = 6
+
+    @CASES
     def test_one_table_row_per_step(self, preset, dt, exact, monkeypatch):
-        steps = 50
-        cfg = replace(preset(), dt=dt, t_end=steps * dt, exact_filter=exact)
+        cfg = replace(preset(), dt=dt, t_end=self.STEPS * dt, exact_filter=exact)
         plant, reference, perf, sim_cfg = build_problem(cfg)
         reads = []
-        table_row = ControllerChain._table_row
+        tabulate = ControllerChain.tabulate_basis
 
-        def counted(chain, t, row_step):
-            reads.append(t)
-            return table_row(chain, t, row_step)
+        def counted(chain, times):
+            reads.append(len(times))
+            return tabulate(chain, times)
 
-        monkeypatch.setattr(ControllerChain, "_table_row", counted)
+        monkeypatch.setattr(ControllerChain, "tabulate_basis", counted)
         chain = fresh_chain(cfg, plant, reference, perf)
         state = chain.init_state(list(cfg.x0))
         theta = np.array([w.theta_hat for w in state.theta_hat]) if state.theta_hat else np.zeros((0, 0))
         bundle = (list(cfg.x0), list(state.filter_states), theta)
         reads.clear()
-        for k in range(steps):
+        for k in range(self.STEPS):
             bundle, _ = step(plant, chain, bundle, k * dt, dt, exact)
-            assert len(reads) == k + 1
-        # run(): one read per step, one for the closing sample and one per
-        # filter that init_state preloads from the table
+            assert reads == [3] * (k + 1)
+        # run(): one read per block of half-step rows 0 .. 2 * STEPS + 2,
+        # after one read per filter that init_state preloads
+        monkeypatch.setattr(sim, "BASIS_BLOCK", self.BLOCK)
         reads.clear()
         run(plant, reference, cfg.gains, perf, sim_cfg)
-        assert len(reads) == steps + 1 + (plant.n - 1)
+        blocks = -(-(2 * self.STEPS + 1) // self.BLOCK)
+        assert reads == [1] * (plant.n - 1) + [self.BLOCK + 2] * blocks
+
+    @CASES
+    def test_block_size_does_not_change_the_run(self, preset, dt, exact, monkeypatch):
+        cfg = replace(preset(), dt=dt, t_end=self.STEPS * dt, record_every=1, exact_filter=exact)
+        plant, reference, perf, sim_cfg = build_problem(cfg)
+        traj, report = run(plant, reference, cfg.gains, perf, sim_cfg)
+        monkeypatch.setattr(sim, "BASIS_BLOCK", self.BLOCK)
+        small_traj, small_report = run(plant, reference, cfg.gains, perf, sim_cfg)
+        assert np.array_equal(small_traj.data, traj.data)
+        assert small_report == report
 
 
 class TestRunBookkeeping:
@@ -403,6 +421,29 @@ class TestDivergenceHandling:
         )
         with pytest.raises(SimulationDivergenceError):
             run(plant, reference, gains, perf, cfg)
+
+    def test_overflow_in_a_step_is_divergence(self, monkeypatch):
+        plant, reference, gains, perf = sl_problem()
+        kernel = ControllerChain.kernel
+
+        def overflowing(chain, x, filter_states, drifts, t, signals=False):
+            if t > 4.7e-4:  # the t+dt stage of step 4
+                raise OverflowError("(34, 'Numerical result out of range')")
+            return kernel(chain, x, filter_states, drifts, t, signals)
+
+        monkeypatch.setattr(ControllerChain, "kernel", overflowing)
+        cfg = SimConfig(dt=1e-4, t_end=0.01, x0=(3.3, 0.0), mode=ControlMode.APPROX_FREE)
+        with pytest.raises(SimulationDivergenceError) as err:
+            run(plant, reference, gains, perf, cfg)
+        assert err.value.t == pytest.approx(4e-4)
+        assert isinstance(err.value.__cause__, OverflowError)
+
+    def test_overflow_at_the_start_is_divergence(self):
+        plant, reference, gains, perf = sl_problem()
+        cfg = SimConfig(dt=1e-4, t_end=0.01, x0=(3.14159, 1e160), mode=ControlMode.APPROX_FREE)
+        with pytest.raises(SimulationDivergenceError, match="diverged at t=0$") as err:
+            run(plant, reference, gains, perf, cfg)
+        assert err.value.t == 0.0
 
 
 class TestConfigValidation:
