@@ -45,23 +45,21 @@ def build_problem(cfg: ExperimentConfig):
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
-    """Run one experiment, write artifacts, return the process exit status."""
+    """Run one experiment, write artifacts, return the process exit status;
+    a diverged run raises :class:`SimulationDivergenceError` and writes
+    nothing."""
     out = Path(out_dir or cfg.out or os.environ.get(OUT_DIR_ENV, "."))
     out.mkdir(parents=True, exist_ok=True)
     plant, reference, perf, sim_cfg = build_problem(cfg)
-    try:
-        traj, report = run(
-            plant,
-            reference,
-            cfg.gains,
-            perf,
-            sim_cfg,
-            kind=cfg.transform_kind,
-            sign_smoothing=cfg.sign_smoothing,
-        )
-    except SimulationDivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    traj, report = run(
+        plant,
+        reference,
+        cfg.gains,
+        perf,
+        sim_cfg,
+        kind=cfg.transform_kind,
+        sign_smoothing=cfg.sign_smoothing,
+    )
 
     (out / "config.txt").write_text(cfgmod.serialize_config(cfg))
     if len(traj.data):
@@ -98,7 +96,7 @@ def _sweep_worker(args):
     try:
         cfg = cfgmod.load_config(path)
         return path, run_experiment(cfg, out_dir=Path(out_root) / Path(path).stem), None
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SimulationDivergenceError) as exc:
         return path, EXIT_ERROR, str(exc)
 
 
@@ -156,11 +154,10 @@ def main(argv=None) -> int:
             overrides["sign_smoothing"] = args.sign_smoothing
         if overrides:
             cfg = replace(cfg, **overrides)
-    except (ConfigError, ValueError, OSError) as exc:
+        return run_experiment(cfg, out_dir=args.out)
+    except (ConfigError, ValueError, OSError, SimulationDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-    return run_experiment(cfg, out_dir=args.out)
 
 
 if __name__ == "__main__":

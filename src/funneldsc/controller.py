@@ -60,9 +60,10 @@ class StageGains:
             if v is None and name in ("rho", "tau", "varrho", "lam"):
                 continue
             floor, rule = (1.0, "exceed 1") if name == "varrho" else (0.0, "be strictly positive")
-            # the chain squares the gains and inverts lam once at construction
+            # the chain squares the gains and inverts lam once at construction;
+            # a square that underflows to 0 would divide by zero in the kernel
             also = "squared and inverted" if name == "lam" else "squared"
-            if not (floor < v and math.isfinite(float(v) * v) and (name != "lam" or math.isfinite(1.0 / v))):
+            if not (floor < v and 0.0 < float(v) * v < math.inf and (name != "lam" or math.isfinite(1.0 / v))):
                 raise ValueError(f"StageGains.{name} must {rule} and be finite, also {also}, got {v!r}")
 
 

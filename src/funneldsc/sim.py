@@ -12,21 +12,23 @@ and the energy basis . basis in approximator-free mode.  ``run()`` owns the
 blocks: it tabulates the half-step grid i*dt/2 in blocks of
 :data:`BASIS_BLOCK` rows plus two rows of overlap, and step k reads rows
 2k..2k+2 of the block that holds row 2k.  A standalone :func:`step`
-tabulates its own three rows.  Two steppers:
+tabulates its own three rows.
 
-- exact filter (default): RK4 in x, with the filters moved along their
-  closed-form exponential toward the virtual control ``alpha`` frozen at
-  the step start.  The weights take the same RK4 step of their linear law
-  in closed form, once per step: one projection of theta on the step's
-  three basis rows (t, t+dt/2, t+dt) gives every stage's drift estimate as
-  a scalar recurrence, and one update forms the new weights (see
-  :func:`_weight_step_coefficients`).  The filter update removes the
+:func:`step` is one RK4 step.  The plant takes the four RK4 stages.  The
+weights take the same RK4 step of their linear law in closed form, once
+per step: one projection of theta on the step's three basis rows (t,
+t+dt/2, t+dt) gives every stage's drift estimate as a scalar recurrence,
+and one update forms the new weights (see
+:func:`_weight_step_coefficients`).  The two steppers differ only in how
+the filters s' = (alpha - s)/lam move:
+
+- exact filter (default): along their closed-form exponential toward the
+  virtual control ``alpha`` frozen at the step start.  This removes the
   filter time constant from the step-size limit, but freezing ``alpha``
   caps the observed global order at about 1 (1.06 and 1.19 measured on
   the single-link case).
-- ``exact_filter=False``: classical RK4 through :func:`rk4_step` on the
-  flattened (x, filters, weights) state, the weight derivatives taken from
-  ``ControllerChain.weight_derivative``; it needs dt <= lam_min / 5
+- ``exact_filter=False``: by the RK4 stages of their law, from the
+  ``alpha`` the kernel returns at each stage; it needs dt <= lam_min / 5
   (:func:`check_explicit_step`).
 
 ``run()`` is one loop over the n_steps + 1 sample times; sample k opens
@@ -59,7 +61,6 @@ __all__ = [
     "SimulationDivergenceError",
     "step_count",
     "check_explicit_step",
-    "rk4_step",
     "step",
     "run",
     "export_trajectory",
@@ -164,21 +165,6 @@ class VerificationReport:
         return asdict(self)
 
 
-def rk4_step(f, y: Sequence[float], t: float, dt: float) -> list:
-    """One classical RK4 step of ydot = f(t, y) for a flat float state."""
-    k1 = f(t, y)
-    y2 = [yi + 0.5 * dt * ki for yi, ki in zip(y, k1)]
-    k2 = f(t + 0.5 * dt, y2)
-    y3 = [yi + 0.5 * dt * ki for yi, ki in zip(y, k2)]
-    k3 = f(t + 0.5 * dt, y3)
-    y4 = [yi + dt * ki for yi, ki in zip(y, k3)]
-    k4 = f(t + dt, y4)
-    return [
-        yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-    ]
-
-
 @functools.lru_cache(maxsize=8)
 def _weight_step_coefficients(mus: tuple, varpis: tuple, dt: float):
     """Coefficients of one RK4 step of the adaptive law in closed form.
@@ -217,28 +203,25 @@ def _weight_step_coefficients(mus: tuple, varpis: tuple, dt: float):
     return tuple(c2), tuple(c3), tuple(c4), tuple(cmix), growth
 
 
-def _open_step(chain: ControllerChain, bundle, t: float, exact_filter: bool, signals: bool, block, row: int):
+def _open_step(chain: ControllerChain, bundle, t: float, signals: bool, block, row: int):
     """The kernel at the step start, ``(u, alpha, drives, sig)``, and what
     the rest of the step needs: the basis rows b1, bh, b4 at t, t+dt/2 and
-    t+dt, their energies, their Gram products (b1.bh, bh.bh, b1.b4, bh.b4),
-    None in approximator-free mode, and the projections
-    P = theta.[b1, bh, b4] as an n x 3 list (P only for the closed-form
-    weight step, else None).
+    t+dt, their energies, and in fuzzy mode their Gram products
+    (b1.bh, bh.bh, b1.b4, bh.b4) and the projections P = theta.[b1, bh, b4]
+    as an n x 3 list (both None in approximator-free mode).
 
     ``block`` is a ``ControllerChain.tabulate_basis`` result whose rows
     ``row .. row+2`` are the step's; this is the step's one read of it."""
     x, s, theta = bundle
     basis, energy, cross1, cross2 = block
     rows, energies = basis[row:row + 3], energy[row:row + 3]
-    gram = None if cross1 is None else (cross1[row], energy[row + 1], cross2[row], cross1[row + 1])
-    proj = None
-    if chain.mode is not ControlMode.FUZZY:
-        basis_in = energies[0]
-    elif not exact_filter:  # one matvec, as at the RK stages of rk4_step
-        basis_in = (theta @ rows[0]).tolist()
-    else:
+    gram = proj = None
+    if chain.mode is ControlMode.FUZZY:
+        gram = (cross1[row], energy[row + 1], cross2[row], cross1[row + 1])
         proj = (theta @ rows.T).tolist()
         basis_in = [p[0] for p in proj]
+    else:
+        basis_in = energies[0]
     return chain.kernel(x, s, basis_in, t, signals), (rows, energies, gram, proj)
 
 
@@ -251,95 +234,92 @@ def step(
     exact_filter: bool = True,
     opened=None,
 ):
-    """Advance the (x, filters, weights) bundle from t to t+dt.
+    """Advance the (x, filters, weights) bundle from t to t+dt by one RK4
+    step.
 
     ``opened`` is ``_open_step`` of (bundle, t) when the caller already has
     it, as ``run()`` does from its block of the half-step grid.  By default
     it is computed here with the stage signals, from one
     ``ControllerChain.tabulate_basis`` call at t, t+dt/2 and t+dt.  Returns
     (new_bundle, start), ``start`` being the kernel output at (bundle, t).
-    With ``exact_filter`` the plant takes an RK4 step, the weights take the
-    same RK4 step of their law in closed form (see
-    :func:`_weight_step_coefficients`) and the filters follow their
-    closed-form exponential toward the virtual control frozen at the step
-    start; otherwise the whole flattened (x, filters, weights) state takes
-    one :func:`rk4_step`.
+    The plant takes the RK4 stages, and the weights take the same RK4 step
+    of their law in closed form (see :func:`_weight_step_coefficients`).
+    ``exact_filter`` selects only the filter update: the filters follow
+    their closed-form exponential toward the virtual control frozen at the
+    step start, or else take the RK4 stages of s' = (alpha - s)/lam from
+    the virtual control of each stage.
     """
     x, s, theta = bundle
     half = 0.5 * dt
     if opened is None:
         block = chain.tabulate_basis([t, t + half, t + dt])
-        opened = _open_step(chain, bundle, t, exact_filter, True, block, 0)
+        opened = _open_step(chain, bundle, t, True, block, 0)
     start, (rows, energies, gram, proj) = opened
-    u0, alphas, d1, _ = start
+    u0, a1, d1, _ = start
     kernel, rhs = chain.kernel, plant.rhs
     lams = [g.lam for g in chain.gains[1:]]
-
-    if not exact_filter:
-        n, n_f = len(x), len(s)
-        fuzzy = chain.mode is ControlMode.FUZZY
-
-        def f(tt, y):
-            k = round((tt - t) / half)  # RK stage time t, t+dt/2 or t+dt
-            if y is flat:  # the step start, already evaluated
-                xv, sv, tv, (u, alpha, drives, _) = x, s, theta, start
-            else:
-                xv, sv = y[:n], y[n:n + n_f]
-                tv = np.reshape(y[n + n_f:], theta.shape)
-                basis_in = (tv @ rows[k]).tolist() if fuzzy else energies[k]
-                u, alpha, drives, _ = kernel(xv, sv, basis_in, tt)
-            s_dot = [(a - si) / lam for a, si, lam in zip(alpha, sv, lams)]
-            kt = chain.weight_derivative(tv, drives, rows[k]).ravel().tolist() if fuzzy else []
-            return rhs(xv, u, tt) + s_dot + kt
-
-        flat = list(x) + list(s) + theta.ravel().tolist()
-        y = rk4_step(f, flat, t, dt)
-        return (y[:n], y[n:n + n_f], np.reshape(y[n + n_f:], theta.shape)), start
-
-    s_half = [a + (si - a) * math.exp(-0.5 * dt / lam) for a, si, lam in zip(alphas, s, lams)]
-    s_full = [a + (si - a) * math.exp(-dt / lam) for a, si, lam in zip(alphas, s, lams)]
     # the kernel's basis input at RK stages 2..4: the rows' energies in
     # approximator-free mode, the drift estimates theta_k . b in fuzzy mode
     _, f2, f4 = energies
     f3 = f2
-    closed = proj is not None
-    if closed:
+    fuzzy = proj is not None
+    if fuzzy:
         g1h, ghh, g14, gh4 = gram
         c2, c3, c4, cmix, growth = _weight_step_coefficients(chain._mu, chain._varpi, dt)
+    # the filter update, the steppers' one difference: the exponential
+    # toward the alpha frozen at t, or RK4 stages from each stage's alpha
+    if exact_filter:
+        s2 = s3 = [a + (si - a) * math.exp(-0.5 * dt / lam) for a, si, lam in zip(a1, s, lams)]
+        s4 = s_new = [a + (si - a) * math.exp(-dt / lam) for a, si, lam in zip(a1, s, lams)]
+    else:
+        k1s = [(a - si) / lam for a, si, lam in zip(a1, s, lams)]
+        s2 = [si + half * ki for si, ki in zip(s, k1s)]
 
     k1x = rhs(x, u0, t)
     x2 = [xi + half * ki for xi, ki in zip(x, k1x)]
-    if closed:
+    if fuzzy:
         f2 = [k0 * p[1] + k1 * da * g1h for (k0, k1), p, da in zip(c2, proj, d1)]
-    u2, _, d2, _ = kernel(x2, s_half, f2, t + half)
+    u2, a2, d2, _ = kernel(x2, s2, f2, t + half)
     k2x = rhs(x2, u2, t + half)
     x3 = [xi + half * ki for xi, ki in zip(x, k2x)]
-    if closed:
+    if not exact_filter:
+        k2s = [(a - si) / lam for a, si, lam in zip(a2, s2, lams)]
+        s3 = [si + half * ki for si, ki in zip(s, k2s)]
+    if fuzzy:
         f3 = [
             k0 * p[1] + k1 * da * g1h + k2 * db * ghh
             for (k0, k1, k2), p, da, db in zip(c3, proj, d1, d2)
         ]
-    u3, _, d3, _ = kernel(x3, s_half, f3, t + half)
+    u3, a3, d3, _ = kernel(x3, s3, f3, t + half)
     k3x = rhs(x3, u3, t + half)
     x4 = [xi + dt * ki for xi, ki in zip(x, k3x)]
-    if closed:
+    if not exact_filter:
+        k3s = [(a - si) / lam for a, si, lam in zip(a3, s3, lams)]
+        s4 = [si + dt * ki for si, ki in zip(s, k3s)]
+    if fuzzy:
         f4 = [
             k0 * p[2] + k1 * da * g14 + (k2 * dc + k3 * db) * gh4
             for (k0, k1, k2, k3), p, da, db, dc in zip(c4, proj, d1, d2, d3)
         ]
-    u4, _, d4, _ = kernel(x4, s_full, f4, t + dt)
+    u4, a4, d4, _ = kernel(x4, s4, f4, t + dt)
     k4x = rhs(x4, u4, t + dt)
     x_new = [
         xi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
         for xi, a, b, c, d in zip(x, k1x, k2x, k3x, k4x)
     ]
-    if closed:
+    if not exact_filter:
+        k4s = [(a - si) / lam for a, si, lam in zip(a4, s4, lams)]
+        s_new = [
+            si + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+            for si, a, b, c, d in zip(s, k1s, k2s, k3s, k4s)
+        ]
+    if fuzzy:
         mix = [
             [k0 * da, k1 * db + k2 * dc, k3 * dd]
             for (k0, k1, k2, k3), da, db, dc, dd in zip(cmix, d1, d2, d3, d4)
         ]
         theta = growth * theta + np.array(mix) @ rows
-    return (x_new, s_full, theta), start
+    return (x_new, s_new, theta), start
 
 
 def run(
@@ -429,7 +409,7 @@ def run(
         try:
             # full diagnostic evaluation only at recorded samples; the step
             # reuses it as its first stage
-            opened = _open_step(chain, bundle, t, config.exact_filter, recorded, block, 2 * k - first)
+            opened = _open_step(chain, bundle, t, recorded, block, 2 * k - first)
             start = opened[0]
             if recorded:
                 sig = start[3]

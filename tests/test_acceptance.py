@@ -22,7 +22,7 @@ from funneldsc.config import (
 from funneldsc.controller import ControlMode, saturated_term
 from funneldsc.fuzzy import GaussianGrid
 from funneldsc.perf import ErrorTransform, perf_from_terminal
-from funneldsc.sim import rk4_step, run
+from funneldsc.sim import run
 
 
 _CAPSYS = None
@@ -245,39 +245,6 @@ class TestDerivativeOracle:
 
 
 class TestIntegrator:
-    def test_linear_decay_accuracy(self):
-        y = [1.0]
-        dt = 1e-3
-        for k in range(1000):
-            y = rk4_step(lambda t, v: [-v[0]], y, k * dt, dt)
-        verdict(
-            "integrator reproduces exp(-1) on xdot = -x to 1e-9",
-            abs(y[0] - math.exp(-1.0)) < 1e-9,
-        )
-
-    def test_order_four_on_smooth_loop(self):
-        def f(t, v):
-            u = -math.sin(v[0]) - 2.0 * v[1] + math.cos(3.0 * t)
-            return [v[1], u]
-
-        def integrate(dt):
-            y = [0.3, -0.1]
-            for k in range(int(round(1.0 / dt))):
-                y = rk4_step(f, y, k * dt, dt)
-            return y
-
-        ref = integrate(1.0 / 65536)
-        errs = [
-            max(abs(a - b) for a, b in zip(integrate(dt), ref))
-            for dt in (1.0 / 128, 1.0 / 256, 1.0 / 512)
-        ]
-        orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
-        verdict(
-            "integrator shows order-4 convergence on a smooth feedback loop "
-            f"(observed orders {orders[0]:.2f}, {orders[1]:.2f})",
-            all(3.5 < p < 4.5 for p in orders),
-        )
-
     def test_dt_halving_self_consistency(self):
         # compare the post-settling error peak, which is step-size sensitive;
         # the transient peak is fixed by the start point alone

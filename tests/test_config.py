@@ -388,6 +388,8 @@ class TestCli:
         ("stage2: StageGains.rho", ("stage2.rho = 1000000.0", "stage2.rho = 1e300"), None),
         # finite and positive, but its reciprocal overflows
         ("stage2: StageGains.lam", ("stage2.lam = 0.001", "stage2.lam = 1e-320"), None),
+        # positive, but its square underflows to 0
+        ("stage1: StageGains.delta", ("stage1.delta = 1000000.0", "stage1.delta = 1e-200"), None),
     ])
     def test_non_finite_numbers_exit_2(self, tmp_path, capfd, word, edit, flags):
         self.check_rejected(tmp_path, capfd, word, edit, flags)
@@ -412,7 +414,8 @@ class TestCli:
         captured = capfd.readouterr()
         assert f"{good}: exit 0" in captured.out.splitlines()
         assert f"{huge}: exit 2" in captured.out.splitlines()
-        assert captured.err.splitlines() == [word]
+        # the sweep's error line names the config that diverged
+        assert captured.err.splitlines() == [word.replace("error:", f"error: {huge}:")]
 
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     def test_bad_sign_smoothing_exits_2(self, tmp_path, capfd, value):

@@ -94,8 +94,8 @@ class TestStageGains:
             StageGains(delta=1.0, sigma=1.0, varpi=1.0, mu=1.0, varrho=1.0, rho=1.0, tau=1.0, lam=1.0)
 
     @pytest.mark.parametrize("name", ["delta", "sigma", "varpi", "mu", "rho", "tau", "varrho", "lam"])
-    # 1e300 is finite, but its square is not
-    @pytest.mark.parametrize("value", [math.inf, math.nan, 1e300])
+    # 1e300 is finite, but its square is not; 1e-200 squares to 0
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 1e300, 1e-200])
     def test_rejects_non_finite_gains(self, name, value):
         gains = dict(delta=1.0, sigma=1.0, varpi=1.0, mu=1.0, rho=1.0, tau=1.0, varrho=2.0, lam=1.0)
         StageGains(**gains)
@@ -330,9 +330,9 @@ class TestBasisBlocks:
                 blocks.append((list(times), block))
             return block
 
-        def opened(chain, bundle, t, exact_filter, signals, block, row):
+        def opened(chain, bundle, t, signals, block, row):
             opens.append((t, block, row))
-            return open_step(chain, bundle, t, exact_filter, signals, block, row)
+            return open_step(chain, bundle, t, signals, block, row)
 
         monkeypatch.setattr(ControllerChain, "tabulate_basis", tabulated)
         monkeypatch.setattr(sim, "_open_step", opened)
@@ -398,7 +398,7 @@ class TestBasisBlocks:
                               (self.BLOCK - 1, blocks[0], self.BLOCK - 1),
                               (self.BLOCK, blocks[1], 0)):
             _, (rows, energies, (g1h, ghh, g14, gh4), proj) = sim._open_step(
-                chain, bundle, i * h, True, False, block, row)
+                chain, bundle, i * h, False, block, row)
             ys = [[chain.reference.value((i + k) * h)] for k in range(3)]
             want = chain.grid.basis(np.array(ys))
             np.testing.assert_allclose(rows, want, rtol=1e-12, atol=1e-300)

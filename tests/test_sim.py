@@ -20,7 +20,6 @@ from funneldsc.sim import (
     SimConfig,
     SimulationDivergenceError,
     export_trajectory,
-    rk4_step,
     run,
     step,
     step_count,
@@ -31,39 +30,6 @@ def sl_problem():
     cfg = single_link_preset()
     perf = perf_from_terminal(b=cfg.perf_b, c=cfg.perf_c, h=cfg.perf_h, T=cfg.perf_T)
     return make_single_link(), single_link_reference(), cfg.gains, perf
-
-
-class TestRK4:
-    def test_exact_on_linear_decay(self):
-        # xdot = -x integrated over [0, 1]
-        y = [1.0]
-        dt = 1e-3
-        for k in range(1000):
-            y = rk4_step(lambda t, v: [-v[0]], y, k * dt, dt)
-        assert abs(y[0] - math.exp(-1.0)) < 1e-9
-
-    def test_fourth_order_on_smooth_feedback_loop(self):
-        # smooth two-state loop: xdot1 = x2, xdot2 = u(x, t) with an
-        # infinitely differentiable feedback law
-        def f(t, v):
-            u = -math.sin(v[0]) - 2.0 * v[1] + math.cos(3.0 * t)
-            return [v[1], u]
-
-        def integrate(dt):
-            y = [0.3, -0.1]
-            n = int(round(1.0 / dt))
-            for k in range(n):
-                y = rk4_step(f, y, k * dt, dt)
-            return y
-
-        ref = integrate(1.0 / 65536)
-        errs = []
-        for dt in (1.0 / 128, 1.0 / 256, 1.0 / 512):
-            y = integrate(dt)
-            errs.append(max(abs(a - b) for a, b in zip(y, ref)))
-        orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
-        for p in orders:
-            assert 3.5 < p < 4.5
 
 
 class TestStep:
@@ -128,10 +94,17 @@ def assert_close_normwise(got, want, rtol):
 
 
 class TestProjectedWeightStep:
-    """The fuzzy step advances the weights by RK4 of their law in closed form."""
+    """The fuzzy step advances the weights by RK4 of their law in closed form
+    with either filter update; the filters take the RK4 stages of their law
+    (explicit) or the exponential toward the alpha frozen at t (exact)."""
 
-    @pytest.mark.parametrize("z", [1e-5, 1e-3, 0.1, 1.0, 4.0, 10.0])
-    def test_closed_form_equals_matrix_rk4(self, z):
+    Z = [1e-5, 1e-3, 0.1, 1.0, 4.0, 10.0]
+
+    @pytest.mark.parametrize("z, exact", [
+        *(pytest.param(z, True, id=str(z)) for z in Z),
+        *(pytest.param(z, False, id=f"explicit-{z}") for z in Z),
+    ])
+    def test_closed_form_equals_matrix_rk4(self, z, exact):
         rng = np.random.default_rng(int(z * 1e5))
         dt = 1e-4
         base = electromechanical_preset()
@@ -144,18 +117,21 @@ class TestProjectedWeightStep:
         plant, reference, perf, _ = build_problem(cfg)
         chain = fresh_chain(cfg, plant, reference, perf)
         n, m = plant.n, chain.grid.m
-        seen, drives = [], []
+        seen, drives, filters, alphas = [], [], [], []
 
         def kernel(x, s, drifts, t, signals=False):
             seen.append(drifts)
+            filters.append(s)
             drives.append(rng.normal(size=n).tolist())
-            return 0.0, [0.0] * (n - 1), drives[-1], None
+            alphas.append(rng.normal(size=n - 1))
+            return 0.0, alphas[-1].tolist(), drives[-1], None
 
         chain.kernel = kernel
         t = 1237 * dt
         theta = rng.normal(size=(n, m))
-        bundle = ([0.1, 0.2, 0.3], [0.0, 0.0], theta)
-        (_, _, theta_new), _ = step(plant, chain, bundle, t, dt)
+        s0 = rng.normal(size=n - 1)
+        bundle = ([0.1, 0.2, 0.3], s0.tolist(), theta)
+        (_, s_new, theta_new), _ = step(plant, chain, bundle, t, dt, exact)
 
         b1, bh, b4 = (chain.grid.basis(reference.value(t + k * 0.5 * dt)) for k in range(3))
         mu = np.array([g.mu for g in gains])[:, None]
@@ -178,6 +154,22 @@ class TestProjectedWeightStep:
         for drifts, th, b in zip(seen, stages, (b1, bh, bh, b4)):
             assert_close_normwise(drifts, th @ b, 1e-12)
         assert_close_normwise(theta_new, want, 1e-12)
+
+        lam = np.array([g.lam for g in gains[1:]])
+        if exact:
+            a = alphas[0]
+            s_half, s_full = (a + (s0 - a) * np.exp(-h / lam) for h in (0.5 * dt, dt))
+            want_s = [s_half, s_half, s_full, s_full]
+        else:
+            ks = [(alphas[0] - s0) / lam]
+            want_s = []
+            for j, h in enumerate((0.5 * dt, 0.5 * dt, dt)):
+                want_s.append(s0 + h * ks[-1])
+                ks.append((alphas[j + 1] - want_s[-1]) / lam)
+            want_s.append(s0 + dt / 6.0 * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3]))
+        assert_close_normwise(filters[0], s0, 0.0)
+        for got, w in zip([*filters[1:], s_new], want_s):
+            assert_close_normwise(got, w, 1e-12)
 
     @pytest.mark.parametrize("preset, dt, exact", [
         (electromechanical_preset, 1e-5, True),
