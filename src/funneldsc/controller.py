@@ -202,6 +202,12 @@ class ControllerChain:
         cross1 = (rows[:-1] * rows[1:]).sum(axis=1).tolist()
         return rows, energies, cross1, (rows[:-2] * rows[2:]).sum(axis=1).tolist()
 
+    def time_inputs(self, t: float) -> tuple:
+        """``(t, y_r, dy_r, eta, eta_dot)``: the reference and the envelope
+        at t with their derivatives, the kernel's only inputs of time."""
+        ref = self.reference
+        return (t, ref.value(t), ref.derivative(t), *self.transform.perf.envelope(t))
+
     def weight_derivative(self, theta: np.ndarray, drives, basis: np.ndarray) -> np.ndarray:
         """The adaptive law theta_i' = mu_i * drive_i * basis - varpi_i * theta_i,
         one row per stage, for the drives the kernel returns."""
@@ -216,21 +222,23 @@ class ControllerChain:
         left the performance funnel.
         """
         (basis,), (energy,), _, _ = self.tabulate_basis([t])
+        inputs = self.time_inputs(t)
         if self.mode is not ControlMode.FUZZY:
-            sig = self.kernel(x, state.filter_states, energy, t, signals=True)[3]
+            sig = self.kernel(x, state.filter_states, energy, inputs, signals=True)[3]
             sig.theta_dot = np.zeros((0, 0))
             return sig
         theta = np.array([w.theta_hat for w in state.theta_hat])
-        _, _, drives, sig = self.kernel(x, state.filter_states, (theta @ basis).tolist(), t, signals=True)
+        _, _, drives, sig = self.kernel(x, state.filter_states, (theta @ basis).tolist(), inputs, signals=True)
         sig.theta_dot = self.weight_derivative(theta, drives, basis)
         return sig
 
-    def kernel(self, x, filter_states, drifts, t: float, signals: bool = False):
-        """One evaluation of the chain at plant state ``x`` and filter states
-        ``filter_states`` (stages 2..n).  ``drifts`` is the basis input the
-        caller read for time t: in fuzzy mode the stage drift estimates
-        theta_i . basis(t), in approximator-free mode the float energy
-        basis(t) . basis(t).  The kernel reads no basis itself.
+    def kernel(self, x, filter_states, drifts, inputs: tuple, signals: bool = False):
+        """One evaluation of the chain at plant state ``x``, filter states
+        ``filter_states`` (stages 2..n) and ``inputs``, the :meth:`time_inputs`
+        of its time t.  ``drifts`` is the caller's basis input for t: the
+        drift estimates theta_i . basis(t) in fuzzy mode, the float energy
+        basis(t) . basis(t) in approximator-free mode.  The kernel reads no
+        basis and calls no function of time.
 
         Returns ``(u, alpha, drives, sig)``: the control input, the virtual
         controls alpha_1..alpha_{n-1}, the drives (w, zeta_2, ..., zeta_n)
@@ -243,21 +251,17 @@ class ControllerChain:
         g_lo = self.bounds.gain_lower
         g_hi = self.bounds.gain_upper
         rates = self.bounds.lipschitz_rate
-        tr = self.transform
         fuzzy = self.mode is ControlMode.FUZZY
 
-        y_r = self.reference.value(t)
-        dy_r = self.reference.derivative(t)
+        t, y_r, dy_r, eta_v, eta_d = inputs
         e = x[0] - y_r
-        eta_v = tr.perf.eta(t)
-        z1 = tr._transform(e, t, eta_v)
+        z1 = self.transform._transform(e, t, eta_v)
         atan_z1 = math.atan(z1)
         psi_v = math.pi * (1.0 + z1 * z1) / (2.0 * eta_v)
         cphi = math.cos(2.0 / math.pi * eta_v * atan_z1)
         phi_v = cphi * cphi
         if phi_v < PHI_FLOOR:
             phi_v = PHI_FLOOR
-        eta_d = tr.perf.eta_dot(t)
 
         # stage 1: funnel-shaping virtual control
         w = z1 * phi_v * psi_v
@@ -269,7 +273,7 @@ class ControllerChain:
             energy = drifts
             drift_term = w * energy
         beta1 = drift_term - dy_r - 2.0 / (math.pi * phi_v) * eta_d * atan_z1
-        chi1 = rates[0](x[:1], (y_r,), t) * abs(e)
+        chi1 = rates[0] * abs(e)
         alpha1 = (
             -w * beta1 * beta1 / (g_lo[0] * math.sqrt((w * beta1) ** 2 + self._delta2[0]))
             - w * chi1 * chi1 / (g_lo[0] * math.sqrt((w * chi1) ** 2 + self._sigma2[0]))
@@ -306,7 +310,7 @@ class ControllerChain:
             beta_i = drift_i - (a_prev - s_i) * invlam[i - 1]
             d_i = x_i - y_r
             dev2 += d_i * d_i
-            chi_i = rates[i - 1](x[:i], (y_r,) * i, t) * math.sqrt(dev2)
+            chi_i = rates[i - 1] * math.sqrt(dev2)
             if i == 2:
                 coupling = g_hi[0] * phi_v * psi_v * abs(z1)
             else:

@@ -76,22 +76,26 @@ class PerfFunction:
                 f"(got {self.a * math.exp(-self.b) + self.c!r})"
             )
 
-    def eta(self, t: float) -> float:
-        """Envelope value at time t >= 0."""
+    def envelope(self, t: float) -> tuple:
+        """``(eta(t), eta_dot(t))`` from one decay; eta_dot is nonpositive
+        and exactly 0 for t >= T."""
         if t >= self.T - _POLE_GUARD * self.T:
-            return self.c
-        # exp underflows to 0 as t -> T, giving a continuous junction.
-        return self.a * math.exp(-self.b * (self.T / (self.T - t)) ** self.h) + self.c
-
-    def eta_dot(self, t: float) -> float:
-        """Time derivative of the envelope; nonpositive, exactly 0 for t >= T."""
-        if t >= self.T - _POLE_GUARD * self.T:
-            return 0.0
+            return self.c, 0.0
         rem = self.T - t
+        # the decay underflows to 0 as t -> T, giving a continuous junction
         decay = math.exp(-self.b * (self.T / rem) ** self.h)
         if decay == 0.0:
-            return 0.0
-        return -self.a * self.b * self.h * self.T**self.h / rem ** (self.h + 1.0) * decay
+            return self.c, 0.0
+        eta_dot = -self.a * self.b * self.h * self.T**self.h / rem ** (self.h + 1.0) * decay
+        return self.a * decay + self.c, eta_dot
+
+    def eta(self, t: float) -> float:
+        """Envelope value at time t >= 0."""
+        return self.envelope(t)[0]
+
+    def eta_dot(self, t: float) -> float:
+        """Time derivative of the envelope."""
+        return self.envelope(t)[1]
 
 
 def perf_from_terminal(b: float, c: float, h: float, T: float) -> PerfFunction:

@@ -5,7 +5,7 @@ A plant of order n is a cascade
     xdot_n = f_n(x) + g_n(x) * u + w_n(t)
 Each plant writes the whole cascade out in one hand-written ``rhs``.  The
 controller never reads f_i, g_i or w_i; it only sees the gain bounds and
-Lipschitz-rate functions exposed through :class:`PlantBounds`.  ``PLANTS``
+the constant Lipschitz rates exposed through :class:`PlantBounds`.  ``PLANTS``
 registers the built-in plants by name.
 """
 
@@ -25,9 +25,6 @@ __all__ = [
     "single_link_reference",
     "PLANTS",
 ]
-
-RateFn = Callable[[Sequence[float], Sequence[float], float], float]
-
 
 @dataclass(frozen=True)
 class PlantBounds:
@@ -128,11 +125,7 @@ def make_electromechanical() -> StrictFeedbackPlant:
         ],
         gain_lower=(0.1, 0.1, 0.1),
         gain_upper=(10.0, 10.0, 10.0),
-        lipschitz_rate=(
-            lambda xb, yb, t: 1.0,
-            lambda xb, yb, t: l2,
-            lambda xb, yb, t: l3,
-        ),
+        lipschitz_rate=(1.0, l2, l3),
     )
 
 
@@ -164,10 +157,7 @@ def make_single_link() -> StrictFeedbackPlant:
         ],
         gain_lower=(0.5, 0.5),
         gain_upper=(10.0, 10.0),
-        lipschitz_rate=(
-            lambda xb, yb, t: 1.0,
-            lambda xb, yb, t: l2,
-        ),
+        lipschitz_rate=(1.0, l2),
     )
 
 

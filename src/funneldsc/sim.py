@@ -204,11 +204,11 @@ def _weight_step_coefficients(mus: tuple, varpis: tuple, dt: float):
 
 
 def _open_step(chain: ControllerChain, bundle, t: float, signals: bool, block, row: int):
-    """The kernel at the step start, ``(u, alpha, drives, sig)``, and what
-    the rest of the step needs: the basis rows b1, bh, b4 at t, t+dt/2 and
-    t+dt, their energies, and in fuzzy mode their Gram products
-    (b1.bh, bh.bh, b1.b4, bh.b4) and the projections P = theta.[b1, bh, b4]
-    as an n x 3 list (both None in approximator-free mode).
+    """The kernel at the step start, ``(u, alpha, drives, sig)``, its time
+    inputs and what the rest of the step needs: the basis rows b1, bh, b4
+    at t, t+dt/2 and t+dt, their energies, and in fuzzy mode their Gram
+    products (b1.bh, bh.bh, b1.b4, bh.b4) and the projections
+    P = theta.[b1, bh, b4] as an n x 3 list (both None in approximator-free mode).
 
     ``block`` is a ``ControllerChain.tabulate_basis`` result whose rows
     ``row .. row+2`` are the step's; this is the step's one read of it."""
@@ -222,7 +222,8 @@ def _open_step(chain: ControllerChain, bundle, t: float, signals: bool, block, r
         basis_in = [p[0] for p in proj]
     else:
         basis_in = energies[0]
-    return chain.kernel(x, s, basis_in, t, signals), (rows, energies, gram, proj)
+    inputs = chain.time_inputs(t)
+    return chain.kernel(x, s, basis_in, inputs, signals), inputs, (rows, energies, gram, proj)
 
 
 def step(
@@ -254,9 +255,10 @@ def step(
     if opened is None:
         block = chain.tabulate_basis([t, t + half, t + dt])
         opened = _open_step(chain, bundle, t, True, block, 0)
-    start, (rows, energies, gram, proj) = opened
+    start, _, (rows, energies, gram, proj) = opened
     u0, a1, d1, _ = start
     kernel, rhs = chain.kernel, plant.rhs
+    mid, end = chain.time_inputs(t + half), chain.time_inputs(t + dt)
     lams = [g.lam for g in chain.gains[1:]]
     # the kernel's basis input at RK stages 2..4: the rows' energies in
     # approximator-free mode, the drift estimates theta_k . b in fuzzy mode
@@ -279,8 +281,8 @@ def step(
     x2 = [xi + half * ki for xi, ki in zip(x, k1x)]
     if fuzzy:
         f2 = [k0 * p[1] + k1 * da * g1h for (k0, k1), p, da in zip(c2, proj, d1)]
-    u2, a2, d2, _ = kernel(x2, s2, f2, t + half)
-    k2x = rhs(x2, u2, t + half)
+    u2, a2, d2, _ = kernel(x2, s2, f2, mid)
+    k2x = rhs(x2, u2, mid[0])
     x3 = [xi + half * ki for xi, ki in zip(x, k2x)]
     if not exact_filter:
         k2s = [(a - si) / lam for a, si, lam in zip(a2, s2, lams)]
@@ -290,8 +292,8 @@ def step(
             k0 * p[1] + k1 * da * g1h + k2 * db * ghh
             for (k0, k1, k2), p, da, db in zip(c3, proj, d1, d2)
         ]
-    u3, a3, d3, _ = kernel(x3, s3, f3, t + half)
-    k3x = rhs(x3, u3, t + half)
+    u3, a3, d3, _ = kernel(x3, s3, f3, mid)
+    k3x = rhs(x3, u3, mid[0])
     x4 = [xi + dt * ki for xi, ki in zip(x, k3x)]
     if not exact_filter:
         k3s = [(a - si) / lam for a, si, lam in zip(a3, s3, lams)]
@@ -301,8 +303,8 @@ def step(
             k0 * p[2] + k1 * da * g14 + (k2 * dc + k3 * db) * gh4
             for (k0, k1, k2, k3), p, da, db, dc in zip(c4, proj, d1, d2, d3)
         ]
-    u4, a4, d4, _ = kernel(x4, s4, f4, t + dt)
-    k4x = rhs(x4, u4, t + dt)
+    u4, a4, d4, _ = kernel(x4, s4, f4, end)
+    k4x = rhs(x4, u4, end[0])
     x_new = [
         xi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
         for xi, a, b, c, d in zip(x, k1x, k2x, k3x, k4x)
@@ -394,7 +396,6 @@ def run(
     dt = config.dt
     half = 0.5 * dt
     first = -BASIS_BLOCK  # first row of the basis block; sample 0 fills one
-    ref_value = reference.value
     after_T = perf.T
     # sample k opens step k, which reads rows 2k..2k+2 of the half-step
     # grid; the last sample, at t_end, closes the run
@@ -410,7 +411,7 @@ def run(
             # full diagnostic evaluation only at recorded samples; the step
             # reuses it as its first stage
             opened = _open_step(chain, bundle, t, recorded, block, 2 * k - first)
-            start = opened[0]
+            start, inputs, _ = opened
             if recorded:
                 sig = start[3]
                 e, eta = sig.e, sig.eta
@@ -425,7 +426,7 @@ def run(
         except OverflowError as exc:
             raise SimulationDivergenceError(t) from exc
         # streaming verification at the sample
-        ae = abs(xv[0] - ref_value(t))
+        ae = abs(xv[0] - inputs[1])
         if ae > max_err:
             max_err = ae
         if t >= after_T:

@@ -113,7 +113,7 @@ class TestChainConstruction:
         perf = perf_from_terminal(b=0.9, c=0.05, h=1.0, T=0.5)
         from funneldsc.plants import PlantBounds
 
-        bad = PlantBounds(n=1, gain_lower=(0.5,), gain_upper=(10.0,), lipschitz_rate=(lambda *a: 1.0,))
+        bad = PlantBounds(n=1, gain_lower=(0.5,), gain_upper=(10.0,), lipschitz_rate=(1.0,))
         with pytest.raises(ValueError):
             ControllerChain(
                 bounds=bad, gains=cfg.gains[:1], transform=ErrorTransform(perf=perf),
@@ -273,7 +273,7 @@ class TestStageFormulas:
         chain = sl_chain()
         x, state = (3.34, 0.1), chain.init_state((3.34, 0.1))
         t = 0.05
-        sig = chain.kernel(list(x), state.filter_states, 0.37, t, signals=True)[3]
+        sig = chain.kernel(list(x), state.filter_states, 0.37, chain.time_inputs(t), signals=True)[3]
         assert_energy_damping(chain, sig, state, t, 0.37)
 
 
@@ -397,7 +397,7 @@ class TestBasisBlocks:
         for i, block, row in ((self.BLOCK - 2, blocks[0], self.BLOCK - 2),
                               (self.BLOCK - 1, blocks[0], self.BLOCK - 1),
                               (self.BLOCK, blocks[1], 0)):
-            _, (rows, energies, (g1h, ghh, g14, gh4), proj) = sim._open_step(
+            _, _, (rows, energies, (g1h, ghh, g14, gh4), proj) = sim._open_step(
                 chain, bundle, i * h, False, block, row)
             ys = [[chain.reference.value((i + k) * h)] for k in range(3)]
             want = chain.grid.basis(np.array(ys))

@@ -29,13 +29,9 @@ class TestElectromechanicalConstants:
         assert b.gain_lower == (0.1, 0.1, 0.1)
         assert b.gain_upper == (10.0, 10.0, 10.0)
         # growth-rate constants of the drift stages
-        assert b.lipschitz_rate[0]((1.0,), (0.0,), 0.0) == 1.0
-        assert b.lipschitz_rate[1]((1.0, 2.0), (0.0, 0.0), 0.0) == pytest.approx(
-            (EM_N + EM_B) / EM_M
-        )
-        assert b.lipschitz_rate[2]((1.0, 2.0, 3.0), (0.0,) * 3, 0.0) == pytest.approx(
-            (0.9 + 5.0) / (EM_M * 15.0)
-        )
+        assert b.lipschitz_rate[0] == 1.0
+        assert b.lipschitz_rate[1] == pytest.approx((EM_N + EM_B) / EM_M)
+        assert b.lipschitz_rate[2] == pytest.approx((0.9 + 5.0) / (EM_M * 15.0))
 
 
 class TestElectromechanicalDynamics:
@@ -89,7 +85,7 @@ class TestSingleLink:
         assert b.n == 2
         assert b.gain_lower == (0.5, 0.5)
         assert b.gain_upper == (10.0, 10.0)
-        assert b.lipschitz_rate[1]((0.0, 0.0), (0.0, 0.0), 0.0) == pytest.approx(11.81)
+        assert b.lipschitz_rate[1] == pytest.approx(11.81)
 
 
 class TestReferences:
@@ -134,7 +130,7 @@ class TestValidation:
                 rhs=zero_rhs,
                 gain_lower=(0.0,),
                 gain_upper=(1.0,),
-                lipschitz_rate=(lambda xb, yb, t: 1.0,),
+                lipschitz_rate=(1.0,),
             )
 
     def test_rejects_length_mismatch(self):
@@ -144,7 +140,7 @@ class TestValidation:
                 rhs=zero_rhs,
                 gain_lower=(0.1,),
                 gain_upper=(1.0, 1.0),
-                lipschitz_rate=(lambda xb, yb, t: 1.0,) * 2,
+                lipschitz_rate=(1.0, 1.0),
             )
 
     def test_rejects_order_zero(self):

@@ -117,10 +117,11 @@ class TestProjectedWeightStep:
         plant, reference, perf, _ = build_problem(cfg)
         chain = fresh_chain(cfg, plant, reference, perf)
         n, m = plant.n, chain.grid.m
-        seen, drives, filters, alphas = [], [], [], []
+        seen, drives, filters, alphas, inputs = [], [], [], [], []
 
-        def kernel(x, s, drifts, t, signals=False):
+        def kernel(x, s, drifts, time_inputs, signals=False):
             seen.append(drifts)
+            inputs.append(time_inputs)
             filters.append(s)
             drives.append(rng.normal(size=n).tolist())
             alphas.append(rng.normal(size=n - 1))
@@ -151,6 +152,10 @@ class TestProjectedWeightStep:
         want = theta + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
         assert len(seen) == 4
+        # the stage times, stages 2 and 3 sharing one tuple
+        times = [t, t + 0.5 * dt, t + 0.5 * dt, t + dt]
+        assert [i[0] for i in inputs] == times and inputs[1] is inputs[2]
+        assert inputs == [chain.time_inputs(ti) for ti in times]
         for drifts, th, b in zip(seen, stages, (b1, bh, bh, b4)):
             assert_close_normwise(drifts, th @ b, 1e-12)
         assert_close_normwise(theta_new, want, 1e-12)
@@ -195,6 +200,31 @@ class TestProjectedWeightStep:
             np.testing.assert_allclose(
                 np.linalg.norm(bundle[2], axis=1), theta_norms[k + 1], rtol=1e-10)
         assert max(theta_norms[-1]) > 0.0
+
+
+class TestStageTimes:
+    def test_run_keeps_the_stage_times_off_the_half_step_grid(self, monkeypatch):
+        """``run()`` evaluates the kernel at k*dt, k*dt + 0.5*dt and k*dt + dt,
+        not at the basis grid's (2k+1)*dt/2 and (2k+2)*dt/2, which differ
+        by an ulp at some k for dt = 1e-5."""
+        dt, n_steps = 1e-5, 200
+        half = 0.5 * dt
+        assert any((2 * k + 1) * half != k * dt + half for k in range(n_steps))
+        seen = []
+        time_inputs = ControllerChain.time_inputs
+
+        def recorded(chain, t):
+            seen.append(t)
+            return time_inputs(chain, t)
+
+        monkeypatch.setattr(ControllerChain, "time_inputs", recorded)
+        plant, reference, gains, perf = sl_problem()
+        cfg = SimConfig(dt=dt, t_end=n_steps * dt, x0=(3.3, 0.0), mode=ControlMode.APPROX_FREE)
+        run(plant, reference, gains, perf, cfg)
+        # init_state's one evaluation, then per step its start, the shared
+        # t + dt/2 of RK stages 2 and 3 and t + dt; the closing sample last
+        want = [0.0] + [s for k in range(n_steps) for s in (k * dt, k * dt + half, k * dt + dt)]
+        assert seen == want + [n_steps * dt]
 
 
 CASES = pytest.mark.parametrize("preset, dt, exact", [
@@ -405,7 +435,7 @@ class TestDivergenceHandling:
             rhs=lambda x, u, t: [1e-300 * x[1], quint(x[1]) + u],
             gain_lower=(1e-300, 0.5),
             gain_upper=(1e-300, 10.0),
-            lipschitz_rate=(lambda xb, yb, t: 1.0, lambda xb, yb, t: 1.0),
+            lipschitz_rate=(1.0, 1.0),
         )
         _, reference, gains, perf = sl_problem()
         cfg = SimConfig(
@@ -418,10 +448,10 @@ class TestDivergenceHandling:
         plant, reference, gains, perf = sl_problem()
         kernel = ControllerChain.kernel
 
-        def overflowing(chain, x, filter_states, drifts, t, signals=False):
-            if t > 4.7e-4:  # the t+dt stage of step 4
+        def overflowing(chain, x, filter_states, drifts, inputs, signals=False):
+            if inputs[0] > 4.7e-4:  # the t+dt stage of step 4
                 raise OverflowError("(34, 'Numerical result out of range')")
-            return kernel(chain, x, filter_states, drifts, t, signals)
+            return kernel(chain, x, filter_states, drifts, inputs, signals)
 
         monkeypatch.setattr(ControllerChain, "kernel", overflowing)
         cfg = SimConfig(dt=1e-4, t_end=0.01, x0=(3.3, 0.0), mode=ControlMode.APPROX_FREE)
