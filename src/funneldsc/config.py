@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .controller import ControlMode, StageGains
-from .perf import TransformKind
+from .perf import TransformKind, perf_from_terminal
 from .plants import PLANTS
 from .sim import check_explicit_step, step_count
 
@@ -78,6 +78,10 @@ class ExperimentConfig:
         for name in ("perf_b", "perf_h", "perf_T", "dt", "t_end"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{_FLOAT_KEYS[name]} must be strictly positive")
+        try:
+            perf_from_terminal(b=self.perf_b, c=self.perf_c, h=self.perf_h, T=self.perf_T)
+        except ValueError as exc:
+            raise ConfigError(f"perf.{exc}") from None
         if self.sign_smoothing < 0.0:
             raise ConfigError(f"sign_smoothing must be nonnegative, got {self.sign_smoothing!r}")
         try:

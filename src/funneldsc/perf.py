@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -58,6 +59,8 @@ class PerfFunction:
 
     Construction enforces eta(0) = a*exp(-b) + c = pi/2, which makes the
     tangent-based error transformation well defined for any initial error.
+    If :meth:`envelope` would overflow or underflow at some t, the
+    ValueError starts with the parameter to change, ``b=``, ``h=`` or ``T=``.
     """
 
     a: float
@@ -68,13 +71,30 @@ class PerfFunction:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "h", "T"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"PerfFunction.{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"PerfFunction.{name} must be strictly positive and finite")
         if abs(self.a * math.exp(-self.b) + self.c - _HALF_PI) > 1e-9:
             raise ValueError(
                 "PerfFunction requires a*exp(-b) + c = pi/2 "
                 f"(got {self.a * math.exp(-self.b) + self.c!r})"
             )
+        # In logs: q = T/(T - t) runs from 1 to 1/_POLE_GUARD, and eta_dot is
+        # computed only while the decay exp(-b q^h) is nonzero, b q^h < 745.2,
+        # up to q = live; each power must stay a finite, normal float there,
+        # between the logs ``small`` and ``big`` of the extreme normal floats.
+        big, small = math.log(sys.float_info.max), math.log(sys.float_info.min)
+        b, h, log_T, log_q = self.b, self.h, math.log(self.T), -math.log(_POLE_GUARD)
+        live = min(log_q, (math.log(745.2) - math.log(b)) / h)
+        log_abh = math.log(self.a) + math.log(b) + math.log(h)
+        if h * log_q >= big:
+            raise ValueError(f"h={h!r} is too large: (T/(T - t))**h overflows as t nears T")
+        if (h + 1.0) * log_T >= big:
+            raise ValueError(f"T={self.T!r} is too large: T**(h + 1) overflows")
+        if (h + 1.0) * (log_T - live) <= small:
+            raise ValueError(f"T={self.T!r} is too small: (T - t)**(h + 1) underflows as t nears T")
+        # eta_dot's a*b*h*T**h before and after it is divided by (T - t)**(h + 1)
+        if log_abh + max(h * log_T, (h + 1.0) * live - log_T) >= big:
+            raise ValueError(f"b={b!r} is too large: eta_dot overflows as t nears T")
 
     def envelope(self, t: float) -> tuple:
         """``(eta(t), eta_dot(t))`` from one decay; eta_dot is nonpositive
@@ -104,6 +124,8 @@ def perf_from_terminal(b: float, c: float, h: float, T: float) -> PerfFunction:
         raise ValueError("b, c, h, T must be strictly positive")
     if c >= _HALF_PI:
         raise ValueError(f"terminal accuracy c={c!r} must be below pi/2")
+    if b + math.log(_HALF_PI - c) >= math.log(sys.float_info.max):
+        raise ValueError(f"b={b!r} is too large: a = (pi/2 - c)*exp(b) overflows")
     return PerfFunction(a=(_HALF_PI - c) * math.exp(b), b=b, c=c, h=h, T=T)
 
 

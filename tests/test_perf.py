@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,17 @@ class TestPerfFunction:
     def test_rejects_inconsistent_initial_value(self):
         with pytest.raises(ValueError, match="pi/2"):
             PerfFunction(a=1.0, b=0.1, c=0.05, h=1.0, T=0.5)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(b=1000.0), "b=1000.0 is too large: a = "),
+        (dict(b=705.0), "b=705.0 is too large: eta_dot overflows"),
+        (dict(h=30.0), "h=30.0 is too large"),
+        (dict(T=1e-300), "T=1e-300 is too small"),
+        (dict(T=1e300), "T=1e+300 is too large"),
+    ])
+    def test_rejects_parameters_the_envelope_cannot_evaluate(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            perf_from_terminal(**{**dict(b=0.9, c=0.05, h=1.0, T=0.5), **kwargs})
 
     def test_terminal_helper_rejects_large_accuracy(self):
         with pytest.raises(ValueError):
