@@ -382,10 +382,6 @@ class TestCli:
         ("perf.b", ("perf.b = 0.9", "perf.b = inf"), None),
         ("perf.h", ("perf.h = 1.0", "perf.h = inf"), None),
         ("perf.T", ("perf.T = 0.5", "perf.T = inf"), None),
-        # finite, but the envelope overflows or underflows
-        ("perf.b=1000.0 is too large", ("perf.b = 0.9", "perf.b = 1000.0"), None),
-        ("perf.T=1e-300 is too small", ("perf.T = 0.5", "perf.T = 1e-300"), None),
-        ("perf.T=1e+300 is too large", ("perf.T = 0.5", "perf.T = 1e300"), None),
         ("stage2: StageGains.lam", ("stage2.lam = 0.001", "stage2.lam = inf"), None),
         # finite, but squaring it overflows
         ("stage1: StageGains.delta", ("stage1.delta = 1000000.0", "stage1.delta = 1e300"), None),
@@ -394,6 +390,10 @@ class TestCli:
         ("stage2: StageGains.lam", ("stage2.lam = 0.001", "stage2.lam = 1e-320"), None),
         # positive, but its square underflows to 0
         ("stage1: StageGains.delta", ("stage1.delta = 1000000.0", "stage1.delta = 1e-200"), None),
+        # finite, but the envelope overflows or underflows
+        ("perf.b=1000.0 is too large", ("perf.b = 0.9", "perf.b = 1000.0"), None),
+        ("perf.T=1e-300 is too small", ("perf.T = 0.5", "perf.T = 1e-300"), None),
+        ("perf.T=1e+300 is too large", ("perf.T = 0.5", "perf.T = 1e300"), None),
     ])
     def test_non_finite_numbers_exit_2(self, tmp_path, capfd, word, edit, flags):
         self.check_rejected(tmp_path, capfd, word, edit, flags)
