@@ -91,13 +91,16 @@ def _fmt(value) -> str:
 
 
 def _sweep_worker(args):
-    """Run one sweep config; returns (path, exit status, error message)."""
+    """Run one sweep config; returns (path, exit status, error message).
+    An unexpected exception is exit 2 with its type in the message."""
     path, out_root = args
     try:
         cfg = cfgmod.load_config(path)
         return path, run_experiment(cfg, out_dir=Path(out_root) / Path(path).stem), None
     except (ValueError, OSError, SimulationDivergenceError) as exc:
         return path, EXIT_ERROR, str(exc)
+    except Exception as exc:  # any other fault stays this config's, not the pool's
+        return path, EXIT_ERROR, f"{type(exc).__name__}: {exc}"
 
 
 def _parse_args(argv):

@@ -39,12 +39,17 @@ step k, and the last, at t_end, is opened, recorded and verified like the
 others but takes no step and adds nothing to max|u|.  Each recorded sample
 (every ``record_every``-th step start, and t_end) is one row of floats in
 one buffer, seen as the array ``Trajectory.data``; the sup norms and the
-funnel margin are read from its columns after the run.
+funnel margin are read from its columns after the run.  ``run()`` never
+takes the kernel's diagnostic branch (``signals=True``): a row reads u,
+alpha, y_r and eta from the step's own kernel call and its time inputs, and
+forms e, z1 and z_i = x_i - s_i by the kernel's own expressions, so each
+value is the same float.  :func:`export_trajectory` writes the rows as the
+``repr`` of each float, ``,`` between fields and ``\\r\\n`` line ends: the
+bytes ``csv.writer`` writes for them.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from array import array
@@ -397,6 +402,7 @@ def run(
     half = 0.5 * dt
     first = -BASIS_BLOCK  # first row of the basis block; sample 0 fills one
     after_T = perf.T
+    to_z1 = chain.transform._transform
     # sample k opens step k, which reads rows 2k..2k+2 of the half-step
     # grid; the last sample, at t_end, closes the run
     for k in range(n_steps + 1):
@@ -408,16 +414,18 @@ def run(
             first = 2 * k
             block = chain.tabulate_basis([i * half for i in range(first, first + BASIS_BLOCK + 2)])
         try:
-            # full diagnostic evaluation only at recorded samples; the step
-            # reuses it as its first stage
-            opened = _open_step(chain, bundle, t, recorded, block, 2 * k - first)
+            # never the diagnostic branch: a recorded row forms e, z1 and
+            # z_i by the kernel's own expressions, the same floats
+            opened = _open_step(chain, bundle, t, False, block, 2 * k - first)
             start, inputs, _ = opened
             if recorded:
-                sig = start[3]
-                e, eta = sig.e, sig.eta
+                y_r, eta = inputs[1], inputs[3]
+                e = xv[0] - y_r
                 wn = np.linalg.norm(tv, axis=1).tolist() if tv.size else ()
-                samples.extend(
-                    [t, *xv, sig.y_r, e, math.atan(e), eta, -eta, sig.u, *sv, *sig.alpha, *wn, *sig.z])
+                samples.extend([
+                    t, *xv, y_r, e, math.atan(e), eta, -eta, start[0], *sv, *start[1], *wn,
+                    to_z1(e, t, eta), *[xi - si for xi, si in zip(xv[1:], sv)],
+                ])
             if not closing:
                 new_bundle, _ = step(plant, chain, bundle, t, dt, config.exact_filter, opened)
         except FunnelBreachError as br:
@@ -450,7 +458,9 @@ def run(
     # sup norms over the samples that opened a step: all but the closing one
     opening = data[:-1] if transient_ok else data
     first = names.index("u")
-    peaks = np.abs(opening[:, first:]).max(axis=0, initial=0.0).tolist()
+    # max|v| as max(max v, -min v), exact like abs, without an |v| copy
+    cols = opening[:, first:]
+    peaks = np.maximum(cols.max(axis=0, initial=0.0), -cols.min(axis=0, initial=0.0)).tolist()
     peaks = dict(zip(names[first:], peaks), u=max_u)
     sup = {
         name.replace("_norm", ""): peaks[name]
@@ -477,11 +487,19 @@ def run(
 
 
 def export_trajectory(traj: Trajectory, path) -> None:
-    """Write a run as delimiter-separated text, one row per recorded sample."""
-    width = traj.names.index("z1")  # the z columns are not exported
+    """Write a run as comma-separated text: a header of column names, then
+    one row per recorded sample.  Each field is the ``repr`` of its float,
+    fields are joined by ``,`` and every line ends in ``\\r\\n``: the bytes
+    ``csv.writer`` writes for these rows, since no name or float repr
+    needs quoting."""
+    names = traj.names[:traj.names.index("z1")]  # the z columns are not exported
+    width, stride = len(names), traj.data.shape[1]
+    # a flat view of the C-ordered rows: each line reads its fields from a
+    # slice, so no row list or float outlives its line, and the numpy calls
+    # do not grow with the rows
+    flat = memoryview(np.ascontiguousarray(traj.data, dtype=float).ravel())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(traj.names[:width])
-        # in blocks, to bound the row lists held at once
-        for start in range(0, len(traj.data), 4096):
-            writer.writerows(traj.data[start:start + 4096, :width].tolist())
+        fh.write(",".join(names) + "\r\n")
+        fh.writelines(
+            ",".join(map(repr, flat[i:i + width])) + "\r\n" for i in range(0, len(flat), stride)
+        )

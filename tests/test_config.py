@@ -440,6 +440,34 @@ class TestCli:
         word = "the only accepted value is 'symmetric-tan'"
         self.check_rejected(tmp_path, capfd, word, ("transform = symmetric-tan", f"transform = {kind}"))
 
+    def test_sweep_keeps_the_results_of_an_unexpected_exception(self, tmp_path, capfd, monkeypatch):
+        """A config whose run raises an exception outside the expected
+        errors is exit 2 with the exception type; the others still report."""
+        ok = tmp_path / "ok.cfg"
+        ok.write_text(serialize_config(short_single_link()))
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(serialize_config(short_single_link(t_end=0.03)))
+        run_experiment = cli.run_experiment
+
+        def raising(cfg, out_dir=None):
+            if cfg.t_end == 0.03:
+                raise RuntimeError("boom")
+            return run_experiment(cfg, out_dir)
+
+        monkeypatch.setattr(cli, "run_experiment", raising)
+        out_root = tmp_path / "sweep"
+        assert cli._sweep_worker((str(bad), str(out_root))) == (str(bad), cli.EXIT_ERROR, "RuntimeError: boom")
+        assert cli._sweep_worker((str(ok), str(out_root))) == (str(ok), cli.EXIT_OK, None)
+        capfd.readouterr()
+        # the fork pool's workers inherit the patched run_experiment
+        status = cli.main(["--sweep", str(ok), str(bad), "--out", str(out_root)])
+        assert status == cli.EXIT_ERROR
+        captured = capfd.readouterr()
+        assert f"{ok}: exit 0" in captured.out.splitlines()
+        assert f"{bad}: exit 2" in captured.out.splitlines()
+        assert captured.err.splitlines() == [f"error: {bad}: RuntimeError: boom"]
+        assert (out_root / "ok" / "verification.json").exists()
+
     def test_sweep_runs_each_config(self, tmp_path):
         paths = []
         for i, t_end in enumerate((0.03, 0.05)):

@@ -408,6 +408,41 @@ class TestColumnarRecord:
             assert isinstance(d[key], float)
 
 
+class TestRecorder:
+    """``run()`` records each sample from the step's own kernel call, never
+    the diagnostic branch; every recorded value equals the kernel's
+    :class:`StageSignals` field on the same arguments."""
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("preset, dt", [
+        (single_link_preset, 1e-4),
+        (electromechanical_preset, 1e-5),
+    ], ids=["sl", "em"])
+    @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE], ids=lambda m: m.value)
+    def test_rows_equal_the_kernel_signals(self, preset, dt, mode, record_every, monkeypatch):
+        cfg = replace(preset(), mode=mode, dt=dt, t_end=200 * dt, record_every=record_every)
+        plant, reference, perf, sim_cfg = build_problem(cfg)
+        open_step = sim._open_step
+        signals_at = {}
+
+        def checked(chain, bundle, t, signals, block, row):
+            assert signals is False
+            signals_at[t] = open_step(chain, bundle, t, True, block, row)[0][3]
+            return open_step(chain, bundle, t, signals, block, row)
+
+        monkeypatch.setattr(sim, "_open_step", checked)
+        traj, _ = run(plant, reference, cfg.gains, perf, sim_cfg, sign_smoothing=cfg.sign_smoothing)
+        n = plant.n
+        assert len(traj.data) == -(-200 // record_every) + 1
+        for values in traj.data.tolist():
+            row = dict(zip(traj.names, values))
+            sig = signals_at[row["t"]]
+            assert (row["e"], row["y_r"], row["eta"], row["u"]) == (sig.e, sig.y_r, sig.eta, sig.u)
+            assert (row["arctan_e"], row["neg_eta"]) == (math.atan(sig.e), -sig.eta)
+            assert [row[f"alpha{i}"] for i in range(1, n)] == sig.alpha
+            assert [row[f"z{i}"] for i in range(1, n + 1)] == sig.z
+
+
 class TestBreachHandling:
     def test_weak_gains_report_a_breach(self):
         cfg = weak_gain_single_link()
@@ -532,3 +567,37 @@ class TestExport:
         with open(out) as fh:
             header = fh.readline().strip().split(",")
         assert header[-2:] == ["theta_norm1", "theta_norm2"]
+
+    @staticmethod
+    def assert_bytes_of_csv_writer(traj, tmp_path):
+        """``export_trajectory`` writes the bytes of ``csv.writer``'s default
+        (excel) dialect over the exported columns."""
+        width = traj.names.index("z1")
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(traj.names[:width])
+            writer.writerows(traj.data[:, :width].tolist())
+        got = tmp_path / "got.csv"
+        export_trajectory(traj, got)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("preset, mode, dt, t_end", [
+        # 6001 rows: more than one 4096-row block
+        (single_link_preset, ControlMode.APPROX_FREE, 1e-4, 0.6),
+        (electromechanical_preset, ControlMode.FUZZY, 1e-5, 0.01),
+    ], ids=["sl-approx-free", "em-fuzzy"])
+    def test_bytes_equal_csv_writer_on_runs(self, preset, mode, dt, t_end, tmp_path):
+        cfg = replace(preset(), mode=mode, dt=dt, t_end=t_end, record_every=1)
+        plant, reference, perf, sim_cfg = build_problem(cfg)
+        traj, _ = run(plant, reference, cfg.gains, perf, sim_cfg)
+        self.assert_bytes_of_csv_writer(traj, tmp_path)
+
+    def test_bytes_equal_csv_writer_on_edge_floats(self, tmp_path):
+        values = [-0.0, 5e-324, 1e-05, 9.999e-05, 1e16, -1e300, 0.1]
+        rows = [values, values[::-1], [-v for v in values]]
+        names = tuple(f"c{i}" for i in range(len(values))) + ("z1",)
+        traj = sim.Trajectory(names, np.array([[*row, 0.0] for row in rows]))
+        self.assert_bytes_of_csv_writer(traj, tmp_path)
+        text = (tmp_path / "got.csv").read_bytes().decode()
+        assert text.splitlines()[1] == "-0.0,5e-324,1e-05,9.999e-05,1e+16,-1e+300,0.1"
