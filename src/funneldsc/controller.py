@@ -6,6 +6,11 @@ first-order filters, using saturated robust terms instead of derivatives of
 the virtual controllers.  Two modes are supported: an adaptive fuzzy mode
 that estimates the unknown drift online, and an approximator-free mode that
 replaces the estimate with a regressor-energy damping term.
+
+The chain prepares the kernel's constants once, at construction, each by
+the expression the kernel once evaluated per call, so every result is
+unchanged to the bit.  The squared guards stay ``** 2``: pow is not
+correctly rounded, and v ** 2 != v * v for some v.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -159,15 +165,18 @@ class ControllerChain:
         self.mode = mode
         self.grid = GaussianGrid.reference_grid(dim=1)
         self.sign_smoothing = sign_smoothing
-        # hot-loop constants
-        self._delta2 = tuple(g.delta**2 for g in self.gains)
-        self._sigma2 = tuple(g.sigma**2 for g in self.gains)
-        self._rho2 = tuple(None if g.rho is None else g.rho**2 for g in self.gains)
-        self._tau2 = tuple(None if g.tau is None else g.tau**2 for g in self.gains)
+        # the kernel's constants (see the module docstring); stages 2..n in
+        # loop order, each with the g_hi of the coupling to the next stage
+        g_lo, g_hi, rates, g = bounds.gain_lower, bounds.gain_upper, bounds.lipschitz_rate, gains[0]
+        self._stage1 = (g_lo[0], g_hi[0], rates[0], g.delta**2, g.sigma**2, g.varpi)
+        self._stages = tuple(
+            (g_lo[i], g_hi[i], rates[i], g.delta**2, g.sigma**2, g.rho**2, g.tau**2, g.varpi, g.varrho, 1.0 / g.lam)
+            for i, g in enumerate(self.gains[1:], start=1)
+        )
         self._mu = tuple(g.mu for g in self.gains)
         self._varpi = tuple(g.varpi for g in self.gains)
-        self._varrho = tuple(g.varrho for g in self.gains)
-        self._invlam = tuple(None if g.lam is None else 1.0 / g.lam for g in self.gains)
+        self._lam = tuple(g.lam for g in self.gains[1:])
+        self._inputs = (reference.value, reference.derivative, transform.perf.envelope)
 
     # -- setup ------------------------------------------------------------
 
@@ -205,8 +214,8 @@ class ControllerChain:
     def time_inputs(self, t: float) -> tuple:
         """``(t, y_r, dy_r, eta, eta_dot)``: the reference and the envelope
         at t with their derivatives, the kernel's only inputs of time."""
-        ref = self.reference
-        return (t, ref.value(t), ref.derivative(t), *self.transform.perf.envelope(t))
+        value, derivative, envelope = self._inputs
+        return (t, value(t), derivative(t), *envelope(t))
 
     def weight_derivative(self, theta: np.ndarray, drives, basis: np.ndarray) -> np.ndarray:
         """The adaptive law theta_i' = mu_i * drive_i * basis - varpi_i * theta_i,
@@ -247,18 +256,16 @@ class ControllerChain:
         Raises :class:`funneldsc.perf.FunnelBreachError` if the output error
         left the performance funnel.
         """
-        n = self.bounds.n
-        g_lo = self.bounds.gain_lower
-        g_hi = self.bounds.gain_upper
-        rates = self.bounds.lipschitz_rate
         fuzzy = self.mode is ControlMode.FUZZY
+        g_lo, g_hi, rate, delta2, sigma2, varpi = self._stage1
+        sqrt, atan, pi = math.sqrt, math.atan, math.pi
 
         t, y_r, dy_r, eta_v, eta_d = inputs
         e = x[0] - y_r
         z1 = self.transform._transform(e, t, eta_v)
-        atan_z1 = math.atan(z1)
-        psi_v = math.pi * (1.0 + z1 * z1) / (2.0 * eta_v)
-        cphi = math.cos(2.0 / math.pi * eta_v * atan_z1)
+        atan_z1 = atan(z1)
+        psi_v = pi * (1.0 + z1 * z1) / (2.0 * eta_v)
+        cphi = math.cos(2.0 / pi * eta_v * atan_z1)
         phi_v = cphi * cphi
         if phi_v < PHI_FLOOR:
             phi_v = PHI_FLOOR
@@ -272,68 +279,58 @@ class ControllerChain:
             drives = None
             energy = drifts
             drift_term = w * energy
-        beta1 = drift_term - dy_r - 2.0 / (math.pi * phi_v) * eta_d * atan_z1
-        chi1 = rates[0] * abs(e)
+        beta1 = drift_term - dy_r - 2.0 / (pi * phi_v) * eta_d * atan_z1
+        chi1 = rate * abs(e)
         alpha1 = (
-            -w * beta1 * beta1 / (g_lo[0] * math.sqrt((w * beta1) ** 2 + self._delta2[0]))
-            - w * chi1 * chi1 / (g_lo[0] * math.sqrt((w * chi1) ** 2 + self._sigma2[0]))
-            - w / g_lo[0]
-            - self._varpi[0] * z1 / (2.0 * g_lo[0] * phi_v * psi_v)
+            -w * beta1 * beta1 / (g_lo * sqrt((w * beta1) ** 2 + delta2))
+            - w * chi1 * chi1 / (g_lo * sqrt((w * chi1) ** 2 + sigma2))
+            - w / g_lo
+            - varpi * z1 / (2.0 * g_lo * phi_v * psi_v)
         )
 
         alpha = [alpha1]
         stages = []  # per-stage diagnostics, kept only when signals are asked for
-        u = 0.0
         dev2 = e * e
-        zt_prev = 0.0
         smoothing = self.sign_smoothing
-        varrho = self._varrho
-        invlam = self._invlam
+        a_prev = alpha1
+        coupling = g_hi * phi_v * psi_v * abs(z1)
 
-        # stages 2..n track the filtered virtual controls
-        for i in range(2, n + 1):
-            s_i = filter_states[i - 2]
-            a_prev = alpha[i - 2]
-            x_i = x[i - 1]
+        # stages 2..n track the filtered virtual controls; the last value is u
+        for (glo, hi_next, rate, delta2, sigma2, rho2, tau2, varpi, varrho, invlam), s_i, x_i, est in zip(
+            self._stages, filter_states, x[1:], drifts[1:] if fuzzy else repeat(energy)
+        ):
             z_i = x_i - s_i
             r_i = s_i - a_prev
             if smoothing > 0.0:
                 sgn = math.tanh(z_i / smoothing)
             else:
                 sgn = 0.0 if z_i == 0.0 else math.copysign(1.0, z_i)
-            zt = 1.0 / (1.0 + z_i * z_i) + varrho[i - 1] * sgn
+            zt = 1.0 / (1.0 + z_i * z_i) + varrho * sgn
             if fuzzy:
-                drift_i = drifts[i - 1]
+                drift_i = est
                 drives.append(zt)
             else:
-                drift_i = zt * energy
-            beta_i = drift_i - (a_prev - s_i) * invlam[i - 1]
+                drift_i = zt * est
+            beta_i = drift_i - (a_prev - s_i) * invlam
             d_i = x_i - y_r
             dev2 += d_i * d_i
-            chi_i = rates[i - 1] * math.sqrt(dev2)
-            if i == 2:
-                coupling = g_hi[0] * phi_v * psi_v * abs(z1)
-            else:
-                coupling = g_hi[i - 2] * abs(zt_prev)
+            chi_i = rate * sqrt(dev2)
             gamma_i = coupling * abs(z_i) / zt
             xi_i = coupling * abs(r_i) / zt
-            glo = g_lo[i - 1]
-            value = -(
-                zt * beta_i * beta_i / (glo * math.sqrt((zt * beta_i) ** 2 + self._delta2[i - 1]))
-                + zt * chi_i * chi_i / (glo * math.sqrt((zt * chi_i) ** 2 + self._sigma2[i - 1]))
-                + zt * gamma_i * gamma_i / (glo * math.sqrt((zt * gamma_i) ** 2 + self._rho2[i - 1]))
+            a_prev = -(
+                zt * beta_i * beta_i / (glo * sqrt((zt * beta_i) ** 2 + delta2))
+                + zt * chi_i * chi_i / (glo * sqrt((zt * chi_i) ** 2 + sigma2))
+                + zt * gamma_i * gamma_i / (glo * sqrt((zt * gamma_i) ** 2 + rho2))
                 # the paper's guard on the xi term is gamma, not xi
-                + zt * xi_i * xi_i / (glo * math.sqrt((zt * gamma_i) ** 2 + self._tau2[i - 1]))
-                + self._varpi[i - 1] * (math.atan(z_i) + varrho[i - 1] * abs(z_i)) / (glo * zt)
+                + zt * xi_i * xi_i / (glo * sqrt((zt * gamma_i) ** 2 + tau2))
+                + varpi * (atan(z_i) + varrho * abs(z_i)) / (glo * zt)
                 + zt / glo
             )
-            zt_prev = zt
+            alpha.append(a_prev)
+            coupling = hi_next * abs(zt)
             if signals:
                 stages.append((z_i, r_i, beta_i, chi_i, gamma_i, xi_i, zt))
-            if i < n:
-                alpha.append(value)
-            else:
-                u = value
+        u = alpha.pop()
 
         if not signals:
             return u, alpha, drives, None

@@ -95,19 +95,23 @@ class PerfFunction:
         # eta_dot's a*b*h*T**h before and after it is divided by (T - t)**(h + 1)
         if log_abh + max(h * log_T, (h + 1.0) * live - log_T) >= big:
             raise ValueError(f"b={b!r} is too large: eta_dot overflows as t nears T")
+        # envelope()'s constants, each by the expression it once evaluated per call
+        prefactor = -self.a * self.b * self.h * self.T**self.h
+        guard = self.T - _POLE_GUARD * self.T
+        object.__setattr__(self, "_envelope", (guard, self.T, -self.b, self.h, prefactor, self.h + 1.0))
 
     def envelope(self, t: float) -> tuple:
         """``(eta(t), eta_dot(t))`` from one decay; eta_dot is nonpositive
         and exactly 0 for t >= T."""
-        if t >= self.T - _POLE_GUARD * self.T:
+        guard, T, neg_b, h, prefactor, h1 = self._envelope
+        if t >= guard:
             return self.c, 0.0
-        rem = self.T - t
+        rem = T - t
         # the decay underflows to 0 as t -> T, giving a continuous junction
-        decay = math.exp(-self.b * (self.T / rem) ** self.h)
+        decay = math.exp(neg_b * (T / rem) ** h)
         if decay == 0.0:
             return self.c, 0.0
-        eta_dot = -self.a * self.b * self.h * self.T**self.h / rem ** (self.h + 1.0) * decay
-        return self.a * decay + self.c, eta_dot
+        return self.a * decay + self.c, prefactor / rem**h1 * decay
 
     def eta(self, t: float) -> float:
         """Envelope value at time t >= 0."""

@@ -21,9 +21,12 @@ golden records, so they stay off the grid until those are re-recorded.
 weights take the same RK4 step of their linear law in closed form, once
 per step: one projection of theta on the step's three basis rows (t,
 t+dt/2, t+dt) gives every stage's drift estimate as a scalar recurrence,
-and one update forms the new weights (see
-:func:`_weight_step_coefficients`).  The two steppers differ only in how
-the filters s' = (alpha - s)/lam move:
+and one update forms the new weights.  Their coefficients and the filter
+decays are one lookup per step, cached by value (:func:`_step_constants`)
+and computed by the expressions once evaluated per step; numpy ops stay
+numpy ops, as BLAS and pairwise sums add in another order than a Python
+loop, so every float is unchanged to the bit.  The two steppers differ
+only in how the filters s' = (alpha - s)/lam move:
 
 - exact filter (default): along their closed-form exponential toward the
   virtual control ``alpha`` frozen at the step start.  This removes the
@@ -174,8 +177,9 @@ class VerificationReport:
 
 
 @functools.lru_cache(maxsize=8)
-def _weight_step_coefficients(mus: tuple, varpis: tuple, dt: float):
-    """Coefficients of one RK4 step of the adaptive law in closed form.
+def _step_constants(mus: tuple, varpis: tuple, lams: tuple, dt: float):
+    """The coefficients of one RK4 step of the adaptive law in closed form,
+    then the filter decays exp(-0.5*dt/lam) and exp(-dt/lam).
 
     Stage i's law theta' = mu*d(t)*b(t) - varpi*theta is linear in theta,
     so with a = varpi*dt/2 and h = dt/2 the drift estimates theta_k . b of
@@ -191,7 +195,7 @@ def _weight_step_coefficients(mus: tuple, varpis: tuple, dt: float):
     C = (dt/6) mu [d1 (1-2a+2a^2-2a^3), d2 (2-2a+2a^2) + d3 (2-2a), d4].
 
     Returns the per-stage factors of f2, f3, f4 and C, each in the order
-    of the terms above, and A as a column.
+    of the terms above, A as a column, then the decays of stages 2..n.
     """
     h = 0.5 * dt
     c2, c3, c4, cmix, growth = [], [], [], [], []
@@ -208,7 +212,8 @@ def _weight_step_coefficients(mus: tuple, varpis: tuple, dt: float):
         growth.append(1.0 - z + z * z / 2.0 - z**3 / 6.0 + z**4 / 24.0)
     growth = np.array(growth)[:, None]
     growth.flags.writeable = False  # shared by every caller of the cache
-    return tuple(c2), tuple(c3), tuple(c4), tuple(cmix), growth
+    half, full = (tuple(math.exp(f * dt / lam) for lam in lams) for f in (-0.5, -1.0))
+    return tuple(c2), tuple(c3), tuple(c4), tuple(cmix), growth, half, full
 
 
 def _open_step(chain: ControllerChain, bundle, t: float, signals: bool, block, row: int):
@@ -264,7 +269,8 @@ def step(
     u0, a1, d1, _ = start
     kernel, rhs = chain.kernel, plant.rhs
     mid, end = chain.time_inputs(t + half), chain.time_inputs(t + dt)
-    lams = [g.lam for g in chain.gains[1:]]
+    lams = chain._lam
+    c2, c3, c4, cmix, growth, half_decay, full_decay = _step_constants(chain._mu, chain._varpi, lams, dt)
     # the kernel's basis input at RK stages 2..4: the rows' energies in
     # approximator-free mode, the drift estimates theta_k . b in fuzzy mode
     _, f2, f4 = energies
@@ -272,12 +278,11 @@ def step(
     fuzzy = proj is not None
     if fuzzy:
         g1h, ghh, g14, gh4 = gram
-        c2, c3, c4, cmix, growth = _weight_step_coefficients(chain._mu, chain._varpi, dt)
     # the filter update, the steppers' one difference: the exponential
     # toward the alpha frozen at t, or RK4 stages from each stage's alpha
     if exact_filter:
-        s2 = s3 = [a + (si - a) * math.exp(-0.5 * dt / lam) for a, si, lam in zip(a1, s, lams)]
-        s4 = s_new = [a + (si - a) * math.exp(-dt / lam) for a, si, lam in zip(a1, s, lams)]
+        s2 = s3 = [a + (si - a) * d for a, si, d in zip(a1, s, half_decay)]
+        s4 = s_new = [a + (si - a) * d for a, si, d in zip(a1, s, full_decay)]
     else:
         k1s = [(a - si) / lam for a, si, lam in zip(a1, s, lams)]
         s2 = [si + half * ki for si, ki in zip(s, k1s)]
@@ -421,7 +426,7 @@ def run(
             if recorded:
                 y_r, eta = inputs[1], inputs[3]
                 e = xv[0] - y_r
-                wn = np.linalg.norm(tv, axis=1).tolist() if tv.size else ()
+                wn = np.sqrt(np.add.reduce(tv * tv, axis=1)).tolist() if tv.size else ()
                 samples.extend([
                     t, *xv, y_r, e, math.atan(e), eta, -eta, start[0], *sv, *start[1], *wn,
                     to_z1(e, t, eta), *[xi - si for xi, si in zip(xv[1:], sv)],
@@ -449,7 +454,7 @@ def run(
             max_u = au
             peak_u_t = t
         bundle = new_bundle
-        if not all(math.isfinite(v) for v in bundle[0]):
+        if not all(map(math.isfinite, bundle[0])):
             raise SimulationDivergenceError(t + dt)
 
     traj = Trajectory(names, np.frombuffer(samples).reshape(-1, len(names)), breach)

@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 
 import pytest
@@ -467,6 +469,45 @@ class TestCli:
         assert f"{bad}: exit 2" in captured.out.splitlines()
         assert captured.err.splitlines() == [f"error: {bad}: RuntimeError: boom"]
         assert (out_root / "ok" / "verification.json").exists()
+
+    @pytest.mark.parametrize("configs, affinity, cpu_count, processes", [
+        (8, {0, 1}, 2, 2),
+        (1, {0, 1}, 2, 1),
+        (3, {0, 1, 2, 3}, 64, 3),
+        (5, {3}, 64, 1),
+        (5, None, 4, 4),
+        (3, None, None, 1),
+    ])
+    def test_sweep_pool_size(self, configs, affinity, cpu_count, processes, tmp_path, monkeypatch, capsys):
+        """The sweep starts one worker per config, at most one per core the
+        process may run on (its affinity, or ``os.cpu_count()`` where the
+        platform has no affinity)."""
+        started = []
+
+        class RecordingPool:
+            def __init__(self, processes=None):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        # missing files: each config fails fast with exit 2
+        paths = [str(tmp_path / f"missing{i}.cfg") for i in range(configs)]
+        assert cli.main(["--sweep", *paths, "--out", str(tmp_path / "out")]) == cli.EXIT_ERROR
+        assert started == [processes]
+        assert capsys.readouterr().out.splitlines() == [f"{p}: exit 2" for p in paths]
 
     def test_sweep_runs_each_config(self, tmp_path):
         paths = []

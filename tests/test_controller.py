@@ -18,8 +18,10 @@ from funneldsc.controller import (
     zeta,
 )
 from funneldsc.fuzzy import AdaptiveWeights
-from funneldsc.perf import ErrorTransform, FunnelBreachError, perf_from_terminal
+from funneldsc.perf import PHI_FLOOR, ErrorTransform, FunnelBreachError, perf_from_terminal
 from funneldsc.plants import (
+    PlantBounds,
+    ReferenceSignal,
     electromechanical_reference,
     make_electromechanical,
     make_single_link,
@@ -291,6 +293,112 @@ def assert_energy_damping(chain, sig, state, t, energy):
         sig.alpha[0] - state.filter_states[0]
     ) / chain.gains[1].lam
     assert sig.beta[1] == pytest.approx(beta2_expected, rel=1e-8)
+
+
+def distinct_chain(n, mode, smoothing):
+    """A chain of order n on hand-built bounds whose every gain, bound and
+    rate differs from stage to stage and from the other constants."""
+    bounds = PlantBounds(
+        n=n,
+        gain_lower=(0.5, 0.7, 0.9, 1.1)[:n],
+        gain_upper=(2.0, 3.0, 4.5, 6.0)[:n],
+        lipschitz_rate=(1.3, 0.8, 2.2, 1.7)[:n],
+    )
+    gains = [
+        StageGains(
+            delta=0.3 + 0.11 * k, sigma=0.5 + 0.07 * k, varpi=2.0 + 0.3 * k, mu=1.0 + k,
+            rho=0.2 + 0.05 * k, tau=0.4 + 0.03 * k, varrho=1.5 + 0.1 * k, lam=0.01 * (k + 1),
+        )
+        for k in range(1, n + 1)
+    ]
+    perf = perf_from_terminal(b=0.4, c=0.05, h=1.0, T=0.5)
+    reference = ReferenceSignal(value=math.sin, derivative=math.cos)
+    return ControllerChain(bounds, gains, ErrorTransform(perf=perf), reference, mode, smoothing)
+
+
+def indexed_kernel(chain, x, s, drifts, inputs):
+    """The kernel written with explicit stage indices, each constant read
+    where it is used: ``(u, alpha, drives, z, beta, chi, gamma, xi, zeta)``."""
+    n, gains, smoothing = chain.bounds.n, chain.gains, chain.sign_smoothing
+    g_lo, g_hi = chain.bounds.gain_lower, chain.bounds.gain_upper
+    rates = chain.bounds.lipschitz_rate
+    fuzzy = chain.mode is ControlMode.FUZZY
+    t, y_r, dy_r, eta, eta_dot = inputs
+    e = x[0] - y_r
+    z1 = math.tan(math.pi / 2.0 * math.atan(e) / eta)
+    psi = math.pi * (1.0 + z1 * z1) / (2.0 * eta)
+    cphi = math.cos(2.0 / math.pi * eta * math.atan(z1))
+    phi = max(cphi * cphi, PHI_FLOOR)
+    w = z1 * phi * psi
+    drift = drifts[0] if fuzzy else w * drifts
+    beta1 = drift - dy_r - 2.0 / (math.pi * phi) * eta_dot * math.atan(z1)
+    chi1 = rates[0] * abs(e)
+    alpha = [
+        -w * beta1 * beta1 / (g_lo[0] * math.sqrt((w * beta1) ** 2 + gains[0].delta ** 2))
+        - w * chi1 * chi1 / (g_lo[0] * math.sqrt((w * chi1) ** 2 + gains[0].sigma ** 2))
+        - w / g_lo[0]
+        - gains[0].varpi * z1 / (2.0 * g_lo[0] * phi * psi)
+    ]
+    z, beta, chi, gamma, xi, zeta_vals = [z1], [beta1], [chi1], [], [], []
+    for i in range(2, n + 1):
+        g = gains[i - 1]
+        z.append(x[i - 1] - s[i - 2])
+        zt = zeta(z[i - 1], g.varrho, smoothing)
+        zeta_vals.append(zt)
+        drift = drifts[i - 1] if fuzzy else zt * drifts
+        beta.append(drift - (alpha[i - 2] - s[i - 2]) * (1.0 / g.lam))
+        dev2 = 0.0
+        for j in range(i):
+            dev2 += (x[j] - y_r) * (x[j] - y_r)
+        chi.append(rates[i - 1] * math.sqrt(dev2))
+        coupling = g_hi[0] * phi * psi * abs(z1) if i == 2 else g_hi[i - 2] * abs(zeta_vals[i - 3])
+        gamma.append(coupling * abs(z[i - 1]) / zt)
+        xi.append(coupling * abs(s[i - 2] - alpha[i - 2]) / zt)
+        alpha.append(-(
+            zt * beta[i - 1] * beta[i - 1] / (g_lo[i - 1] * math.sqrt((zt * beta[i - 1]) ** 2 + g.delta ** 2))
+            + zt * chi[i - 1] * chi[i - 1] / (g_lo[i - 1] * math.sqrt((zt * chi[i - 1]) ** 2 + g.sigma ** 2))
+            + zt * gamma[i - 2] * gamma[i - 2] / (g_lo[i - 1] * math.sqrt((zt * gamma[i - 2]) ** 2 + g.rho ** 2))
+            + zt * xi[i - 2] * xi[i - 2] / (g_lo[i - 1] * math.sqrt((zt * gamma[i - 2]) ** 2 + g.tau ** 2))
+            + g.varpi * (math.atan(z[i - 1]) + g.varrho * abs(z[i - 1])) / (g_lo[i - 1] * zt)
+            + zt / g_lo[i - 1]
+        ))
+    drives = [w, *zeta_vals] if fuzzy else None
+    return alpha[-1], alpha[:-1], drives, z, beta, chi, gamma, xi, zeta_vals
+
+
+class TestStageConstants:
+    """Each stage reads its own gains, bounds and rates: the kernel equals,
+    float for float, an oracle that indexes every constant where it is used,
+    on a plant whose stages share no constant."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE])
+    @pytest.mark.parametrize("smoothing", [0.0, 0.05])
+    @pytest.mark.parametrize("signals", [True, False])
+    def test_kernel_equals_the_indexed_oracle(self, n, mode, smoothing, signals):
+        chain = distinct_chain(n, mode, smoothing)
+        rng = np.random.default_rng(n)
+        for t in (0.0, 0.13, 0.37, 0.8):
+            inputs = chain.time_inputs(t)
+            e = math.tan(0.7 * inputs[3] * rng.uniform(-1.0, 1.0))
+            x = [inputs[1] + e, *rng.uniform(-2.0, 2.0, n - 1).tolist()]
+            s = rng.uniform(-3.0, 3.0, n - 1).tolist()
+            # a zero surface takes the sign(0) = 0 branch
+            if t == 0.37:
+                s[-1] = x[-1]
+            if mode is ControlMode.FUZZY:
+                drifts = rng.uniform(-1.0, 1.0, n).tolist()
+            else:
+                drifts = float(rng.uniform(0.1, 2.0))
+            u, alpha, drives, sig = chain.kernel(x, s, drifts, inputs, signals)
+            want = indexed_kernel(chain, x, s, drifts, inputs)
+            assert (u, alpha, drives) == want[:3]
+            if not signals:
+                assert sig is None
+                continue
+            assert (sig.u, sig.alpha) == (u, alpha)
+            assert (sig.z, sig.beta, sig.chi, sig.gamma, sig.xi, sig.zeta_vals) == want[3:]
+            assert sig.r == [si - a for si, a in zip(s, alpha)]
 
 
 class TestAdaptiveLaw:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -10,6 +11,7 @@ from funneldsc.perf import (
     FunnelBreachError,
     PHI_FLOOR,
     PerfFunction,
+    _POLE_GUARD,
     perf_from_terminal,
 )
 
@@ -146,3 +148,33 @@ class TestSymmetricTransform:
         # near-vertical branch: cos^2 collapses, floor takes over
         assert tr.varphi(1e12, 0.0) == PHI_FLOOR
         assert tr.varphi(0.0, 0.0) == pytest.approx(1.0)
+
+
+def direct_envelope(p: PerfFunction, t: float) -> tuple:
+    """``(eta, eta_dot)`` with every constant computed where it is used."""
+    if t >= p.T - _POLE_GUARD * p.T:
+        return p.c, 0.0
+    rem = p.T - t
+    decay = math.exp(-p.b * (p.T / rem) ** p.h)
+    if decay == 0.0:
+        return p.c, 0.0
+    return p.a * decay + p.c, -p.a * p.b * p.h * p.T**p.h / rem ** (p.h + 1.0) * decay
+
+
+class TestEnvelopeConstants:
+    @pytest.mark.parametrize("b, c, h, T", [
+        (0.1, 0.05, 1.0, 0.5), (0.9, 0.2, 2.5, 1.3), (3.0, 0.01, 0.4, 0.07), (0.02, 1.2, 7.0, 40.0),
+        # a decay still nonzero at the pole guard
+        (0.02, 0.3, 0.2, 2.0),
+    ])
+    def test_envelope_equals_the_direct_expression(self, b, c, h, T):
+        """The constants prepared at construction give the floats the
+        direct expression gives, also on a ``dataclasses.replace`` copy."""
+        p = perf_from_terminal(b=b, c=c, h=h, T=T)
+        copy = dataclasses.replace(p, T=0.7 * T)
+        for q in (p, copy):
+            # a grid over [0, 1.2 T], then both sides of the pole guard
+            times = [i * 1.2 * q.T / 997 for i in range(998)]
+            times += [q.T - f * _POLE_GUARD * q.T for f in (3.0, 1.5, 1.0, 0.5, 0.0)]
+            assert [q.envelope(t) for t in times] == [direct_envelope(q, t) for t in times]
+        assert copy.envelope(0.5 * T) != p.envelope(0.5 * T)

@@ -202,6 +202,31 @@ class TestProjectedWeightStep:
         assert max(theta_norms[-1]) > 0.0
 
 
+class TestStepConstants:
+    def test_chains_differing_in_one_lam_keep_their_own_decays(self):
+        """Two chains that differ only in stage 3's lam, stepped alternately
+        at one dt, each move their filters by the decay of their own lam."""
+        cfg = electromechanical_preset()
+        plant, reference, perf, _ = build_problem(cfg)
+        gains = (*cfg.gains[:2], replace(cfg.gains[2], lam=3.0 * cfg.gains[2].lam))
+        chains = [fresh_chain(replace(cfg, gains=g), plant, reference, perf) for g in (cfg.gains, gains)]
+        assert [c.gains[2].lam for c in chains] == [cfg.gains[2].lam, 3.0 * cfg.gains[2].lam]
+        bundles = []
+        for chain in chains:
+            state = chain.init_state(list(cfg.x0))
+            theta = np.array([w.theta_hat for w in state.theta_hat])
+            bundles.append((list(cfg.x0), list(state.filter_states), theta))
+        dt = cfg.dt
+        for k in range(6):
+            for j, chain in enumerate(chains):
+                s = bundles[j][1]
+                bundles[j], (_, alpha, _, _) = step(plant, chain, bundles[j], k * dt, dt)
+                lams = [g.lam for g in chain.gains[1:]]
+                want = [a + (si - a) * math.exp(-dt / lam) for a, si, lam in zip(alpha, s, lams)]
+                assert bundles[j][1] == want
+        assert bundles[0][1][1] != bundles[1][1][1]
+
+
 class TestStageTimes:
     def test_run_keeps_the_stage_times_off_the_half_step_grid(self, monkeypatch):
         """``run()`` evaluates the kernel at k*dt, k*dt + 0.5*dt and k*dt + dt,
