@@ -212,7 +212,8 @@ def _step_constants(mus: tuple, varpis: tuple, lams: tuple, dt: float):
         growth.append(1.0 - z + z * z / 2.0 - z**3 / 6.0 + z**4 / 24.0)
     growth = np.array(growth)[:, None]
     growth.flags.writeable = False  # shared by every caller of the cache
-    half, full = (tuple(math.exp(f * dt / lam) for lam in lams) for f in (-0.5, -1.0))
+    half = tuple(math.exp(-0.5 * dt / lam) for lam in lams)
+    full = tuple(math.exp(-dt / lam) for lam in lams)
     return tuple(c2), tuple(c3), tuple(c4), tuple(cmix), growth, half, full
 
 
