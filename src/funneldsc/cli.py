@@ -125,7 +125,6 @@ def main(argv=None) -> int:
 
     if args.sweep:
         out_root = args.out or os.environ.get(OUT_DIR_ENV, "sweep-out")
-        # one worker per config, at most one per core this process may use
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         with multiprocessing.Pool(min(len(args.sweep), cores or 1)) as pool:
             results = pool.map(_sweep_worker, [(p, out_root) for p in args.sweep])

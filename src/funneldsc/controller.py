@@ -165,8 +165,7 @@ class ControllerChain:
         self.mode = mode
         self.grid = GaussianGrid.reference_grid(dim=1)
         self.sign_smoothing = sign_smoothing
-        # the kernel's constants (see the module docstring); stages 2..n in
-        # loop order, each with the g_hi of the coupling to the next stage
+        # stages 2..n in loop order, each with the g_hi of the next coupling
         g_lo, g_hi, rates, g = bounds.gain_lower, bounds.gain_upper, bounds.lipschitz_rate, gains[0]
         self._stage1 = (g_lo[0], g_hi[0], rates[0], g.delta**2, g.sigma**2, g.varpi)
         self._stages = tuple(

@@ -226,6 +226,16 @@ class TestStepConstants:
                 assert bundles[j][1] == want
         assert bundles[0][1][1] != bundles[1][1][1]
 
+    def test_each_run_misses_the_cache_once(self):
+        """Whatever the process ran before, a run computes its step constants
+        exactly once, so two identical runs make the same calls."""
+        plant, reference, gains, perf = sl_problem()
+        cfg = SimConfig(dt=1e-4, t_end=0.01, x0=(3.3, 0.0), mode=ControlMode.APPROX_FREE)
+        for _ in range(3):
+            run(plant, reference, gains, perf, cfg)
+            info = sim._step_constants.cache_info()
+            assert (info.misses, info.hits) == (1, 99)
+
 
 class TestStageTimes:
     def test_run_keeps_the_stage_times_off_the_half_step_grid(self, monkeypatch):
