@@ -165,9 +165,9 @@ class ControllerChain:
         self.mode = mode
         self.grid = GaussianGrid.reference_grid(dim=1)
         self.sign_smoothing = sign_smoothing
-        # stages 2..n in loop order, each with the g_hi of the next coupling
         g_lo, g_hi, rates, g = bounds.gain_lower, bounds.gain_upper, bounds.lipschitz_rate, gains[0]
         self._stage1 = (g_lo[0], g_hi[0], rates[0], g.delta**2, g.sigma**2, g.varpi)
+        # stages 2..n in loop order, each with the g_hi of the next coupling
         self._stages = tuple(
             (g_lo[i], g_hi[i], rates[i], g.delta**2, g.sigma**2, g.rho**2, g.tau**2, g.varpi, g.varrho, 1.0 / g.lam)
             for i, g in enumerate(self.gains[1:], start=1)
