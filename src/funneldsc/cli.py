@@ -108,16 +108,22 @@ def _parse_args(argv):
         prog="funneldsc",
         description="Prescribed-time funnel tracking experiments on strict-feedback plants.",
     )
-    parser.add_argument("--preset", choices=sorted(cfgmod.PRESETS), help="built-in case study")
-    parser.add_argument("--config", help="flat key-value config file (overrides nothing; used instead of --preset)")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--preset", choices=sorted(cfgmod.PRESETS), help="built-in case study")
+    source.add_argument("--config", help="flat key-value config file")
     parser.add_argument("--mode", choices=[m.value for m in ControlMode], help="controller mode")
     parser.add_argument("--dt", type=float, help="integration step, seconds")
     parser.add_argument("--t-end", type=float, help="simulation horizon, seconds")
     parser.add_argument("--x0", help="comma-separated initial plant state")
     parser.add_argument("--sign-smoothing", type=float, help="replace sign(z) by tanh(z/eps); 0 keeps the discontinuity")
     parser.add_argument("--out", help=f"output directory (default: ${OUT_DIR_ENV} or cwd)")
-    parser.add_argument("--sweep", nargs="+", metavar="CONFIG", help="run several config files in parallel workers")
-    return parser.parse_args(argv)
+    source.add_argument("--sweep", nargs="+", metavar="CONFIG", help="run several config files in parallel workers")
+    args = parser.parse_args(argv)
+    per_run = [k for k in ("mode", "dt", "t_end", "x0", "sign_smoothing") if getattr(args, k) is not None]
+    if args.sweep and per_run:
+        flags = " ".join("--" + k.replace("_", "-") for k in per_run)
+        parser.error(f"argument --sweep: not allowed with {flags}; each config file sets its own run")
+    return args
 
 
 def main(argv=None) -> int:
@@ -125,6 +131,11 @@ def main(argv=None) -> int:
 
     if args.sweep:
         out_root = args.out or os.environ.get(OUT_DIR_ENV, "sweep-out")
+        first = {}  # by file stem, which names a config's output directory
+        for i, path in enumerate(args.sweep):
+            if (j := first.setdefault(Path(path).stem, i)) != i:
+                print(f"error: {args.sweep[j]} and {path} would both write {Path(out_root) / Path(path).stem}", file=sys.stderr)
+                return EXIT_ERROR
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         with multiprocessing.Pool(min(len(args.sweep), cores or 1)) as pool:
             results = pool.map(_sweep_worker, [(p, out_root) for p in args.sweep])

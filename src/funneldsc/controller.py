@@ -163,6 +163,7 @@ class ControllerChain:
         self.transform = transform
         self.reference = reference
         self.mode = mode
+        self._fuzzy = mode is ControlMode.FUZZY
         self.grid = GaussianGrid.reference_grid(dim=1)
         self.sign_smoothing = sign_smoothing
         g_lo, g_hi, rates, g = bounds.gain_lower, bounds.gain_upper, bounds.lipschitz_rate, gains[0]
@@ -255,9 +256,9 @@ class ControllerChain:
         Raises :class:`funneldsc.perf.FunnelBreachError` if the output error
         left the performance funnel.
         """
-        fuzzy = self.mode is ControlMode.FUZZY
+        fuzzy = self._fuzzy
         g_lo, g_hi, rate, delta2, sigma2, varpi = self._stage1
-        sqrt, atan, pi = math.sqrt, math.atan, math.pi
+        sqrt, atan, pi, tanh, copysign = math.sqrt, math.atan, math.pi, math.tanh, math.copysign
 
         t, y_r, dy_r, eta_v, eta_d = inputs
         e = x[0] - y_r
@@ -280,9 +281,11 @@ class ControllerChain:
             drift_term = w * energy
         beta1 = drift_term - dy_r - 2.0 / (pi * phi_v) * eta_d * atan_z1
         chi1 = rate * abs(e)
+        # -w * beta1 * beta1 is ((-w) * beta1) * beta1 and (-w) * beta1 == -(w * beta1)
+        wb, wc = w * beta1, w * chi1
         alpha1 = (
-            -w * beta1 * beta1 / (g_lo * sqrt((w * beta1) ** 2 + delta2))
-            - w * chi1 * chi1 / (g_lo * sqrt((w * chi1) ** 2 + sigma2))
+            -wb * beta1 / (g_lo * sqrt(wb ** 2 + delta2))
+            - wc * chi1 / (g_lo * sqrt(wc ** 2 + sigma2))
             - w / g_lo
             - varpi * z1 / (2.0 * g_lo * phi_v * psi_v)
         )
@@ -301,9 +304,9 @@ class ControllerChain:
             z_i = x_i - s_i
             r_i = s_i - a_prev
             if smoothing > 0.0:
-                sgn = math.tanh(z_i / smoothing)
+                sgn = tanh(z_i / smoothing)
             else:
-                sgn = 0.0 if z_i == 0.0 else math.copysign(1.0, z_i)
+                sgn = 0.0 if z_i == 0.0 else copysign(1.0, z_i)
             zt = 1.0 / (1.0 + z_i * z_i) + varrho * sgn
             if fuzzy:
                 drift_i = est
@@ -316,12 +319,14 @@ class ControllerChain:
             chi_i = rate * sqrt(dev2)
             gamma_i = coupling * abs(z_i) / zt
             xi_i = coupling * abs(r_i) / zt
+            zb, zc, zg = zt * beta_i, zt * chi_i, zt * gamma_i
+            zg2 = zg ** 2
             a_prev = -(
-                zt * beta_i * beta_i / (glo * sqrt((zt * beta_i) ** 2 + delta2))
-                + zt * chi_i * chi_i / (glo * sqrt((zt * chi_i) ** 2 + sigma2))
-                + zt * gamma_i * gamma_i / (glo * sqrt((zt * gamma_i) ** 2 + rho2))
+                zb * beta_i / (glo * sqrt(zb ** 2 + delta2))
+                + zc * chi_i / (glo * sqrt(zc ** 2 + sigma2))
+                + zg * gamma_i / (glo * sqrt(zg2 + rho2))
                 # the paper's guard on the xi term is gamma, not xi
-                + zt * xi_i * xi_i / (glo * sqrt((zt * gamma_i) ** 2 + tau2))
+                + zt * xi_i * xi_i / (glo * sqrt(zg2 + tau2))
                 + varpi * (atan(z_i) + varrho * abs(z_i)) / (glo * zt)
                 + zt / glo
             )

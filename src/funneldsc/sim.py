@@ -23,10 +23,12 @@ per step: one projection of theta on the step's three basis rows (t,
 t+dt/2, t+dt) gives every stage's drift estimate as a scalar recurrence,
 and one update forms the new weights.  Their coefficients and the filter
 decays are one lookup per step, cached by value (:func:`_step_constants`)
-and computed by the expressions once evaluated per step; numpy ops stay
-numpy ops, as BLAS and pairwise sums add in another order than a Python
-loop, so every float is unchanged to the bit.  The two steppers differ
-only in how the filters s' = (alpha - s)/lam move:
+and computed by the expressions once evaluated per step.  One pass over
+the stages per RK stage forms x with the drift estimates (fuzzy mode),
+x_new with the weights' mix rows, and the exact filter's two decays;
+numpy ops stay numpy ops, as BLAS and pairwise sums add in another order
+than a Python loop, so every float is unchanged to the bit.  The two
+steppers differ only in how the filters s' = (alpha - s)/lam move:
 
 - exact filter (default): along their closed-form exponential toward the
   virtual control ``alpha`` frozen at the step start.  This removes the
@@ -230,7 +232,7 @@ def _open_step(chain: ControllerChain, bundle, t: float, signals: bool, block, r
     basis, energy, cross1, cross2 = block
     rows, energies = basis[row:row + 3], energy[row:row + 3]
     gram = proj = None
-    if chain.mode is ControlMode.FUZZY:
+    if chain._fuzzy:
         gram = (cross1[row], energy[row + 1], cross2[row], cross1[row + 1])
         proj = (theta @ rows.T).tolist()
         basis_in = [p[0] for p in proj]
@@ -282,44 +284,48 @@ def step(
     # the filter update, the steppers' one difference: the exponential
     # toward the alpha frozen at t, or RK4 stages from each stage's alpha
     if exact_filter:
-        s2 = s3 = [a + (si - a) * d for a, si, d in zip(a1, s, half_decay)]
-        s4 = s_new = [a + (si - a) * d for a, si, d in zip(a1, s, full_decay)]
+        s3, s_new = s2, s4 = [], []
+        for a, si, dh, df in zip(a1, s, half_decay, full_decay):
+            s2.append(a + (si - a) * dh)
+            s4.append(a + (si - a) * df)
     else:
         k1s = [(a - si) / lam for a, si, lam in zip(a1, s, lams)]
         s2 = [si + half * ki for si, ki in zip(s, k1s)]
 
     k1x = rhs(x, u0, t)
-    x2 = [xi + half * ki for xi, ki in zip(x, k1x)]
     if fuzzy:
-        f2 = [k0 * p[1] + k1 * da * g1h for (k0, k1), p, da in zip(c2, proj, d1)]
+        x2, f2 = [], []
+        for xi, ki, (k0, k1), p, da in zip(x, k1x, c2, proj, d1):
+            x2.append(xi + half * ki)
+            f2.append(k0 * p[1] + k1 * da * g1h)
+    else:
+        x2 = [xi + half * ki for xi, ki in zip(x, k1x)]
     u2, a2, d2, _ = kernel(x2, s2, f2, mid)
     k2x = rhs(x2, u2, mid[0])
-    x3 = [xi + half * ki for xi, ki in zip(x, k2x)]
     if not exact_filter:
         k2s = [(a - si) / lam for a, si, lam in zip(a2, s2, lams)]
         s3 = [si + half * ki for si, ki in zip(s, k2s)]
     if fuzzy:
-        f3 = [
-            k0 * p[1] + k1 * da * g1h + k2 * db * ghh
-            for (k0, k1, k2), p, da, db in zip(c3, proj, d1, d2)
-        ]
+        x3, f3 = [], []
+        for xi, ki, (k0, k1, k2), p, da, db in zip(x, k2x, c3, proj, d1, d2):
+            x3.append(xi + half * ki)
+            f3.append(k0 * p[1] + k1 * da * g1h + k2 * db * ghh)
+    else:
+        x3 = [xi + half * ki for xi, ki in zip(x, k2x)]
     u3, a3, d3, _ = kernel(x3, s3, f3, mid)
     k3x = rhs(x3, u3, mid[0])
-    x4 = [xi + dt * ki for xi, ki in zip(x, k3x)]
     if not exact_filter:
         k3s = [(a - si) / lam for a, si, lam in zip(a3, s3, lams)]
         s4 = [si + dt * ki for si, ki in zip(s, k3s)]
     if fuzzy:
-        f4 = [
-            k0 * p[2] + k1 * da * g14 + (k2 * dc + k3 * db) * gh4
-            for (k0, k1, k2, k3), p, da, db, dc in zip(c4, proj, d1, d2, d3)
-        ]
+        x4, f4 = [], []
+        for xi, ki, (k0, k1, k2, k3), p, da, db, dc in zip(x, k3x, c4, proj, d1, d2, d3):
+            x4.append(xi + dt * ki)
+            f4.append(k0 * p[2] + k1 * da * g14 + (k2 * dc + k3 * db) * gh4)
+    else:
+        x4 = [xi + dt * ki for xi, ki in zip(x, k3x)]
     u4, a4, d4, _ = kernel(x4, s4, f4, end)
     k4x = rhs(x4, u4, end[0])
-    x_new = [
-        xi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-        for xi, a, b, c, d in zip(x, k1x, k2x, k3x, k4x)
-    ]
     if not exact_filter:
         k4s = [(a - si) / lam for a, si, lam in zip(a4, s4, lams)]
         s_new = [
@@ -327,11 +333,13 @@ def step(
             for si, a, b, c, d in zip(s, k1s, k2s, k3s, k4s)
         ]
     if fuzzy:
-        mix = [
-            [k0 * da, k1 * db + k2 * dc, k3 * dd]
-            for (k0, k1, k2, k3), da, db, dc, dd in zip(cmix, d1, d2, d3, d4)
-        ]
+        x_new, mix = [], []
+        for xi, a, b, c, d, (k0, k1, k2, k3), da, db, dc, dd in zip(x, k1x, k2x, k3x, k4x, cmix, d1, d2, d3, d4):
+            x_new.append(xi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d))
+            mix.append([k0 * da, k1 * db + k2 * dc, k3 * dd])
         theta = growth * theta + np.array(mix) @ rows
+    else:
+        x_new = [xi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1x, k2x, k3x, k4x)]
     return (x_new, s_new, theta), start
 
 
@@ -412,13 +420,14 @@ def run(
     first = -BASIS_BLOCK  # first row of the basis block; sample 0 fills one
     after_T = perf.T
     to_z1 = chain.transform._transform
+    record_every, exact_filter, isfinite = config.record_every, config.exact_filter, math.isfinite
     # sample k opens step k, which reads rows 2k..2k+2 of the half-step
     # grid; the last sample, at t_end, closes the run
     for k in range(n_steps + 1):
         t = k * dt
         xv, sv, tv = bundle
         closing = k == n_steps
-        recorded = closing or k % config.record_every == 0
+        recorded = closing or k % record_every == 0
         if 2 * k - first >= BASIS_BLOCK:
             first = 2 * k
             block = chain.tabulate_basis([i * half for i in range(first, first + BASIS_BLOCK + 2)])
@@ -436,7 +445,7 @@ def run(
                     to_z1(e, t, eta), *[xi - si for xi, si in zip(xv[1:], sv)],
                 ])
             if not closing:
-                new_bundle, _ = step(plant, chain, bundle, t, dt, config.exact_filter, opened)
+                new_bundle, _ = step(plant, chain, bundle, t, dt, exact_filter, opened)
         except FunnelBreachError as br:
             breach = br.t
             break
@@ -458,7 +467,7 @@ def run(
             max_u = au
             peak_u_t = t
         bundle = new_bundle
-        if not all(map(math.isfinite, bundle[0])):
+        if not all(map(isfinite, bundle[0])):
             raise SimulationDivergenceError(t + dt)
 
     traj = Trajectory(names, np.frombuffer(samples).reshape(-1, len(names)), breach)

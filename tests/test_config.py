@@ -520,3 +520,57 @@ class TestCli:
         assert status == cli.EXIT_OK
         for i in range(2):
             assert (out_root / f"exp{i}" / "verification.json").exists()
+
+    @pytest.mark.parametrize("same_file", [False, True], ids=["same-stem", "same-file"])
+    def test_sweep_rejects_configs_sharing_an_output_directory(self, same_file, tmp_path, capsys, monkeypatch):
+        """Two sweep configs with one file stem would write one directory:
+        exit 2 with one error line naming both, before any worker starts."""
+        first = tmp_path / "a" / "x.cfg"
+        second = first if same_file else tmp_path / "b" / "x.txt"
+        for path in (first, second):
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(serialize_config(short_single_link()))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        out_root = tmp_path / "sweep"
+        paths = [str(tmp_path / "other.cfg"), str(first), str(second)]
+        assert cli.main(["--sweep", *paths, "--out", str(out_root)]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {first} and {second} would both write {out_root / 'x'}"]
+        assert not out_root.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "fuzzy"], ["--dt", "5"], ["--t-end", "0.03"], ["--x0", "1,2,3"], ["--sign-smoothing", "0.1"],
+        ["--dt", "5", "--mode", "fuzzy", "--x0", "1,2,3"],
+    ], ids=["mode", "dt", "t-end", "x0", "sign-smoothing", "three"])
+    def test_sweep_rejects_per_run_flags(self, flags, tmp_path, capsys):
+        """A sweep runs each config file as written: a per-run flag beside
+        it is a usage error, exit 2, naming the flags."""
+        path = tmp_path / "exp.cfg"
+        path.write_text(serialize_config(short_single_link()))
+        out_root = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--sweep", str(path), *flags, "--out", str(out_root)])
+        assert exc.value.code == cli.EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("funneldsc: error: argument --sweep: not allowed with")
+        assert set(err.split(";")[0].split("with ")[1].split()) == {f for f in flags if f.startswith("--")}
+        assert not out_root.exists()
+
+    @pytest.mark.parametrize("sources", [("preset", "config"), ("preset", "sweep"), ("config", "sweep")])
+    def test_run_sources_are_mutually_exclusive(self, sources, tmp_path, capsys):
+        """``--preset``, ``--config`` and ``--sweep`` each name the runs;
+        any two together are a usage error, exit 2."""
+        path = tmp_path / "exp.cfg"
+        path.write_text(serialize_config(short_single_link()))
+        value = {"preset": "single-link", "config": str(path), "sweep": str(path)}
+        argv = [arg for source in sources for arg in (f"--{source}", value[source])]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path / "out")])
+        assert exc.value.code == cli.EXIT_ERROR
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

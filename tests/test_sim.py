@@ -317,6 +317,90 @@ class TestOneBasisRead:
         assert small_report == report
 
 
+def comprehension_step(plant, chain, bundle, t, dt, exact_filter=True):
+    """The RK4 step written with one list comprehension per stage quantity:
+    the reference whose float operations :func:`sim.step` keeps, in order."""
+    x, s, theta = bundle
+    half = 0.5 * dt
+    block = chain.tabulate_basis([t, t + half, t + dt])
+    start, _, (rows, energies, gram, proj) = sim._open_step(chain, bundle, t, True, block, 0)
+    u0, a1, d1, _ = start
+    kernel, rhs = chain.kernel, plant.rhs
+    mid, end = chain.time_inputs(t + half), chain.time_inputs(t + dt)
+    lams = chain._lam
+    c2, c3, c4, cmix, growth, half_decay, full_decay = sim._step_constants(chain._mu, chain._varpi, lams, dt)
+    _, f2, f4 = energies
+    f3 = f2
+    fuzzy = proj is not None
+    if fuzzy:
+        g1h, ghh, g14, gh4 = gram
+    if exact_filter:
+        s2 = s3 = [a + (si - a) * d for a, si, d in zip(a1, s, half_decay)]
+        s4 = s_new = [a + (si - a) * d for a, si, d in zip(a1, s, full_decay)]
+    else:
+        k1s = [(a - si) / lam for a, si, lam in zip(a1, s, lams)]
+        s2 = [si + half * ki for si, ki in zip(s, k1s)]
+
+    k1x = rhs(x, u0, t)
+    x2 = [xi + half * ki for xi, ki in zip(x, k1x)]
+    if fuzzy:
+        f2 = [k0 * p[1] + k1 * da * g1h for (k0, k1), p, da in zip(c2, proj, d1)]
+    u2, a2, d2, _ = kernel(x2, s2, f2, mid)
+    k2x = rhs(x2, u2, mid[0])
+    x3 = [xi + half * ki for xi, ki in zip(x, k2x)]
+    if not exact_filter:
+        k2s = [(a - si) / lam for a, si, lam in zip(a2, s2, lams)]
+        s3 = [si + half * ki for si, ki in zip(s, k2s)]
+    if fuzzy:
+        f3 = [k0 * p[1] + k1 * da * g1h + k2 * db * ghh for (k0, k1, k2), p, da, db in zip(c3, proj, d1, d2)]
+    u3, a3, d3, _ = kernel(x3, s3, f3, mid)
+    k3x = rhs(x3, u3, mid[0])
+    x4 = [xi + dt * ki for xi, ki in zip(x, k3x)]
+    if not exact_filter:
+        k3s = [(a - si) / lam for a, si, lam in zip(a3, s3, lams)]
+        s4 = [si + dt * ki for si, ki in zip(s, k3s)]
+    if fuzzy:
+        f4 = [
+            k0 * p[2] + k1 * da * g14 + (k2 * dc + k3 * db) * gh4
+            for (k0, k1, k2, k3), p, da, db, dc in zip(c4, proj, d1, d2, d3)
+        ]
+    u4, a4, d4, _ = kernel(x4, s4, f4, end)
+    k4x = rhs(x4, u4, end[0])
+    x_new = [xi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1x, k2x, k3x, k4x)]
+    if not exact_filter:
+        k4s = [(a - si) / lam for a, si, lam in zip(a4, s4, lams)]
+        s_new = [si + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d) for si, a, b, c, d in zip(s, k1s, k2s, k3s, k4s)]
+    if fuzzy:
+        mix = [[k0 * da, k1 * db + k2 * dc, k3 * dd] for (k0, k1, k2, k3), da, db, dc, dd in zip(cmix, d1, d2, d3, d4)]
+        theta = growth * theta + np.array(mix) @ rows
+    return (x_new, s_new, theta), start
+
+
+class TestStepBitIdentity:
+    """``step()`` makes one pass per RK stage with the float operations of
+    :func:`comprehension_step`, in the same order: every state it returns
+    is the same float, over 50 standalone steps."""
+
+    @CASES
+    def test_step_equals_the_comprehension_form(self, preset, dt, exact):
+        cfg = replace(preset(), dt=dt, exact_filter=exact)
+        plant, reference, perf, _ = build_problem(cfg)
+        chain = fresh_chain(cfg, plant, reference, perf)
+        state = chain.init_state(list(cfg.x0))
+        theta = np.array([w.theta_hat for w in state.theta_hat]) if state.theta_hat else np.zeros((0, 0))
+        got = want = (list(cfg.x0), list(state.filter_states), theta)
+        for k in range(50):
+            got, (u, alpha, drives, _) = step(plant, chain, got, k * dt, dt, exact)
+            want, (u_want, alpha_want, drives_want, _) = comprehension_step(plant, chain, want, k * dt, dt, exact)
+            assert (u, alpha, drives) == (u_want, alpha_want, drives_want)
+            assert got[0] == want[0]
+            assert got[1] == want[1]
+            assert np.array_equal(got[2], want[2])
+        assert got[0] != list(cfg.x0)
+        if cfg.mode is ControlMode.FUZZY:
+            assert np.all(got[2] != 0.0)
+
+
 class TestRunBookkeeping:
     def setup_method(self):
         self.plant, self.reference, self.gains, self.perf = sl_problem()
