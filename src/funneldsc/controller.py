@@ -7,24 +7,32 @@ the virtual controllers.  Two modes are supported: an adaptive fuzzy mode
 that estimates the unknown drift online, and an approximator-free mode that
 replaces the estimate with a regressor-energy damping term.
 
-The chain prepares the kernel's constants once, at construction, each by
-the expression the kernel once evaluated per call, so every result is
-unchanged to the bit.  The squared guards stay ``** 2``: pow is not
-correctly rounded, and v ** 2 != v * v for some v.
+Each chain compiles its kernel at construction: :data:`_KERNEL` unrolled
+over the chain's n stages for its mode and sign (``sign_smoothing``), as
+straight-line Python whose constants are globals of the chain's own
+namespace, each the float of the expression the loop kernel once
+evaluated per stage.  Every float takes the same operations in the same
+order as in that loop (the oracle ``indexed_kernel`` in the tests), so
+every result is unchanged to the bit.  The squared guards stay ``** 2``:
+pow raises OverflowError where ``*`` gives inf, and v ** 2 != v * v for
+some v.  The source is compiled under the name
+``.../controller.py<kernel n=3 fuzzy sign>``, which profiles attribute
+to this module, and registered in :mod:`linecache`, so tracebacks show
+its lines.
 """
 
 from __future__ import annotations
 
 import enum
+import linecache
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .fuzzy import AdaptiveWeights, GaussianGrid
-from .perf import PHI_FLOOR, ErrorTransform
+from .perf import _HALF_PI, PHI_FLOOR, ErrorTransform, FunnelBreachError
 from .plants import PlantBounds, ReferenceSignal
 
 __all__ = [
@@ -131,6 +139,104 @@ def saturated_term(s: float, guard: float) -> float:
     return s * s / math.sqrt(s * s + guard * guard)
 
 
+def compile_function(source: str, filename: str, namespace: dict):
+    """The one function that ``source`` defines, compiled under
+    ``filename`` with ``namespace`` as its globals.  The source is
+    registered in :mod:`linecache` under that name, so tracebacks show
+    its lines."""
+    code = compile(source, filename, "exec")
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(code, namespace)
+    return namespace[code.co_names[0]]
+
+
+# The kernel of an n-stage chain: {stages} holds one _KERNEL_STAGE per
+# stage 2..n.  Stage i's constants are the globals lo<i>, hi<i>, rate<i>,
+# delta2_<i>, sigma2_<i>, varpi<i> and, for i >= 2, rho2_<i>, tau2_<i>,
+# varrho<i> and invlam<i> (see ControllerChain._compile_kernel).
+_KERNEL = '''\
+def kernel(x, filter_states, drifts, inputs, signals=False):
+    """One evaluation of the chain at plant state ``x``, filter states
+    ``filter_states`` (stages 2..n) and ``inputs``, the time_inputs of its
+    time t.  ``drifts`` is the caller's basis input for t: the drift
+    estimates theta_i . basis(t) in fuzzy mode, the float energy
+    basis(t) . basis(t) in approximator-free mode.  The kernel reads no
+    basis and calls no function of time.
+
+    Returns ``(u, alpha, drives, sig)``: the control input, the virtual
+    controls alpha_1..alpha_(n-1), the drives (w, zeta_2, ..., zeta_n) of
+    the adaptive law (None in approximator-free mode) and, only when
+    ``signals`` is set, the full StageSignals (else None).  Raises
+    FunnelBreachError if the output error left the performance funnel.
+    """
+    t, y_r, dy_r, eta_v, eta_d = inputs
+    {xs}, = x
+    {ss}, = filter_states
+    {drifts} = drifts
+    e = x1 - y_r
+    atan_e = atan(e)
+    if abs(atan_e) >= eta_v:
+        raise FunnelBreachError(t, e, eta_v)
+    z1 = tan(HALF_PI * atan_e / eta_v)
+    atan_z1 = atan(z1)
+    psi_v = pi * (1.0 + z1 * z1) / (2.0 * eta_v)
+    cphi = cos(2.0 / pi * eta_v * atan_z1)
+    phi_v = cphi * cphi
+    if phi_v < PHI_FLOOR:
+        phi_v = PHI_FLOOR
+
+    # stage 1: funnel-shaping virtual control
+    w = z1 * phi_v * psi_v
+    beta1 = {drift1} - dy_r - 2.0 / (pi * phi_v) * eta_d * atan_z1
+    chi1 = rate1 * abs(e)
+    # -w * beta1 * beta1 is ((-w) * beta1) * beta1 and (-w) * beta1 == -(w * beta1)
+    wb, wc = w * beta1, w * chi1
+    alpha1 = (
+        -wb * beta1 / (lo1 * sqrt(wb ** 2 + delta2_1))
+        - wc * chi1 / (lo1 * sqrt(wc ** 2 + sigma2_1))
+        - w / lo1
+        - varpi1 * z1 / (2.0 * lo1 * phi_v * psi_v)
+    )
+    dev2 = e * e
+    coupling = hi1 * phi_v * psi_v * abs(z1)
+{stages}
+    if signals:
+        alpha = [{alphas}]
+        return alpha{n}, alpha, {drives}, StageSignals(
+            z=[{zs}], r=[{rs}], alpha=alpha, beta=[{betas}], chi=[{chis}],
+            gamma=[{gammas}], xi=[{xis}], zeta_vals=[{zetas}], u=alpha{n},
+            e=e, eta=eta_v, psi=psi_v, varphi=phi_v, y_r=y_r,
+        )
+    return alpha{n}, [{alphas}], {drives}, None
+'''
+
+# Stage i >= 2 tracks the filtered alpha_(i-1); the last stage's alpha is u.
+_KERNEL_STAGE = '''
+    # stage {i}
+    z{i} = x{i} - s{i}
+    r{i} = s{i} - alpha{p}
+    sgn = {sign}
+    zt{i} = 1.0 / (1.0 + z{i} * z{i}) + varrho{i} * sgn
+    beta{i} = {drift} - (alpha{p} - s{i}) * invlam{i}
+    dev = x{i} - y_r
+    dev2 += dev * dev
+    chi{i} = rate{i} * sqrt(dev2)
+    gamma{i} = coupling * abs(z{i}) / zt{i}
+    xi{i} = coupling * abs(r{i}) / zt{i}
+    zb, zc, zg = zt{i} * beta{i}, zt{i} * chi{i}, zt{i} * gamma{i}
+    zg2 = zg ** 2
+    alpha{i} = -(
+        zb * beta{i} / (lo{i} * sqrt(zb ** 2 + delta2_{i}))
+        + zc * chi{i} / (lo{i} * sqrt(zc ** 2 + sigma2_{i}))
+        + zg * gamma{i} / (lo{i} * sqrt(zg2 + rho2_{i}))
+        # the paper's guard on the xi term is gamma, not xi
+        + zt{i} * xi{i} * xi{i} / (lo{i} * sqrt(zg2 + tau2_{i}))
+        + varpi{i} * (atan(z{i}) + varrho{i} * abs(z{i})) / (lo{i} * zt{i})
+        + zt{i} / lo{i}
+    )
+'''
+
+
 class ControllerChain:
     """Evaluates the full control chain for one plant/reference pairing.
 
@@ -166,17 +272,55 @@ class ControllerChain:
         self._fuzzy = mode is ControlMode.FUZZY
         self.grid = GaussianGrid.reference_grid(dim=1)
         self.sign_smoothing = sign_smoothing
-        g_lo, g_hi, rates, g = bounds.gain_lower, bounds.gain_upper, bounds.lipschitz_rate, gains[0]
-        self._stage1 = (g_lo[0], g_hi[0], rates[0], g.delta**2, g.sigma**2, g.varpi)
-        # stages 2..n in loop order, each with the g_hi of the next coupling
-        self._stages = tuple(
-            (g_lo[i], g_hi[i], rates[i], g.delta**2, g.sigma**2, g.rho**2, g.tau**2, g.varpi, g.varrho, 1.0 / g.lam)
-            for i, g in enumerate(self.gains[1:], start=1)
-        )
+        self.kernel = self._compile_kernel()
         self._mu = tuple(g.mu for g in self.gains)
         self._varpi = tuple(g.varpi for g in self.gains)
         self._lam = tuple(g.lam for g in self.gains[1:])
         self._inputs = (reference.value, reference.derivative, transform.perf.envelope)
+
+    def _compile_kernel(self):
+        """:data:`_KERNEL` for this chain's n, mode and sign, with each
+        stage's constants bound in as globals."""
+        n, fuzzy, smoothed = self.bounds.n, self._fuzzy, self.sign_smoothing > 0.0
+        g_lo, g_hi, rates = self.bounds.gain_lower, self.bounds.gain_upper, self.bounds.lipschitz_rate
+        namespace = {
+            "atan": math.atan, "tan": math.tan, "cos": math.cos, "sqrt": math.sqrt,
+            "tanh": math.tanh, "copysign": math.copysign, "pi": math.pi, "HALF_PI": _HALF_PI,
+            "PHI_FLOOR": PHI_FLOOR, "FunnelBreachError": FunnelBreachError, "StageSignals": StageSignals,
+            "smoothing": self.sign_smoothing,
+        }
+        for i, g in enumerate(self.gains, start=1):
+            namespace.update({
+                f"lo{i}": g_lo[i - 1], f"hi{i}": g_hi[i - 1], f"rate{i}": rates[i - 1],
+                f"delta2_{i}": g.delta**2, f"sigma2_{i}": g.sigma**2, f"varpi{i}": g.varpi,
+            })
+            if i > 1:
+                namespace.update({
+                    f"rho2_{i}": g.rho**2, f"tau2_{i}": g.tau**2, f"varrho{i}": g.varrho, f"invlam{i}": 1.0 / g.lam,
+                })
+
+        def each(template, first=1):
+            return ", ".join(template.format(i=i) for i in range(first, n + 1))
+
+        stages = []
+        for i in range(2, n + 1):
+            stages.append(_KERNEL_STAGE.format(
+                i=i, p=i - 1,
+                sign=f"tanh(z{i} / smoothing)" if smoothed else f"0.0 if z{i} == 0.0 else copysign(1.0, z{i})",
+                drift=f"est{i}" if fuzzy else f"zt{i} * energy",
+            ))
+            if i < n:
+                stages.append(f"    coupling = hi{i} * abs(zt{i})\n")
+        source = _KERNEL.format(
+            n=n, xs=each("x{i}"), ss=each("s{i}", 2), stages="".join(stages),
+            drifts=each("est{i}") + "," if fuzzy else "energy", drift1="est1" if fuzzy else "w * energy",
+            drives=f"[w, {each('zt{i}', 2)}]" if fuzzy else "None",
+            alphas=", ".join(f"alpha{i}" for i in range(1, n)), zs=each("z{i}"), rs=each("r{i}", 2),
+            betas=each("beta{i}"), chis=each("chi{i}"), gammas=each("gamma{i}", 2), xis=each("xi{i}", 2),
+            zetas=each("zt{i}", 2),
+        )
+        sign = "tanh" if smoothed else "sign"
+        return compile_function(source, f"{__file__}<kernel n={n} {self.mode.value} {sign}>", namespace)
 
     # -- setup ------------------------------------------------------------
 
@@ -240,108 +384,3 @@ class ControllerChain:
         _, _, drives, sig = self.kernel(x, state.filter_states, (theta @ basis).tolist(), inputs, signals=True)
         sig.theta_dot = self.weight_derivative(theta, drives, basis)
         return sig
-
-    def kernel(self, x, filter_states, drifts, inputs: tuple, signals: bool = False):
-        """One evaluation of the chain at plant state ``x``, filter states
-        ``filter_states`` (stages 2..n) and ``inputs``, the :meth:`time_inputs`
-        of its time t.  ``drifts`` is the caller's basis input for t: the
-        drift estimates theta_i . basis(t) in fuzzy mode, the float energy
-        basis(t) . basis(t) in approximator-free mode.  The kernel reads no
-        basis and calls no function of time.
-
-        Returns ``(u, alpha, drives, sig)``: the control input, the virtual
-        controls alpha_1..alpha_{n-1}, the drives (w, zeta_2, ..., zeta_n)
-        of the adaptive law (None in approximator-free mode) and, only when
-        ``signals`` is set, the full :class:`StageSignals` (else None).
-        Raises :class:`funneldsc.perf.FunnelBreachError` if the output error
-        left the performance funnel.
-        """
-        fuzzy = self._fuzzy
-        g_lo, g_hi, rate, delta2, sigma2, varpi = self._stage1
-        sqrt, atan, pi, tanh, copysign = math.sqrt, math.atan, math.pi, math.tanh, math.copysign
-
-        t, y_r, dy_r, eta_v, eta_d = inputs
-        e = x[0] - y_r
-        z1 = self.transform._transform(e, t, eta_v)
-        atan_z1 = atan(z1)
-        psi_v = pi * (1.0 + z1 * z1) / (2.0 * eta_v)
-        cphi = math.cos(2.0 / pi * eta_v * atan_z1)
-        phi_v = cphi * cphi
-        if phi_v < PHI_FLOOR:
-            phi_v = PHI_FLOOR
-
-        # stage 1: funnel-shaping virtual control
-        w = z1 * phi_v * psi_v
-        if fuzzy:
-            drift_term = drifts[0]
-            drives = [w]
-        else:
-            drives = None
-            energy = drifts
-            drift_term = w * energy
-        beta1 = drift_term - dy_r - 2.0 / (pi * phi_v) * eta_d * atan_z1
-        chi1 = rate * abs(e)
-        # -w * beta1 * beta1 is ((-w) * beta1) * beta1 and (-w) * beta1 == -(w * beta1)
-        wb, wc = w * beta1, w * chi1
-        alpha1 = (
-            -wb * beta1 / (g_lo * sqrt(wb ** 2 + delta2))
-            - wc * chi1 / (g_lo * sqrt(wc ** 2 + sigma2))
-            - w / g_lo
-            - varpi * z1 / (2.0 * g_lo * phi_v * psi_v)
-        )
-
-        alpha = [alpha1]
-        stages = []  # per-stage diagnostics, kept only when signals are asked for
-        dev2 = e * e
-        smoothing = self.sign_smoothing
-        a_prev = alpha1
-        coupling = g_hi * phi_v * psi_v * abs(z1)
-
-        # stages 2..n track the filtered virtual controls; the last value is u
-        for (glo, hi_next, rate, delta2, sigma2, rho2, tau2, varpi, varrho, invlam), s_i, x_i, est in zip(
-            self._stages, filter_states, x[1:], drifts[1:] if fuzzy else repeat(energy)
-        ):
-            z_i = x_i - s_i
-            r_i = s_i - a_prev
-            if smoothing > 0.0:
-                sgn = tanh(z_i / smoothing)
-            else:
-                sgn = 0.0 if z_i == 0.0 else copysign(1.0, z_i)
-            zt = 1.0 / (1.0 + z_i * z_i) + varrho * sgn
-            if fuzzy:
-                drift_i = est
-                drives.append(zt)
-            else:
-                drift_i = zt * est
-            beta_i = drift_i - (a_prev - s_i) * invlam
-            d_i = x_i - y_r
-            dev2 += d_i * d_i
-            chi_i = rate * sqrt(dev2)
-            gamma_i = coupling * abs(z_i) / zt
-            xi_i = coupling * abs(r_i) / zt
-            zb, zc, zg = zt * beta_i, zt * chi_i, zt * gamma_i
-            zg2 = zg ** 2
-            a_prev = -(
-                zb * beta_i / (glo * sqrt(zb ** 2 + delta2))
-                + zc * chi_i / (glo * sqrt(zc ** 2 + sigma2))
-                + zg * gamma_i / (glo * sqrt(zg2 + rho2))
-                # the paper's guard on the xi term is gamma, not xi
-                + zt * xi_i * xi_i / (glo * sqrt(zg2 + tau2))
-                + varpi * (atan(z_i) + varrho * abs(z_i)) / (glo * zt)
-                + zt / glo
-            )
-            alpha.append(a_prev)
-            coupling = hi_next * abs(zt)
-            if signals:
-                stages.append((z_i, r_i, beta_i, chi_i, gamma_i, xi_i, zt))
-        u = alpha.pop()
-
-        if not signals:
-            return u, alpha, drives, None
-        z, r, beta, chi, gamma, xi, zeta_vals = map(list, zip(*stages))
-        sig = StageSignals(
-            z=[z1] + z, r=r, alpha=alpha, beta=[beta1] + beta, chi=[chi1] + chi,
-            gamma=gamma, xi=xi, zeta_vals=zeta_vals, u=u,
-            e=e, eta=eta_v, psi=psi_v, varphi=phi_v, y_r=y_r,
-        )
-        return u, alpha, drives, sig

@@ -21,13 +21,19 @@ golden records, so they stay off the grid until those are re-recorded.
 weights take the same RK4 step of their linear law in closed form, once
 per step: one projection of theta on the step's three basis rows (t,
 t+dt/2, t+dt) gives every stage's drift estimate as a scalar recurrence,
-and one update forms the new weights.  Their coefficients and the filter
-decays are one lookup per step, cached by value (:func:`_step_constants`)
-and computed by the expressions once evaluated per step.  One pass over
-the stages per RK stage forms x with the drift estimates (fuzzy mode),
-x_new with the weights' mix rows, and the exact filter's two decays;
-numpy ops stay numpy ops, as BLAS and pairwise sums add in another order
-than a Python loop, so every float is unchanged to the bit.  The two
+and one update forms the new weights.  The step is compiled per (n, mode,
+filter update, mu, varpi, lam, dt): :data:`_STEP` unrolled over the n
+stages as straight-line Python, with the closed-form coefficients and the
+filter decays of :func:`_step_constants` bound in as globals.  The cache
+(:func:`_compiled_step`) is keyed by value, and ``run()`` clears it at its
+start and compiles once per run.  Every float takes the same operations in
+the same order as in the loop step (the oracle ``comprehension_step`` in
+the tests), and numpy ops stay numpy ops, as BLAS and pairwise sums add
+in another order than a Python loop, so every float is unchanged to the
+bit.  The source is compiled under the name
+``.../sim.py<step n=3 fuzzy exact>`` and registered in :mod:`linecache`.
+The compiled step returns the time inputs at t + dt, and ``run()`` opens
+the next step with them wherever (k+1)*dt is the float k*dt + dt.  The two
 steppers differ only in how the filters s' = (alpha - s)/lam move:
 
 - exact filter (default): along their closed-form exponential toward the
@@ -63,7 +69,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .controller import ControlMode, ControllerChain, StageGains
+from .controller import ControlMode, ControllerChain, StageGains, compile_function
 from .perf import ErrorTransform, FunnelBreachError, PerfFunction, TransformKind
 from .plants import ReferenceSignal, StrictFeedbackPlant
 
@@ -178,7 +184,6 @@ class VerificationReport:
         return asdict(self)
 
 
-@functools.lru_cache(maxsize=8)
 def _step_constants(mus: tuple, varpis: tuple, lams: tuple, dt: float):
     """The coefficients of one RK4 step of the adaptive law in closed form,
     then the filter decays exp(-0.5*dt/lam) and exp(-dt/lam).
@@ -213,32 +218,147 @@ def _step_constants(mus: tuple, varpis: tuple, lams: tuple, dt: float):
         z = varpi * dt
         growth.append(1.0 - z + z * z / 2.0 - z**3 / 6.0 + z**4 / 24.0)
     growth = np.array(growth)[:, None]
-    growth.flags.writeable = False  # shared by every caller of the cache
+    growth.flags.writeable = False  # shared by every call of the compiled step
     half = tuple(math.exp(-0.5 * dt / lam) for lam in lams)
     full = tuple(math.exp(-dt / lam) for lam in lams)
     return tuple(c2), tuple(c3), tuple(c4), tuple(cmix), growth, half, full
 
 
-def _open_step(chain: ControllerChain, bundle, t: float, signals: bool, block, row: int):
+# One RK4 step of an n-stage chain.  Per RK stage k, x<k>_<j> is plant state
+# j, s<k>_<i> filter i, a<k>_<i> the alpha that filter i tracks, d<k>_<j>
+# the drive of stage j and k<k>_<j> the plant derivative.  The constants
+# are globals: HALF = 0.5*dt, DT = dt, DT6 = dt/6.0, the _step_constants
+# coefficients c2_<j>_<m>, c3_<j>_<m>, c4_<j>_<m>, m_<j>_<m> and GROWTH,
+# the decays dh<i> and df<i> and the filter time constants lam<i>.
+_STEP = """\
+def advance(kernel, rhs, time_inputs, bundle, t, start, basis):
+    x, s, theta = bundle
+    {x1}, = x
+    {s1}, = s
+    u1, ({a1},), {d1}, _ = start
+    {basis} = basis
+    tm = t + HALF
+    te = t + DT
+    mid = time_inputs(tm)
+    end = time_inputs(te)
+{filters1}
+    {k1}, = rhs(x, u1, t)
+    x2 = [{x2}]
+    u2, {a2}, {d2}, _ = kernel(x2, {s2}, {f2}, mid)
+    {k2}, = rhs(x2, u2, tm)
+{filters2}
+    x3 = [{x3}]
+    u3, {a3}, {d3}, _ = kernel(x3, {s3}, {f3}, mid)
+    {k3}, = rhs(x3, u3, tm)
+{filters3}
+    x4 = [{x4}]
+    u4, {a4}, {d4}, _ = kernel(x4, {s4}, {f4}, end)
+    {k4}, = rhs(x4, u4, te)
+{filters4}
+    x_new = [{x_new}]
+{weights}
+    return (x_new, {s_new}, theta), end
+"""
+
+
+def _step_source(n: int, fuzzy: bool, exact_filter: bool) -> str:
+    """:data:`_STEP` unrolled over n stages for one mode and filter update."""
+    states, filters = range(1, n + 1), range(2, n + 1)
+
+    def each(template, indices=states, sep=", "):
+        return sep.join(template.format(i=i) for i in indices)
+
+    def listed(template, indices=states):
+        return f"[{each(template, indices)}]"
+
+    def unpacked(template, indices=states):
+        return f"({each(template, indices)},)"
+
+    def lines(*templates):
+        return "\n".join(each("    " + template, filters, "\n") for template in templates)
+
+    fields = {
+        "x1": each("x1_{i}"), "s1": each("s1_{i}", filters), "a1": each("a1_{i}", filters),
+        "x2": each("x1_{i} + HALF * k1_{i}"), "x3": each("x1_{i} + HALF * k2_{i}"),
+        "x4": each("x1_{i} + DT * k3_{i}"),
+        "x_new": each("x1_{i} + DT6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"),
+    }
+    for k in range(1, 5):
+        fields[f"k{k}"] = each(f"k{k}_{{i}}")
+        fields[f"d{k}"] = unpacked(f"d{k}_{{i}}") if fuzzy else "_"
+        if k > 1:
+            fields[f"a{k}"] = "_" if exact_filter else unpacked(f"a{k}_{{i}}", filters)
+    if fuzzy:
+        fields.update(
+            basis=f"rows, _, (g1h, ghh, g14, gh4), (_, {unpacked('ph_{i}')}, {unpacked('p4_{i}')})",
+            f2=listed("c2_{i}_0 * ph_{i} + c2_{i}_1 * d1_{i} * g1h"),
+            f3=listed("c3_{i}_0 * ph_{i} + c3_{i}_1 * d1_{i} * g1h + c3_{i}_2 * d2_{i} * ghh"),
+            f4=listed("c4_{i}_0 * p4_{i} + c4_{i}_1 * d1_{i} * g14 + (c4_{i}_2 * d3_{i} + c4_{i}_3 * d2_{i}) * gh4"),
+            weights="    theta = GROWTH * theta + np.array("
+            + listed("[m_{i}_0 * d1_{i}, m_{i}_1 * d2_{i} + m_{i}_2 * d3_{i}, m_{i}_3 * d4_{i}]") + ") @ rows",
+        )
+    else:
+        fields.update(basis="_, (_, f2, f4), _, _", f2="f2", f3="f2", f4="f4", weights="")
+    if exact_filter:
+        # toward the alpha frozen at t: s2 serves RK stages 2 and 3, s4 stage 4 and the step's end
+        fields.update(
+            filters1=f"    s2 = {listed('a1_{i} + (s1_{i} - a1_{i}) * dh{i}', filters)}\n"
+            f"    s4 = {listed('a1_{i} + (s1_{i} - a1_{i}) * df{i}', filters)}",
+            filters2="", filters3="", filters4="", s2="s2", s3="s2", s4="s4", s_new="s4",
+        )
+    else:
+        # the RK4 stages of s' = (alpha - s)/lam, from each stage's alpha
+        fields.update(
+            filters1=lines("ks1_{i} = (a1_{i} - s1_{i}) / lam{i}", "s2_{i} = s1_{i} + HALF * ks1_{i}"),
+            filters2=lines("ks2_{i} = (a2_{i} - s2_{i}) / lam{i}", "s3_{i} = s1_{i} + HALF * ks2_{i}"),
+            filters3=lines("ks3_{i} = (a3_{i} - s3_{i}) / lam{i}", "s4_{i} = s1_{i} + DT * ks3_{i}"),
+            filters4=lines("ks4_{i} = (a4_{i} - s4_{i}) / lam{i}") + "\n    s_new = "
+            + listed("s1_{i} + DT6 * (ks1_{i} + 2.0 * ks2_{i} + 2.0 * ks3_{i} + ks4_{i})", filters),
+            s2=listed("s2_{i}", filters), s3=listed("s3_{i}", filters), s4=listed("s4_{i}", filters), s_new="s_new",
+        )
+    return _STEP.format(**fields)
+
+
+@functools.lru_cache(maxsize=8)
+def _compiled_step(n: int, fuzzy: bool, exact_filter: bool, mus: tuple, varpis: tuple, lams: tuple, dt: float):
+    """:data:`_STEP` for one chain shape, compiled with its
+    :func:`_step_constants` bound in: ``advance(kernel, rhs, time_inputs,
+    bundle, t, start, basis)`` returns ``(new_bundle, end)``, ``end`` being
+    the time inputs at t + dt.  Cached by value."""
+    c2, c3, c4, cmix, growth, half_decay, full_decay = _step_constants(mus, varpis, lams, dt)
+    namespace = {"np": np, "HALF": 0.5 * dt, "DT": dt, "DT6": dt / 6.0, "GROWTH": growth}
+    for prefix, table in (("c2", c2), ("c3", c3), ("c4", c4), ("m", cmix)):
+        for j, coefficients in enumerate(table, start=1):
+            namespace.update({f"{prefix}_{j}_{m}": c for m, c in enumerate(coefficients)})
+    for i, (lam, dh, df) in enumerate(zip(lams, half_decay, full_decay), start=2):
+        namespace.update({f"lam{i}": lam, f"dh{i}": dh, f"df{i}": df})
+    filename = f"{__file__}<step n={n} {'fuzzy' if fuzzy else 'approx-free'} {'exact' if exact_filter else 'explicit'}>"
+    return compile_function(_step_source(n, fuzzy, exact_filter), filename, namespace)
+
+
+def _open_step(chain: ControllerChain, bundle, t: float, signals: bool, block, row: int, inputs=None):
     """The kernel at the step start, ``(u, alpha, drives, sig)``, its time
     inputs and what the rest of the step needs: the basis rows b1, bh, b4
     at t, t+dt/2 and t+dt, their energies, and in fuzzy mode their Gram
     products (b1.bh, bh.bh, b1.b4, bh.b4) and the projections
-    P = theta.[b1, bh, b4] as an n x 3 list (both None in approximator-free mode).
+    P = theta.[b1, bh, b4] as a 3 x n list, one list per row (both None
+    in approximator-free mode).
 
     ``block`` is a ``ControllerChain.tabulate_basis`` result whose rows
-    ``row .. row+2`` are the step's; this is the step's one read of it."""
+    ``row .. row+2`` are the step's; this is the step's one read of it.
+    ``inputs`` is ``chain.time_inputs(t)`` when the caller has it."""
     x, s, theta = bundle
     basis, energy, cross1, cross2 = block
     rows, energies = basis[row:row + 3], energy[row:row + 3]
     gram = proj = None
     if chain._fuzzy:
         gram = (cross1[row], energy[row + 1], cross2[row], cross1[row + 1])
-        proj = (theta @ rows.T).tolist()
-        basis_in = [p[0] for p in proj]
+        proj = (theta @ rows.T).T.tolist()
+        basis_in = proj[0]
     else:
         basis_in = energies[0]
-    inputs = chain.time_inputs(t)
+    if inputs is None:
+        inputs = chain.time_inputs(t)
     return chain.kernel(x, s, basis_in, inputs, signals), inputs, (rows, energies, gram, proj)
 
 
@@ -255,92 +375,20 @@ def step(
     step.
 
     ``opened`` is ``_open_step`` of (bundle, t) when the caller already has
-    it, as ``run()`` does from its block of the half-step grid.  By default
-    it is computed here with the stage signals, from one
+    it.  By default it is computed here with the stage signals, from one
     ``ControllerChain.tabulate_basis`` call at t, t+dt/2 and t+dt.  Returns
     (new_bundle, start), ``start`` being the kernel output at (bundle, t).
     The plant takes the RK4 stages and the weights the same RK4 step of
     their law in closed form; ``exact_filter`` selects only the filter
     update (see the module docstring).
     """
-    x, s, theta = bundle
-    half = 0.5 * dt
     if opened is None:
-        block = chain.tabulate_basis([t, t + half, t + dt])
+        block = chain.tabulate_basis([t, t + 0.5 * dt, t + dt])
         opened = _open_step(chain, bundle, t, True, block, 0)
-    start, _, (rows, energies, gram, proj) = opened
-    u0, a1, d1, _ = start
-    kernel, rhs = chain.kernel, plant.rhs
-    mid, end = chain.time_inputs(t + half), chain.time_inputs(t + dt)
-    lams = chain._lam
-    c2, c3, c4, cmix, growth, half_decay, full_decay = _step_constants(chain._mu, chain._varpi, lams, dt)
-    # the kernel's basis input at RK stages 2..4: the rows' energies in
-    # approximator-free mode, the drift estimates theta_k . b in fuzzy mode
-    _, f2, f4 = energies
-    f3 = f2
-    fuzzy = proj is not None
-    if fuzzy:
-        g1h, ghh, g14, gh4 = gram
-    # the filter update, the steppers' one difference: the exponential
-    # toward the alpha frozen at t, or RK4 stages from each stage's alpha
-    if exact_filter:
-        s3, s_new = s2, s4 = [], []
-        for a, si, dh, df in zip(a1, s, half_decay, full_decay):
-            s2.append(a + (si - a) * dh)
-            s4.append(a + (si - a) * df)
-    else:
-        k1s = [(a - si) / lam for a, si, lam in zip(a1, s, lams)]
-        s2 = [si + half * ki for si, ki in zip(s, k1s)]
-
-    k1x = rhs(x, u0, t)
-    if fuzzy:
-        x2, f2 = [], []
-        for xi, ki, (k0, k1), p, da in zip(x, k1x, c2, proj, d1):
-            x2.append(xi + half * ki)
-            f2.append(k0 * p[1] + k1 * da * g1h)
-    else:
-        x2 = [xi + half * ki for xi, ki in zip(x, k1x)]
-    u2, a2, d2, _ = kernel(x2, s2, f2, mid)
-    k2x = rhs(x2, u2, mid[0])
-    if not exact_filter:
-        k2s = [(a - si) / lam for a, si, lam in zip(a2, s2, lams)]
-        s3 = [si + half * ki for si, ki in zip(s, k2s)]
-    if fuzzy:
-        x3, f3 = [], []
-        for xi, ki, (k0, k1, k2), p, da, db in zip(x, k2x, c3, proj, d1, d2):
-            x3.append(xi + half * ki)
-            f3.append(k0 * p[1] + k1 * da * g1h + k2 * db * ghh)
-    else:
-        x3 = [xi + half * ki for xi, ki in zip(x, k2x)]
-    u3, a3, d3, _ = kernel(x3, s3, f3, mid)
-    k3x = rhs(x3, u3, mid[0])
-    if not exact_filter:
-        k3s = [(a - si) / lam for a, si, lam in zip(a3, s3, lams)]
-        s4 = [si + dt * ki for si, ki in zip(s, k3s)]
-    if fuzzy:
-        x4, f4 = [], []
-        for xi, ki, (k0, k1, k2, k3), p, da, db, dc in zip(x, k3x, c4, proj, d1, d2, d3):
-            x4.append(xi + dt * ki)
-            f4.append(k0 * p[2] + k1 * da * g14 + (k2 * dc + k3 * db) * gh4)
-    else:
-        x4 = [xi + dt * ki for xi, ki in zip(x, k3x)]
-    u4, a4, d4, _ = kernel(x4, s4, f4, end)
-    k4x = rhs(x4, u4, end[0])
-    if not exact_filter:
-        k4s = [(a - si) / lam for a, si, lam in zip(a4, s4, lams)]
-        s_new = [
-            si + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-            for si, a, b, c, d in zip(s, k1s, k2s, k3s, k4s)
-        ]
-    if fuzzy:
-        x_new, mix = [], []
-        for xi, a, b, c, d, (k0, k1, k2, k3), da, db, dc, dd in zip(x, k1x, k2x, k3x, k4x, cmix, d1, d2, d3, d4):
-            x_new.append(xi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d))
-            mix.append([k0 * da, k1 * db + k2 * dc, k3 * dd])
-        theta = growth * theta + np.array(mix) @ rows
-    else:
-        x_new = [xi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1x, k2x, k3x, k4x)]
-    return (x_new, s_new, theta), start
+    start, _, basis = opened
+    advance = _compiled_step(chain.bounds.n, chain._fuzzy, exact_filter, chain._mu, chain._varpi, chain._lam, dt)
+    new_bundle, _ = advance(chain.kernel, plant.rhs, chain.time_inputs, bundle, t, start, basis)
+    return new_bundle, start
 
 
 def run(
@@ -376,9 +424,9 @@ def run(
     )
 
     n_steps = step_count(config.t_end, config.dt)
-    # each run misses the step cache once, whatever this process ran before,
+    # each run compiles its step once, whatever this process ran before,
     # so the calls a run makes do not depend on the process's history
-    _step_constants.cache_clear()
+    _compiled_step.cache_clear()
 
     # one row of floats per recorded sample: the CSV columns, then z
     filters = [f"s{i}" for i in range(2, n + 1)]
@@ -420,7 +468,10 @@ def run(
     first = -BASIS_BLOCK  # first row of the basis block; sample 0 fills one
     after_T = perf.T
     to_z1 = chain.transform._transform
-    record_every, exact_filter, isfinite = config.record_every, config.exact_filter, math.isfinite
+    record_every, isfinite = config.record_every, math.isfinite
+    advance = _compiled_step(n, chain._fuzzy, config.exact_filter, chain._mu, chain._varpi, chain._lam, dt)
+    kernel, rhs, time_inputs = chain.kernel, plant.rhs, chain.time_inputs
+    inputs = None  # the time inputs at t when the last step's end has them
     # sample k opens step k, which reads rows 2k..2k+2 of the half-step
     # grid; the last sample, at t_end, closes the run
     for k in range(n_steps + 1):
@@ -434,8 +485,7 @@ def run(
         try:
             # never the diagnostic branch: a recorded row forms e, z1 and
             # z_i by the kernel's own expressions, the same floats
-            opened = _open_step(chain, bundle, t, False, block, 2 * k - first)
-            start, inputs, _ = opened
+            start, inputs, basis = _open_step(chain, bundle, t, False, block, 2 * k - first, inputs)
             if recorded:
                 y_r, eta = inputs[1], inputs[3]
                 e = xv[0] - y_r
@@ -445,7 +495,7 @@ def run(
                     to_z1(e, t, eta), *[xi - si for xi, si in zip(xv[1:], sv)],
                 ])
             if not closing:
-                new_bundle, _ = step(plant, chain, bundle, t, dt, exact_filter, opened)
+                new_bundle, end = advance(kernel, rhs, time_inputs, bundle, t, start, basis)
         except FunnelBreachError as br:
             breach = br.t
             break
@@ -469,6 +519,9 @@ def run(
         bundle = new_bundle
         if not all(map(isfinite, bundle[0])):
             raise SimulationDivergenceError(t + dt)
+        # time_inputs is a pure function of the float, so the step's end
+        # serves as the next start wherever (k+1)*dt is the same float
+        inputs = end if (k + 1) * dt == end[0] else None
 
     traj = Trajectory(names, np.frombuffer(samples).reshape(-1, len(names)), breach)
     data = traj.data

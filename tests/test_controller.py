@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -401,6 +402,73 @@ class TestStageConstants:
             assert sig.r == [si - a for si, a in zip(s, alpha)]
 
 
+def breach_of(fn, *args):
+    """``(t, e, eta)`` of the FunnelBreachError that ``fn(*args)`` raises, else None."""
+    try:
+        fn(*args)
+    except FunnelBreachError as br:
+        return br.t, br.e, br.eta
+    return None
+
+
+def outcome(fn, *args):
+    """``(u, alpha, drives)`` of a kernel call, or OverflowError if it overflows."""
+    try:
+        return fn(*args)[:3]
+    except OverflowError:
+        return OverflowError
+
+
+class TestCompiledKernelRaises:
+    """The compiled kernel raises where the error transformation and the
+    indexed oracle raise, with the same arguments."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE])
+    def test_breach_parity(self, n, mode):
+        chain = distinct_chain(n, mode, 0.0)
+        rng = np.random.default_rng(n)
+        s = rng.uniform(-3.0, 3.0, n - 1).tolist()
+        drifts = rng.uniform(-1.0, 1.0, n).tolist() if mode is ControlMode.FUZZY else 0.5
+        breaches = 0
+        for t in (0.0, 0.13, 0.8):
+            _, y_r, dy_r, eta, eta_dot = chain.time_inputs(t)
+            cases = [(target, eta) for target in (1e300, -1e300, math.inf, 2.0 * math.tan(eta), -2.0 * math.tan(eta))]
+            # |arctan e| == eta breaches, and one ulp of eta either way decides it
+            for target in (0.7, -3.0):
+                bound = abs(math.atan(y_r + target - y_r))
+                cases += [(target, bound), (target, math.nextafter(bound, 0.0)), (target, math.nextafter(bound, 2.0))]
+            for target, bound in cases:
+                x = [y_r + target, *rng.uniform(-2.0, 2.0, n - 1).tolist()]
+                e, inputs = x[0] - y_r, (t, y_r, dy_r, bound, eta_dot)
+                want = breach_of(ErrorTransform._transform, e, t, bound)
+                if want is None:  # inside the funnel, if only by an ulp
+                    assert outcome(chain.kernel, x, s, drifts, inputs) == outcome(
+                        functools.partial(indexed_kernel, chain), x, s, drifts, inputs)
+                else:
+                    assert breach_of(chain.kernel, x, s, drifts, inputs) == want
+                    breaches += 1
+        assert breaches == 3 * 5 + 2 * 3 * 2
+
+    @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE])
+    def test_overflow_of_the_stage_one_square(self, mode):
+        """A stage-1 product ``w * beta1`` past 1.34e154 raises OverflowError
+        at its ``** 2``, as the oracle's does, and the traceback shows the
+        generated line."""
+        chain = distinct_chain(3, mode, 0.0)
+        t, y_r, _, eta, eta_dot = chain.time_inputs(0.13)
+        x, s = [y_r + 0.5, 0.3, -0.2], [0.1, 0.4]
+        drifts = [0.2, -0.1, 0.3] if mode is ControlMode.FUZZY else 0.5
+        inputs = (t, y_r, 1e160, eta, eta_dot)
+        with pytest.raises(OverflowError):
+            indexed_kernel(chain, x, s, drifts, inputs)
+        with pytest.raises(OverflowError) as err:
+            chain.kernel(x, s, drifts, inputs)
+        frame = err.traceback[-1]
+        assert frame.name == "kernel" and "<kernel n=3" in str(frame.path)
+        assert "-wb * beta1 / (lo1 * sqrt(wb ** 2 + delta2_1))" in str(frame.statement)
+
+
 class TestAdaptiveLaw:
     def test_drives_per_stage(self):
         chain = em_chain()
@@ -438,9 +506,9 @@ class TestBasisBlocks:
                 blocks.append((list(times), block))
             return block
 
-        def opened(chain, bundle, t, signals, block, row):
+        def opened(chain, bundle, t, signals, block, row, inputs=None):
             opens.append((t, block, row))
-            return open_step(chain, bundle, t, signals, block, row)
+            return open_step(chain, bundle, t, signals, block, row, inputs)
 
         monkeypatch.setattr(ControllerChain, "tabulate_basis", tabulated)
         monkeypatch.setattr(sim, "_open_step", opened)
@@ -497,7 +565,8 @@ class TestBasisBlocks:
         h = 0.5 * dt
         x0 = [3.0, 0.5, 0.2]
         state = chain.init_state(x0)
-        theta = np.array([w.theta_hat for w in state.theta_hat]) + 0.1
+        # rows of theta that differ, so a transposed projection shows
+        theta = np.array([w.theta_hat for w in state.theta_hat]) + np.array([[0.1], [-0.3], [0.7]])
         bundle = (x0, list(state.filter_states), theta)
         blocks = [chain.tabulate_basis([i * h for i in range(first, first + self.BLOCK + 2)])
                   for first in (0, self.BLOCK)]
@@ -514,7 +583,7 @@ class TestBasisBlocks:
             assert [g1h, ghh, g14, gh4] == pytest.approx(
                 [gram[0, 1], gram[1, 1], gram[0, 2], gram[1, 2]], rel=1e-12)
             assert energies == pytest.approx(np.diag(gram).tolist(), rel=1e-12)
-            np.testing.assert_allclose(proj, theta @ want.T, rtol=1e-12)
+            np.testing.assert_allclose(proj, want @ theta.T, rtol=1e-12)
 
     def test_off_grid_times_use_the_direct_path(self, monkeypatch):
         chain = em_chain()

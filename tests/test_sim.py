@@ -1,5 +1,6 @@
 import csv
 import math
+import traceback
 import tracemalloc
 from dataclasses import replace
 
@@ -9,9 +10,10 @@ import pytest
 from funneldsc import sim
 from funneldsc.cli import build_problem
 from funneldsc.config import electromechanical_preset, single_link_preset, weak_gain_single_link
-from funneldsc.controller import ControlMode, ControllerChain
-from funneldsc.perf import ErrorTransform, perf_from_terminal
+from funneldsc.controller import ControlMode, ControllerChain, StageGains
+from funneldsc.perf import ErrorTransform, FunnelBreachError, perf_from_terminal
 from funneldsc.plants import (
+    ReferenceSignal,
     StrictFeedbackPlant,
     make_single_link,
     single_link_reference,
@@ -73,6 +75,41 @@ class TestStep:
         # fastest filter has lam = 1e-3; explicit stepping needs dt <= lam/5
         with pytest.raises(ValueError, match="explicit"):
             run(plant, reference, gains, perf, cfg)
+
+
+def wrap_kernel(monkeypatch, wrapper):
+    """Every chain built from now on calls ``wrapper(kernel, *args)`` in
+    place of its compiled ``kernel(*args)``."""
+    init = ControllerChain.__init__
+
+    def wrapped_init(chain, *args, **kwargs):
+        init(chain, *args, **kwargs)
+        kernel = chain.kernel
+        chain.kernel = lambda *args, **kwargs: wrapper(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(ControllerChain, "__init__", wrapped_init)
+
+
+def distinct_problem(n, mode, smoothing, varpi):
+    """An order-n plant and its chain, every gain, bound and rate differing
+    from stage to stage; ``varpi`` scales the weights' leakage gains."""
+    plant = StrictFeedbackPlant(
+        n=n,
+        rhs=lambda x, u, t: [*(x[i + 1] + 0.1 * math.sin(x[i] + t) for i in range(n - 1)), u - 0.3 * x[-1]],
+        gain_lower=(0.5, 0.7, 0.9, 1.1)[:n],
+        gain_upper=(2.0, 3.0, 4.5, 6.0)[:n],
+        lipschitz_rate=(1.3, 0.8, 2.2, 1.7)[:n],
+    )
+    gains = [
+        StageGains(
+            delta=0.3 + 0.11 * k, sigma=0.5 + 0.07 * k, varpi=varpi * (1.0 + 0.15 * k), mu=1.0 + k,
+            rho=0.2 + 0.05 * k, tau=0.4 + 0.03 * k, varrho=1.5 + 0.1 * k, lam=0.01 * (k + 1),
+        )
+        for k in range(1, n + 1)
+    ]
+    perf = perf_from_terminal(b=0.4, c=0.05, h=1.0, T=0.5)
+    reference = ReferenceSignal(value=math.sin, derivative=math.cos)
+    return plant, ControllerChain(plant.bounds(), gains, ErrorTransform(perf=perf), reference, mode, smoothing)
 
 
 def fresh_chain(cfg, plant, reference, perf):
@@ -227,39 +264,54 @@ class TestStepConstants:
         assert bundles[0][1][1] != bundles[1][1][1]
 
     def test_each_run_misses_the_cache_once(self):
-        """Whatever the process ran before, a run computes its step constants
-        exactly once, so two identical runs make the same calls."""
+        """Whatever the process ran before, a run compiles its step exactly
+        once, so two identical runs make the same calls."""
         plant, reference, gains, perf = sl_problem()
         cfg = SimConfig(dt=1e-4, t_end=0.01, x0=(3.3, 0.0), mode=ControlMode.APPROX_FREE)
         for _ in range(3):
             run(plant, reference, gains, perf, cfg)
-            info = sim._step_constants.cache_info()
-            assert (info.misses, info.hits) == (1, 99)
+            info = sim._compiled_step.cache_info()
+            assert (info.misses, info.hits) == (1, 0)
 
 
 class TestStageTimes:
     def test_run_keeps_the_stage_times_off_the_half_step_grid(self, monkeypatch):
         """``run()`` evaluates the kernel at k*dt, k*dt + 0.5*dt and k*dt + dt,
         not at the basis grid's (2k+1)*dt/2 and (2k+2)*dt/2, which differ
-        by an ulp at some k for dt = 1e-5."""
+        by an ulp at some k for dt = 1e-5.  Step k's start reuses the time
+        inputs of step k-1's end where (k-1)*dt + dt is the float k*dt."""
         dt, n_steps = 1e-5, 200
         half = 0.5 * dt
         assert any((2 * k + 1) * half != k * dt + half for k in range(n_steps))
-        seen = []
+        reused = [k for k in range(1, n_steps + 1) if (k - 1) * dt + dt == k * dt]
+        assert 0 < len(reused) < n_steps
+        built, evaluated = [], []
         time_inputs = ControllerChain.time_inputs
 
         def recorded(chain, t):
-            seen.append(t)
+            built.append(t)
             return time_inputs(chain, t)
 
         monkeypatch.setattr(ControllerChain, "time_inputs", recorded)
+
+        def evaluate(kernel, x, s, drifts, inputs, signals=False):
+            evaluated.append(inputs[0])
+            return kernel(x, s, drifts, inputs, signals)
+
+        wrap_kernel(monkeypatch, evaluate)
         plant, reference, gains, perf = sl_problem()
         cfg = SimConfig(dt=dt, t_end=n_steps * dt, x0=(3.3, 0.0), mode=ControlMode.APPROX_FREE)
         run(plant, reference, gains, perf, cfg)
         # init_state's one evaluation, then per step its start, the shared
         # t + dt/2 of RK stages 2 and 3 and t + dt; the closing sample last
-        want = [0.0] + [s for k in range(n_steps) for s in (k * dt, k * dt + half, k * dt + dt)]
-        assert seen == want + [n_steps * dt]
+        stages = [0.0] + [s for k in range(n_steps) for s in (k * dt, k * dt + half, k * dt + half, k * dt + dt)]
+        assert evaluated == stages + [n_steps * dt]
+        # each stage time's inputs are built once, a reused start not again
+        want = [0.0] + [
+            s for k in range(n_steps)
+            for s in ([] if k in reused else [k * dt]) + [k * dt + half, k * dt + dt]
+        ]
+        assert built == want + ([] if n_steps in reused else [n_steps * dt])
 
 
 CASES = pytest.mark.parametrize("preset, dt, exact", [
@@ -344,6 +396,7 @@ def comprehension_step(plant, chain, bundle, t, dt, exact_filter=True):
     k1x = rhs(x, u0, t)
     x2 = [xi + half * ki for xi, ki in zip(x, k1x)]
     if fuzzy:
+        proj = list(zip(*proj))  # one (P1, Ph, P4) per stage
         f2 = [k0 * p[1] + k1 * da * g1h for (k0, k1), p, da in zip(c2, proj, d1)]
     u2, a2, d2, _ = kernel(x2, s2, f2, mid)
     k2x = rhs(x2, u2, mid[0])
@@ -399,6 +452,43 @@ class TestStepBitIdentity:
         assert got[0] != list(cfg.x0)
         if cfg.mode is ControlMode.FUZZY:
             assert np.all(got[2] != 0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE], ids=lambda m: m.value)
+    @pytest.mark.parametrize("smoothing", [0.0, 0.05])
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "explicit"])
+    @pytest.mark.parametrize("varpi", [2.0, 300.0], ids=["", "negative-coefficients"])
+    def test_distinct_chains_equal_the_comprehension_form(self, n, mode, smoothing, exact, varpi):
+        """Chains of order 2..4 whose every constant differs per stage, opened
+        with and without the stage signals; at varpi = 300 the factors
+        1 - varpi*dt/2 of the weights' closed form are negative, and the
+        run breaches in its second step, at the oracle's t, e and eta."""
+        dt = 1e-2
+        plant, chain = distinct_problem(n, mode, smoothing, varpi)
+        c2 = sim._step_constants(chain._mu, chain._varpi, chain._lam, dt)[0]
+        assert all((k0 < 0.0) == (varpi > 100.0) for k0, _ in c2)
+        x0 = [math.sin(0.0) + 0.8, 0.3, -0.2, 0.1][:n]
+        state = chain.init_state(x0)
+        theta = np.array([w.theta_hat for w in state.theta_hat]) if state.theta_hat else np.zeros((0, 0))
+        got = want = (x0, list(state.filter_states), theta)
+        for k in range(20):
+            t = k * dt
+            try:
+                block = chain.tabulate_basis([t, t + 0.5 * dt, t + dt])
+                opened = sim._open_step(chain, got, t, k % 2 == 0, block, 0)
+                got, (u, alpha, drives, _) = step(plant, chain, got, t, dt, exact, opened)
+            except FunnelBreachError as br:
+                with pytest.raises(FunnelBreachError) as want_br:
+                    comprehension_step(plant, chain, want, t, dt, exact)
+                assert (br.t, br.e, br.eta) == (want_br.value.t, want_br.value.e, want_br.value.eta)
+                assert (k, varpi) == (1, 300.0)
+                break
+            want, (u_want, alpha_want, drives_want, _) = comprehension_step(plant, chain, want, t, dt, exact)
+            assert (u, alpha, drives) == (u_want, alpha_want, drives_want)
+            assert got[0] == want[0]
+            assert got[1] == want[1]
+            assert np.array_equal(got[2], want[2])
+        assert got[0] != x0
 
 
 class TestRunBookkeeping:
@@ -544,10 +634,10 @@ class TestRecorder:
         open_step = sim._open_step
         signals_at = {}
 
-        def checked(chain, bundle, t, signals, block, row):
+        def checked(chain, bundle, t, signals, block, row, inputs=None):
             assert signals is False
-            signals_at[t] = open_step(chain, bundle, t, True, block, row)[0][3]
-            return open_step(chain, bundle, t, signals, block, row)
+            signals_at[t] = open_step(chain, bundle, t, True, block, row, inputs)[0][3]
+            return open_step(chain, bundle, t, signals, block, row, inputs)
 
         monkeypatch.setattr(sim, "_open_step", checked)
         traj, _ = run(plant, reference, cfg.gains, perf, sim_cfg, sign_smoothing=cfg.sign_smoothing)
@@ -600,19 +690,36 @@ class TestDivergenceHandling:
 
     def test_overflow_in_a_step_is_divergence(self, monkeypatch):
         plant, reference, gains, perf = sl_problem()
-        kernel = ControllerChain.kernel
 
-        def overflowing(chain, x, filter_states, drifts, inputs, signals=False):
+        def overflowing(kernel, x, filter_states, drifts, inputs, signals=False):
             if inputs[0] > 4.7e-4:  # the t+dt stage of step 4
                 raise OverflowError("(34, 'Numerical result out of range')")
-            return kernel(chain, x, filter_states, drifts, inputs, signals)
+            return kernel(x, filter_states, drifts, inputs, signals)
 
-        monkeypatch.setattr(ControllerChain, "kernel", overflowing)
+        wrap_kernel(monkeypatch, overflowing)
         cfg = SimConfig(dt=1e-4, t_end=0.01, x0=(3.3, 0.0), mode=ControlMode.APPROX_FREE)
         with pytest.raises(SimulationDivergenceError) as err:
             run(plant, reference, gains, perf, cfg)
         assert err.value.t == pytest.approx(4e-4)
         assert isinstance(err.value.__cause__, OverflowError)
+
+    @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE], ids=lambda m: m.value)
+    def test_overflow_of_the_stage_one_square_is_divergence(self, mode):
+        """A reference slope of 1e160 from t = 3e-4 makes w * beta1 overflow
+        at its ``** 2`` in the compiled kernel, first at the end stage of
+        the step from 2e-4."""
+        plant, reference, gains, perf = sl_problem()
+        steep = ReferenceSignal(
+            value=reference.value, derivative=lambda t: 1e160 if t >= 3e-4 else reference.derivative(t))
+        cfg = SimConfig(dt=1e-4, t_end=0.01, x0=(3.3, 0.0), mode=mode)
+        with pytest.raises(SimulationDivergenceError) as err:
+            run(plant, steep, gains, perf, cfg)
+        assert err.value.t == pytest.approx(2e-4)
+        cause = err.value.__cause__
+        assert isinstance(cause, OverflowError)
+        frame = traceback.extract_tb(cause.__traceback__)[-1]
+        assert frame.name == "kernel" and frame.filename.endswith(f"controller.py<kernel n=2 {mode.value} sign>")
+        assert frame.line == "-wb * beta1 / (lo1 * sqrt(wb ** 2 + delta2_1))"
 
     def test_overflow_at_the_start_is_divergence(self):
         plant, reference, gains, perf = sl_problem()
