@@ -20,7 +20,6 @@ from .controller import (
     ControllerChain,
     ControllerState,
     StageGains,
-    StageSignals,
 )
 from .sim import (
     SimConfig,

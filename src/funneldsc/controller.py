@@ -10,12 +10,11 @@ replaces the estimate with a regressor-energy damping term.
 Each chain compiles its kernel at construction: :data:`_KERNEL` unrolled
 over the chain's n stages for its mode and sign (``sign_smoothing``), as
 straight-line Python whose constants are globals of the chain's own
-namespace, each the float of the expression the loop kernel once
-evaluated per stage.  Every float takes the same operations in the same
-order as in that loop (the oracle ``indexed_kernel`` in the tests), so
-every result is unchanged to the bit.  The squared guards stay ``** 2``:
-pow raises OverflowError where ``*`` gives inf, and v ** 2 != v * v for
-some v.  The source is compiled under the name
+namespace.  The kernel has one output, ``(u, alpha, drives)``; the tests'
+indexed oracle returns the same floats and every stage signal besides.
+The squared guards stay ``** 2``: pow raises OverflowError where ``*``
+gives inf, and v ** 2 != v * v for some v.  The source is compiled under
+the name
 ``.../controller.py<kernel n=3 fuzzy sign>``, which profiles attribute
 to this module, and registered in :mod:`linecache`, so tracebacks show
 its lines.
@@ -39,7 +38,6 @@ __all__ = [
     "ControlMode",
     "StageGains",
     "ControllerState",
-    "StageSignals",
     "ControllerChain",
     "zeta",
     "saturated_term",
@@ -89,35 +87,6 @@ class ControllerState:
     filter_states: list
 
 
-@dataclass(slots=True)
-class StageSignals:
-    """Diagnostic record of one full chain evaluation.
-
-    Lists are stage-indexed: ``z[0]`` is the transformed output error,
-    ``zeta_vals[0]``/``gamma[0]``/... belong to stage 2, ``alpha[0]`` is the
-    first virtual control.  ``theta_dot`` holds the weight derivatives, one
-    row per stage (empty in approximator-free mode); only
-    :meth:`ControllerChain.evaluate` fills it, the integrator's samples
-    leave it None.
-    """
-
-    z: list
-    r: list
-    alpha: list
-    beta: list
-    chi: list
-    gamma: list
-    xi: list
-    zeta_vals: list
-    u: float
-    theta_dot: Optional[np.ndarray] = None
-    e: float = 0.0
-    eta: float = 0.0
-    psi: float = 0.0
-    varphi: float = 0.0
-    y_r: float = 0.0
-
-
 def zeta(z: float, varrho: float, smoothing: float = 0.0) -> float:
     """Energy-slope factor 1/(1+z^2) + varrho*sign(z) with sign(0)=0.
 
@@ -155,7 +124,7 @@ def compile_function(source: str, filename: str, namespace: dict):
 # delta2_<i>, sigma2_<i>, varpi<i> and, for i >= 2, rho2_<i>, tau2_<i>,
 # varrho<i> and invlam<i> (see ControllerChain._compile_kernel).
 _KERNEL = '''\
-def kernel(x, filter_states, drifts, inputs, signals=False):
+def kernel(x, filter_states, drifts, inputs):
     """One evaluation of the chain at plant state ``x``, filter states
     ``filter_states`` (stages 2..n) and ``inputs``, the time_inputs of its
     time t.  ``drifts`` is the caller's basis input for t: the drift
@@ -163,10 +132,9 @@ def kernel(x, filter_states, drifts, inputs, signals=False):
     basis(t) . basis(t) in approximator-free mode.  The kernel reads no
     basis and calls no function of time.
 
-    Returns ``(u, alpha, drives, sig)``: the control input, the virtual
-    controls alpha_1..alpha_(n-1), the drives (w, zeta_2, ..., zeta_n) of
-    the adaptive law (None in approximator-free mode) and, only when
-    ``signals`` is set, the full StageSignals (else None).  Raises
+    Returns ``(u, alpha, drives)``: the control input, the virtual
+    controls alpha_1..alpha_(n-1) and the drives (w, zeta_2, ..., zeta_n)
+    of the adaptive law (None in approximator-free mode).  Raises
     FunnelBreachError if the output error left the performance funnel.
     """
     t, y_r, dy_r, eta_v, eta_d = inputs
@@ -200,14 +168,7 @@ def kernel(x, filter_states, drifts, inputs, signals=False):
     dev2 = e * e
     coupling = hi1 * phi_v * psi_v * abs(z1)
 {stages}
-    if signals:
-        alpha = [{alphas}]
-        return alpha{n}, alpha, {drives}, StageSignals(
-            z=[{zs}], r=[{rs}], alpha=alpha, beta=[{betas}], chi=[{chis}],
-            gamma=[{gammas}], xi=[{xis}], zeta_vals=[{zetas}], u=alpha{n},
-            e=e, eta=eta_v, psi=psi_v, varphi=phi_v, y_r=y_r,
-        )
-    return alpha{n}, [{alphas}], {drives}, None
+    return alpha{n}, [{alphas}], {drives}
 '''
 
 # Stage i >= 2 tracks the filtered alpha_(i-1); the last stage's alpha is u.
@@ -286,8 +247,7 @@ class ControllerChain:
         namespace = {
             "atan": math.atan, "tan": math.tan, "cos": math.cos, "sqrt": math.sqrt,
             "tanh": math.tanh, "copysign": math.copysign, "pi": math.pi, "HALF_PI": _HALF_PI,
-            "PHI_FLOOR": PHI_FLOOR, "FunnelBreachError": FunnelBreachError, "StageSignals": StageSignals,
-            "smoothing": self.sign_smoothing,
+            "PHI_FLOOR": PHI_FLOOR, "FunnelBreachError": FunnelBreachError, "smoothing": self.sign_smoothing,
         }
         for i, g in enumerate(self.gains, start=1):
             namespace.update({
@@ -315,9 +275,7 @@ class ControllerChain:
             n=n, xs=each("x{i}"), ss=each("s{i}", 2), stages="".join(stages),
             drifts=each("est{i}") + "," if fuzzy else "energy", drift1="est1" if fuzzy else "w * energy",
             drives=f"[w, {each('zt{i}', 2)}]" if fuzzy else "None",
-            alphas=", ".join(f"alpha{i}" for i in range(1, n)), zs=each("z{i}"), rs=each("r{i}", 2),
-            betas=each("beta{i}"), chis=each("chi{i}"), gammas=each("gamma{i}", 2), xis=each("xi{i}", 2),
-            zetas=each("zt{i}", 2),
+            alphas=", ".join(f"alpha{i}" for i in range(1, n)),
         )
         sign = "tanh" if smoothed else "sign"
         return compile_function(source, f"{__file__}<kernel n={n} {self.mode.value} {sign}>", namespace)
@@ -328,16 +286,18 @@ class ControllerChain:
         """Controller state at t=0 with each filter preloaded to the virtual
         control it will track, removing artificial initial filter lag."""
         n = self.bounds.n
-        if self.mode is ControlMode.FUZZY:
+        if self._fuzzy:
             theta = [AdaptiveWeights.zeros(self.grid.m) for _ in range(n)]
+            drifts = [0.0] * n  # the projections of the zero weights
         else:
             theta = []
+            drifts = self.tabulate_basis([0.0])[1][0]
         state = ControllerState(theta_hat=theta, filter_states=list(x0[1:]))
+        inputs = self.time_inputs(0.0)
         # s_i depends on alpha_{i-1}, which depends on s_2..s_{i-1}: one
         # sweep per filter settles them front to back.
         for k in range(n - 1):
-            signals = self.evaluate(x0, state, 0.0)
-            state.filter_states[k] = signals.alpha[k]
+            state.filter_states[k] = self.kernel(x0, state.filter_states, drifts, inputs)[1][k]
         return state
 
     # -- evaluation -------------------------------------------------------
@@ -367,20 +327,19 @@ class ControllerChain:
         mu_drives = np.array([m * d for m, d in zip(self._mu, drives)])
         return mu_drives[:, None] * basis - np.array(self._varpi)[:, None] * theta
 
-    def evaluate(self, x: Sequence[float], state: ControllerState, t: float) -> StageSignals:
-        """Compute all stage signals, the control input and the weight
-        derivatives.
+    def evaluate(self, x: Sequence[float], state: ControllerState, t: float) -> tuple:
+        """``(u, alpha, theta_dot)``: the control input, the virtual controls
+        and the weight derivatives, one row per stage (an empty array in
+        approximator-free mode).
 
         Raises :class:`funneldsc.perf.FunnelBreachError` if the output error
         left the performance funnel.
         """
         (basis,), (energy,), _, _ = self.tabulate_basis([t])
         inputs = self.time_inputs(t)
-        if self.mode is not ControlMode.FUZZY:
-            sig = self.kernel(x, state.filter_states, energy, inputs, signals=True)[3]
-            sig.theta_dot = np.zeros((0, 0))
-            return sig
+        if not self._fuzzy:
+            u, alpha, _ = self.kernel(x, state.filter_states, energy, inputs)
+            return u, alpha, np.zeros((0, 0))
         theta = np.array([w.theta_hat for w in state.theta_hat])
-        _, _, drives, sig = self.kernel(x, state.filter_states, (theta @ basis).tolist(), inputs, signals=True)
-        sig.theta_dot = self.weight_derivative(theta, drives, basis)
-        return sig
+        u, alpha, drives = self.kernel(x, state.filter_states, (theta @ basis).tolist(), inputs)
+        return u, alpha, self.weight_derivative(theta, drives, basis)

@@ -26,11 +26,10 @@ filter update, mu, varpi, lam, dt): :data:`_STEP` unrolled over the n
 stages as straight-line Python, with the closed-form coefficients and the
 filter decays of :func:`_step_constants` bound in as globals.  The cache
 (:func:`_compiled_step`) is keyed by value, and ``run()`` clears it at its
-start and compiles once per run.  Every float takes the same operations in
-the same order as in the loop step (the oracle ``comprehension_step`` in
-the tests), and numpy ops stay numpy ops, as BLAS and pairwise sums add
-in another order than a Python loop, so every float is unchanged to the
-bit.  The source is compiled under the name
+start and compiles once per run.  Numpy ops stay numpy ops, as BLAS and
+pairwise sums add in another order than a Python loop; the tests' oracle
+``comprehension_step`` takes every float's operations in the step's order.
+The source is compiled under the name
 ``.../sim.py<step n=3 fuzzy exact>`` and registered in :mod:`linecache`.
 The compiled step returns the time inputs at t + dt, and ``run()`` opens
 the next step with them wherever (k+1)*dt is the float k*dt + dt.  The two
@@ -50,11 +49,10 @@ step k, and the last, at t_end, is opened, recorded and verified like the
 others but takes no step and adds nothing to max|u|.  Each recorded sample
 (every ``record_every``-th step start, and t_end) is one row of floats in
 one buffer, seen as the array ``Trajectory.data``; the sup norms and the
-funnel margin are read from its columns after the run.  ``run()`` never
-takes the kernel's diagnostic branch (``signals=True``): a row reads u,
+funnel margin are read from its columns after the run.  A row reads u,
 alpha, y_r and eta from the step's own kernel call and its time inputs, and
 forms e, z1 and z_i = x_i - s_i by the kernel's own expressions, so each
-value is the same float.  :func:`export_trajectory` writes the rows as the
+value is the kernel's float.  :func:`export_trajectory` writes the rows as the
 ``repr`` of each float, ``,`` between fields and ``\\r\\n`` line ends: the
 bytes ``csv.writer`` writes for them.
 """
@@ -124,7 +122,10 @@ class SimConfig:
         if not isinstance(self.record_every, int) or self.record_every < 1:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every!r}")
         step_count(self.t_end, self.dt)
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+        x0 = tuple(float(v) for v in self.x0)
+        if not all(map(math.isfinite, x0)):
+            raise ValueError(f"x0 must be finite, got {x0!r}")
+        object.__setattr__(self, "x0", x0)
 
 
 def check_explicit_step(gains: Sequence[StageGains], dt: float) -> None:
@@ -235,7 +236,7 @@ def advance(kernel, rhs, time_inputs, bundle, t, start, basis):
     x, s, theta = bundle
     {x1}, = x
     {s1}, = s
-    u1, ({a1},), {d1}, _ = start
+    u1, ({a1},), {d1} = start
     {basis} = basis
     tm = t + HALF
     te = t + DT
@@ -244,15 +245,15 @@ def advance(kernel, rhs, time_inputs, bundle, t, start, basis):
 {filters1}
     {k1}, = rhs(x, u1, t)
     x2 = [{x2}]
-    u2, {a2}, {d2}, _ = kernel(x2, {s2}, {f2}, mid)
+    u2, {a2}, {d2} = kernel(x2, {s2}, {f2}, mid)
     {k2}, = rhs(x2, u2, tm)
 {filters2}
     x3 = [{x3}]
-    u3, {a3}, {d3}, _ = kernel(x3, {s3}, {f3}, mid)
+    u3, {a3}, {d3} = kernel(x3, {s3}, {f3}, mid)
     {k3}, = rhs(x3, u3, tm)
 {filters3}
     x4 = [{x4}]
-    u4, {a4}, {d4}, _ = kernel(x4, {s4}, {f4}, end)
+    u4, {a4}, {d4} = kernel(x4, {s4}, {f4}, end)
     {k4}, = rhs(x4, u4, te)
 {filters4}
     x_new = [{x_new}]
@@ -336,8 +337,8 @@ def _compiled_step(n: int, fuzzy: bool, exact_filter: bool, mus: tuple, varpis: 
     return compile_function(_step_source(n, fuzzy, exact_filter), filename, namespace)
 
 
-def _open_step(chain: ControllerChain, bundle, t: float, signals: bool, block, row: int, inputs=None):
-    """The kernel at the step start, ``(u, alpha, drives, sig)``, its time
+def _open_step(chain: ControllerChain, bundle, t: float, block, row: int, inputs=None):
+    """The kernel at the step start, ``(u, alpha, drives)``, its time
     inputs and what the rest of the step needs: the basis rows b1, bh, b4
     at t, t+dt/2 and t+dt, their energies, and in fuzzy mode their Gram
     products (b1.bh, bh.bh, b1.b4, bh.b4) and the projections
@@ -359,7 +360,7 @@ def _open_step(chain: ControllerChain, bundle, t: float, signals: bool, block, r
         basis_in = energies[0]
     if inputs is None:
         inputs = chain.time_inputs(t)
-    return chain.kernel(x, s, basis_in, inputs, signals), inputs, (rows, energies, gram, proj)
+    return chain.kernel(x, s, basis_in, inputs), inputs, (rows, energies, gram, proj)
 
 
 def step(
@@ -369,23 +370,19 @@ def step(
     t: float,
     dt: float,
     exact_filter: bool = True,
-    opened=None,
 ):
     """Advance the (x, filters, weights) bundle from t to t+dt by one RK4
-    step.
+    step, reading its basis rows from one ``ControllerChain.tabulate_basis``
+    call at t, t+dt/2 and t+dt.
 
-    ``opened`` is ``_open_step`` of (bundle, t) when the caller already has
-    it.  By default it is computed here with the stage signals, from one
-    ``ControllerChain.tabulate_basis`` call at t, t+dt/2 and t+dt.  Returns
-    (new_bundle, start), ``start`` being the kernel output at (bundle, t).
-    The plant takes the RK4 stages and the weights the same RK4 step of
-    their law in closed form; ``exact_filter`` selects only the filter
-    update (see the module docstring).
+    Returns (new_bundle, start), ``start`` being the kernel output
+    ``(u, alpha, drives)`` at (bundle, t).  The plant takes the RK4 stages
+    and the weights the same RK4 step of their law in closed form;
+    ``exact_filter`` selects only the filter update (see the module
+    docstring).
     """
-    if opened is None:
-        block = chain.tabulate_basis([t, t + 0.5 * dt, t + dt])
-        opened = _open_step(chain, bundle, t, True, block, 0)
-    start, _, basis = opened
+    block = chain.tabulate_basis([t, t + 0.5 * dt, t + dt])
+    start, _, basis = _open_step(chain, bundle, t, block, 0)
     advance = _compiled_step(chain.bounds.n, chain._fuzzy, exact_filter, chain._mu, chain._varpi, chain._lam, dt)
     new_bundle, _ = advance(chain.kernel, plant.rhs, chain.time_inputs, bundle, t, start, basis)
     return new_bundle, start
@@ -483,9 +480,9 @@ def run(
             first = 2 * k
             block = chain.tabulate_basis([i * half for i in range(first, first + BASIS_BLOCK + 2)])
         try:
-            # never the diagnostic branch: a recorded row forms e, z1 and
-            # z_i by the kernel's own expressions, the same floats
-            start, inputs, basis = _open_step(chain, bundle, t, False, block, 2 * k - first, inputs)
+            # a recorded row forms e, z1 and z_i by the kernel's own
+            # expressions, the same floats
+            start, inputs, basis = _open_step(chain, bundle, t, block, 2 * k - first, inputs)
             if recorded:
                 y_r, eta = inputs[1], inputs[3]
                 e = xv[0] - y_r

@@ -1,0 +1,146 @@
+"""Test oracles of the control kernel.
+
+``indexed_kernel`` is the chain's kernel written with explicit stage
+indices, each constant read where it is used; it returns every stage
+signal, where the compiled kernel returns only ``(u, alpha, drives)``.
+The stage-formula tests check the oracle's signals against the paper's
+formulas, and the oracle equals the compiled kernel float for float.
+"""
+
+import math
+from typing import NamedTuple, Optional
+
+import numpy as np
+
+from funneldsc.controller import ControlMode, ControllerChain, StageGains, zeta
+from funneldsc.perf import PHI_FLOOR, ErrorTransform, perf_from_terminal
+from funneldsc.plants import PlantBounds, ReferenceSignal
+
+
+class Signals(NamedTuple):
+    """One chain evaluation.  The first three fields are the kernel's
+    output.  Lists are stage-indexed from each signal's first stage:
+    ``z[0]`` and ``beta[0]`` belong to stage 1, ``r[0]``, ``gamma[0]``,
+    ``xi[0]`` and ``zeta_vals[0]`` to stage 2, and ``alpha[0]`` is the
+    first virtual control."""
+
+    u: float
+    alpha: list
+    drives: Optional[list]
+    z: list
+    beta: list
+    chi: list
+    gamma: list
+    xi: list
+    zeta_vals: list
+    r: list
+    e: float
+    eta: float
+    psi: float
+    varphi: float
+
+
+def distinct_chain(n, mode, smoothing):
+    """A chain of order n on hand-built bounds whose every gain, bound and
+    rate differs from stage to stage and from the other constants."""
+    bounds = PlantBounds(
+        n=n,
+        gain_lower=(0.5, 0.7, 0.9, 1.1)[:n],
+        gain_upper=(2.0, 3.0, 4.5, 6.0)[:n],
+        lipschitz_rate=(1.3, 0.8, 2.2, 1.7)[:n],
+    )
+    gains = [
+        StageGains(
+            delta=0.3 + 0.11 * k, sigma=0.5 + 0.07 * k, varpi=2.0 + 0.3 * k, mu=1.0 + k,
+            rho=0.2 + 0.05 * k, tau=0.4 + 0.03 * k, varrho=1.5 + 0.1 * k, lam=0.01 * (k + 1),
+        )
+        for k in range(1, n + 1)
+    ]
+    perf = perf_from_terminal(b=0.4, c=0.05, h=1.0, T=0.5)
+    reference = ReferenceSignal(value=math.sin, derivative=math.cos)
+    return ControllerChain(bounds, gains, ErrorTransform(perf=perf), reference, mode, smoothing)
+
+
+def indexed_kernel(chain, x, s, drifts, inputs) -> Signals:
+    """The kernel written with explicit stage indices, each constant read
+    where it is used, returning every stage signal."""
+    n, gains, smoothing = chain.bounds.n, chain.gains, chain.sign_smoothing
+    g_lo, g_hi = chain.bounds.gain_lower, chain.bounds.gain_upper
+    rates = chain.bounds.lipschitz_rate
+    fuzzy = chain.mode is ControlMode.FUZZY
+    t, y_r, dy_r, eta, eta_dot = inputs
+    e = x[0] - y_r
+    z1 = math.tan(math.pi / 2.0 * math.atan(e) / eta)
+    psi = math.pi * (1.0 + z1 * z1) / (2.0 * eta)
+    cphi = math.cos(2.0 / math.pi * eta * math.atan(z1))
+    phi = max(cphi * cphi, PHI_FLOOR)
+    w = z1 * phi * psi
+    drift = drifts[0] if fuzzy else w * drifts
+    beta1 = drift - dy_r - 2.0 / (math.pi * phi) * eta_dot * math.atan(z1)
+    chi1 = rates[0] * abs(e)
+    alpha = [
+        -w * beta1 * beta1 / (g_lo[0] * math.sqrt((w * beta1) ** 2 + gains[0].delta ** 2))
+        - w * chi1 * chi1 / (g_lo[0] * math.sqrt((w * chi1) ** 2 + gains[0].sigma ** 2))
+        - w / g_lo[0]
+        - gains[0].varpi * z1 / (2.0 * g_lo[0] * phi * psi)
+    ]
+    z, beta, chi, gamma, xi, zeta_vals, r = [z1], [beta1], [chi1], [], [], [], []
+    for i in range(2, n + 1):
+        g = gains[i - 1]
+        z.append(x[i - 1] - s[i - 2])
+        r.append(s[i - 2] - alpha[i - 2])
+        zt = zeta(z[i - 1], g.varrho, smoothing)
+        zeta_vals.append(zt)
+        drift = drifts[i - 1] if fuzzy else zt * drifts
+        beta.append(drift - (alpha[i - 2] - s[i - 2]) * (1.0 / g.lam))
+        dev2 = 0.0
+        for j in range(i):
+            dev2 += (x[j] - y_r) * (x[j] - y_r)
+        chi.append(rates[i - 1] * math.sqrt(dev2))
+        coupling = g_hi[0] * phi * psi * abs(z1) if i == 2 else g_hi[i - 2] * abs(zeta_vals[i - 3])
+        gamma.append(coupling * abs(z[i - 1]) / zt)
+        xi.append(coupling * abs(r[i - 2]) / zt)
+        alpha.append(-(
+            zt * beta[i - 1] * beta[i - 1] / (g_lo[i - 1] * math.sqrt((zt * beta[i - 1]) ** 2 + g.delta ** 2))
+            + zt * chi[i - 1] * chi[i - 1] / (g_lo[i - 1] * math.sqrt((zt * chi[i - 1]) ** 2 + g.sigma ** 2))
+            + zt * gamma[i - 2] * gamma[i - 2] / (g_lo[i - 1] * math.sqrt((zt * gamma[i - 2]) ** 2 + g.rho ** 2))
+            + zt * xi[i - 2] * xi[i - 2] / (g_lo[i - 1] * math.sqrt((zt * gamma[i - 2]) ** 2 + g.tau ** 2))
+            + g.varpi * (math.atan(z[i - 1]) + g.varrho * abs(z[i - 1])) / (g_lo[i - 1] * zt)
+            + zt / g_lo[i - 1]
+        ))
+    drives = [w, *zeta_vals] if fuzzy else None
+    return Signals(alpha[-1], alpha[:-1], drives, z, beta, chi, gamma, xi, zeta_vals, r, e, eta, psi, phi)
+
+
+def oracle_at(chain, x, state, t) -> Signals:
+    """The oracle at plant state ``x``, controller state ``state`` and
+    time t, given the basis input that ``ControllerChain.evaluate`` gives
+    the kernel: the projections theta_i . basis(t) in fuzzy mode, the
+    energy basis(t) . basis(t) otherwise.  Asserts that the compiled
+    kernel returns the oracle's ``(u, alpha, drives)``."""
+    (basis,), (energy,), _, _ = chain.tabulate_basis([t])
+    if chain.mode is ControlMode.FUZZY:
+        drifts = (np.array([w.theta_hat for w in state.theta_hat]) @ basis).tolist()
+    else:
+        drifts = energy
+    inputs = chain.time_inputs(t)
+    sig = indexed_kernel(chain, x, state.filter_states, drifts, inputs)
+    assert chain.kernel(x, state.filter_states, drifts, inputs) == sig[:3]
+    return sig
+
+
+def settled_filters(chain, x0) -> list:
+    """The filter states at t = 0 settled front to back on the oracle: the
+    filter of stage k + 2 takes alpha_(k+1) of the filters settled before
+    it.  The basis input is that of zero weights (0.0 per stage) in fuzzy
+    mode and the regressor energy at t = 0 in approximator-free mode."""
+    n = chain.bounds.n
+    if chain.mode is ControlMode.FUZZY:
+        drifts = [0.0] * n
+    else:
+        basis = chain.grid.basis(chain.reference.value(0.0))
+        drifts = float((basis * basis).sum())
+    s, inputs = list(x0[1:]), chain.time_inputs(0.0)
+    for k in range(n - 1):
+        s[k] = indexed_kernel(chain, x0, s, drifts, inputs).alpha[k]
+    return s

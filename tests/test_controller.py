@@ -19,15 +19,14 @@ from funneldsc.controller import (
     zeta,
 )
 from funneldsc.fuzzy import AdaptiveWeights
-from funneldsc.perf import PHI_FLOOR, ErrorTransform, FunnelBreachError, perf_from_terminal
+from funneldsc.perf import ErrorTransform, FunnelBreachError, perf_from_terminal
 from funneldsc.plants import (
-    PlantBounds,
-    ReferenceSignal,
     electromechanical_reference,
     make_electromechanical,
     make_single_link,
     single_link_reference,
 )
+from oracles import distinct_chain, indexed_kernel, oracle_at, settled_filters
 
 
 def em_chain(mode=ControlMode.FUZZY, **kwargs) -> ControllerChain:
@@ -150,13 +149,18 @@ class TestInitialization:
             (em_chain(), (5.0, 3.0, 2.0)),
             (em_chain(mode=ControlMode.APPROX_FREE), (5.0, 3.0, 2.0)),
             (sl_chain(), (0.0, 0.0)),
+            # every constant differs per stage
+            *((distinct_chain(n, mode, 0.0), (0.8, 0.3, -0.2, 0.1)[:n])
+              for n in (2, 3, 4) for mode in (ControlMode.FUZZY, ControlMode.APPROX_FREE)),
         ],
     )
     def test_filters_start_on_their_virtual_controls(self, chain, x0):
+        """Each filter is the oracle's front-to-back settle at t = 0 (zero
+        drift estimates in fuzzy mode, the regressor energy at t = 0 in
+        approximator-free mode) and the virtual control it tracks there."""
         state = chain.init_state(x0)
-        signals = chain.evaluate(x0, state, 0.0)
-        for k, s_k in enumerate(state.filter_states):
-            assert s_k == signals.alpha[k]
+        assert state.filter_states == settled_filters(chain, x0)
+        assert state.filter_states == oracle_at(chain, list(x0), state, 0.0).alpha
 
     def test_fuzzy_weights_start_at_zero(self):
         state = em_chain().init_state((5.0, 3.0, 2.0))
@@ -189,7 +193,7 @@ class TestStageFormulas:
         rng = np.random.default_rng(3)
         t = 0.21
         x, state = random_state(chain, rng, t)
-        signals = chain.evaluate(x, state, t)
+        signals = oracle_at(chain, x, state, t)
 
         tr = chain.transform
         g = chain.gains[0]
@@ -222,7 +226,7 @@ class TestStageFormulas:
         rng = np.random.default_rng(11)
         t = 0.1
         x, state = random_state(chain, rng, t)
-        sig = chain.evaluate(x, state, t)
+        sig = oracle_at(chain, x, state, t)
         g_hi = chain.bounds.gain_upper
 
         for i in (2, 3):
@@ -248,7 +252,7 @@ class TestStageFormulas:
         rng = np.random.default_rng(5)
         t = 0.33
         x, state = random_state(chain, rng, t)
-        sig = chain.evaluate(x, state, t)
+        sig = oracle_at(chain, x, state, t)
         g = chain.gains[2]
         g_lo = chain.bounds.gain_lower[2]
         zt = sig.zeta_vals[1]
@@ -268,7 +272,7 @@ class TestStageFormulas:
         chain = sl_chain()
         x, state = (3.34, 0.1), chain.init_state((3.34, 0.1))
         t = 0.05
-        sig = chain.evaluate(list(x), state, t)
+        sig = oracle_at(chain, list(x), state, t)
         energy = chain.grid.regressor_energy(chain.reference.value(t))
         assert_energy_damping(chain, sig, state, t, energy)
 
@@ -276,7 +280,9 @@ class TestStageFormulas:
         chain = sl_chain()
         x, state = (3.34, 0.1), chain.init_state((3.34, 0.1))
         t = 0.05
-        sig = chain.kernel(list(x), state.filter_states, 0.37, chain.time_inputs(t), signals=True)[3]
+        inputs = chain.time_inputs(t)
+        sig = indexed_kernel(chain, list(x), state.filter_states, 0.37, inputs)
+        assert chain.kernel(list(x), state.filter_states, 0.37, inputs) == sig[:3]
         assert_energy_damping(chain, sig, state, t, 0.37)
 
 
@@ -296,77 +302,6 @@ def assert_energy_damping(chain, sig, state, t, energy):
     assert sig.beta[1] == pytest.approx(beta2_expected, rel=1e-8)
 
 
-def distinct_chain(n, mode, smoothing):
-    """A chain of order n on hand-built bounds whose every gain, bound and
-    rate differs from stage to stage and from the other constants."""
-    bounds = PlantBounds(
-        n=n,
-        gain_lower=(0.5, 0.7, 0.9, 1.1)[:n],
-        gain_upper=(2.0, 3.0, 4.5, 6.0)[:n],
-        lipschitz_rate=(1.3, 0.8, 2.2, 1.7)[:n],
-    )
-    gains = [
-        StageGains(
-            delta=0.3 + 0.11 * k, sigma=0.5 + 0.07 * k, varpi=2.0 + 0.3 * k, mu=1.0 + k,
-            rho=0.2 + 0.05 * k, tau=0.4 + 0.03 * k, varrho=1.5 + 0.1 * k, lam=0.01 * (k + 1),
-        )
-        for k in range(1, n + 1)
-    ]
-    perf = perf_from_terminal(b=0.4, c=0.05, h=1.0, T=0.5)
-    reference = ReferenceSignal(value=math.sin, derivative=math.cos)
-    return ControllerChain(bounds, gains, ErrorTransform(perf=perf), reference, mode, smoothing)
-
-
-def indexed_kernel(chain, x, s, drifts, inputs):
-    """The kernel written with explicit stage indices, each constant read
-    where it is used: ``(u, alpha, drives, z, beta, chi, gamma, xi, zeta)``."""
-    n, gains, smoothing = chain.bounds.n, chain.gains, chain.sign_smoothing
-    g_lo, g_hi = chain.bounds.gain_lower, chain.bounds.gain_upper
-    rates = chain.bounds.lipschitz_rate
-    fuzzy = chain.mode is ControlMode.FUZZY
-    t, y_r, dy_r, eta, eta_dot = inputs
-    e = x[0] - y_r
-    z1 = math.tan(math.pi / 2.0 * math.atan(e) / eta)
-    psi = math.pi * (1.0 + z1 * z1) / (2.0 * eta)
-    cphi = math.cos(2.0 / math.pi * eta * math.atan(z1))
-    phi = max(cphi * cphi, PHI_FLOOR)
-    w = z1 * phi * psi
-    drift = drifts[0] if fuzzy else w * drifts
-    beta1 = drift - dy_r - 2.0 / (math.pi * phi) * eta_dot * math.atan(z1)
-    chi1 = rates[0] * abs(e)
-    alpha = [
-        -w * beta1 * beta1 / (g_lo[0] * math.sqrt((w * beta1) ** 2 + gains[0].delta ** 2))
-        - w * chi1 * chi1 / (g_lo[0] * math.sqrt((w * chi1) ** 2 + gains[0].sigma ** 2))
-        - w / g_lo[0]
-        - gains[0].varpi * z1 / (2.0 * g_lo[0] * phi * psi)
-    ]
-    z, beta, chi, gamma, xi, zeta_vals = [z1], [beta1], [chi1], [], [], []
-    for i in range(2, n + 1):
-        g = gains[i - 1]
-        z.append(x[i - 1] - s[i - 2])
-        zt = zeta(z[i - 1], g.varrho, smoothing)
-        zeta_vals.append(zt)
-        drift = drifts[i - 1] if fuzzy else zt * drifts
-        beta.append(drift - (alpha[i - 2] - s[i - 2]) * (1.0 / g.lam))
-        dev2 = 0.0
-        for j in range(i):
-            dev2 += (x[j] - y_r) * (x[j] - y_r)
-        chi.append(rates[i - 1] * math.sqrt(dev2))
-        coupling = g_hi[0] * phi * psi * abs(z1) if i == 2 else g_hi[i - 2] * abs(zeta_vals[i - 3])
-        gamma.append(coupling * abs(z[i - 1]) / zt)
-        xi.append(coupling * abs(s[i - 2] - alpha[i - 2]) / zt)
-        alpha.append(-(
-            zt * beta[i - 1] * beta[i - 1] / (g_lo[i - 1] * math.sqrt((zt * beta[i - 1]) ** 2 + g.delta ** 2))
-            + zt * chi[i - 1] * chi[i - 1] / (g_lo[i - 1] * math.sqrt((zt * chi[i - 1]) ** 2 + g.sigma ** 2))
-            + zt * gamma[i - 2] * gamma[i - 2] / (g_lo[i - 1] * math.sqrt((zt * gamma[i - 2]) ** 2 + g.rho ** 2))
-            + zt * xi[i - 2] * xi[i - 2] / (g_lo[i - 1] * math.sqrt((zt * gamma[i - 2]) ** 2 + g.tau ** 2))
-            + g.varpi * (math.atan(z[i - 1]) + g.varrho * abs(z[i - 1])) / (g_lo[i - 1] * zt)
-            + zt / g_lo[i - 1]
-        ))
-    drives = [w, *zeta_vals] if fuzzy else None
-    return alpha[-1], alpha[:-1], drives, z, beta, chi, gamma, xi, zeta_vals
-
-
 class TestStageConstants:
     """Each stage reads its own gains, bounds and rates: the kernel equals,
     float for float, an oracle that indexes every constant where it is used,
@@ -375,8 +310,7 @@ class TestStageConstants:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE])
     @pytest.mark.parametrize("smoothing", [0.0, 0.05])
-    @pytest.mark.parametrize("signals", [True, False])
-    def test_kernel_equals_the_indexed_oracle(self, n, mode, smoothing, signals):
+    def test_kernel_equals_the_indexed_oracle(self, n, mode, smoothing):
         chain = distinct_chain(n, mode, smoothing)
         rng = np.random.default_rng(n)
         for t in (0.0, 0.13, 0.37, 0.8):
@@ -391,15 +325,7 @@ class TestStageConstants:
                 drifts = rng.uniform(-1.0, 1.0, n).tolist()
             else:
                 drifts = float(rng.uniform(0.1, 2.0))
-            u, alpha, drives, sig = chain.kernel(x, s, drifts, inputs, signals)
-            want = indexed_kernel(chain, x, s, drifts, inputs)
-            assert (u, alpha, drives) == want[:3]
-            if not signals:
-                assert sig is None
-                continue
-            assert (sig.u, sig.alpha) == (u, alpha)
-            assert (sig.z, sig.beta, sig.chi, sig.gamma, sig.xi, sig.zeta_vals) == want[3:]
-            assert sig.r == [si - a for si, a in zip(s, alpha)]
+            assert chain.kernel(x, s, drifts, inputs) == indexed_kernel(chain, x, s, drifts, inputs)[:3]
 
 
 def breach_of(fn, *args):
@@ -475,12 +401,14 @@ class TestAdaptiveLaw:
         rng = np.random.default_rng(13)
         t = 0.15
         x, state = random_state(chain, rng, t)
-        sig = chain.evaluate(x, state, t)
-        basis = chain.grid.basis(sig.y_r)
+        sig = oracle_at(chain, x, state, t)
+        u, alpha, theta_dot = chain.evaluate(x, state, t)
+        assert (u, alpha) == (sig.u, sig.alpha)
+        basis = chain.grid.basis(chain.reference.value(t))
         drives = [sig.z[0] * sig.varphi * sig.psi, sig.zeta_vals[0], sig.zeta_vals[1]]
         for i, g in enumerate(chain.gains):
             expected = -g.varpi * state.theta_hat[i].theta_hat + g.mu * drives[i] * basis
-            np.testing.assert_allclose(sig.theta_dot[i], expected, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(theta_dot[i], expected, rtol=1e-10, atol=1e-12)
 
 
 class TestBasisBlocks:
@@ -502,13 +430,13 @@ class TestBasisBlocks:
 
         def tabulated(chain, times):
             block = tabulate(chain, times)
-            if len(times) > 1:  # init_state's evaluations read one time each
+            if len(times) > 1:  # not a read of init_state or evaluate
                 blocks.append((list(times), block))
             return block
 
-        def opened(chain, bundle, t, signals, block, row, inputs=None):
+        def opened(chain, bundle, t, block, row, inputs=None):
             opens.append((t, block, row))
-            return open_step(chain, bundle, t, signals, block, row, inputs)
+            return open_step(chain, bundle, t, block, row, inputs)
 
         monkeypatch.setattr(ControllerChain, "tabulate_basis", tabulated)
         monkeypatch.setattr(sim, "_open_step", opened)
@@ -575,7 +503,7 @@ class TestBasisBlocks:
                               (self.BLOCK - 1, blocks[0], self.BLOCK - 1),
                               (self.BLOCK, blocks[1], 0)):
             _, _, (rows, energies, (g1h, ghh, g14, gh4), proj) = sim._open_step(
-                chain, bundle, i * h, False, block, row)
+                chain, bundle, i * h, block, row)
             ys = [[chain.reference.value((i + k) * h)] for k in range(3)]
             want = chain.grid.basis(np.array(ys))
             np.testing.assert_allclose(rows, want, rtol=1e-12, atol=1e-300)
@@ -597,7 +525,7 @@ class TestBasisBlocks:
         monkeypatch.setattr(ControllerChain, "tabulate_basis", counted)
         x0 = [3.0, 0.5, 0.2]
         state = chain.init_state(x0)
-        assert calls == [[0.0]] * 2  # one read per preloaded filter
+        assert calls == []  # zero weights project to 0.0 without a basis read
         t, dt = 0.25e-3, 2e-3
         calls.clear()
         chain.evaluate(x0, state, t)

@@ -27,6 +27,7 @@ from funneldsc.controller import ControlMode, ControllerChain, ControllerState
 from funneldsc.fuzzy import AdaptiveWeights
 from funneldsc.perf import ErrorTransform
 from funneldsc.sim import run
+from oracles import oracle_at
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_values.json").read_text())
 KERNEL_RTOL = 1e-10
@@ -78,13 +79,18 @@ def make_chain(name: str) -> ControllerChain:
 
 
 def kernel_values(chain: ControllerChain, case: dict):
-    """``(u, alpha, theta_dot)`` of the chain at the state stored in ``case``."""
+    """``(u, alpha, theta_dot)`` of the chain at the state stored in ``case``:
+    u and alpha are the indexed oracle's, which the compiled kernel and
+    ``evaluate`` return float for float."""
     state = ControllerState(
         theta_hat=[AdaptiveWeights(np.array(row)) for row in case["theta"]],
         filter_states=list(case["s"]),
     )
-    sig = chain.evaluate(list(case["x"]), state, case["t"])
-    return sig.u, sig.alpha, sig.theta_dot
+    x, t = list(case["x"]), case["t"]
+    sig = oracle_at(chain, x, state, t)
+    u, alpha, theta_dot = chain.evaluate(x, state, t)
+    assert (u, alpha) == (sig.u, sig.alpha)
+    return sig.u, sig.alpha, theta_dot
 
 
 def closed_loop_record(name: str) -> dict:

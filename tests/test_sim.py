@@ -26,6 +26,7 @@ from funneldsc.sim import (
     step,
     step_count,
 )
+from oracles import indexed_kernel, oracle_at
 
 
 def sl_problem():
@@ -45,9 +46,10 @@ class TestStep:
         x0 = [3.3, 0.0]
         cstate = chain.init_state(x0)
         bundle = (x0, list(cstate.filter_states), np.zeros((0, 0)))
-        new_bundle, (u0, _, _, sig0) = step(plant, chain, bundle, 0.0, 1e-4)
+        new_bundle, start = step(plant, chain, bundle, 0.0, 1e-4)
+        sig0 = oracle_at(chain, x0, cstate, 0.0)
         assert sig0.e == pytest.approx(3.3 - reference.value(0.0))
-        assert u0 == sig0.u
+        assert start == sig0[:3]
         assert new_bundle[0] != bundle[0]
 
     def test_exact_and_explicit_filters_agree(self):
@@ -156,13 +158,13 @@ class TestProjectedWeightStep:
         n, m = plant.n, chain.grid.m
         seen, drives, filters, alphas, inputs = [], [], [], [], []
 
-        def kernel(x, s, drifts, time_inputs, signals=False):
+        def kernel(x, s, drifts, time_inputs):
             seen.append(drifts)
             inputs.append(time_inputs)
             filters.append(s)
             drives.append(rng.normal(size=n).tolist())
             alphas.append(rng.normal(size=n - 1))
-            return 0.0, alphas[-1].tolist(), drives[-1], None
+            return 0.0, alphas[-1].tolist(), drives[-1]
 
         chain.kernel = kernel
         t = 1237 * dt
@@ -230,7 +232,7 @@ class TestProjectedWeightStep:
         theta = np.array([w.theta_hat for w in state.theta_hat])
         bundle = (list(cfg.x0), list(state.filter_states), theta)
         for k in range(300):
-            bundle, (u, _, _, sig) = step(plant, chain, bundle, k * dt, dt, exact)
+            bundle, (u, _, _) = step(plant, chain, bundle, k * dt, dt, exact)
             assert u == pytest.approx(traj.column("u")[k], rel=1e-10)
             np.testing.assert_allclose(bundle[0], states[k + 1], rtol=1e-10)
             np.testing.assert_allclose(bundle[1], filters[k + 1], rtol=1e-10)
@@ -257,7 +259,7 @@ class TestStepConstants:
         for k in range(6):
             for j, chain in enumerate(chains):
                 s = bundles[j][1]
-                bundles[j], (_, alpha, _, _) = step(plant, chain, bundles[j], k * dt, dt)
+                bundles[j], (_, alpha, _) = step(plant, chain, bundles[j], k * dt, dt)
                 lams = [g.lam for g in chain.gains[1:]]
                 want = [a + (si - a) * math.exp(-dt / lam) for a, si, lam in zip(alpha, s, lams)]
                 assert bundles[j][1] == want
@@ -294,9 +296,9 @@ class TestStageTimes:
 
         monkeypatch.setattr(ControllerChain, "time_inputs", recorded)
 
-        def evaluate(kernel, x, s, drifts, inputs, signals=False):
+        def evaluate(kernel, x, s, drifts, inputs):
             evaluated.append(inputs[0])
-            return kernel(x, s, drifts, inputs, signals)
+            return kernel(x, s, drifts, inputs)
 
         wrap_kernel(monkeypatch, evaluate)
         plant, reference, gains, perf = sl_problem()
@@ -351,12 +353,13 @@ class TestOneBasisRead:
             bundle, _ = step(plant, chain, bundle, k * dt, dt, exact)
             assert reads == [3] * (k + 1)
         # run(): one read per block of half-step rows 0 .. 2 * STEPS + 2,
-        # after one read per filter that init_state preloads
+        # after init_state's read of the energy at t = 0 in approximator-free
+        # mode (zero weights project to 0.0 without one)
         monkeypatch.setattr(sim, "BASIS_BLOCK", self.BLOCK)
         reads.clear()
         run(plant, reference, cfg.gains, perf, sim_cfg)
         blocks = -(-(2 * self.STEPS + 1) // self.BLOCK)
-        assert reads == [1] * (plant.n - 1) + [self.BLOCK + 2] * blocks
+        assert reads == [1] * (cfg.mode is ControlMode.APPROX_FREE) + [self.BLOCK + 2] * blocks
 
     @CASES
     def test_block_size_does_not_change_the_run(self, preset, dt, exact, monkeypatch):
@@ -375,8 +378,8 @@ def comprehension_step(plant, chain, bundle, t, dt, exact_filter=True):
     x, s, theta = bundle
     half = 0.5 * dt
     block = chain.tabulate_basis([t, t + half, t + dt])
-    start, _, (rows, energies, gram, proj) = sim._open_step(chain, bundle, t, True, block, 0)
-    u0, a1, d1, _ = start
+    start, _, (rows, energies, gram, proj) = sim._open_step(chain, bundle, t, block, 0)
+    u0, a1, d1 = start
     kernel, rhs = chain.kernel, plant.rhs
     mid, end = chain.time_inputs(t + half), chain.time_inputs(t + dt)
     lams = chain._lam
@@ -398,7 +401,7 @@ def comprehension_step(plant, chain, bundle, t, dt, exact_filter=True):
     if fuzzy:
         proj = list(zip(*proj))  # one (P1, Ph, P4) per stage
         f2 = [k0 * p[1] + k1 * da * g1h for (k0, k1), p, da in zip(c2, proj, d1)]
-    u2, a2, d2, _ = kernel(x2, s2, f2, mid)
+    u2, a2, d2 = kernel(x2, s2, f2, mid)
     k2x = rhs(x2, u2, mid[0])
     x3 = [xi + half * ki for xi, ki in zip(x, k2x)]
     if not exact_filter:
@@ -406,7 +409,7 @@ def comprehension_step(plant, chain, bundle, t, dt, exact_filter=True):
         s3 = [si + half * ki for si, ki in zip(s, k2s)]
     if fuzzy:
         f3 = [k0 * p[1] + k1 * da * g1h + k2 * db * ghh for (k0, k1, k2), p, da, db in zip(c3, proj, d1, d2)]
-    u3, a3, d3, _ = kernel(x3, s3, f3, mid)
+    u3, a3, d3 = kernel(x3, s3, f3, mid)
     k3x = rhs(x3, u3, mid[0])
     x4 = [xi + dt * ki for xi, ki in zip(x, k3x)]
     if not exact_filter:
@@ -417,7 +420,7 @@ def comprehension_step(plant, chain, bundle, t, dt, exact_filter=True):
             k0 * p[2] + k1 * da * g14 + (k2 * dc + k3 * db) * gh4
             for (k0, k1, k2, k3), p, da, db, dc in zip(c4, proj, d1, d2, d3)
         ]
-    u4, a4, d4, _ = kernel(x4, s4, f4, end)
+    u4, a4, d4 = kernel(x4, s4, f4, end)
     k4x = rhs(x4, u4, end[0])
     x_new = [xi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1x, k2x, k3x, k4x)]
     if not exact_filter:
@@ -443,8 +446,8 @@ class TestStepBitIdentity:
         theta = np.array([w.theta_hat for w in state.theta_hat]) if state.theta_hat else np.zeros((0, 0))
         got = want = (list(cfg.x0), list(state.filter_states), theta)
         for k in range(50):
-            got, (u, alpha, drives, _) = step(plant, chain, got, k * dt, dt, exact)
-            want, (u_want, alpha_want, drives_want, _) = comprehension_step(plant, chain, want, k * dt, dt, exact)
+            got, (u, alpha, drives) = step(plant, chain, got, k * dt, dt, exact)
+            want, (u_want, alpha_want, drives_want) = comprehension_step(plant, chain, want, k * dt, dt, exact)
             assert (u, alpha, drives) == (u_want, alpha_want, drives_want)
             assert got[0] == want[0]
             assert got[1] == want[1]
@@ -459,10 +462,10 @@ class TestStepBitIdentity:
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "explicit"])
     @pytest.mark.parametrize("varpi", [2.0, 300.0], ids=["", "negative-coefficients"])
     def test_distinct_chains_equal_the_comprehension_form(self, n, mode, smoothing, exact, varpi):
-        """Chains of order 2..4 whose every constant differs per stage, opened
-        with and without the stage signals; at varpi = 300 the factors
-        1 - varpi*dt/2 of the weights' closed form are negative, and the
-        run breaches in its second step, at the oracle's t, e and eta."""
+        """Chains of order 2..4 whose every constant differs per stage; at
+        varpi = 300 the factors 1 - varpi*dt/2 of the weights' closed form
+        are negative, and the run breaches in its second step, at the
+        oracle's t, e and eta."""
         dt = 1e-2
         plant, chain = distinct_problem(n, mode, smoothing, varpi)
         c2 = sim._step_constants(chain._mu, chain._varpi, chain._lam, dt)[0]
@@ -474,16 +477,14 @@ class TestStepBitIdentity:
         for k in range(20):
             t = k * dt
             try:
-                block = chain.tabulate_basis([t, t + 0.5 * dt, t + dt])
-                opened = sim._open_step(chain, got, t, k % 2 == 0, block, 0)
-                got, (u, alpha, drives, _) = step(plant, chain, got, t, dt, exact, opened)
+                got, (u, alpha, drives) = step(plant, chain, got, t, dt, exact)
             except FunnelBreachError as br:
                 with pytest.raises(FunnelBreachError) as want_br:
                     comprehension_step(plant, chain, want, t, dt, exact)
                 assert (br.t, br.e, br.eta) == (want_br.value.t, want_br.value.e, want_br.value.eta)
                 assert (k, varpi) == (1, 300.0)
                 break
-            want, (u_want, alpha_want, drives_want, _) = comprehension_step(plant, chain, want, t, dt, exact)
+            want, (u_want, alpha_want, drives_want) = comprehension_step(plant, chain, want, t, dt, exact)
             assert (u, alpha, drives) == (u_want, alpha_want, drives_want)
             assert got[0] == want[0]
             assert got[1] == want[1]
@@ -618,9 +619,9 @@ class TestColumnarRecord:
 
 
 class TestRecorder:
-    """``run()`` records each sample from the step's own kernel call, never
-    the diagnostic branch; every recorded value equals the kernel's
-    :class:`StageSignals` field on the same arguments."""
+    """``run()`` records each sample from the step's own kernel call; every
+    recorded value equals the indexed oracle's signal on the same
+    arguments."""
 
     @pytest.mark.parametrize("record_every", [1, 7])
     @pytest.mark.parametrize("preset, dt", [
@@ -634,10 +635,14 @@ class TestRecorder:
         open_step = sim._open_step
         signals_at = {}
 
-        def checked(chain, bundle, t, signals, block, row, inputs=None):
-            assert signals is False
-            signals_at[t] = open_step(chain, bundle, t, True, block, row, inputs)[0][3]
-            return open_step(chain, bundle, t, signals, block, row, inputs)
+        def checked(chain, bundle, t, block, row, inputs=None):
+            opened = open_step(chain, bundle, t, block, row, inputs)
+            start, inputs, (_, energies, _, proj) = opened
+            drifts = energies[0] if proj is None else proj[0]
+            sig = indexed_kernel(chain, bundle[0], bundle[1], drifts, inputs)
+            assert start == sig[:3]
+            signals_at[t] = sig, inputs[1]
+            return opened
 
         monkeypatch.setattr(sim, "_open_step", checked)
         traj, _ = run(plant, reference, cfg.gains, perf, sim_cfg, sign_smoothing=cfg.sign_smoothing)
@@ -645,8 +650,8 @@ class TestRecorder:
         assert len(traj.data) == -(-200 // record_every) + 1
         for values in traj.data.tolist():
             row = dict(zip(traj.names, values))
-            sig = signals_at[row["t"]]
-            assert (row["e"], row["y_r"], row["eta"], row["u"]) == (sig.e, sig.y_r, sig.eta, sig.u)
+            sig, y_r = signals_at[row["t"]]
+            assert (row["e"], row["y_r"], row["eta"], row["u"]) == (sig.e, y_r, sig.eta, sig.u)
             assert (row["arctan_e"], row["neg_eta"]) == (math.atan(sig.e), -sig.eta)
             assert [row[f"alpha{i}"] for i in range(1, n)] == sig.alpha
             assert [row[f"z{i}"] for i in range(1, n + 1)] == sig.z
@@ -691,10 +696,10 @@ class TestDivergenceHandling:
     def test_overflow_in_a_step_is_divergence(self, monkeypatch):
         plant, reference, gains, perf = sl_problem()
 
-        def overflowing(kernel, x, filter_states, drifts, inputs, signals=False):
+        def overflowing(kernel, x, filter_states, drifts, inputs):
             if inputs[0] > 4.7e-4:  # the t+dt stage of step 4
                 raise OverflowError("(34, 'Numerical result out of range')")
-            return kernel(x, filter_states, drifts, inputs, signals)
+            return kernel(x, filter_states, drifts, inputs)
 
         wrap_kernel(monkeypatch, overflowing)
         cfg = SimConfig(dt=1e-4, t_end=0.01, x0=(3.3, 0.0), mode=ControlMode.APPROX_FREE)
@@ -737,6 +742,10 @@ class TestConfigValidation:
             SimConfig(dt=1e-3, t_end=0.0, x0=(0.0, 0.0))
         with pytest.raises(ValueError):
             SimConfig(dt=1e-3, t_end=1.0, x0=(0.0, 0.0), record_every=0)
+        # a non-finite start is an input error, not a breach or divergence
+        for x0 in [(math.inf, 0.0), (math.nan, 0.0), (3.14, math.nan), (3.14, -math.inf)]:
+            with pytest.raises(ValueError, match="x0 must be finite"):
+                SimConfig(dt=1e-3, t_end=1.0, x0=x0)
 
     def test_rejects_silent_rounding(self):
         with pytest.raises(ValueError, match="record_every"):
