@@ -307,11 +307,18 @@ class TestStageConstants:
     float for float, an oracle that indexes every constant where it is used,
     on a plant whose stages share no constant."""
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE])
-    @pytest.mark.parametrize("smoothing", [0.0, 0.05])
-    def test_kernel_equals_the_indexed_oracle(self, n, mode, smoothing):
-        chain = distinct_chain(n, mode, smoothing)
+    @staticmethod
+    def cases(test):
+        """n = 2, 3, 4 in both modes, with and without sign smoothing."""
+        test = pytest.mark.parametrize("smoothing", [0.0, 0.05])(test)
+        test = pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE])(test)
+        return pytest.mark.parametrize("n", [2, 3, 4])(test)
+
+    @staticmethod
+    def samples(chain):
+        """``(t, x, s, drifts, inputs)`` at four times, the output error
+        inside the funnel; at t = 0.37 the last surface is zero."""
+        n = chain.bounds.n
         rng = np.random.default_rng(n)
         for t in (0.0, 0.13, 0.37, 0.8):
             inputs = chain.time_inputs(t)
@@ -321,11 +328,40 @@ class TestStageConstants:
             # a zero surface takes the sign(0) = 0 branch
             if t == 0.37:
                 s[-1] = x[-1]
-            if mode is ControlMode.FUZZY:
+            if chain.mode is ControlMode.FUZZY:
                 drifts = rng.uniform(-1.0, 1.0, n).tolist()
             else:
                 drifts = float(rng.uniform(0.1, 2.0))
+            yield t, x, s, drifts, inputs
+
+    @cases
+    def test_kernel_equals_the_indexed_oracle(self, n, mode, smoothing):
+        chain = distinct_chain(n, mode, smoothing)
+        for _, x, s, drifts, inputs in self.samples(chain):
             assert chain.kernel(x, s, drifts, inputs) == indexed_kernel(chain, x, s, drifts, inputs)[:3]
+
+    @cases
+    def test_oracle_signals_follow_the_transform_and_surfaces(self, n, mode, smoothing):
+        """The oracle's signals that the kernel does not return (the
+        recorder and stage-formula tests read them) equal, float for float,
+        the error transformation's, the performance function's and the
+        surface definitions' values, on every stage of a distinct chain."""
+        chain = distinct_chain(n, mode, smoothing)
+        tr, ref = chain.transform, chain.reference
+        for t, x, s, drifts, inputs in self.samples(chain):
+            assert inputs == (t, ref.value(t), ref.derivative(t), tr.perf.eta(t), tr.perf.eta_dot(t))
+            sig = indexed_kernel(chain, x, s, drifts, inputs)
+            assert (sig.e, sig.eta) == (x[0] - ref.value(t), tr.perf.eta(t))
+            z1 = tr.transform(sig.e, t)
+            assert (sig.z[0], sig.psi, sig.varphi) == (z1, tr.psi(z1, t), tr.varphi(z1, t))
+            assert sig.z[1:] == [xi - si for xi, si in zip(x[1:], s)]
+            assert sig.r == [si - a for si, a in zip(s, sig.alpha)]
+            assert sig.zeta_vals == [
+                zeta(z, g.varrho, smoothing) for z, g in zip(sig.z[1:], chain.gains[1:])
+            ]
+            w = sig.z[0] * sig.varphi * sig.psi
+            assert sig.drives == ([w, *sig.zeta_vals] if mode is ControlMode.FUZZY else None)
+            assert len(sig.alpha) == len(sig.r) == n - 1
 
 
 def breach_of(fn, *args):
