@@ -39,8 +39,6 @@ __all__ = [
     "StageGains",
     "ControllerState",
     "ControllerChain",
-    "zeta",
-    "saturated_term",
 ]
 
 
@@ -85,27 +83,6 @@ class ControllerState:
 
     theta_hat: list
     filter_states: list
-
-
-def zeta(z: float, varrho: float, smoothing: float = 0.0) -> float:
-    """Energy-slope factor 1/(1+z^2) + varrho*sign(z) with sign(0)=0.
-
-    ``smoothing > 0`` replaces sign(z) by tanh(z/smoothing).  With
-    varrho > 1 the result is never zero.
-    """
-    if smoothing > 0.0:
-        s = math.tanh(z / smoothing)
-    else:
-        s = 0.0 if z == 0.0 else math.copysign(1.0, z)
-    return 1.0 / (1.0 + z * z) + varrho * s
-
-
-def saturated_term(s: float, guard: float) -> float:
-    """Smooth saturation s^2 / sqrt(s^2 + guard^2) of the magnitude of s.
-
-    Satisfies 0 <= |s| - saturated_term(s, guard) <= guard.
-    """
-    return s * s / math.sqrt(s * s + guard * guard)
 
 
 def compile_function(source: str, filename: str, namespace: dict):
@@ -287,7 +264,7 @@ class ControllerChain:
         control it will track, removing artificial initial filter lag."""
         n = self.bounds.n
         if self._fuzzy:
-            theta = [AdaptiveWeights.zeros(self.grid.m) for _ in range(n)]
+            theta = [AdaptiveWeights(np.zeros(self.grid.m)) for _ in range(n)]
             drifts = [0.0] * n  # the projections of the zero weights
         else:
             theta = []
@@ -308,7 +285,7 @@ class ControllerChain:
         fuzzy mode, the Gram products b_i.b_{i+1} and b_i.b_{i+2} as lists
         (None in approximator-free mode).  Each energy is a sum of squares,
         so no row depends on the other times of the call.  Stores nothing."""
-        rows = self.grid.basis(np.array([self.reference.value(t) for t in times])[:, None])
+        rows = self.grid.basis(np.array([self.reference.value(t) for t in times]))
         energies = (rows * rows).sum(axis=1).tolist()
         if self.mode is not ControlMode.FUZZY:
             return rows, energies, None, None
@@ -320,12 +297,6 @@ class ControllerChain:
         at t with their derivatives, the kernel's only inputs of time."""
         value, derivative, envelope = self._inputs
         return (t, value(t), derivative(t), *envelope(t))
-
-    def weight_derivative(self, theta: np.ndarray, drives, basis: np.ndarray) -> np.ndarray:
-        """The adaptive law theta_i' = mu_i * drive_i * basis - varpi_i * theta_i,
-        one row per stage, for the drives the kernel returns."""
-        mu_drives = np.array([m * d for m, d in zip(self._mu, drives)])
-        return mu_drives[:, None] * basis - np.array(self._varpi)[:, None] * theta
 
     def evaluate(self, x: Sequence[float], state: ControllerState, t: float) -> tuple:
         """``(u, alpha, theta_dot)``: the control input, the virtual controls
@@ -342,4 +313,6 @@ class ControllerChain:
             return u, alpha, np.zeros((0, 0))
         theta = np.array([w.theta_hat for w in state.theta_hat])
         u, alpha, drives = self.kernel(x, state.filter_states, (theta @ basis).tolist(), inputs)
-        return u, alpha, self.weight_derivative(theta, drives, basis)
+        # the adaptive law theta_i' = mu_i * drive_i * basis - varpi_i * theta_i
+        mu_drives = np.array([m * d for m, d in zip(self._mu, drives)])
+        return u, alpha, mu_drives[:, None] * basis - np.array(self._varpi)[:, None] * theta

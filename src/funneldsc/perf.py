@@ -5,8 +5,9 @@ exactly at a user-chosen settling time ``T``, independently of initial
 conditions.  The error transformation maps a tracking error ``e`` constrained
 by ``|arctan(e)| < eta(t)`` to an unconstrained variable ``z1``; boundedness
 of ``z1`` certifies the funnel bound.  This is the paper's one
-transformation; the controller's auxiliaries ``psi`` and ``varphi`` and
-its ``eta_dot`` term are derived for it alone.
+transformation.  The controller's auxiliaries ``psi`` and ``varphi`` are
+written once, in the control kernel, which reads ``eta`` and ``eta_dot``
+from :meth:`PerfFunction.envelope`.
 """
 
 from __future__ import annotations
@@ -117,10 +118,6 @@ class PerfFunction:
         """Envelope value at time t >= 0."""
         return self.envelope(t)[0]
 
-    def eta_dot(self, t: float) -> float:
-        """Time derivative of the envelope."""
-        return self.envelope(t)[1]
-
 
 def perf_from_terminal(b: float, c: float, h: float, T: float) -> PerfFunction:
     """Build a PerfFunction from (b, c, h, T), deriving a = (pi/2 - c)*e^b."""
@@ -145,12 +142,10 @@ class TransformKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ErrorTransform:
-    """Funnel transformation z1 = tan((pi/2) * arctan(e) / eta(t)) and helpers."""
+    """Funnel transformation z1 = tan((pi/2) * arctan(e) / eta(t))."""
 
     perf: PerfFunction
     kind: TransformKind = TransformKind.SYMMETRIC_TAN
-
-    # -- forward / inverse ------------------------------------------------
 
     def transform(self, e: float, t: float) -> float:
         """Map error e to the unconstrained coordinate z1; raises on breach."""
@@ -162,18 +157,3 @@ class ErrorTransform:
         if abs(theta) >= eta:
             raise FunnelBreachError(t, e, eta)
         return math.tan(_HALF_PI * theta / eta)
-
-    def inverse_transform(self, z1: float, t: float) -> float:
-        """Map z1 back to the error; exact inverse of :meth:`transform`."""
-        return math.tan(self.perf.eta(t) * math.atan(z1) / _HALF_PI)
-
-    # -- controller auxiliaries ------------------------------------------
-
-    def psi(self, z1: float, t: float) -> float:
-        """Sensitivity factor pi*(1 + z1^2) / (2*eta(t)); strictly positive."""
-        return math.pi * (1.0 + z1 * z1) / (2.0 * self.perf.eta(t))
-
-    def varphi(self, z1: float, t: float) -> float:
-        """cos^2((2/pi)*eta(t)*arctan(z1)), floored at PHI_FLOOR."""
-        c = math.cos(2.0 / math.pi * self.perf.eta(t) * math.atan(z1))
-        return max(c * c, PHI_FLOOR)

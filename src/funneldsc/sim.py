@@ -47,8 +47,9 @@ steppers differ only in how the filters s' = (alpha - s)/lam move:
 ``run()`` is one loop over the n_steps + 1 sample times; sample k opens
 step k, and the last, at t_end, is opened, recorded and verified like the
 others but takes no step and adds nothing to max|u|.  Each recorded sample
-(every ``record_every``-th step start, and t_end) is one row of floats in
-one buffer, seen as the array ``Trajectory.data``; the sup norms and the
+(every ``record_every``-th step start, and t_end) is one row of one array,
+allocated for every row the run can record, so it never moves as it fills;
+``Trajectory.data`` is its recorded rows.  The sup norms and the
 funnel margin are read from its columns after the run.  A row reads u,
 alpha, y_r and eta from the step's own kernel call and its time inputs, and
 forms e, z1 and z_i = x_i - s_i by the kernel's own expressions, so each
@@ -61,7 +62,6 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -434,7 +434,8 @@ def run(
         "t", *(f"x{i}" for i in range(1, n + 1)), "y_r", "e", "arctan_e", "eta", "neg_eta", "u",
         *filters, *alphas, *norms, *zs,
     )
-    samples = array("d")
+    samples = np.empty((n_steps // config.record_every + 2, len(names)))
+    rows = 0
 
     max_err = 0.0
     max_err_after = 0.0
@@ -487,10 +488,11 @@ def run(
                 y_r, eta = inputs[1], inputs[3]
                 e = xv[0] - y_r
                 wn = np.sqrt(np.add.reduce(tv * tv, axis=1)).tolist() if tv.size else ()
-                samples.extend([
+                samples[rows] = [
                     t, *xv, y_r, e, math.atan(e), eta, -eta, start[0], *sv, *start[1], *wn,
                     to_z1(e, t, eta), *[xi - si for xi, si in zip(xv[1:], sv)],
-                ])
+                ]
+                rows += 1
             if not closing:
                 new_bundle, end = advance(kernel, rhs, time_inputs, bundle, t, start, basis)
         except FunnelBreachError as br:
@@ -520,7 +522,7 @@ def run(
         # serves as the next start wherever (k+1)*dt is the same float
         inputs = end if (k + 1) * dt == end[0] else None
 
-    traj = Trajectory(names, np.frombuffer(samples).reshape(-1, len(names)), breach)
+    traj = Trajectory(names, samples[:rows], breach)
     data = traj.data
     transient_ok = breach is None
     # sup norms over the samples that opened a step: all but the closing one

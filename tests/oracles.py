@@ -5,6 +5,7 @@ indices, each constant read where it is used; it returns every stage
 signal, where the compiled kernel returns only ``(u, alpha, drives)``.
 The stage-formula tests check the oracle's signals against the paper's
 formulas, and the oracle equals the compiled kernel float for float.
+``zeta`` is the oracle's energy-slope factor, the kernel's ``zt<i>``.
 """
 
 import math
@@ -12,7 +13,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from funneldsc.controller import ControlMode, ControllerChain, StageGains, zeta
+from funneldsc.controller import ControlMode, ControllerChain, StageGains
 from funneldsc.perf import PHI_FLOOR, ErrorTransform, perf_from_terminal
 from funneldsc.plants import PlantBounds, ReferenceSignal
 
@@ -38,6 +39,19 @@ class Signals(NamedTuple):
     eta: float
     psi: float
     varphi: float
+
+
+def zeta(z: float, varrho: float, smoothing: float = 0.0) -> float:
+    """Energy-slope factor 1/(1+z^2) + varrho*sign(z) with sign(0)=0.
+
+    ``smoothing > 0`` replaces sign(z) by tanh(z/smoothing).  With
+    varrho > 1 the result is never zero.
+    """
+    if smoothing > 0.0:
+        s = math.tanh(z / smoothing)
+    else:
+        s = 0.0 if z == 0.0 else math.copysign(1.0, z)
+    return 1.0 / (1.0 + z * z) + varrho * s
 
 
 def distinct_chain(n, mode, smoothing):

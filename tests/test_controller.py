@@ -15,18 +15,16 @@ from funneldsc.controller import (
     ControllerChain,
     ControllerState,
     StageGains,
-    saturated_term,
-    zeta,
 )
 from funneldsc.fuzzy import AdaptiveWeights
-from funneldsc.perf import ErrorTransform, FunnelBreachError, perf_from_terminal
+from funneldsc.perf import PHI_FLOOR, ErrorTransform, FunnelBreachError, perf_from_terminal
 from funneldsc.plants import (
     electromechanical_reference,
     make_electromechanical,
     make_single_link,
     single_link_reference,
 )
-from oracles import distinct_chain, indexed_kernel, oracle_at, settled_filters
+from oracles import distinct_chain, indexed_kernel, oracle_at, settled_filters, zeta
 
 
 def em_chain(mode=ControlMode.FUZZY, **kwargs) -> ControllerChain:
@@ -81,7 +79,8 @@ class TestHelpers:
     )
     @settings(max_examples=500, deadline=None)
     def test_saturation_bound(self, s, guard):
-        slack = abs(s) - saturated_term(s, guard)
+        # the kernel's saturated term s^2 / sqrt(s^2 + guard^2)
+        slack = abs(s) - s * s / math.sqrt(s * s + guard * guard)
         # rounding noise of the subtraction scales with |s|
         tol = 1e-12 + 4.0 * abs(s) * 1e-16
         assert -tol <= slack <= guard + tol
@@ -201,14 +200,15 @@ class TestStageFormulas:
         y_r = chain.reference.value(t)
         e = x[0] - y_r
         z1 = tr.transform(e, t)
-        psi = tr.psi(z1, t)
-        phi = tr.varphi(z1, t)
+        eta, eta_dot = tr.perf.envelope(t)
+        psi = math.pi * (1.0 + z1 * z1) / (2.0 * eta)
+        phi = max(math.cos(2.0 / math.pi * eta * math.atan(z1)) ** 2, PHI_FLOOR)
         w = z1 * phi * psi
         basis = chain.grid.basis(y_r)
         beta1 = (
             float(basis @ state.theta_hat[0].theta_hat)
             - chain.reference.derivative(t)
-            - 2.0 / (math.pi * phi) * tr.perf.eta_dot(t) * math.atan(z1)
+            - 2.0 / (math.pi * phi) * eta_dot * math.atan(z1)
         )
         chi1 = 1.0 * abs(e)
         expected = (
@@ -273,8 +273,8 @@ class TestStageFormulas:
         x, state = (3.34, 0.1), chain.init_state((3.34, 0.1))
         t = 0.05
         sig = oracle_at(chain, list(x), state, t)
-        energy = chain.grid.regressor_energy(chain.reference.value(t))
-        assert_energy_damping(chain, sig, state, t, energy)
+        basis = chain.grid.basis(chain.reference.value(t))
+        assert_energy_damping(chain, sig, state, t, (basis * basis).sum())
 
     def test_approx_free_kernel_uses_the_energy_it_is_given(self):
         chain = sl_chain()
@@ -293,7 +293,7 @@ def assert_energy_damping(chain, sig, state, t, energy):
     beta1_expected = (
         w * energy
         - chain.reference.derivative(t)
-        - 2.0 / (math.pi * sig.varphi) * chain.transform.perf.eta_dot(t) * math.atan(sig.z[0])
+        - 2.0 / (math.pi * sig.varphi) * chain.transform.perf.envelope(t)[1] * math.atan(sig.z[0])
     )
     assert sig.beta[0] == pytest.approx(beta1_expected, rel=1e-10)
     beta2_expected = sig.zeta_vals[0] * energy - (
@@ -349,11 +349,14 @@ class TestStageConstants:
         chain = distinct_chain(n, mode, smoothing)
         tr, ref = chain.transform, chain.reference
         for t, x, s, drifts, inputs in self.samples(chain):
-            assert inputs == (t, ref.value(t), ref.derivative(t), tr.perf.eta(t), tr.perf.eta_dot(t))
+            assert inputs == (t, ref.value(t), ref.derivative(t), *tr.perf.envelope(t))
             sig = indexed_kernel(chain, x, s, drifts, inputs)
             assert (sig.e, sig.eta) == (x[0] - ref.value(t), tr.perf.eta(t))
             z1 = tr.transform(sig.e, t)
-            assert (sig.z[0], sig.psi, sig.varphi) == (z1, tr.psi(z1, t), tr.varphi(z1, t))
+            eta = tr.perf.eta(t)
+            cphi = math.cos(2.0 / math.pi * eta * math.atan(z1))
+            psi = math.pi * (1.0 + z1 * z1) / (2.0 * eta)
+            assert (sig.z[0], sig.psi, sig.varphi) == (z1, psi, max(cphi * cphi, PHI_FLOOR))
             assert sig.z[1:] == [xi - si for xi, si in zip(x[1:], s)]
             assert sig.r == [si - a for si, a in zip(s, sig.alpha)]
             assert sig.zeta_vals == [
@@ -489,7 +492,8 @@ class TestBasisBlocks:
             y_r = chain.reference.value(t)
             np.testing.assert_allclose(rows[j], chain.grid.basis(y_r), rtol=1e-12, atol=1e-300)
             if energies is not None:
-                assert energies[j] == pytest.approx(chain.grid.regressor_energy(y_r), rel=1e-12)
+                basis = chain.grid.basis(y_r)
+                assert energies[j] == pytest.approx((basis * basis).sum(), rel=1e-12)
 
     def test_rows_match_direct_evaluation_across_a_block_boundary(self, monkeypatch):
         n_steps = 10  # half-step rows 0 .. 2 * n_steps + 2
@@ -540,7 +544,7 @@ class TestBasisBlocks:
                               (self.BLOCK, blocks[1], 0)):
             _, _, (rows, energies, (g1h, ghh, g14, gh4), proj) = sim._open_step(
                 chain, bundle, i * h, block, row)
-            ys = [[chain.reference.value((i + k) * h)] for k in range(3)]
+            ys = [chain.reference.value((i + k) * h) for k in range(3)]
             want = chain.grid.basis(np.array(ys))
             np.testing.assert_allclose(rows, want, rtol=1e-12, atol=1e-300)
             gram = want @ want.T

