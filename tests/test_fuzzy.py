@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from funneldsc.fuzzy import GaussianGrid
@@ -15,6 +15,10 @@ class TestReferenceGrid:
         np.testing.assert_allclose(g.centers, np.arange(-20.0, 20.5, 4.0))
         assert g.basis(0.3).shape == (11,)
         assert g.basis(np.array([0.3, -2.0, 7.5])).shape == (3, 11)
+
+    def test_empty_batch(self):
+        # a 1-D batch of zero inputs is still a batch: zero rows of m
+        assert GaussianGrid.reference_grid().basis(np.array([])).shape == (0, 11)
 
     def test_only_one_input_dimension(self):
         with pytest.raises(ValueError, match="dim=2"):
@@ -56,6 +60,35 @@ class TestBasisInvariants:
         phi = g.basis(y)
         energy = (phi * phi).sum()
         assert 1.0 / g.m - 1e-12 <= energy <= 1.0 + 1e-12
+
+    @given(ys=st.lists(st.floats(-80.0, 80.0), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_batch_rows_equal_scalar_rows(self, ys):
+        # tabulate_basis reads the batch; the rows must be the scalar
+        # basis float for float, whatever their neighbours in the batch
+        g = GaussianGrid.reference_grid()
+        rows = g.basis(np.array(ys))
+        assert rows.shape == (len(ys), g.m)
+        for y, row in zip(ys, rows):
+            np.testing.assert_array_equal(row, g.basis(y))
+
+    @given(y=st.floats(-40.0, 40.0))
+    @settings(max_examples=300, deadline=None)
+    def test_mirror_symmetry(self, y):
+        # the centers are symmetric about 0 and the rules share one width
+        # and amplitude, so mirroring the input reverses the basis; only
+        # the order of the normalising sum differs
+        g = GaussianGrid.reference_grid()
+        np.testing.assert_allclose(g.basis(-y), g.basis(y)[::-1], rtol=1e-15, atol=0.0)
+
+    @given(y=st.floats(-40.0, 40.0))
+    @settings(max_examples=300, deadline=None)
+    def test_mode_is_the_nearest_center(self, y):
+        g = GaussianGrid.reference_grid()
+        distance = np.abs(y - np.arange(-20.0, 20.5, 4.0))
+        nearest = int(distance.argmin())
+        assume(np.sort(distance)[1] - distance[nearest] > 1e-6)  # no tie
+        assert int(g.basis(y).argmax()) == nearest
 
     def test_outer_product_eigenvalue_bound(self):
         g = GaussianGrid.reference_grid()
