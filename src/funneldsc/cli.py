@@ -11,11 +11,10 @@ import json
 import multiprocessing
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import config as cfgmod
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .controller import ControlMode
 from .perf import perf_from_terminal
 from .plants import PLANTS
@@ -26,6 +25,15 @@ OUT_DIR_ENV = "FUNNELDSC_OUT_DIR"
 EXIT_OK = 0
 EXIT_BOUND_VIOLATED = 1
 EXIT_ERROR = 2
+
+# each per-run flag sets one config key, its text read as a config file's
+PER_RUN_FLAGS = {
+    "--mode": ("mode", "controller mode: " + " or ".join(m.value for m in ControlMode)),
+    "--dt": ("sim.dt", "integration step, seconds"),
+    "--t-end": ("sim.t_end", "simulation horizon, seconds"),
+    "--x0": ("init.x0", "comma-separated initial plant state"),
+    "--sign-smoothing": ("sign_smoothing", "replace sign(z) by tanh(z/eps); 0 keeps the discontinuity"),
+}
 
 
 def build_problem(cfg: ExperimentConfig):
@@ -111,17 +119,14 @@ def _parse_args(argv):
     source = parser.add_mutually_exclusive_group()
     source.add_argument("--preset", choices=sorted(cfgmod.PRESETS), help="built-in case study")
     source.add_argument("--config", help="flat key-value config file")
-    parser.add_argument("--mode", choices=[m.value for m in ControlMode], help="controller mode")
-    parser.add_argument("--dt", type=float, help="integration step, seconds")
-    parser.add_argument("--t-end", type=float, help="simulation horizon, seconds")
-    parser.add_argument("--x0", help="comma-separated initial plant state")
-    parser.add_argument("--sign-smoothing", type=float, help="replace sign(z) by tanh(z/eps); 0 keeps the discontinuity")
+    for flag, (key, text) in PER_RUN_FLAGS.items():
+        parser.add_argument(flag, dest=key, help=text)
     parser.add_argument("--out", help=f"output directory (default: ${OUT_DIR_ENV} or cwd)")
     source.add_argument("--sweep", nargs="+", metavar="CONFIG", help="run several config files in parallel workers")
     args = parser.parse_args(argv)
-    per_run = [k for k in ("mode", "dt", "t_end", "x0", "sign_smoothing") if getattr(args, k) is not None]
-    if args.sweep and per_run:
-        flags = " ".join("--" + k.replace("_", "-") for k in per_run)
+    args.overrides = {key: text for key, _ in PER_RUN_FLAGS.values() if (text := vars(args)[key]) is not None}
+    if args.sweep and args.overrides:
+        flags = " ".join(flag for flag, (key, _) in PER_RUN_FLAGS.items() if key in args.overrides)
         parser.error(f"argument --sweep: not allowed with {flags}; each config file sets its own run")
     return args
 
@@ -155,22 +160,8 @@ def main(argv=None) -> int:
         else:
             print("error: one of --preset, --config or --sweep is required", file=sys.stderr)
             return EXIT_ERROR
-
-        overrides = {}
-        if args.mode:
-            overrides["mode"] = ControlMode(args.mode)
-        if args.dt is not None:
-            overrides["dt"] = args.dt
-        if args.t_end is not None:
-            overrides["t_end"] = args.t_end
-        if args.x0 is not None:
-            overrides["x0"] = tuple(float(v) for v in args.x0.split(","))
-        if args.sign_smoothing is not None:
-            overrides["sign_smoothing"] = args.sign_smoothing
-        if overrides:
-            cfg = replace(cfg, **overrides)
-        return run_experiment(cfg, out_dir=args.out)
-    except (ConfigError, ValueError, OSError, SimulationDivergenceError) as exc:
+        return run_experiment(cfgmod.override(cfg, args.overrides), out_dir=args.out)
+    except (ValueError, OSError, SimulationDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

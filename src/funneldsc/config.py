@@ -8,13 +8,16 @@ radians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+import re
+from dataclasses import MISSING, dataclass, fields, replace
+from functools import lru_cache, partial
+from operator import attrgetter
+from typing import Callable, Optional
 
 from .controller import ControlMode, StageGains
 from .perf import TransformKind, perf_from_terminal
 from .plants import PLANTS
-from .sim import check_explicit_step, step_count
+from .sim import SimConfig, check_explicit_step
 
 __all__ = [
     "ExperimentConfig",
@@ -22,17 +25,11 @@ __all__ = [
     "electromechanical_preset",
     "single_link_preset",
     "weak_gain_single_link",
+    "override",
     "parse_config",
     "serialize_config",
     "load_config",
 ]
-
-_HALF_PI = math.pi / 2.0
-# config key of each float field of ExperimentConfig
-_FLOAT_KEYS = {
-    "perf_b": "perf.b", "perf_c": "perf.c", "perf_h": "perf.h", "perf_T": "perf.T",
-    "dt": "sim.dt", "t_end": "sim.t_end", "sign_smoothing": "sign_smoothing",
-}
 
 
 class ConfigError(ValueError):
@@ -48,6 +45,10 @@ def plant_order(plant: str) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings.  Each is checked by the object that uses it
+    (``SimConfig``, ``perf_from_terminal``, ``StageGains``), whose error
+    becomes a ConfigError naming the config key."""
+
     preset: str                       # electromechanical | single-link | custom
     plant: str                        # which built-in plant the run uses
     mode: ControlMode
@@ -66,45 +67,43 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        expected = plant_order(self.plant)
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
-        for name, key in _FLOAT_KEYS.items():
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, name)!r}")
-        if not all(math.isfinite(v) for v in self.x0):
-            raise ConfigError(f"init.x0 must be finite, got {self.x0!r}")
-        if not self.perf_c > 0.0 or self.perf_c >= _HALF_PI:
-            raise ConfigError(f"perf.c must lie in (0, pi/2), got {self.perf_c!r}")
-        for name in ("perf_b", "perf_h", "perf_T", "dt", "t_end"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{_FLOAT_KEYS[name]} must be strictly positive")
-        try:
-            perf_from_terminal(b=self.perf_b, c=self.perf_c, h=self.perf_h, T=self.perf_T)
-        except ValueError as exc:
-            raise ConfigError(f"perf.{exc}") from None
+        n = plant_order(self.plant)
+        for row in KEYS:
+            value = getattr(self, row.field)
+            if row.parse is float and not math.isfinite(value):
+                raise ConfigError(f"{row.key} must be finite, got {value!r}")
+            # a text value must read back from the one line serialize_config writes
+            is_text = row.parse is str and value is not None
+            if is_text and ("#" in value or value != value.strip() or len(value.splitlines()) > 1):
+                raise ConfigError(f"{row.key} must be one line without '#' or outer whitespace, got {value!r}")
         if self.sign_smoothing < 0.0:
             raise ConfigError(f"sign_smoothing must be nonnegative, got {self.sign_smoothing!r}")
-        try:
-            step_count(self.t_end, self.dt)
-        except ValueError as exc:
-            raise ConfigError(f"sim.{exc}") from None
-        if not (float(self.record_every).is_integer() and self.record_every >= 1):
-            raise ConfigError(
-                f"sim.record_every must be a positive integer, got {self.record_every!r}"
-            )
-        object.__setattr__(self, "record_every", int(self.record_every))
-        if len(self.gains) != expected:
-            raise ConfigError(
-                f"plant {self.plant!r} needs {expected} stage-gain blocks, got {len(self.gains)}"
-            )
-        if len(self.x0) != expected:
-            raise ConfigError(f"init.x0 needs {expected} entries, got {len(self.x0)}")
+        if len(self.gains) != n:
+            raise ConfigError(f"plant {self.plant!r} needs {n} stage-gain blocks, got {len(self.gains)}")
+        if len(self.x0) != n:
+            raise ConfigError(f"init.x0 needs {n} entries, got {len(self.x0)}")
+        _checked(perf_from_terminal, b=self.perf_b, c=self.perf_c, h=self.perf_h, T=self.perf_T)
+        sim = _checked(
+            SimConfig, dt=self.dt, t_end=self.t_end, x0=self.x0, mode=self.mode,
+            record_every=self.record_every, exact_filter=self.exact_filter,
+        )
         if not self.exact_filter:
             try:
                 check_explicit_step(self.gains, self.dt)
             except ValueError as exc:
                 raise ConfigError(f"sim.dt: {exc}") from None
+        object.__setattr__(self, "x0", sim.x0)
         object.__setattr__(self, "gains", tuple(self.gains))
+
+
+def _checked(build, **kwargs):
+    """``build(**kwargs)``; its ValueError, which starts with the failing
+    parameter's name, becomes a ConfigError starting with that config key."""
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        name = re.match(r"\w*", str(exc))[0]
+        raise ConfigError(_PARAM_KEYS.get(name, name) + str(exc)[len(name):]) from None
 
 
 def electromechanical_preset(
@@ -169,43 +168,84 @@ PRESETS = {
 
 # -- flat key-value serialization ----------------------------------------
 
-_STAGE1_KEYS = ("delta", "sigma", "varpi", "mu")
-_STAGE_KEYS = _STAGE1_KEYS + ("rho", "tau", "varrho", "lam")
-# every key a file may hold besides the stage{i}.* gains of the plant's stages
-_TOP_KEYS = (
-    "preset", "plant", "mode", "transform", "perf.b", "perf.c", "perf.h", "perf.T",
-    "sim.dt", "sim.t_end", "sim.record_every", "sim.exact_filter", "sign_smoothing",
-    "init.x0", "out",
+_OWN_DEFAULT = object()  # Key.default: the field's own
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: the ExperimentConfig (or StageGains) ``field`` it sets,
+    ``parse`` from its text (a ValueError or LookupError is reported as
+    ``expected``), ``fmt`` back, and the ``default`` if a file leaves it out
+    (unset: the field's own default, or the key is required if none)."""
+
+    key: str
+    field: str
+    parse: Callable
+    expected: str = ""
+    fmt: Callable = repr
+    default: object = _OWN_DEFAULT
+
+    def read(self, text: str):
+        try:
+            return self.parse(text)
+        except (LookupError, ValueError):
+            raise ConfigError(f"key {self.key!r}: {self.expected}, got {text!r}") from None
+
+    def line(self, value) -> Optional[str]:
+        return None if value is None else f"{self.key} = {self.fmt(value)}"
+
+
+_number = partial(Key, parse=float, expected="expected a number")
+# every key a file may hold besides the stage{i}.* gains, in file order;
+# serialize_config writes the gains before the last key, out
+KEYS = (
+    Key("preset", "preset", str, fmt=str, default="custom"),
+    Key("plant", "plant", str, fmt=str),
+    Key("mode", "mode", ControlMode, f"expected one of {[m.value for m in ControlMode]}",
+        fmt=attrgetter("value"), default=ControlMode.FUZZY),
+    Key("transform", "transform_kind", TransformKind, "the only accepted value is 'symmetric-tan'",
+        fmt=attrgetter("value")),
+    _number("perf.b", "perf_b"),
+    _number("perf.c", "perf_c"),
+    _number("perf.h", "perf_h"),
+    _number("perf.T", "perf_T"),
+    _number("sim.dt", "dt"),
+    _number("sim.t_end", "t_end"),
+    Key("sim.record_every", "record_every", int, "expected a positive integer"),
+    Key("sim.exact_filter", "exact_filter", lambda text: {"true": True, "false": False}[text.lower()],
+        "expected true/false", fmt=lambda v: str(v).lower()),
+    _number("sign_smoothing", "sign_smoothing"),
+    Key("init.x0", "x0", lambda text: tuple(float(v) for v in text.split(",")),
+        "expected comma-separated numbers", fmt=lambda v: ", ".join(map(repr, v))),
+    Key("out", "out", str, fmt=str),
 )
+_BY_KEY = {row.key: row for row in KEYS}
+# a parameter of SimConfig or perf_from_terminal is named as its key's last part
+_PARAM_KEYS = {row.key.rpartition(".")[2]: row.key for row in KEYS}
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+_STAGE_KEYS = ("delta", "sigma", "varpi", "mu", "rho", "tau", "varrho", "lam")  # stage 1: the first four
 
 
-def _stage_keys(i: int) -> tuple:
-    return _STAGE1_KEYS if i == 1 else _STAGE_KEYS
+@lru_cache
+def _stage_rows(n: int) -> tuple:
+    """The Key of each stage{i}.* gain of an n-stage plant, one tuple per stage."""
+    return tuple(
+        tuple(_number(f"stage{i}.{k}", k) for k in _STAGE_KEYS[: 4 if i == 1 else 8]) for i in range(1, n + 1)
+    )
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = [
-        f"preset = {cfg.preset}",
-        f"plant = {cfg.plant}",
-        f"mode = {cfg.mode.value}",
-        f"transform = {cfg.transform_kind.value}",
-        f"perf.b = {cfg.perf_b!r}",
-        f"perf.c = {cfg.perf_c!r}",
-        f"perf.h = {cfg.perf_h!r}",
-        f"perf.T = {cfg.perf_T!r}",
-        f"sim.dt = {cfg.dt!r}",
-        f"sim.t_end = {cfg.t_end!r}",
-        f"sim.record_every = {cfg.record_every}",
-        f"sim.exact_filter = {str(cfg.exact_filter).lower()}",
-        f"sign_smoothing = {cfg.sign_smoothing!r}",
-        "init.x0 = " + ", ".join(repr(v) for v in cfg.x0),
-    ]
-    for i, g in enumerate(cfg.gains, start=1):
-        for key in _stage_keys(i):
-            lines.append(f"stage{i}.{key} = {getattr(g, key)!r}")
-    if cfg.out is not None:
-        lines.append(f"out = {cfg.out}")
+    *lines, out = (row.line(getattr(cfg, row.field)) for row in KEYS)
+    for stage, g in zip(_stage_rows(len(cfg.gains)), cfg.gains):
+        lines += [row.line(getattr(g, row.field)) for row in stage]
+    if out is not None:
+        lines.append(out)
     return "\n".join(lines) + "\n"
+
+
+def override(cfg: ExperimentConfig, texts: dict) -> ExperimentConfig:
+    """``cfg`` with each key of ``texts`` set to its text read as a file's line."""
+    return replace(cfg, **{_BY_KEY[key].field: _BY_KEY[key].read(text) for key, text in texts.items()})
 
 
 def _parse_pairs(text: str) -> dict:
@@ -225,79 +265,36 @@ def _parse_pairs(text: str) -> dict:
     return pairs
 
 
-def _get_float(pairs, key):
-    if key not in pairs:
-        raise ConfigError(f"missing required key {key!r}")
-    try:
-        return float(pairs[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected a number, got {pairs[key]!r}") from None
+def _value(row: Key, pairs: dict):
+    """The value of ``row`` read from ``pairs``, or its default."""
+    if row.key in pairs:
+        return row.read(pairs[row.key])
+    default = _FIELD_DEFAULTS.get(row.field, MISSING) if row.default is _OWN_DEFAULT else row.default
+    if default is MISSING:
+        raise ConfigError(f"missing required key {row.key!r}")
+    return default
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key-value format into a validated config."""
     pairs = _parse_pairs(text)
-    preset = pairs.get("preset", "custom")
-    plant = pairs.get("plant", preset if preset in PLANTS else None)
-    if plant is None:
-        raise ConfigError("key 'plant' is required for custom configs")
-    try:
-        mode = ControlMode(pairs.get("mode", "fuzzy"))
-    except ValueError:
-        raise ConfigError(
-            f"key 'mode': expected one of {[m.value for m in ControlMode]}, "
-            f"got {pairs['mode']!r}"
-        ) from None
-    try:
-        kind = TransformKind(pairs.get("transform", "symmetric-tan"))
-    except ValueError:
-        raise ConfigError(
-            f"key 'transform': the only accepted value is 'symmetric-tan', got {pairs['transform']!r}"
-        ) from None
-
-    n = plant_order(plant)
-    known = {*_TOP_KEYS, *(f"stage{i}.{key}" for i in range(1, n + 1) for key in _stage_keys(i))}
+    if pairs.get("preset") in PLANTS:
+        pairs.setdefault("plant", pairs["preset"])
+    values = {row.field: _value(row, pairs) for row in KEYS}
+    n = plant_order(values["plant"])
+    stages = _stage_rows(n)
+    known = {*_BY_KEY, *(row.key for stage in stages for row in stage)}
     for key in pairs:
         if key not in known:
-            raise ConfigError(f"unknown key {key!r} for plant {plant!r}")
+            raise ConfigError(f"unknown key {key!r} for plant {values['plant']!r}")
     gains = []
-    for i in range(1, n + 1):
-        kwargs = {key: _get_float(pairs, f"stage{i}.{key}") for key in _stage_keys(i)}
+    for i, stage in enumerate(stages, start=1):
+        kwargs = {row.field: _value(row, pairs) for row in stage}
         try:
             gains.append(StageGains(**kwargs))
         except ValueError as exc:
             raise ConfigError(f"stage{i}: {exc}") from None
-
-    x0_raw = pairs.get("init.x0")
-    if x0_raw is None:
-        raise ConfigError("missing required key 'init.x0'")
-    try:
-        x0 = tuple(float(v) for v in x0_raw.split(","))
-    except ValueError:
-        raise ConfigError(f"key 'init.x0': expected comma-separated numbers, got {x0_raw!r}") from None
-
-    exact_raw = pairs.get("sim.exact_filter", "true").lower()
-    if exact_raw not in ("true", "false"):
-        raise ConfigError(f"key 'sim.exact_filter': expected true/false, got {exact_raw!r}")
-
-    return ExperimentConfig(
-        preset=preset,
-        plant=plant,
-        mode=mode,
-        perf_b=_get_float(pairs, "perf.b"),
-        perf_c=_get_float(pairs, "perf.c"),
-        perf_h=_get_float(pairs, "perf.h"),
-        perf_T=_get_float(pairs, "perf.T"),
-        gains=tuple(gains),
-        dt=_get_float(pairs, "sim.dt"),
-        t_end=_get_float(pairs, "sim.t_end"),
-        x0=x0,
-        record_every=_get_float(pairs, "sim.record_every") if "sim.record_every" in pairs else 10,
-        exact_filter=exact_raw == "true",
-        sign_smoothing=_get_float(pairs, "sign_smoothing") if "sign_smoothing" in pairs else 0.0,
-        transform_kind=kind,
-        out=pairs.get("out"),
-    )
+    return ExperimentConfig(**values, gains=tuple(gains))
 
 
 def load_config(path) -> ExperimentConfig:

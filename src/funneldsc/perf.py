@@ -120,11 +120,14 @@ class PerfFunction:
 
 
 def perf_from_terminal(b: float, c: float, h: float, T: float) -> PerfFunction:
-    """Build a PerfFunction from (b, c, h, T), deriving a = (pi/2 - c)*e^b."""
-    if not (b > 0.0 and c > 0.0 and h > 0.0 and T > 0.0):
-        raise ValueError("b, c, h, T must be strictly positive")
+    """Build a PerfFunction from (b, c, h, T), deriving a = (pi/2 - c)*e^b.
+    A ValueError starts with the failing parameter: ``b=``, ``c=``, ``h=``
+    or ``T=``."""
+    for name, value in (("b", b), ("c", c), ("h", h), ("T", T)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name}={value!r} must be strictly positive and finite")
     if c >= _HALF_PI:
-        raise ValueError(f"terminal accuracy c={c!r} must be below pi/2")
+        raise ValueError(f"c={c!r} is too large: the terminal accuracy must be below pi/2")
     if b + math.log(_HALF_PI - c) >= math.log(sys.float_info.max):
         raise ValueError(f"b={b!r} is too large: a = (pi/2 - c)*exp(b) overflows")
     return PerfFunction(a=(_HALF_PI - c) * math.exp(b), b=b, c=c, h=h, T=T)

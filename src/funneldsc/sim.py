@@ -105,7 +105,8 @@ class SimulationDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration settings for one closed-loop run."""
+    """Integration settings for one closed-loop run.  A ValueError starts
+    with the name of the failing setting."""
 
     dt: float
     t_end: float
@@ -115,14 +116,19 @@ class SimConfig:
     exact_filter: bool = True
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError("dt must be strictly positive")
-        if not self.t_end > 0.0:
-            raise ValueError("t_end must be strictly positive")
+        for name in ("dt", "t_end"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if not value > 0.0:
+                raise ValueError(f"{name} must be strictly positive, got {value!r}")
         if not isinstance(self.record_every, int) or self.record_every < 1:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every!r}")
         step_count(self.t_end, self.dt)
-        x0 = tuple(float(v) for v in self.x0)
+        try:
+            x0 = tuple(float(v) for v in self.x0)
+        except (TypeError, ValueError):
+            raise ValueError(f"x0 must be a sequence of numbers, got {self.x0!r}") from None
         if not all(map(math.isfinite, x0)):
             raise ValueError(f"x0 must be finite, got {x0!r}")
         object.__setattr__(self, "x0", x0)

@@ -2,12 +2,14 @@ import json
 import math
 import multiprocessing
 import os
+import re
 from dataclasses import replace
 
 import pytest
 
 from funneldsc import cli
 from funneldsc.config import (
+    KEYS,
     ConfigError,
     PRESETS,
     electromechanical_preset,
@@ -66,6 +68,33 @@ class TestRoundTrip:
             out="results",
         )
         assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_every_key_off_its_default(self):
+        """Each key of the table, set to a value other than its default
+        (the only transform kind aside), is written once and read back."""
+        cfg = replace(
+            single_link_preset(),
+            mode=ControlMode.APPROX_FREE,
+            dt=2e-4,
+            exact_filter=False,
+            sign_smoothing=0.25,
+            record_every=3,
+            out="results/run 1",
+            x0=(0.1, -2.5e-7),
+        )
+        text = serialize_config(cfg)
+        assert parse_config(text) == cfg
+        keys = [line.split(" = ")[0] for line in text.splitlines()]
+        for row in KEYS:
+            assert keys.count(row.key) == 1, row.key
+
+    @pytest.mark.parametrize("field", ["preset", "out"])
+    @pytest.mark.parametrize("value", ["res#1", "a\nsim.dt = 1", "a\rb", " res", "res\t"])
+    def test_rejects_values_that_cannot_round_trip(self, field, value):
+        """A '#', a line break or surrounding whitespace would not read back
+        from the written line; the error names the key."""
+        with pytest.raises(ConfigError, match=f"^{field} must be one line"):
+            replace(single_link_preset(), **{field: value})
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -160,6 +189,21 @@ class TestValidation:
     def test_rejects_non_finite_x0(self, x0):
         with pytest.raises(ConfigError, match="init.x0 must be finite"):
             replace(single_link_preset(), x0=x0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("x0", ("a", "b"), "init.x0 must be a sequence of numbers"),
+        ("dt", -1e-4, "sim.dt must be strictly positive, got -0.0001"),
+        ("t_end", 0.0, "sim.t_end must be strictly positive, got 0.0"),
+        ("record_every", 0, "sim.record_every must be a positive integer, got 0"),
+        ("record_every", 10.0, "sim.record_every must be a positive integer, got 10.0"),
+        ("perf_b", -0.9, "perf.b=-0.9 must be strictly positive"),
+        ("perf_c", 0.0, "perf.c=0.0 must be strictly positive"),
+        ("perf_h", -1.0, "perf.h=-1.0 must be strictly positive"),
+        ("perf_T", 0.0, "perf.T=0.0 must be strictly positive"),
+    ])
+    def test_run_objects_check_the_values_and_the_error_names_the_key(self, field, value, message):
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            replace(single_link_preset(), **{field: value})
 
     def test_rejects_negative_sign_smoothing(self):
         with pytest.raises(ConfigError, match="sign_smoothing must be nonnegative"):
@@ -381,6 +425,8 @@ class TestCli:
         ("sim.t_end", ("sim.t_end = 0.05", "sim.t_end = inf"), ["--t-end", "inf"]),
         ("sim.dt", ("sim.dt = 0.0001", "sim.dt = nan"), ["--dt", "nan"]),
         ("init.x0", ("init.x0 = 0.0, 0.0", "init.x0 = inf, 0.0"), ["--x0", "inf,0"]),
+        ("key 'init.x0': expected comma-separated numbers", ("init.x0 = 0.0, 0.0", "init.x0 = a, b"), ["--x0", "a,b"]),
+        ("key 'mode': expected one of", ("mode = approx-free", "mode = magic"), ["--mode", "magic"]),
         ("perf.b", ("perf.b = 0.9", "perf.b = inf"), None),
         ("perf.h", ("perf.h = 1.0", "perf.h = inf"), None),
         ("perf.T", ("perf.T = 0.5", "perf.T = inf"), None),

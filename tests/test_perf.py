@@ -82,10 +82,18 @@ class TestPerfFunction:
         (dict(h=30.0), "h=30.0 is too large"),
         (dict(T=1e-300), "T=1e-300 is too small"),
         (dict(T=1e300), "T=1e+300 is too large"),
+        (dict(c=1.6), "c=1.6 is too large: the terminal accuracy must be below pi/2"),
     ])
     def test_rejects_parameters_the_envelope_cannot_evaluate(self, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             perf_from_terminal(**{**dict(b=0.9, c=0.05, h=1.0, T=0.5), **kwargs})
+
+    @pytest.mark.parametrize("name", ["b", "c", "h", "T"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_terminal_helper_names_the_failing_parameter(self, name, value):
+        kwargs = {**dict(b=0.9, c=0.05, h=1.0, T=0.5), name: value}
+        with pytest.raises(ValueError, match=f"^{name}={re.escape(repr(value))} must be strictly positive and finite$"):
+            perf_from_terminal(**kwargs)
 
     def test_terminal_helper_rejects_large_accuracy(self):
         with pytest.raises(ValueError):

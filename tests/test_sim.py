@@ -747,6 +747,17 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="x0 must be finite"):
                 SimConfig(dt=1e-3, t_end=1.0, x0=x0)
 
+    @pytest.mark.parametrize("name", ["dt", "t_end"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_reports_a_non_finite_step_or_horizon_as_such(self, name, value):
+        settings = {"dt": 1e-3, "t_end": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            SimConfig(x0=(0.0, 0.0), **settings)
+
+    def test_rejects_a_non_numeric_x0_naming_it(self):
+        with pytest.raises(ValueError, match="^x0 must be a sequence of numbers"):
+            SimConfig(dt=1e-3, t_end=1.0, x0=("a", "b"))
+
     def test_rejects_silent_rounding(self):
         with pytest.raises(ValueError, match="record_every"):
             SimConfig(dt=1e-3, t_end=1.0, x0=(0.0, 0.0), record_every=2.7)
