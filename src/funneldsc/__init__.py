@@ -5,7 +5,6 @@ from .perf import (
     FunnelBreachError,
     PerfFunction,
     TransformKind,
-    perf_from_terminal,
 )
 from .fuzzy import AdaptiveWeights, GaussianGrid
 from .plants import (

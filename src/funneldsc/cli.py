@@ -16,7 +16,7 @@ from pathlib import Path
 from . import config as cfgmod
 from .config import ExperimentConfig
 from .controller import ControlMode
-from .perf import perf_from_terminal
+from .perf import PerfFunction
 from .plants import PLANTS
 from .sim import SimConfig, SimulationDivergenceError, export_trajectory, run
 
@@ -40,7 +40,7 @@ def build_problem(cfg: ExperimentConfig):
     """Materialize plant, reference, perf function and sim config."""
     entry = PLANTS[cfg.plant]
     plant, reference = entry.plant(), entry.reference()
-    perf = perf_from_terminal(b=cfg.perf_b, c=cfg.perf_c, h=cfg.perf_h, T=cfg.perf_T)
+    perf = PerfFunction(b=cfg.perf_b, c=cfg.perf_c, h=cfg.perf_h, T=cfg.perf_T)
     sim_cfg = SimConfig(
         dt=cfg.dt,
         t_end=cfg.t_end,
@@ -70,8 +70,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
     )
 
     (out / "config.txt").write_text(cfgmod.serialize_config(cfg))
-    if len(traj.data):
-        export_trajectory(traj, out / "trajectory.csv")
+    export_trajectory(traj, out / "trajectory.csv")
     summary = report.as_dict()
     summary["breach_time"] = traj.breach
     (out / "verification.json").write_text(json.dumps(summary, indent=2) + "\n")
@@ -82,9 +81,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
         f"max |e|          : {report.max_abs_error:.6g}",
         f"max |e| after T  : {report.max_abs_error_after_T:.6g}",
         f"max |u|          : {report.max_abs_control:.6g}",
-        f"peak |u| at t    : {_fmt(report.peak_control_time)}",
-        f"min funnel margin: {_fmt(report.min_funnel_margin)} (recorded samples)",
-        f"min margin at t  : {_fmt(report.min_margin_time)}",
+        f"peak |u| at t    : {report.peak_control_time:.6g}",
+        f"min funnel margin: {report.min_funnel_margin:.6g} (recorded samples)",
+        f"min margin at t  : {report.min_margin_time:.6g}",
     ]
     if traj.breach is not None:
         lines.append(f"funnel breach at t = {traj.breach:.6g}")
@@ -94,21 +93,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
     return EXIT_OK if report.transient_ok and report.steady_ok else EXIT_BOUND_VIOLATED
 
 
-def _fmt(value) -> str:
-    return "n/a" if value is None else f"{value:.6g}"
+def _guarded(load, out_dir):
+    """``(exit status, error message)`` of running the config ``load()``
+    returns; any exception is exit 2, an unexpected one with its type in
+    the message, so it stays this run's and never reads as exit 1."""
+    try:
+        return run_experiment(load(), out_dir=out_dir), None
+    except (ValueError, OSError, SimulationDivergenceError) as exc:
+        return EXIT_ERROR, str(exc)
+    except Exception as exc:
+        return EXIT_ERROR, f"{type(exc).__name__}: {exc}"
 
 
 def _sweep_worker(args):
-    """Run one sweep config; returns (path, exit status, error message).
-    An unexpected exception is exit 2 with its type in the message."""
+    """Run one sweep config; returns (path, exit status, error message)."""
     path, out_root = args
-    try:
-        cfg = cfgmod.load_config(path)
-        return path, run_experiment(cfg, out_dir=Path(out_root) / Path(path).stem), None
-    except (ValueError, OSError, SimulationDivergenceError) as exc:
-        return path, EXIT_ERROR, str(exc)
-    except Exception as exc:  # any other fault stays this config's, not the pool's
-        return path, EXIT_ERROR, f"{type(exc).__name__}: {exc}"
+    return path, *_guarded(lambda: cfgmod.load_config(path), Path(out_root) / Path(path).stem)
 
 
 def _parse_args(argv):
@@ -152,18 +152,18 @@ def main(argv=None) -> int:
             status = max(status, code)
         return status
 
-    try:
-        if args.config:
-            cfg = cfgmod.load_config(args.config)
-        elif args.preset:
-            cfg = cfgmod.PRESETS[args.preset]()
-        else:
-            print("error: one of --preset, --config or --sweep is required", file=sys.stderr)
-            return EXIT_ERROR
-        return run_experiment(cfgmod.override(cfg, args.overrides), out_dir=args.out)
-    except (ValueError, OSError, SimulationDivergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if not (args.config or args.preset):
+        print("error: one of --preset, --config or --sweep is required", file=sys.stderr)
         return EXIT_ERROR
+
+    def load():
+        cfg = cfgmod.load_config(args.config) if args.config else cfgmod.PRESETS[args.preset]()
+        return cfgmod.override(cfg, args.overrides)
+
+    code, message = _guarded(load, args.out)
+    if message is not None:
+        print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

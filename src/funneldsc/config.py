@@ -15,7 +15,7 @@ from operator import attrgetter
 from typing import Callable, Optional
 
 from .controller import ControlMode, StageGains
-from .perf import TransformKind, perf_from_terminal
+from .perf import PerfFunction, TransformKind
 from .plants import PLANTS
 from .sim import SimConfig, check_explicit_step
 
@@ -46,8 +46,10 @@ def plant_order(plant: str) -> int:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run's settings.  Each is checked by the object that uses it
-    (``SimConfig``, ``perf_from_terminal``, ``StageGains``), whose error
-    becomes a ConfigError naming the config key."""
+    (``SimConfig``, ``PerfFunction``, ``StageGains``), whose error
+    becomes a ConfigError naming the config key; the envelope is the
+    paper's four ``perf_*`` parameters.  An ``x0`` that starts outside
+    the funnel is left to ``sim.run``, which names ``x0``."""
 
     preset: str                       # electromechanical | single-link | custom
     plant: str                        # which built-in plant the run uses
@@ -82,7 +84,7 @@ class ExperimentConfig:
             raise ConfigError(f"plant {self.plant!r} needs {n} stage-gain blocks, got {len(self.gains)}")
         if len(self.x0) != n:
             raise ConfigError(f"init.x0 needs {n} entries, got {len(self.x0)}")
-        _checked(perf_from_terminal, b=self.perf_b, c=self.perf_c, h=self.perf_h, T=self.perf_T)
+        _checked(PerfFunction, b=self.perf_b, c=self.perf_c, h=self.perf_h, T=self.perf_T)
         sim = _checked(
             SimConfig, dt=self.dt, t_end=self.t_end, x0=self.x0, mode=self.mode,
             record_every=self.record_every, exact_filter=self.exact_filter,
@@ -220,7 +222,7 @@ KEYS = (
     Key("out", "out", str, fmt=str),
 )
 _BY_KEY = {row.key: row for row in KEYS}
-# a parameter of SimConfig or perf_from_terminal is named as its key's last part
+# a parameter of SimConfig or PerfFunction is named as its key's last part
 _PARAM_KEYS = {row.key.rpartition(".")[2]: row.key for row in KEYS}
 _FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 _STAGE_KEYS = ("delta", "sigma", "varpi", "mu", "rho", "tau", "varrho", "lam")  # stage 1: the first four

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "FunnelBreachError",
@@ -23,7 +23,6 @@ __all__ = [
     "TransformKind",
     "ErrorTransform",
     "PHI_FLOOR",
-    "perf_from_terminal",
 ]
 
 _HALF_PI = math.pi / 2.0
@@ -58,32 +57,35 @@ class FunnelBreachError(ValueError):
 class PerfFunction:
     """Performance envelope a*exp(-b*(T/(T-t))^h) + c, frozen at c for t >= T.
 
-    Construction enforces eta(0) = a*exp(-b) + c = pi/2, which makes the
-    tangent-based error transformation well defined for any initial error.
-    If :meth:`envelope` would overflow or underflow at some t, the
-    ValueError starts with the parameter to change, ``b=``, ``h=`` or ``T=``.
+    Takes the paper's four parameters and derives ``a = (pi/2 - c)*exp(b)``,
+    so eta(0) = a*exp(-b) + c is pi/2 to within 2 ulps, whatever the
+    initial condition: the tangent-based error transformation accepts every
+    initial error whose arctan rounds below pi/2.  A ValueError starts with
+    the parameter to change, ``b=``, ``c=``, ``h=`` or ``T=``, also where
+    :meth:`envelope` would overflow or underflow.
     """
 
-    a: float
     b: float
     c: float
     h: float
     T: float
+    a: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "h", "T"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"PerfFunction.{name} must be strictly positive and finite")
-        if abs(self.a * math.exp(-self.b) + self.c - _HALF_PI) > 1e-9:
-            raise ValueError(
-                "PerfFunction requires a*exp(-b) + c = pi/2 "
-                f"(got {self.a * math.exp(-self.b) + self.c!r})"
-            )
+        for name in ("b", "c", "h", "T"):
+            if not 0.0 < (value := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name}={value!r} must be strictly positive and finite")
+        # the logs of the extreme normal floats
+        big, small = math.log(sys.float_info.max), math.log(sys.float_info.min)
+        if self.c >= _HALF_PI:
+            raise ValueError(f"c={self.c!r} is too large: the terminal accuracy must be below pi/2")
+        if self.b + max(0.0, math.log(_HALF_PI - self.c)) >= big:
+            raise ValueError(f"b={self.b!r} is too large: exp(b) or a = (pi/2 - c)*exp(b) overflows")
+        object.__setattr__(self, "a", (_HALF_PI - self.c) * math.exp(self.b))
         # In logs: q = T/(T - t) runs from 1 to 1/_POLE_GUARD, and eta_dot is
         # computed only while the decay exp(-b q^h) is nonzero, b q^h < 745.2,
         # up to q = live; each power must stay a finite, normal float there,
-        # between the logs ``small`` and ``big`` of the extreme normal floats.
-        big, small = math.log(sys.float_info.max), math.log(sys.float_info.min)
+        # between ``small`` and ``big``.
         b, h, log_T, log_q = self.b, self.h, math.log(self.T), -math.log(_POLE_GUARD)
         live = min(log_q, (math.log(745.2) - math.log(b)) / h)
         log_abh = math.log(self.a) + math.log(b) + math.log(h)
@@ -117,20 +119,6 @@ class PerfFunction:
     def eta(self, t: float) -> float:
         """Envelope value at time t >= 0."""
         return self.envelope(t)[0]
-
-
-def perf_from_terminal(b: float, c: float, h: float, T: float) -> PerfFunction:
-    """Build a PerfFunction from (b, c, h, T), deriving a = (pi/2 - c)*e^b.
-    A ValueError starts with the failing parameter: ``b=``, ``c=``, ``h=``
-    or ``T=``."""
-    for name, value in (("b", b), ("c", c), ("h", h), ("T", T)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name}={value!r} must be strictly positive and finite")
-    if c >= _HALF_PI:
-        raise ValueError(f"c={c!r} is too large: the terminal accuracy must be below pi/2")
-    if b + math.log(_HALF_PI - c) >= math.log(sys.float_info.max):
-        raise ValueError(f"b={b!r} is too large: a = (pi/2 - c)*exp(b) overflows")
-    return PerfFunction(a=(_HALF_PI - c) * math.exp(b), b=b, c=c, h=h, T=T)
 
 
 class TransformKind(enum.Enum):

@@ -183,9 +183,9 @@ class VerificationReport:
     max_abs_error_after_T: float
     max_abs_control: float
     signal_sup_norms: dict
-    min_funnel_margin: Optional[float]
-    min_margin_time: Optional[float]
-    peak_control_time: Optional[float]
+    min_funnel_margin: float
+    min_margin_time: float
+    peak_control_time: float
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -406,14 +406,19 @@ def run(
 ):
     """Integrate the closed loop over [0, t_end] and verify the funnel bounds.
 
-    Returns (Trajectory, VerificationReport).  A funnel breach stops the run
-    at the breach time and is reported, not raised; divergence, a non-finite
-    plant state or a float overflow in the controller, raises
-    :class:`SimulationDivergenceError`.
+    Returns (Trajectory, VerificationReport), the trajectory from its
+    sample at t = 0.  A funnel breach stops the run at the breach time and
+    is reported, not raised; divergence, a non-finite plant state or a float
+    overflow in the controller, raises :class:`SimulationDivergenceError`.
+    An x0 whose error's arctan rounds to eta(0) = pi/2, |e(0)| of about
+    2e15 or more, is an input error: a ValueError starting with ``x0``.
     """
     n = plant.n
     if len(config.x0) != n:
         raise ValueError(f"x0 must have {n} entries")
+    e0, eta0 = config.x0[0] - reference.value(0.0), perf.envelope(0.0)[0]
+    if abs(math.atan(e0)) >= eta0:
+        raise ValueError(f"x0 starts outside the funnel: arctan of the error e(0) = {e0!r} rounds to eta(0) = {eta0!r}")
     if not config.exact_filter:
         check_explicit_step(gains, config.dt)
 
@@ -453,10 +458,6 @@ def run(
     x = list(config.x0)
     try:
         cstate = chain.init_state(x)
-    except FunnelBreachError as br:
-        traj = Trajectory(names, np.empty((0, len(names))), br.t)
-        report = VerificationReport(False, False, abs(br.e), 0.0, 0.0, {}, None, None, None)
-        return traj, report
     except OverflowError as exc:
         raise SimulationDivergenceError(0.0) from exc
     s = list(cstate.filter_states)
@@ -543,11 +544,8 @@ def run(
         for name in (*zs, *filters, *alphas, "u", *norms)
         if peaks[name] > 0.0
     }
-    margin_t = margin = None
-    if len(data):
-        margins = data[:, names.index("eta")] - np.abs(data[:, names.index("arctan_e")])
-        i = int(np.argmin(margins))
-        margin, margin_t = float(margins[i]), float(data[i, 0])
+    margins = data[:, names.index("eta")] - np.abs(data[:, names.index("arctan_e")])
+    i = int(np.argmin(margins))
     report = VerificationReport(
         transient_ok=transient_ok,
         steady_ok=steady_ok and transient_ok,
@@ -555,8 +553,8 @@ def run(
         max_abs_error_after_T=max_err_after,
         max_abs_control=max_u,
         signal_sup_norms=sup,
-        min_funnel_margin=margin,
-        min_margin_time=margin_t,
+        min_funnel_margin=float(margins[i]),
+        min_margin_time=float(data[i, 0]),
         peak_control_time=peak_u_t,
     )
     return traj, report

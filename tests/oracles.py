@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from funneldsc.controller import ControlMode, ControllerChain, StageGains
-from funneldsc.perf import PHI_FLOOR, ErrorTransform, perf_from_terminal
+from funneldsc.perf import PHI_FLOOR, ErrorTransform, PerfFunction
 from funneldsc.plants import PlantBounds, ReferenceSignal
 
 
@@ -70,7 +70,7 @@ def distinct_chain(n, mode, smoothing):
         )
         for k in range(1, n + 1)
     ]
-    perf = perf_from_terminal(b=0.4, c=0.05, h=1.0, T=0.5)
+    perf = PerfFunction(b=0.4, c=0.05, h=1.0, T=0.5)
     reference = ReferenceSignal(value=math.sin, derivative=math.cos)
     return ControllerChain(bounds, gains, ErrorTransform(perf=perf), reference, mode, smoothing)
 

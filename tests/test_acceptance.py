@@ -21,7 +21,7 @@ from funneldsc.config import (
 )
 from funneldsc.controller import ControlMode
 from funneldsc.fuzzy import GaussianGrid
-from funneldsc.perf import ErrorTransform, perf_from_terminal
+from funneldsc.perf import ErrorTransform, PerfFunction
 from funneldsc.sim import run
 
 
@@ -154,7 +154,7 @@ class TestCaseStudies:
 
 class TestEnvelopeProperties:
     def test_envelope_and_transform(self):
-        perf = perf_from_terminal(b=0.1, c=0.05, h=1.0, T=0.5)
+        perf = PerfFunction(b=0.1, c=0.05, h=1.0, T=0.5)
         ts = np.linspace(0.0, 1.2, 4001)
         etas = np.array([perf.eta(float(t)) for t in ts])
         monotone = bool(np.all(np.diff(etas) <= 1e-15))
@@ -229,7 +229,7 @@ class TestBasisProperties:
 
 class TestDerivativeOracle:
     def test_envelope_slope_matches_finite_differences(self):
-        perf = perf_from_terminal(b=0.9, c=0.05, h=0.5, T=0.5)
+        perf = PerfFunction(b=0.9, c=0.05, h=0.5, T=0.5)
         h = 1e-7
         ok = True
         for t in np.linspace(5e-3, perf.T - 5e-3, 1000):

@@ -3,7 +3,9 @@ import math
 import multiprocessing
 import os
 import re
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -469,6 +471,12 @@ class TestCli:
         # the sweep's error line names the config that diverged
         assert captured.err.splitlines() == [word.replace("error:", f"error: {huge}:")]
 
+    def test_start_outside_the_funnel_exits_2(self, tmp_path, capfd):
+        """An initial error whose arctan rounds to eta(0) = pi/2 is an input
+        error naming x0 through --config, --x0 and --sweep, not a breach."""
+        word = ": x0 starts outside the funnel"
+        self.check_rejected(tmp_path, capfd, word, ("init.x0 = 0.0, 0.0", "init.x0 = 1e17, 0.0"), ["--x0", "1e17,0"])
+
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     def test_bad_sign_smoothing_exits_2(self, tmp_path, capfd, value):
         edit = ("sign_smoothing = 0.0", f"sign_smoothing = {value}")
@@ -515,6 +523,35 @@ class TestCli:
         assert f"{bad}: exit 2" in captured.out.splitlines()
         assert captured.err.splitlines() == [f"error: {bad}: RuntimeError: boom"]
         assert (out_root / "ok" / "verification.json").exists()
+
+    def test_an_unexpected_exception_exits_2_in_a_single_run_and_a_sweep(self, tmp_path, capfd, monkeypatch):
+        """A single run and a sweep report any exception the same way: exit
+        2, not the bound-violated 1, with one error line naming its type."""
+        def raising(cfg, out_dir=None):
+            raise MemoryError("cannot allocate the record")
+
+        monkeypatch.setattr(cli, "run_experiment", raising)
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(serialize_config(short_single_link()))
+        message = "MemoryError: cannot allocate the record"
+        for argv, err in (
+            (["--preset", "single-link"], f"error: {message}"),
+            (["--config", str(cfg)], f"error: {message}"),
+            (["--sweep", str(cfg)], f"error: {cfg}: {message}"),
+        ):
+            assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_ERROR
+            assert capfd.readouterr().err.splitlines() == [err]
+
+    def test_every_readme_command_parses(self):
+        """Each ``funneldsc`` line of the README's fenced blocks is accepted
+        by the argument parser as written."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"^```[a-z]*\n(.*?)^```", readme, flags=re.M | re.S)
+        lines = [line for block in blocks for line in block.splitlines() if line.startswith("funneldsc ")]
+        assert len(lines) >= 6
+        for line in lines:
+            args = cli._parse_args(shlex.split(line)[1:])
+            assert args.sweep or args.preset or args.config, line
 
     @pytest.mark.parametrize("configs, affinity, cpu_count, processes", [
         (8, {0, 1}, 2, 2),

@@ -17,7 +17,7 @@ from funneldsc.controller import (
     StageGains,
 )
 from funneldsc.fuzzy import AdaptiveWeights
-from funneldsc.perf import PHI_FLOOR, ErrorTransform, FunnelBreachError, perf_from_terminal
+from funneldsc.perf import PHI_FLOOR, ErrorTransform, FunnelBreachError, PerfFunction
 from funneldsc.plants import (
     electromechanical_reference,
     make_electromechanical,
@@ -29,7 +29,7 @@ from oracles import distinct_chain, indexed_kernel, oracle_at, settled_filters, 
 
 def em_chain(mode=ControlMode.FUZZY, **kwargs) -> ControllerChain:
     cfg = electromechanical_preset(mode=mode)
-    perf = perf_from_terminal(b=cfg.perf_b, c=cfg.perf_c, h=cfg.perf_h, T=cfg.perf_T)
+    perf = PerfFunction(b=cfg.perf_b, c=cfg.perf_c, h=cfg.perf_h, T=cfg.perf_T)
     return ControllerChain(
         bounds=make_electromechanical().bounds(),
         gains=cfg.gains,
@@ -42,7 +42,7 @@ def em_chain(mode=ControlMode.FUZZY, **kwargs) -> ControllerChain:
 
 def sl_chain(mode=ControlMode.APPROX_FREE, **kwargs) -> ControllerChain:
     cfg = single_link_preset(mode=mode)
-    perf = perf_from_terminal(b=cfg.perf_b, c=cfg.perf_c, h=cfg.perf_h, T=cfg.perf_T)
+    perf = PerfFunction(b=cfg.perf_b, c=cfg.perf_c, h=cfg.perf_h, T=cfg.perf_T)
     return ControllerChain(
         bounds=make_single_link().bounds(),
         gains=cfg.gains,
@@ -111,7 +111,7 @@ class TestStageGains:
 class TestChainConstruction:
     def test_requires_order_two(self):
         cfg = single_link_preset()
-        perf = perf_from_terminal(b=0.9, c=0.05, h=1.0, T=0.5)
+        perf = PerfFunction(b=0.9, c=0.05, h=1.0, T=0.5)
         from funneldsc.plants import PlantBounds
 
         bad = PlantBounds(n=1, gain_lower=(0.5,), gain_upper=(10.0,), lipschitz_rate=(1.0,))
@@ -123,7 +123,7 @@ class TestChainConstruction:
 
     def test_requires_filter_gains_beyond_stage_one(self):
         cfg = single_link_preset()
-        perf = perf_from_terminal(b=0.9, c=0.05, h=1.0, T=0.5)
+        perf = PerfFunction(b=0.9, c=0.05, h=1.0, T=0.5)
         incomplete = (cfg.gains[0], cfg.gains[0])  # stage-2 block missing rho/tau/varrho/lam
         with pytest.raises(ValueError):
             ControllerChain(

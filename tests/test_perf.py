@@ -12,14 +12,13 @@ from funneldsc.perf import (
     PHI_FLOOR,
     PerfFunction,
     _POLE_GUARD,
-    perf_from_terminal,
 )
 
 HALF_PI = math.pi / 2.0
 
 
 def default_perf() -> PerfFunction:
-    return perf_from_terminal(b=0.1, c=0.05, h=1.0, T=0.5)
+    return PerfFunction(b=0.1, c=0.05, h=1.0, T=0.5)
 
 
 class TestPerfFunction:
@@ -30,7 +29,7 @@ class TestPerfFunction:
         assert p.a == pytest.approx(1.6807, abs=1e-4)
 
     def test_terminal_construction_steeper_envelope(self):
-        p = perf_from_terminal(b=0.9, c=0.05, h=1.0, T=0.5)
+        p = PerfFunction(b=0.9, c=0.05, h=1.0, T=0.5)
         assert p.a == pytest.approx((HALF_PI - 0.05) * math.exp(0.9), rel=1e-12)
         assert p.eta(0.0) == pytest.approx(HALF_PI, abs=1e-12)
 
@@ -62,42 +61,68 @@ class TestPerfFunction:
             assert p.envelope(t)[1] == pytest.approx(fd, rel=1e-4)
 
     def test_rejects_nonpositive_parameters(self):
-        for kwargs in (
-            dict(a=0.0, b=0.1, c=0.05, h=1.0, T=0.5),
-            dict(a=1.6807, b=-0.1, c=0.05, h=1.0, T=0.5),
-            dict(a=1.6807, b=0.1, c=0.0, h=1.0, T=0.5),
-            dict(a=1.6807, b=0.1, c=0.05, h=0.0, T=0.5),
-            dict(a=1.6807, b=0.1, c=0.05, h=1.0, T=0.0),
-        ):
+        for kwargs in (dict(b=-0.1), dict(c=0.0), dict(h=0.0), dict(T=0.0)):
             with pytest.raises(ValueError):
-                PerfFunction(**kwargs)
+                PerfFunction(**{**dict(b=0.1, c=0.05, h=1.0, T=0.5), **kwargs})
 
-    def test_rejects_inconsistent_initial_value(self):
-        with pytest.raises(ValueError, match="pi/2"):
-            PerfFunction(a=1.0, b=0.1, c=0.05, h=1.0, T=0.5)
+    def test_initial_amplitude_is_derived_not_given(self):
+        with pytest.raises(TypeError):
+            PerfFunction(a=1.6807, b=0.1, c=0.05, h=1.0, T=0.5)
+        assert [f.name for f in dataclasses.fields(PerfFunction) if f.init] == ["b", "c", "h", "T"]
 
     @pytest.mark.parametrize("kwargs, message", [
-        (dict(b=1000.0), "b=1000.0 is too large: a = "),
+        (dict(b=1000.0), "b=1000.0 is too large: exp(b) or a = "),
         (dict(b=705.0), "b=705.0 is too large: eta_dot overflows"),
         (dict(h=30.0), "h=30.0 is too large"),
         (dict(T=1e-300), "T=1e-300 is too small"),
         (dict(T=1e300), "T=1e+300 is too large"),
         (dict(c=1.6), "c=1.6 is too large: the terminal accuracy must be below pi/2"),
+        # a = (pi/2 - c)*exp(b) would be finite, but exp(b) itself overflows
+        (dict(b=710.0, c=1.5), "b=710.0 is too large: exp(b) or a = "),
     ])
     def test_rejects_parameters_the_envelope_cannot_evaluate(self, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            perf_from_terminal(**{**dict(b=0.9, c=0.05, h=1.0, T=0.5), **kwargs})
+            PerfFunction(**{**dict(b=0.9, c=0.05, h=1.0, T=0.5), **kwargs})
 
     @pytest.mark.parametrize("name", ["b", "c", "h", "T"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
-    def test_terminal_helper_names_the_failing_parameter(self, name, value):
+    def test_names_the_failing_parameter(self, name, value):
         kwargs = {**dict(b=0.9, c=0.05, h=1.0, T=0.5), name: value}
         with pytest.raises(ValueError, match=f"^{name}={re.escape(repr(value))} must be strictly positive and finite$"):
-            perf_from_terminal(**kwargs)
+            PerfFunction(**kwargs)
 
-    def test_terminal_helper_rejects_large_accuracy(self):
+    def test_rejects_accuracy_at_half_pi(self):
         with pytest.raises(ValueError):
-            perf_from_terminal(b=0.1, c=HALF_PI, h=1.0, T=0.5)
+            PerfFunction(b=0.1, c=HALF_PI, h=1.0, T=0.5)
+
+    @given(
+        b=st.floats(min_value=0.0, max_value=700.0, exclude_min=True),
+        c=st.floats(min_value=0.0, max_value=HALF_PI, exclude_min=True, exclude_max=True),
+    )
+    def test_initial_value_is_half_pi_to_two_ulps(self, b, c):
+        """a = (pi/2 - c)*exp(b) puts eta(0) = a*exp(-b) + c within 2 ulps
+        of pi/2, so only an error whose arctan rounds to pi/2 starts outside."""
+        eta0 = PerfFunction(b=b, c=c, h=1.0, T=0.5).eta(0.0)
+        assert abs(eta0 - HALF_PI) <= 2.0 * math.ulp(HALF_PI)
+
+    @given(name=st.sampled_from(["b", "c", "h", "T"]), value=st.floats())
+    def test_a_rejected_parameter_is_named_first(self, name, value):
+        try:
+            PerfFunction(**{**dict(b=0.9, c=0.05, h=1.0, T=0.5), name: value})
+        except ValueError as exc:
+            assert str(exc).startswith(f"{name}={value!r} ")
+
+    @given(st.fixed_dictionaries({
+        name: st.one_of(st.floats(), st.floats(min_value=0.0, max_value=1e3, exclude_min=True))
+        for name in ("b", "c", "h", "T")
+    }))
+    def test_every_rejection_starts_with_a_parameter(self, kwargs):
+        """Whatever the four values, construction succeeds or raises a
+        ValueError that starts with one of them, never another error."""
+        try:
+            PerfFunction(**kwargs)
+        except ValueError as exc:
+            assert any(str(exc).startswith(f"{name}={value!r} ") for name, value in kwargs.items())
 
 
 class TestSymmetricTransform:
@@ -192,7 +217,7 @@ class TestEnvelopeConstants:
     def test_envelope_equals_the_direct_expression(self, b, c, h, T):
         """The constants prepared at construction give the floats the
         direct expression gives, also on a ``dataclasses.replace`` copy."""
-        p = perf_from_terminal(b=b, c=c, h=h, T=T)
+        p = PerfFunction(b=b, c=c, h=h, T=T)
         copy = dataclasses.replace(p, T=0.7 * T)
         for q in (p, copy):
             # a grid over [0, 1.2 T], then both sides of the pole guard

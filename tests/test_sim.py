@@ -11,7 +11,7 @@ from funneldsc import sim
 from funneldsc.cli import build_problem
 from funneldsc.config import electromechanical_preset, single_link_preset, weak_gain_single_link
 from funneldsc.controller import ControlMode, ControllerChain, StageGains
-from funneldsc.perf import ErrorTransform, FunnelBreachError, perf_from_terminal
+from funneldsc.perf import ErrorTransform, FunnelBreachError, PerfFunction
 from funneldsc.plants import (
     ReferenceSignal,
     StrictFeedbackPlant,
@@ -31,7 +31,7 @@ from oracles import indexed_kernel, oracle_at
 
 def sl_problem():
     cfg = single_link_preset()
-    perf = perf_from_terminal(b=cfg.perf_b, c=cfg.perf_c, h=cfg.perf_h, T=cfg.perf_T)
+    perf = PerfFunction(b=cfg.perf_b, c=cfg.perf_c, h=cfg.perf_h, T=cfg.perf_T)
     return make_single_link(), single_link_reference(), cfg.gains, perf
 
 
@@ -109,7 +109,7 @@ def distinct_problem(n, mode, smoothing, varpi):
         )
         for k in range(1, n + 1)
     ]
-    perf = perf_from_terminal(b=0.4, c=0.05, h=1.0, T=0.5)
+    perf = PerfFunction(b=0.4, c=0.05, h=1.0, T=0.5)
     reference = ReferenceSignal(value=math.sin, derivative=math.cos)
     return plant, ControllerChain(plant.bounds(), gains, ErrorTransform(perf=perf), reference, mode, smoothing)
 
@@ -661,7 +661,7 @@ class TestBreachHandling:
     def test_weak_gains_report_a_breach(self):
         cfg = weak_gain_single_link()
         plant, reference = make_single_link(), single_link_reference()
-        perf = perf_from_terminal(b=cfg.perf_b, c=cfg.perf_c, h=cfg.perf_h, T=cfg.perf_T)
+        perf = PerfFunction(b=cfg.perf_b, c=cfg.perf_c, h=cfg.perf_h, T=cfg.perf_T)
         sim_cfg = SimConfig(
             dt=1e-4, t_end=3.0, x0=cfg.x0, mode=cfg.mode, record_every=100,
         )
@@ -671,6 +671,39 @@ class TestBreachHandling:
         assert not report.steady_ok
         # the record stops before the breach
         assert traj.column("t").max() < traj.breach
+
+    @pytest.mark.parametrize("mode, breach", [(ControlMode.APPROX_FREE, 4.8e-4), (ControlMode.FUZZY, 4.5e-4)])
+    def test_a_start_1e3_off_the_reference_breaches(self, mode, breach):
+        """The funnel starts at pi/2 whatever x0 is, but the single-link
+        preset does not hold an initial error of 1e3 in it: at its dt of
+        1e-5 it breaches within half a millisecond in both modes."""
+        cfg = replace(single_link_preset(mode=mode), x0=(math.pi + 1e3, 0.0), t_end=2e-3)
+        plant, reference, perf, sim_cfg = build_problem(cfg)
+        assert reference.value(0.0) == math.pi
+        traj, report = run(plant, reference, cfg.gains, perf, sim_cfg)
+        assert not report.transient_ok
+        assert traj.breach == pytest.approx(breach, abs=1e-9)
+        assert traj.column("e")[0] == 1e3
+
+    @pytest.mark.parametrize("e0", [1e16, -1e16, 1e17, 1e300])
+    def test_a_start_whose_arctan_rounds_to_eta0_is_an_input_error(self, e0):
+        plant, reference, gains, perf = sl_problem()
+        assert perf.eta(0.0) == math.pi / 2
+        cfg = SimConfig(dt=1e-4, t_end=0.01, x0=(math.pi + e0, 0.0), mode=ControlMode.APPROX_FREE)
+        with pytest.raises(ValueError, match=r"^x0 starts outside the funnel: arctan of the error e\(0\) = "):
+            run(plant, reference, gains, perf, cfg)
+
+    @pytest.mark.parametrize("e0", [5e15, -5e15])
+    def test_every_other_start_records_its_t0_sample(self, e0):
+        """Below the limit the run starts, records t = 0 and breaches at
+        its first step, with the margin of that sample reported."""
+        plant, reference, gains, perf = sl_problem()
+        cfg = SimConfig(dt=1e-4, t_end=0.01, x0=(math.pi + e0, 0.0), mode=ControlMode.APPROX_FREE)
+        traj, report = run(plant, reference, gains, perf, cfg)
+        assert traj.breach is not None and not report.transient_ok
+        assert traj.data[:, 0].tolist() == [0.0]
+        assert report.min_margin_time == 0.0
+        assert 0.0 < report.min_funnel_margin <= 2.0 * math.ulp(math.pi / 2)
 
 
 class TestDivergenceHandling:
