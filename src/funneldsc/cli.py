@@ -52,12 +52,20 @@ def build_problem(cfg: ExperimentConfig):
     return plant, reference, perf, sim_cfg
 
 
+def _print(text: str) -> None:
+    """Print ``text`` and flush it.  A closed stdout (``| head -1``) does
+    not change the exit status: this and every later write, the one at
+    exit included, go to devnull."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
-    """Run one experiment, write artifacts, return the process exit status;
-    a diverged run raises :class:`SimulationDivergenceError` and writes
-    nothing."""
+    """Run one experiment, write artifacts, return the process exit status.
+    A run rejected or diverged raises and creates no output directory."""
     out = Path(out_dir or cfg.out or os.environ.get(OUT_DIR_ENV, "."))
-    out.mkdir(parents=True, exist_ok=True)
     plant, reference, perf, sim_cfg = build_problem(cfg)
     traj, report = run(
         plant,
@@ -69,6 +77,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
         sign_smoothing=cfg.sign_smoothing,
     )
 
+    out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(cfgmod.serialize_config(cfg))
     export_trajectory(traj, out / "trajectory.csv")
     summary = report.as_dict()
@@ -89,7 +98,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
         lines.append(f"funnel breach at t = {traj.breach:.6g}")
     text = "\n".join(lines)
     (out / "verification.txt").write_text(text + "\n")
-    print(text)
+    _print(text)
     return EXIT_OK if report.transient_ok and report.steady_ok else EXIT_BOUND_VIOLATED
 
 
@@ -146,7 +155,7 @@ def main(argv=None) -> int:
             results = pool.map(_sweep_worker, [(p, out_root) for p in args.sweep])
         status = EXIT_OK
         for path, code, message in results:
-            print(f"{path}: exit {code}")
+            _print(f"{path}: exit {code}")
             if message is not None:
                 print(f"error: {path}: {message}", file=sys.stderr)
             status = max(status, code)

@@ -17,7 +17,10 @@ gives inf, and v ** 2 != v * v for some v.  The source is compiled under
 the name
 ``.../controller.py<kernel n=3 fuzzy sign>``, which profiles attribute
 to this module, and registered in :mod:`linecache`, so tracebacks show
-its lines.
+its lines.  The kernel's statements, :data:`_KERNEL_BODY`, are one text:
+:meth:`ControllerChain.inline_kernel` emits them, each local renamed, for
+``sim.run``'s loop to inline at every RK stage, where profiles count
+them under ``sim``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from __future__ import annotations
 import enum
 import linecache
 import math
+import re
+import textwrap
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -88,18 +93,17 @@ class ControllerState:
 def compile_function(source: str, filename: str, namespace: dict):
     """The one function that ``source`` defines, compiled under
     ``filename`` with ``namespace`` as its globals.  The source is
-    registered in :mod:`linecache` under that name, so tracebacks show
-    its lines."""
+    registered in :mod:`linecache` under that name as a lazy entry, one
+    string until a traceback reads its lines.  The function is not kept
+    in its globals, so no cycle outlives its last reference."""
     code = compile(source, filename, "exec")
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    linecache.cache[filename] = (lambda: source,)
     exec(code, namespace)
-    return namespace[code.co_names[0]]
+    return namespace.pop(code.co_names[0])
 
 
-# The kernel of an n-stage chain: {stages} holds one _KERNEL_STAGE per
-# stage 2..n.  Stage i's constants are the globals lo<i>, hi<i>, rate<i>,
-# delta2_<i>, sigma2_<i>, varpi<i> and, for i >= 2, rho2_<i>, tau2_<i>,
-# varrho<i> and invlam<i> (see ControllerChain._compile_kernel).
+# The kernel of an n-stage chain as a function around {body}, its
+# _KERNEL_BODY statements, which ControllerChain.inline_kernel also emits.
 _KERNEL = '''\
 def kernel(x, filter_states, drifts, inputs):
     """One evaluation of the chain at plant state ``x``, filter states
@@ -114,10 +118,18 @@ def kernel(x, filter_states, drifts, inputs):
     of the adaptive law (None in approximator-free mode).  Raises
     FunnelBreachError if the output error left the performance funnel.
     """
-    t, y_r, dy_r, eta_v, eta_d = inputs
     {xs}, = x
     {ss}, = filter_states
     {drifts} = drifts
+{body}    return alpha{n}, [{alphas}], {drives}
+'''
+
+# The kernel's statements: {stages} holds one _KERNEL_STAGE per stage
+# 2..n.  Stage i's constants are the globals lo<i>, hi<i>, rate<i>,
+# delta2_<i>, sigma2_<i>, varpi<i> and, for i >= 2, rho2_<i>, tau2_<i>,
+# varrho<i> and invlam<i> (see ControllerChain._kernel_text).
+_KERNEL_BODY = '''\
+    t, y_r, dy_r, eta_v, eta_d = inputs
     e = x1 - y_r
     atan_e = atan(e)
     if abs(atan_e) >= eta_v:
@@ -144,9 +156,7 @@ def kernel(x, filter_states, drifts, inputs):
     )
     dev2 = e * e
     coupling = hi1 * phi_v * psi_v * abs(z1)
-{stages}
-    return alpha{n}, [{alphas}], {drives}
-'''
+{stages}'''
 
 # Stage i >= 2 tracks the filtered alpha_(i-1); the last stage's alpha is u.
 _KERNEL_STAGE = '''
@@ -216,9 +226,9 @@ class ControllerChain:
         self._lam = tuple(g.lam for g in self.gains[1:])
         self._inputs = (reference.value, reference.derivative, transform.perf.envelope)
 
-    def _compile_kernel(self):
-        """:data:`_KERNEL` for this chain's n, mode and sign, with each
-        stage's constants bound in as globals."""
+    def _kernel_text(self):
+        """``(body, namespace)``: :data:`_KERNEL_BODY` for this chain's n,
+        mode and sign, and each stage's constants, its globals."""
         n, fuzzy, smoothed = self.bounds.n, self._fuzzy, self.sign_smoothing > 0.0
         g_lo, g_hi, rates = self.bounds.gain_lower, self.bounds.gain_upper, self.bounds.lipschitz_rate
         namespace = {
@@ -235,10 +245,6 @@ class ControllerChain:
                 namespace.update({
                     f"rho2_{i}": g.rho**2, f"tau2_{i}": g.tau**2, f"varrho{i}": g.varrho, f"invlam{i}": 1.0 / g.lam,
                 })
-
-        def each(template, first=1):
-            return ", ".join(template.format(i=i) for i in range(first, n + 1))
-
         stages = []
         for i in range(2, n + 1):
             stages.append(_KERNEL_STAGE.format(
@@ -248,14 +254,58 @@ class ControllerChain:
             ))
             if i < n:
                 stages.append(f"    coupling = hi{i} * abs(zt{i})\n")
+        body = _KERNEL_BODY.format(stages="".join(stages), drift1="est1" if fuzzy else "w * energy")
+        return body, namespace
+
+    def _compile_kernel(self):
+        """:data:`_KERNEL` for this chain, its constants bound in as globals."""
+        n, fuzzy = self.bounds.n, self._fuzzy
+        body, namespace = self._kernel_text()
+
+        def each(template, first=1):
+            return ", ".join(template.format(i=i) for i in range(first, n + 1))
+
         source = _KERNEL.format(
-            n=n, xs=each("x{i}"), ss=each("s{i}", 2), stages="".join(stages),
-            drifts=each("est{i}") + "," if fuzzy else "energy", drift1="est1" if fuzzy else "w * energy",
+            n=n, xs=each("x{i}"), ss=each("s{i}", 2), body=body,
+            drifts=each("est{i}") + "," if fuzzy else "energy",
             drives=f"[w, {each('zt{i}', 2)}]" if fuzzy else "None",
             alphas=", ".join(f"alpha{i}" for i in range(1, n)),
         )
-        sign = "tanh" if smoothed else "sign"
+        sign = "tanh" if self.sign_smoothing > 0.0 else "sign"
         return compile_function(source, f"{__file__}<kernel n={n} {self.mode.value} {sign}>", namespace)
+
+    def inline_kernel(self, tag: str, args, outputs, keep=()):
+        """``(statements, namespace)``: the kernel as statements to inline
+        into a generated function, at indentation 0, and the constants they
+        read as globals.
+
+        They are :attr:`kernel`'s own statements, evaluated on the caller's
+        locals named by ``args`` = (x, filter_states, drifts, inputs): a
+        name per plant state, per filter (stages 2..n) and per stage drift
+        estimate in fuzzy mode, or one for the energy in approximator-free
+        mode, and the time inputs.  They assign the kernel's outputs to the
+        names in ``outputs`` = (u, alpha, drives); drives is None in
+        approximator-free mode.  Every other local ``v`` of the kernel is
+        renamed ``v__<tag>``, so copies with different tags do not share a
+        local, except those in ``keep``, which keep their names: ``e``,
+        ``atan_e``, ``y_r``, ``eta_v`` and ``z1..zn`` are the error, its
+        arctan, the reference, eta and the surfaces."""
+        n = self.bounds.n
+        (x, s, drifts, inputs), (u, alpha, drives) = args, outputs
+        names = {"inputs": inputs, f"alpha{n}": u}
+        names.update((f"x{i}", v) for i, v in enumerate(x, start=1))
+        names.update((f"s{i}", v) for i, v in enumerate(s, start=2))
+        names.update((f"alpha{i}", v) for i, v in enumerate(alpha, start=1))
+        if self._fuzzy:
+            names.update((f"est{i}", v) for i, v in enumerate(drifts, start=1))
+            names.update(zip(["w", *(f"zt{i}" for i in range(2, n + 1))], drives))
+        else:
+            names["energy"] = drifts
+        names.update((name, name) for name in keep)
+        local = set(self.kernel.__code__.co_varnames)
+        body, namespace = self._kernel_text()
+        body = re.sub(r"\b[A-Za-z_]\w*", lambda m: names.get(m[0], f"{m[0]}__{tag}") if m[0] in local else m[0], body)
+        return textwrap.dedent(body), namespace
 
     # -- setup ------------------------------------------------------------
 

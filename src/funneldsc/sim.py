@@ -17,22 +17,29 @@ At some steps these differ by an ulp from the grid's (2k+1)*dt/2 and
 (2k+2)*dt/2, enough to move the weak-gain run's peaks past the benchmark's
 golden records, so they stay off the grid until those are re-recorded.
 
-:func:`step` is one RK4 step.  The plant takes the four RK4 stages.  The
-weights take the same RK4 step of their linear law in closed form, once
-per step: one projection of theta on the step's three basis rows (t,
-t+dt/2, t+dt) gives every stage's drift estimate as a scalar recurrence,
-and one update forms the new weights.  The step is compiled per (n, mode,
-filter update, mu, varpi, lam, dt): :data:`_STEP` unrolled over the n
-stages as straight-line Python, with the closed-form coefficients and the
-filter decays of :func:`_step_constants` bound in as globals.  The cache
-(:func:`_compiled_step`) is keyed by value, and ``run()`` clears it at its
-start and compiles once per run.  Numpy ops stay numpy ops, as BLAS and
-pairwise sums add in another order than a Python loop; the tests' oracle
-``comprehension_step`` takes every float's operations in the step's order.
-The source is compiled under the name
-``.../sim.py<step n=3 fuzzy exact>`` and registered in :mod:`linecache`.
-The compiled step returns the time inputs at t + dt, and ``run()`` opens
-the next step with them wherever (k+1)*dt is the float k*dt + dt.  The two
+One RK4 step: the plant takes the four RK4 stages.  The weights take the
+same RK4 step of their linear law in closed form, once per step: one
+projection of theta on the step's three basis rows (t, t+dt/2, t+dt) gives
+every stage's drift estimate as a scalar recurrence, and one update forms
+the new weights.  The step's statements come from one text
+(:func:`_step_text`), unrolled over the n stages as straight-line Python
+with the closed-form coefficients and the filter decays of
+:func:`_step_constants` bound in as globals, and the plant state and the
+filters as scalar locals.  ``run()`` compiles one function per run,
+:data:`_LOOP`: the whole step loop, that is each step's basis read and
+opening kernel evaluation, the recorded row, the streaming verifier and
+the RK4 step, with the chain's kernel text inlined at all four RK stages
+(``ControllerChain.inline_kernel``), each copy's locals renamed per stage.
+It is compiled under the name ``.../sim.py<run n=3 fuzzy sign exact>``,
+so profiles count the kernel's time under this module, and tracebacks
+show the kernel's lines as inlined.  The standalone :func:`step` is the
+same statements with ``chain.kernel`` called where the loop inlines it,
+compiled under ``.../sim.py<step n=3 fuzzy exact>`` and cached by value.
+Numpy ops stay numpy ops, as BLAS and pairwise sums add in another order
+than a Python loop; the tests' oracle ``comprehension_step`` takes every
+float's operations in the step's order, and ``oracle_run`` rebuilds
+``run()`` from :func:`step`.  The step's end passes its time inputs at
+t + dt to the next step wherever (k+1)*dt is the float k*dt + dt.  The two
 steppers differ only in how the filters s' = (alpha - s)/lam move:
 
 - exact filter (default): along their closed-form exponential toward the
@@ -44,16 +51,17 @@ steppers differ only in how the filters s' = (alpha - s)/lam move:
   ``alpha`` the kernel returns at each stage; it needs dt <= lam_min / 5
   (:func:`check_explicit_step`).
 
-``run()`` is one loop over the n_steps + 1 sample times; sample k opens
-step k, and the last, at t_end, is opened, recorded and verified like the
-others but takes no step and adds nothing to max|u|.  Each recorded sample
+The loop runs over the n_steps + 1 sample times; sample k opens step k,
+and the last, at t_end, is opened, recorded and verified like the others
+but takes no step and adds nothing to max|u|.  A breach raised at an RK
+stage state ends the run after its step's row was recorded, before that
+step's max|e| and max|u| are updated.  Each recorded sample
 (every ``record_every``-th step start, and t_end) is one row of one array,
 allocated for every row the run can record, so it never moves as it fills;
 ``Trajectory.data`` is its recorded rows.  The sup norms and the
-funnel margin are read from its columns after the run.  A row reads u,
-alpha, y_r and eta from the step's own kernel call and its time inputs, and
-forms e, z1 and z_i = x_i - s_i by the kernel's own expressions, so each
-value is the kernel's float.  :func:`export_trajectory` writes the rows as the
+funnel margin are read from its columns after the run.  A row takes u,
+alpha, y_r, eta, e, arctan e and z_1..z_n from the opening kernel's own
+locals, so each value is the kernel's float.  :func:`export_trajectory` writes the rows as the
 ``repr`` of each float, ``,`` between fields and ``\\r\\n`` line ends: the
 bytes ``csv.writer`` writes for them.
 """
@@ -62,6 +70,7 @@ from __future__ import annotations
 
 import functools
 import math
+import textwrap
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -231,142 +240,268 @@ def _step_constants(mus: tuple, varpis: tuple, lams: tuple, dt: float):
     return tuple(c2), tuple(c3), tuple(c4), tuple(cmix), growth, half, full
 
 
-# One RK4 step of an n-stage chain.  Per RK stage k, x<k>_<j> is plant state
-# j, s<k>_<i> filter i, a<k>_<i> the alpha that filter i tracks, d<k>_<j>
-# the drive of stage j and k<k>_<j> the plant derivative.  The constants
-# are globals: HALF = 0.5*dt, DT = dt, DT6 = dt/6.0, the _step_constants
-# coefficients c2_<j>_<m>, c3_<j>_<m>, c4_<j>_<m>, m_<j>_<m> and GROWTH,
-# the decays dh<i> and df<i> and the filter time constants lam<i>.
-_STEP = """\
-def advance(kernel, rhs, time_inputs, bundle, t, start, basis):
-    x, s, theta = bundle
-    {x1}, = x
-    {s1}, = s
-    u1, ({a1},), {d1} = start
-    {basis} = basis
-    tm = t + HALF
-    te = t + DT
-    mid = time_inputs(tm)
-    end = time_inputs(te)
+# One RK4 step of an n-stage chain, as statements that the standalone step
+# and the run loop share.  Per RK stage k, x<k>_<j> is plant state j,
+# s<k>_<i> filter i, u<k> the control, a<k>_<i> the alpha that filter i
+# tracks, d<k>_<j> the drive and f<k>_<j> the drift estimate of stage j,
+# and k<k>_<j> the plant derivative.  The opening reads the step's basis
+# rows (from ``row`` of the table ``basis, energy, cross1, cross2``) and
+# evaluates the kernel at t; the advance takes the RK4 step and leaves the
+# new state in x1_<j>, s1_<i> and theta.  The constants are globals:
+# HALF = 0.5*dt, DT = dt, DT6 = dt/6.0, the _step_constants coefficients
+# c2_<j>_<m>, c3_<j>_<m>, c4_<j>_<m>, m_<j>_<m> and GROWTH, the decays
+# dh<i> and df<i> and the filter time constants lam<i>.
+_ADVANCE = """\
+tm = t + HALF
+te = t + DT
+mid = time_inputs(tm)
+end = time_inputs(te)
 {filters1}
-    {k1}, = rhs(x, u1, t)
-    x2 = [{x2}]
-    u2, {a2}, {d2} = kernel(x2, {s2}, {f2}, mid)
-    {k2}, = rhs(x2, u2, tm)
+{k1} = rhs({x1_list}, u1, t)
+{x2}
+{kernel2}
+{k2} = rhs({x2_list}, u2, tm)
 {filters2}
-    x3 = [{x3}]
-    u3, {a3}, {d3} = kernel(x3, {s3}, {f3}, mid)
-    {k3}, = rhs(x3, u3, tm)
+{x3}
+{kernel3}
+{k3} = rhs({x3_list}, u3, tm)
 {filters3}
-    x4 = [{x4}]
-    u4, {a4}, {d4} = kernel(x4, {s4}, {f4}, end)
-    {k4}, = rhs(x4, u4, te)
+{x4}
+{kernel4}
+{k4} = rhs({x4_list}, u4, te)
 {filters4}
-    x_new = [{x_new}]
+{x_new}
 {weights}
-    return (x_new, {s_new}, theta), end
+"""
+
+# The standalone step: the kernel is called, and it reads its own rows.
+_STEP = """\
+def step(kernel, rhs, time_inputs, tabulate, bundle, t):
+    {x1}, {s1}, theta = bundle
+    basis, energy, cross1, cross2 = tabulate([t, t + HALF, t + DT])
+    row = 0
+    inputs = time_inputs(t)
+{opening}
+{advance}
+    return ({x_list}, {s_list}, theta), start
+"""
+
+# The run: the kernel is inlined at every stage.  Sample k opens step k,
+# which reads rows 2k..2k+2 of the half-step grid i*dt/2, tabulated in
+# blocks of BLOCK rows plus two of overlap; the last sample, at t_end,
+# closes the run.  A recorded row takes e, arctan e, y_r, eta and z from
+# the opening kernel's own locals.
+_LOOP = """\
+def run_loop(x, s, theta, samples, n_steps):
+    {x1}, {s1} = x, s
+    recorded = 0
+    max_err = max_err_after = max_u = peak_u_t = 0.0
+    steady_ok = True
+    breach = te = end = None
+    first = -BLOCK  # first row of the basis block; sample 0 fills one
+    for k in range(n_steps + 1):
+        t = k * DT
+        closing = k == n_steps
+        if 2 * k - first >= BLOCK:
+            first = 2 * k
+            basis, energy, cross1, cross2 = tabulate([i * HALF for i in range(first, first + BLOCK + 2)])
+        row = 2 * k - first
+        try:
+            # time_inputs is a pure function of the float, so the last
+            # step's end serves as this start wherever k*dt is that float
+            inputs = end if t == te else time_inputs(t)
+{opening}
+            if closing or k % RECORD_EVERY == 0:
+                samples[recorded] = [{sample}]
+                recorded += 1
+            if not closing:
+{advance}
+        except FunnelBreachError as br:
+            breach = br.t
+            break
+        except OverflowError as exc:
+            raise SimulationDivergenceError(t) from exc
+        # streaming verification at the sample
+        ae = abs(e)
+        if ae > max_err:
+            max_err = ae
+        if t >= AFTER_T:
+            if ae > max_err_after:
+                max_err_after = ae
+            if ae >= TAN_C:
+                steady_ok = False
+        if closing:
+            break
+        au = abs(u1)
+        if au > max_u:
+            max_u = au
+            peak_u_t = t
+        if not ({finite}):
+            raise SimulationDivergenceError(t + DT)
+    return recorded, breach, max_err, max_err_after, max_u, peak_u_t, steady_ok
 """
 
 
-def _step_source(n: int, fuzzy: bool, exact_filter: bool) -> str:
-    """:data:`_STEP` unrolled over n stages for one mode and filter update."""
+def _step_text(n: int, fuzzy: bool, exact_filter: bool, kernel_at):
+    """``(opening, advance)``: the step's statements for one chain shape,
+    mode and filter update, at indentation 0.  ``kernel_at(k, args,
+    outputs)`` gives the statements that evaluate the kernel at RK stage k
+    on the locals named by ``args`` = (x, filter_states, drifts, inputs),
+    into those named by ``outputs`` = (u, alpha, drives)."""
     states, filters = range(1, n + 1), range(2, n + 1)
 
-    def each(template, indices=states, sep=", "):
-        return sep.join(template.format(i=i) for i in indices)
+    def names(template, indices=states):
+        return [template.format(i=i) for i in indices]
 
-    def listed(template, indices=states):
-        return f"[{each(template, indices)}]"
+    def lines(*templates, indices=states):
+        return "\n".join(line for template in templates for line in names(template, indices))
 
     def unpacked(template, indices=states):
-        return f"({each(template, indices)},)"
+        return f"({', '.join(names(template, indices))},)"
 
-    def lines(*templates):
-        return "\n".join(each("    " + template, filters, "\n") for template in templates)
+    def listed(template, indices=states):
+        return f"[{', '.join(names(template, indices))}]"
+
+    def kernel(k):
+        filtered = (1, 2, 2, 4)[k - 1] if exact_filter else k  # exact: stages 2, 3 share s2
+        if fuzzy:
+            drifts = names("p1_{i}" if k == 1 else f"f{k}_{{i}}")
+        else:
+            drifts = ("en1", "enh", "enh", "en4")[k - 1]
+        inputs = ("inputs", "mid", "mid", "end")[k - 1]
+        outputs = (f"u{k}", names(f"a{k}_{{i}}", filters), names(f"d{k}_{{i}}") if fuzzy else None)
+        return kernel_at(k, (names(f"x{k}_{{i}}"), names(f"s{filtered}_{{i}}", filters), drifts, inputs), outputs)
 
     fields = {
-        "x1": each("x1_{i}"), "s1": each("s1_{i}", filters), "a1": each("a1_{i}", filters),
-        "x2": each("x1_{i} + HALF * k1_{i}"), "x3": each("x1_{i} + HALF * k2_{i}"),
-        "x4": each("x1_{i} + DT * k3_{i}"),
-        "x_new": each("x1_{i} + DT6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"),
+        "x1_list": listed("x1_{i}"), "x2_list": listed("x2_{i}"), "x3_list": listed("x3_{i}"),
+        "x4_list": listed("x4_{i}"),
+        "x_new": lines("x1_{i} = x1_{i} + DT6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"),
+        "weights": "",
     }
+    drifts = {2: "", 3: "", 4: ""}
     for k in range(1, 5):
-        fields[f"k{k}"] = each(f"k{k}_{{i}}")
-        fields[f"d{k}"] = unpacked(f"d{k}_{{i}}") if fuzzy else "_"
-        if k > 1:
-            fields[f"a{k}"] = "_" if exact_filter else unpacked(f"a{k}_{{i}}", filters)
+        fields[f"k{k}"] = unpacked(f"k{k}_{{i}}")
     if fuzzy:
-        fields.update(
-            basis=f"rows, _, (g1h, ghh, g14, gh4), (_, {unpacked('ph_{i}')}, {unpacked('p4_{i}')})",
-            f2=listed("c2_{i}_0 * ph_{i} + c2_{i}_1 * d1_{i} * g1h"),
-            f3=listed("c3_{i}_0 * ph_{i} + c3_{i}_1 * d1_{i} * g1h + c3_{i}_2 * d2_{i} * ghh"),
-            f4=listed("c4_{i}_0 * p4_{i} + c4_{i}_1 * d1_{i} * g14 + (c4_{i}_2 * d3_{i} + c4_{i}_3 * d2_{i}) * gh4"),
-            weights="    theta = GROWTH * theta + np.array("
-            + listed("[m_{i}_0 * d1_{i}, m_{i}_1 * d2_{i} + m_{i}_2 * d3_{i}, m_{i}_3 * d4_{i}]") + ") @ rows",
+        basis = (
+            "rows = basis[row:row + 3]\n"
+            f"{unpacked('p1_{i}')}, {unpacked('ph_{i}')}, {unpacked('p4_{i}')} = dot(rows, theta.T).tolist()\n"
+            "g1h, ghh, g14, gh4 = cross1[row], energy[row + 1], cross2[row], cross1[row + 1]\n"
+        )
+        drifts = {
+            2: lines("f2_{i} = c2_{i}_0 * ph_{i} + c2_{i}_1 * d1_{i} * g1h"),
+            3: lines("f3_{i} = c3_{i}_0 * ph_{i} + c3_{i}_1 * d1_{i} * g1h + c3_{i}_2 * d2_{i} * ghh"),
+            4: lines(
+                "f4_{i} = c4_{i}_0 * p4_{i} + c4_{i}_1 * d1_{i} * g14 + (c4_{i}_2 * d3_{i} + c4_{i}_3 * d2_{i}) * gh4"),
+        }
+        fields["weights"] = (
+            "theta = GROWTH * theta + dot(array("
+            + listed("[m_{i}_0 * d1_{i}, m_{i}_1 * d2_{i} + m_{i}_2 * d3_{i}, m_{i}_3 * d4_{i}]") + "), rows)"
         )
     else:
-        fields.update(basis="_, (_, f2, f4), _, _", f2="f2", f3="f2", f4="f4", weights="")
+        basis = "en1, enh, en4 = energy[row:row + 3]\n"
+    fields["x2"] = lines("x2_{i} = x1_{i} + HALF * k1_{i}") + "\n" + drifts[2]
+    fields["x3"] = lines("x3_{i} = x1_{i} + HALF * k2_{i}") + "\n" + drifts[3]
+    fields["x4"] = lines("x4_{i} = x1_{i} + DT * k3_{i}") + "\n" + drifts[4]
     if exact_filter:
         # toward the alpha frozen at t: s2 serves RK stages 2 and 3, s4 stage 4 and the step's end
         fields.update(
-            filters1=f"    s2 = {listed('a1_{i} + (s1_{i} - a1_{i}) * dh{i}', filters)}\n"
-            f"    s4 = {listed('a1_{i} + (s1_{i} - a1_{i}) * df{i}', filters)}",
-            filters2="", filters3="", filters4="", s2="s2", s3="s2", s4="s4", s_new="s4",
+            filters1=lines("s2_{i} = a1_{i} + (s1_{i} - a1_{i}) * dh{i}", "s4_{i} = a1_{i} + (s1_{i} - a1_{i}) * df{i}",
+                           indices=filters),
+            filters2="", filters3="", filters4=lines("s1_{i} = s4_{i}", indices=filters),
         )
     else:
         # the RK4 stages of s' = (alpha - s)/lam, from each stage's alpha
         fields.update(
-            filters1=lines("ks1_{i} = (a1_{i} - s1_{i}) / lam{i}", "s2_{i} = s1_{i} + HALF * ks1_{i}"),
-            filters2=lines("ks2_{i} = (a2_{i} - s2_{i}) / lam{i}", "s3_{i} = s1_{i} + HALF * ks2_{i}"),
-            filters3=lines("ks3_{i} = (a3_{i} - s3_{i}) / lam{i}", "s4_{i} = s1_{i} + DT * ks3_{i}"),
-            filters4=lines("ks4_{i} = (a4_{i} - s4_{i}) / lam{i}") + "\n    s_new = "
-            + listed("s1_{i} + DT6 * (ks1_{i} + 2.0 * ks2_{i} + 2.0 * ks3_{i} + ks4_{i})", filters),
-            s2=listed("s2_{i}", filters), s3=listed("s3_{i}", filters), s4=listed("s4_{i}", filters), s_new="s_new",
+            filters1=lines("ks1_{i} = (a1_{i} - s1_{i}) / lam{i}", "s2_{i} = s1_{i} + HALF * ks1_{i}", indices=filters),
+            filters2=lines("ks2_{i} = (a2_{i} - s2_{i}) / lam{i}", "s3_{i} = s1_{i} + HALF * ks2_{i}", indices=filters),
+            filters3=lines("ks3_{i} = (a3_{i} - s3_{i}) / lam{i}", "s4_{i} = s1_{i} + DT * ks3_{i}", indices=filters),
+            filters4=lines(
+                "ks4_{i} = (a4_{i} - s4_{i}) / lam{i}",
+                "s1_{i} = s1_{i} + DT6 * (ks1_{i} + 2.0 * ks2_{i} + 2.0 * ks3_{i} + ks4_{i})", indices=filters),
         )
-    return _STEP.format(**fields)
+    fields.update(kernel2=kernel(2), kernel3=kernel(3), kernel4=kernel(4))
+    return basis + kernel(1), _ADVANCE.format(**fields)
 
 
-@functools.lru_cache(maxsize=8)
-def _compiled_step(n: int, fuzzy: bool, exact_filter: bool, mus: tuple, varpis: tuple, lams: tuple, dt: float):
-    """:data:`_STEP` for one chain shape, compiled with its
-    :func:`_step_constants` bound in: ``advance(kernel, rhs, time_inputs,
-    bundle, t, start, basis)`` returns ``(new_bundle, end)``, ``end`` being
-    the time inputs at t + dt.  Cached by value."""
+def _kernel_call(k: int, args, outputs) -> str:
+    """RK stage k's kernel as a call of the ``kernel`` argument; the
+    opening's call keeps its output as ``start``."""
+    (x, s, drifts, inputs), (u, alpha, drives) = args, outputs
+
+    def listed(names):
+        return f"[{', '.join(names)}]"
+
+    call = f"kernel({listed(x)}, {listed(s)}, {drifts if isinstance(drifts, str) else listed(drifts)}, {inputs})"
+    target = f"{u}, ({', '.join(alpha)},), " + (f"({', '.join(drives)},)" if drives else "_")
+    return f"start = {call}\n{target} = start\n" if k == 1 else f"{target} = {call}\n"
+
+
+def _step_globals(mus: tuple, varpis: tuple, lams: tuple, dt: float) -> dict:
+    """The step's constants by their names in the step's statements."""
     c2, c3, c4, cmix, growth, half_decay, full_decay = _step_constants(mus, varpis, lams, dt)
-    namespace = {"np": np, "HALF": 0.5 * dt, "DT": dt, "DT6": dt / 6.0, "GROWTH": growth}
+    namespace = {
+        "np": np, "dot": np.dot, "array": np.array, "HALF": 0.5 * dt, "DT": dt, "DT6": dt / 6.0, "GROWTH": growth,
+    }
     for prefix, table in (("c2", c2), ("c3", c3), ("c4", c4), ("m", cmix)):
         for j, coefficients in enumerate(table, start=1):
             namespace.update({f"{prefix}_{j}_{m}": c for m, c in enumerate(coefficients)})
     for i, (lam, dh, df) in enumerate(zip(lams, half_decay, full_decay), start=2):
         namespace.update({f"lam{i}": lam, f"dh{i}": dh, f"df{i}": df})
+    return namespace
+
+
+@functools.lru_cache(maxsize=8)
+def _standalone_step(n: int, fuzzy: bool, exact_filter: bool, mus: tuple, varpis: tuple, lams: tuple, dt: float):
+    """:data:`_STEP` for one chain shape, compiled with its constants
+    bound in: ``step(kernel, rhs, time_inputs, tabulate, bundle, t)``.
+    Cached by value."""
+    opening, advance = _step_text(n, fuzzy, exact_filter, _kernel_call)
+    states, filters = range(1, n + 1), range(2, n + 1)
+    x, s = [f"x1_{j}" for j in states], [f"s1_{i}" for i in filters]
+    source = _STEP.format(
+        x1=f"({', '.join(x)},)", s1=f"({', '.join(s)},)", x_list=f"[{', '.join(x)}]", s_list=f"[{', '.join(s)}]",
+        opening=textwrap.indent(opening, " " * 4), advance=textwrap.indent(advance, " " * 4),
+    )
     filename = f"{__file__}<step n={n} {'fuzzy' if fuzzy else 'approx-free'} {'exact' if exact_filter else 'explicit'}>"
-    return compile_function(_step_source(n, fuzzy, exact_filter), filename, namespace)
+    return compile_function(source, filename, _step_globals(mus, varpis, lams, dt))
 
 
-def _open_step(chain: ControllerChain, bundle, t: float, block, row: int, inputs=None):
-    """The kernel at the step start, ``(u, alpha, drives)``, its time
-    inputs and what the rest of the step needs: the basis rows b1, bh, b4
-    at t, t+dt/2 and t+dt, their energies, and in fuzzy mode their Gram
-    products (b1.bh, bh.bh, b1.b4, bh.b4) and the projections
-    P = theta.[b1, bh, b4] as a 3 x n list, one list per row (both None
-    in approximator-free mode).
+def _compile_loop(plant: StrictFeedbackPlant, chain: ControllerChain, perf: PerfFunction, config: SimConfig):
+    """:data:`_LOOP` for one run, with the chain's kernel inlined at each
+    RK stage and the run's constants bound in: ``run_loop(x, s, theta,
+    samples, n_steps)`` records into ``samples`` and returns the recorded
+    row count, the breach time and the streamed verification."""
+    n, fuzzy, exact_filter = chain.bounds.n, chain._fuzzy, config.exact_filter
+    namespace = _step_globals(chain._mu, chain._varpi, chain._lam, config.dt)
+    # the opening's locals that a recorded row and the verifier read
+    keep = ("e", "atan_e", "y_r", "eta_v", *(f"z{i}" for i in range(1, n + 1)))
 
-    ``block`` is a ``ControllerChain.tabulate_basis`` result whose rows
-    ``row .. row+2`` are the step's; this is the step's one read of it.
-    ``inputs`` is ``chain.time_inputs(t)`` when the caller has it."""
-    x, s, theta = bundle
-    basis, energy, cross1, cross2 = block
-    rows, energies = basis[row:row + 3], energy[row:row + 3]
-    gram = proj = None
-    if chain._fuzzy:
-        gram = (cross1[row], energy[row + 1], cross2[row], cross1[row + 1])
-        proj = (theta @ rows.T).T.tolist()
-        basis_in = proj[0]
-    else:
-        basis_in = energies[0]
-    if inputs is None:
-        inputs = chain.time_inputs(t)
-    return chain.kernel(x, s, basis_in, inputs), inputs, (rows, energies, gram, proj)
+    def inline(k, args, outputs):
+        statements, constants = chain.inline_kernel(str(k), args, outputs, keep if k == 1 else ())
+        namespace.update(constants)
+        return statements
+
+    opening, advance = _step_text(n, fuzzy, exact_filter, inline)
+    states, filters = range(1, n + 1), range(2, n + 1)
+    x, s = [f"x1_{j}" for j in states], [f"s1_{i}" for i in filters]
+    norms = ["*np.sqrt(np.add.reduce(theta * theta, axis=1)).tolist()"] if fuzzy else []
+    sample = [
+        "t", *x, "y_r", "e", "atan_e", "eta_v", "-eta_v", "u1", *s, *(f"a1_{i}" for i in filters), *norms,
+        *(f"z{i}" for i in states),
+    ]
+    source = _LOOP.format(
+        x1=f"({', '.join(x)},)", s1=f"({', '.join(s)},)", sample=", ".join(sample),
+        finite=" and ".join(f"isfinite({v})" for v in x),
+        opening=textwrap.indent(opening, " " * 12), advance=textwrap.indent(advance, " " * 16),
+    )
+    namespace.update(
+        BLOCK=BASIS_BLOCK, RECORD_EVERY=config.record_every, AFTER_T=perf.T, TAN_C=math.tan(perf.c),
+        tabulate=chain.tabulate_basis, time_inputs=chain.time_inputs, rhs=plant.rhs, isfinite=math.isfinite,
+        FunnelBreachError=FunnelBreachError, SimulationDivergenceError=SimulationDivergenceError,
+    )
+    sign = "tanh" if chain.sign_smoothing > 0.0 else "sign"
+    filename = f"{__file__}<run n={n} {chain.mode.value} {sign} {'exact' if exact_filter else 'explicit'}>"
+    return compile_function(source, filename, namespace)
 
 
 def step(
@@ -385,13 +520,11 @@ def step(
     ``(u, alpha, drives)`` at (bundle, t).  The plant takes the RK4 stages
     and the weights the same RK4 step of their law in closed form;
     ``exact_filter`` selects only the filter update (see the module
-    docstring).
+    docstring).  The step's statements are those of ``run()``'s loop, with
+    ``chain.kernel`` called where the loop inlines it.
     """
-    block = chain.tabulate_basis([t, t + 0.5 * dt, t + dt])
-    start, _, basis = _open_step(chain, bundle, t, block, 0)
-    advance = _compiled_step(chain.bounds.n, chain._fuzzy, exact_filter, chain._mu, chain._varpi, chain._lam, dt)
-    new_bundle, _ = advance(chain.kernel, plant.rhs, chain.time_inputs, bundle, t, start, basis)
-    return new_bundle, start
+    advance = _standalone_step(chain.bounds.n, chain._fuzzy, exact_filter, chain._mu, chain._varpi, chain._lam, dt)
+    return advance(chain.kernel, plant.rhs, chain.time_inputs, chain.tabulate_basis, bundle, t)
 
 
 def run(
@@ -432,9 +565,6 @@ def run(
     )
 
     n_steps = step_count(config.t_end, config.dt)
-    # each run compiles its step once, whatever this process ran before,
-    # so the calls a run makes do not depend on the process's history
-    _compiled_step.cache_clear()
 
     # one row of floats per recorded sample: the CSV columns, then z
     filters = [f"s{i}" for i in range(2, n + 1)]
@@ -446,88 +576,18 @@ def run(
         *filters, *alphas, *norms, *zs,
     )
     samples = np.empty((n_steps // config.record_every + 2, len(names)))
-    rows = 0
 
-    max_err = 0.0
-    max_err_after = 0.0
-    max_u = 0.0
-    peak_u_t = 0.0
-    steady_ok = True
-    tan_c = math.tan(perf.c)
-
-    x = list(config.x0)
     try:
-        cstate = chain.init_state(x)
+        cstate = chain.init_state(config.x0)
     except OverflowError as exc:
         raise SimulationDivergenceError(0.0) from exc
-    s = list(cstate.filter_states)
     if cstate.theta_hat:
         theta = np.array([w.theta_hat for w in cstate.theta_hat])
     else:
         theta = np.zeros((0, 0))
-
-    bundle = (x, s, theta)
-    breach = None
-    dt = config.dt
-    half = 0.5 * dt
-    first = -BASIS_BLOCK  # first row of the basis block; sample 0 fills one
-    after_T = perf.T
-    to_z1 = chain.transform._transform
-    record_every, isfinite = config.record_every, math.isfinite
-    advance = _compiled_step(n, chain._fuzzy, config.exact_filter, chain._mu, chain._varpi, chain._lam, dt)
-    kernel, rhs, time_inputs = chain.kernel, plant.rhs, chain.time_inputs
-    inputs = None  # the time inputs at t when the last step's end has them
-    # sample k opens step k, which reads rows 2k..2k+2 of the half-step
-    # grid; the last sample, at t_end, closes the run
-    for k in range(n_steps + 1):
-        t = k * dt
-        xv, sv, tv = bundle
-        closing = k == n_steps
-        recorded = closing or k % record_every == 0
-        if 2 * k - first >= BASIS_BLOCK:
-            first = 2 * k
-            block = chain.tabulate_basis([i * half for i in range(first, first + BASIS_BLOCK + 2)])
-        try:
-            # a recorded row forms e, z1 and z_i by the kernel's own
-            # expressions, the same floats
-            start, inputs, basis = _open_step(chain, bundle, t, block, 2 * k - first, inputs)
-            if recorded:
-                y_r, eta = inputs[1], inputs[3]
-                e = xv[0] - y_r
-                wn = np.sqrt(np.add.reduce(tv * tv, axis=1)).tolist() if tv.size else ()
-                samples[rows] = [
-                    t, *xv, y_r, e, math.atan(e), eta, -eta, start[0], *sv, *start[1], *wn,
-                    to_z1(e, t, eta), *[xi - si for xi, si in zip(xv[1:], sv)],
-                ]
-                rows += 1
-            if not closing:
-                new_bundle, end = advance(kernel, rhs, time_inputs, bundle, t, start, basis)
-        except FunnelBreachError as br:
-            breach = br.t
-            break
-        except OverflowError as exc:
-            raise SimulationDivergenceError(t) from exc
-        # streaming verification at the sample
-        ae = abs(xv[0] - inputs[1])
-        if ae > max_err:
-            max_err = ae
-        if t >= after_T:
-            if ae > max_err_after:
-                max_err_after = ae
-            if ae >= tan_c:
-                steady_ok = False
-        if closing:
-            break
-        au = abs(start[0])
-        if au > max_u:
-            max_u = au
-            peak_u_t = t
-        bundle = new_bundle
-        if not all(map(isfinite, bundle[0])):
-            raise SimulationDivergenceError(t + dt)
-        # time_inputs is a pure function of the float, so the step's end
-        # serves as the next start wherever (k+1)*dt is the same float
-        inputs = end if (k + 1) * dt == end[0] else None
+    run_loop = _compile_loop(plant, chain, perf, config)
+    rows, breach, max_err, max_err_after, max_u, peak_u_t, steady_ok = run_loop(
+        config.x0, cstate.filter_states, theta, samples, n_steps)
 
     traj = Trajectory(names, samples[:rows], breach)
     data = traj.data

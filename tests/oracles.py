@@ -6,6 +6,8 @@ signal, where the compiled kernel returns only ``(u, alpha, drives)``.
 The stage-formula tests check the oracle's signals against the paper's
 formulas, and the oracle equals the compiled kernel float for float.
 ``zeta`` is the oracle's energy-slope factor, the kernel's ``zt<i>``.
+``oracle_run`` is ``sim.run`` rebuilt sample by sample from the
+standalone step and the oracle.
 """
 
 import math
@@ -14,8 +16,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from funneldsc.controller import ControlMode, ControllerChain, StageGains
-from funneldsc.perf import PHI_FLOOR, ErrorTransform, PerfFunction
+from funneldsc.perf import PHI_FLOOR, ErrorTransform, FunnelBreachError, PerfFunction
 from funneldsc.plants import PlantBounds, ReferenceSignal
+from funneldsc.sim import VerificationReport, step, step_count
 
 
 class Signals(NamedTuple):
@@ -158,3 +161,89 @@ def settled_filters(chain, x0) -> list:
     for k in range(n - 1):
         s[k] = indexed_kernel(chain, x0, s, drifts, inputs).alpha[k]
     return s
+
+
+def oracle_run(plant, chain, config):
+    """``sim.run`` rebuilt from the standalone ``sim.step`` and the indexed
+    oracle, sample by sample: ``(rows, breach, report, signals)``.
+
+    ``rows`` are the recorded rows in ``run()``'s column order, built from
+    the oracle's signals at each step start, and ``signals`` the oracle's
+    :class:`Signals` and time inputs of each recorded row.  The report is
+    streamed and read from the rows as ``run()`` documents it: a breach
+    raised at an RK stage state skips that step's max|e| and max|u|.
+    ``chain`` must be the chain ``run()`` builds for ``config``."""
+    n, dt, fuzzy = chain.bounds.n, config.dt, chain.mode is ControlMode.FUZZY
+    perf, half = chain.transform.perf, 0.5 * dt
+    n_steps = step_count(config.t_end, dt)
+    tabulate = chain.tabulate_basis
+    state = chain.init_state(list(config.x0))
+    theta = np.array([w.theta_hat for w in state.theta_hat]) if fuzzy else np.zeros((0, 0))
+    bundle = (list(config.x0), list(state.filter_states), theta)
+    rows, signals, breach = [], [], None
+    max_err = max_after = max_u = peak_t = 0.0
+    steady = True
+    try:
+        for k in range(n_steps + 1):
+            t = k * dt
+            # run() reads step k's basis rows at the half-step grid times
+            # 2k*dt/2 .. (2k+2)*dt/2; the standalone step's t + dt/2 and
+            # t + dt differ from them by an ulp at some k
+            grid = [i * half for i in range(2 * k, 2 * k + 3)]
+            chain.tabulate_basis = lambda times, grid=grid: tabulate(grid)
+            x, s, theta = bundle
+            basis, energies, _, _ = tabulate(grid)
+            drifts = np.dot(basis, theta.T).tolist()[0] if fuzzy else energies[0]
+            inputs = chain.time_inputs(t)
+            try:
+                sig = indexed_kernel(chain, x, s, drifts, inputs)
+                if k == n_steps or k % config.record_every == 0:
+                    norms = np.sqrt(np.add.reduce(theta * theta, axis=1)).tolist() if fuzzy else []
+                    rows.append([
+                        t, *x, inputs[1], sig.e, math.atan(sig.e), sig.eta, -sig.eta, sig.u,
+                        *s, *sig.alpha, *norms, *sig.z,
+                    ])
+                    signals.append((sig, inputs))
+                if k < n_steps:
+                    new_bundle, start = step(plant, chain, bundle, t, dt, config.exact_filter)
+                    assert start == sig[:3]
+            except FunnelBreachError as br:
+                breach = br.t
+                break
+            ae = abs(sig.e)
+            if ae > max_err:
+                max_err = ae
+            if t >= perf.T:
+                if ae > max_after:
+                    max_after = ae
+                if ae >= math.tan(perf.c):
+                    steady = False
+            if k == n_steps:
+                break
+            if abs(sig.u) > max_u:
+                max_u, peak_t = abs(sig.u), t
+            bundle = new_bundle
+    finally:
+        del chain.tabulate_basis
+
+    filters = [f"s{i}" for i in range(2, n + 1)]
+    alphas = [f"alpha{i}" for i in range(1, n)]
+    norms = [f"theta_norm{i}" for i in range(1, n + 1)] if fuzzy else []
+    zs = [f"z{i}" for i in range(1, n + 1)]
+    names = (
+        "t", *(f"x{i}" for i in range(1, n + 1)), "y_r", "e", "arctan_e", "eta", "neg_eta", "u",
+        *filters, *alphas, *norms, *zs,
+    )
+    # the sup norms skip the closing sample, which opens no step
+    opening = dict(zip(names, zip(*(rows if breach is not None else rows[:-1]))))
+    peaks = {name: max(map(abs, opening.get(name, ())), default=0.0) for name in names}
+    peaks["u"] = max_u
+    sup = {name.replace("_norm", ""): peaks[name] for name in (*zs, *filters, *alphas, "u", *norms) if peaks[name] > 0.0}
+    margins = [row[names.index("eta")] - abs(row[names.index("arctan_e")]) for row in rows]
+    i = margins.index(min(margins))
+    report = VerificationReport(
+        transient_ok=breach is None, steady_ok=steady and breach is None,
+        max_abs_error=max_err, max_abs_error_after_T=max_after, max_abs_control=max_u,
+        signal_sup_norms=sup, min_funnel_margin=margins[i], min_margin_time=rows[i][0], peak_control_time=peak_t,
+    )
+    return rows, breach, report, signals

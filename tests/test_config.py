@@ -4,6 +4,8 @@ import multiprocessing
 import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -476,6 +478,45 @@ class TestCli:
         error naming x0 through --config, --x0 and --sweep, not a breach."""
         word = ": x0 starts outside the funnel"
         self.check_rejected(tmp_path, capfd, word, ("init.x0 = 0.0, 0.0", "init.x0 = 1e17, 0.0"), ["--x0", "1e17,0"])
+
+    @pytest.mark.parametrize("flags", [["--x0", "1e17,0"], ["--x0", "3.14159,1e160"], ["--t-end", "inf"]],
+                             ids=["outside-the-funnel", "diverged", "bad-setting"])
+    def test_a_rejected_run_leaves_no_output_directory(self, tmp_path, capfd, flags):
+        """A run rejected as an input error, or one that diverges, exits 2
+        and creates no output directory."""
+        out = tmp_path / "o17"
+        assert cli.main(["--preset", "single-link", *flags, "--out", str(out)]) == cli.EXIT_ERROR
+        assert capfd.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep", [False, True], ids=["single", "sweep"])
+    def test_a_closed_stdout_keeps_the_verdicts_exit_status(self, tmp_path, sweep):
+        """A reader that closes stdout early (``| head -1``) does not turn a
+        verdict into exit 2.  The pipe's read end is closed before the run
+        starts, so every write to stdout fails: the summary, a sweep's exit
+        lines and the flush at exit."""
+        args = ["--preset", "single-link", "--dt", "1e-4", "--t-end", "0.6", "--out", str(tmp_path / "run")]
+        out = tmp_path / "run"
+        if sweep:
+            config = tmp_path / "sl.cfg"
+            config.write_text(serialize_config(replace(single_link_preset(), dt=1e-4, t_end=0.6)))
+            args, out = ["--sweep", str(config), "--out", str(tmp_path / "sweep")], tmp_path / "sweep" / "sl"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "funneldsc.cli", *args], stdout=write, stderr=subprocess.PIPE,
+                env=env, timeout=300,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (cli.EXIT_OK, b"")
+        assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 601
+        assert json.loads((out / "verification.json").read_text())["transient_ok"] is True
+        assert (load_config(out / "config.txt").dt, load_config(out / "config.txt").t_end) == (1e-4, 0.6)
+        assert (out / "verification.txt").read_text().startswith("transient bound (|arctan(e)| < eta): PASS\n")
 
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     def test_bad_sign_smoothing_exits_2(self, tmp_path, capfd, value):

@@ -24,7 +24,7 @@ from funneldsc.plants import (
     make_single_link,
     single_link_reference,
 )
-from oracles import distinct_chain, indexed_kernel, oracle_at, settled_filters, zeta
+from oracles import distinct_chain, indexed_kernel, oracle_at, oracle_run, settled_filters, zeta
 
 
 def em_chain(mode=ControlMode.FUZZY, **kwargs) -> ControllerChain:
@@ -461,29 +461,31 @@ class TestBasisBlocks:
 
     def record_run(self, monkeypatch, n_steps):
         """The multi-time ``tabulate_basis`` calls of an em fuzzy run with
-        ``sim.BASIS_BLOCK = BLOCK``, as (times, block) pairs, and the
-        ``_open_step`` calls as (t, block, row) triples."""
+        ``sim.BASIS_BLOCK = BLOCK``, as (times, block) pairs, and the run's
+        reads of the blocks' basis rows as (rows, key) pairs: each block's
+        rows log every index the run takes of them."""
         monkeypatch.setattr(sim, "BASIS_BLOCK", self.BLOCK)
-        blocks, opens = [], []
-        tabulate, open_step = ControllerChain.tabulate_basis, sim._open_step
+        blocks, reads = [], []
+        tabulate = ControllerChain.tabulate_basis
+
+        class Logged(np.ndarray):
+            def __getitem__(self, key):
+                reads.append((self, key))
+                return np.asarray(np.ndarray.__getitem__(self, key))
 
         def tabulated(chain, times):
             block = tabulate(chain, times)
             if len(times) > 1:  # not a read of init_state or evaluate
+                block = (block[0].view(Logged), *block[1:])
                 blocks.append((list(times), block))
             return block
 
-        def opened(chain, bundle, t, block, row, inputs=None):
-            opens.append((t, block, row))
-            return open_step(chain, bundle, t, block, row, inputs)
-
         monkeypatch.setattr(ControllerChain, "tabulate_basis", tabulated)
-        monkeypatch.setattr(sim, "_open_step", opened)
         cfg = replace(electromechanical_preset(), dt=self.DT, t_end=n_steps * self.DT, record_every=n_steps)
         plant, reference, perf, sim_cfg = build_problem(cfg)
         _, report = sim.run(plant, reference, cfg.gains, perf, sim_cfg)
         assert report.transient_ok
-        return blocks, opens
+        return blocks, reads
 
     @staticmethod
     def check_rows(rows, times, energies=None):
@@ -498,60 +500,52 @@ class TestBasisBlocks:
     def test_rows_match_direct_evaluation_across_a_block_boundary(self, monkeypatch):
         n_steps = 10  # half-step rows 0 .. 2 * n_steps + 2
         h = 0.5 * self.DT
-        blocks, opens = self.record_run(monkeypatch, n_steps)
+        blocks, reads = self.record_run(monkeypatch, n_steps)
         firsts = list(range(0, 2 * n_steps + 1, self.BLOCK))
         assert [times for times, _ in blocks] == [
             [i * h for i in range(first, first + self.BLOCK + 2)] for first in firsts]
         for times, (rows, energies, _, _) in blocks:
-            self.check_rows(rows, times, energies)
+            self.check_rows(np.asarray(rows), times, energies)
         # consecutive blocks share their two rows of overlap
         for (_, before), (_, after) in zip(blocks, blocks[1:]):
-            np.testing.assert_array_equal(before[0][-2:], after[0][:2])
-        # sample k reads its three rows from the block that holds row 2k
-        assert len(opens) == n_steps + 1
-        for k, (t, block, row) in enumerate(opens):
-            assert t == k * self.DT
-            assert block is blocks[2 * k // self.BLOCK][1]
-            self.check_rows(block[0][row:row + 3], [t, t + h, t + self.DT])
+            np.testing.assert_array_equal(np.asarray(before[0])[-2:], np.asarray(after[0])[:2])
+        # sample k reads its three rows 2k..2k+2 from the block that holds row 2k
+        assert len(reads) == n_steps + 1
+        for k, (rows, key) in enumerate(reads):
+            t, row = k * self.DT, 2 * k % self.BLOCK
+            times, block = blocks[2 * k // self.BLOCK]
+            assert rows is block[0] and key == slice(row, row + 3) and times[row] == 2 * k * h
+            self.check_rows(np.asarray(rows)[key], [t, t + h, t + self.DT])
 
     def test_last_half_steps_of_a_run_off_the_block_size(self, monkeypatch):
         n_steps = 10
         assert (2 * n_steps + 1) % self.BLOCK != 0
         h = 0.5 * self.DT
-        blocks, opens = self.record_run(monkeypatch, n_steps)
+        blocks, reads = self.record_run(monkeypatch, n_steps)
         times, (rows, energies, _, _) = blocks[-1]
         # the last stage time and the closing sample sit in the last block
         last = [(2 * n_steps - 1) * h, 2 * n_steps * h]
         assert set(last) <= set(times)
-        self.check_rows(rows, times, energies)
-        t, block, row = opens[-1]
-        assert t == n_steps * self.DT and block is blocks[-1][1] and times[row] == 2 * n_steps * h
+        self.check_rows(np.asarray(rows), times, energies)
+        read, key = reads[-1]
+        assert read is rows and times[key.start] == 2 * n_steps * h
 
-    def test_step_rows_across_a_block_boundary(self):
-        chain = em_chain()
-        dt = 2e-3
-        h = 0.5 * dt
-        x0 = [3.0, 0.5, 0.2]
-        state = chain.init_state(x0)
-        # rows of theta that differ, so a transposed projection shows
-        theta = np.array([w.theta_hat for w in state.theta_hat]) + np.array([[0.1], [-0.3], [0.7]])
-        bundle = (x0, list(state.filter_states), theta)
-        blocks = [chain.tabulate_basis([i * h for i in range(first, first + self.BLOCK + 2)])
-                  for first in (0, self.BLOCK)]
-        # rows i..i+2 reach into a block's two rows of overlap
-        for i, block, row in ((self.BLOCK - 2, blocks[0], self.BLOCK - 2),
-                              (self.BLOCK - 1, blocks[0], self.BLOCK - 1),
-                              (self.BLOCK, blocks[1], 0)):
-            _, _, (rows, energies, (g1h, ghh, g14, gh4), proj) = sim._open_step(
-                chain, bundle, i * h, block, row)
-            ys = [chain.reference.value((i + k) * h) for k in range(3)]
-            want = chain.grid.basis(np.array(ys))
-            np.testing.assert_allclose(rows, want, rtol=1e-12, atol=1e-300)
-            gram = want @ want.T
-            assert [g1h, ghh, g14, gh4] == pytest.approx(
-                [gram[0, 1], gram[1, 1], gram[0, 2], gram[1, 2]], rel=1e-12)
-            assert energies == pytest.approx(np.diag(gram).tolist(), rel=1e-12)
-            np.testing.assert_allclose(proj, want @ theta.T, rtol=1e-12)
+    def test_steps_reading_a_blocks_overlap_equal_the_oracle(self, monkeypatch):
+        """Step k reads rows 2k..2k+2 of its block, so the step from row
+        BLOCK - 2 reads a row of the block's overlap.  Its rows, energies,
+        Gram products and projections feed every float of the run, which
+        equals the oracle loop, whose steps tabulate their own three rows;
+        the weights' rows differ after the first step, so a transposed
+        projection would show."""
+        monkeypatch.setattr(sim, "BASIS_BLOCK", self.BLOCK)
+        cfg = replace(electromechanical_preset(), dt=self.DT, t_end=20 * self.DT, record_every=1)
+        plant, reference, perf, sim_cfg = build_problem(cfg)
+        traj, report = sim.run(plant, reference, cfg.gains, perf, sim_cfg)
+        rows, breach, want, _ = oracle_run(plant, em_chain(), sim_cfg)
+        assert traj.data.tolist() == rows and breach is None
+        assert report == want
+        norms = traj.column("theta_norm1")
+        assert len(set(norms.tolist())) == len(norms)
 
     def test_off_grid_times_use_the_direct_path(self, monkeypatch):
         chain = em_chain()

@@ -26,7 +26,7 @@ from funneldsc.sim import (
     step,
     step_count,
 )
-from oracles import indexed_kernel, oracle_at
+from oracles import oracle_at, oracle_run
 
 
 def sl_problem():
@@ -77,19 +77,6 @@ class TestStep:
         # fastest filter has lam = 1e-3; explicit stepping needs dt <= lam/5
         with pytest.raises(ValueError, match="explicit"):
             run(plant, reference, gains, perf, cfg)
-
-
-def wrap_kernel(monkeypatch, wrapper):
-    """Every chain built from now on calls ``wrapper(kernel, *args)`` in
-    place of its compiled ``kernel(*args)``."""
-    init = ControllerChain.__init__
-
-    def wrapped_init(chain, *args, **kwargs):
-        init(chain, *args, **kwargs)
-        kernel = chain.kernel
-        chain.kernel = lambda *args, **kwargs: wrapper(kernel, *args, **kwargs)
-
-    monkeypatch.setattr(ControllerChain, "__init__", wrapped_init)
 
 
 def distinct_problem(n, mode, smoothing, varpi):
@@ -265,23 +252,33 @@ class TestStepConstants:
                 assert bundles[j][1] == want
         assert bundles[0][1][1] != bundles[1][1][1]
 
-    def test_each_run_misses_the_cache_once(self):
-        """Whatever the process ran before, a run compiles its step exactly
+    def test_each_run_compiles_its_loop_once(self, monkeypatch):
+        """Whatever the process ran before, a run compiles its loop exactly
         once, so two identical runs make the same calls."""
+        compiled = []
+        compile_function = sim.compile_function
+
+        def counted(source, filename, namespace):
+            compiled.append(filename)
+            return compile_function(source, filename, namespace)
+
+        monkeypatch.setattr(sim, "compile_function", counted)
         plant, reference, gains, perf = sl_problem()
         cfg = SimConfig(dt=1e-4, t_end=0.01, x0=(3.3, 0.0), mode=ControlMode.APPROX_FREE)
-        for _ in range(3):
+        for k in range(1, 4):
             run(plant, reference, gains, perf, cfg)
-            info = sim._compiled_step.cache_info()
-            assert (info.misses, info.hits) == (1, 0)
+            assert len(compiled) == k
+            assert compiled[-1].endswith("sim.py<run n=2 approx-free sign exact>")
 
 
 class TestStageTimes:
     def test_run_keeps_the_stage_times_off_the_half_step_grid(self, monkeypatch):
-        """``run()`` evaluates the kernel at k*dt, k*dt + 0.5*dt and k*dt + dt,
-        not at the basis grid's (2k+1)*dt/2 and (2k+2)*dt/2, which differ
-        by an ulp at some k for dt = 1e-5.  Step k's start reuses the time
-        inputs of step k-1's end where (k-1)*dt + dt is the float k*dt."""
+        """``run()`` evaluates the RK stages at k*dt, k*dt + 0.5*dt and
+        k*dt + dt, not at the basis grid's (2k+1)*dt/2 and (2k+2)*dt/2,
+        which differ by an ulp at some k for dt = 1e-5: the plant's
+        right-hand side takes the stage times, and the kernel the time
+        inputs built at them.  Step k's start reuses the time inputs of
+        step k-1's end where (k-1)*dt + dt is the float k*dt."""
         dt, n_steps = 1e-5, 200
         half = 0.5 * dt
         assert any((2 * k + 1) * half != k * dt + half for k in range(n_steps))
@@ -295,19 +292,16 @@ class TestStageTimes:
             return time_inputs(chain, t)
 
         monkeypatch.setattr(ControllerChain, "time_inputs", recorded)
-
-        def evaluate(kernel, x, s, drifts, inputs):
-            evaluated.append(inputs[0])
-            return kernel(x, s, drifts, inputs)
-
-        wrap_kernel(monkeypatch, evaluate)
         plant, reference, gains, perf = sl_problem()
+
+        def rhs(x, u, t):
+            evaluated.append(t)
+            return plant.rhs(x, u, t)
+
         cfg = SimConfig(dt=dt, t_end=n_steps * dt, x0=(3.3, 0.0), mode=ControlMode.APPROX_FREE)
-        run(plant, reference, gains, perf, cfg)
-        # init_state's one evaluation, then per step its start, the shared
-        # t + dt/2 of RK stages 2 and 3 and t + dt; the closing sample last
-        stages = [0.0] + [s for k in range(n_steps) for s in (k * dt, k * dt + half, k * dt + half, k * dt + dt)]
-        assert evaluated == stages + [n_steps * dt]
+        run(replace(plant, rhs=rhs), reference, gains, perf, cfg)
+        # per step its start, the shared t + dt/2 of RK stages 2 and 3 and t + dt
+        assert evaluated == [s for k in range(n_steps) for s in (k * dt, k * dt + half, k * dt + half, k * dt + dt)]
         # each stage time's inputs are built once, a reused start not again
         want = [0.0] + [
             s for k in range(n_steps)
@@ -377,16 +371,19 @@ def comprehension_step(plant, chain, bundle, t, dt, exact_filter=True):
     the reference whose float operations :func:`sim.step` keeps, in order."""
     x, s, theta = bundle
     half = 0.5 * dt
-    block = chain.tabulate_basis([t, t + half, t + dt])
-    start, _, (rows, energies, gram, proj) = sim._open_step(chain, bundle, t, block, 0)
-    u0, a1, d1 = start
+    rows, energies, cross1, cross2 = chain.tabulate_basis([t, t + half, t + dt])
     kernel, rhs = chain.kernel, plant.rhs
+    fuzzy = chain.mode is ControlMode.FUZZY
+    if fuzzy:
+        gram = (cross1[0], energies[1], cross2[0], cross1[1])
+        proj = (theta @ rows.T).T.tolist()
+    start = kernel(x, s, proj[0] if fuzzy else energies[0], chain.time_inputs(t))
+    u0, a1, d1 = start
     mid, end = chain.time_inputs(t + half), chain.time_inputs(t + dt)
     lams = chain._lam
     c2, c3, c4, cmix, growth, half_decay, full_decay = sim._step_constants(chain._mu, chain._varpi, lams, dt)
     _, f2, f4 = energies
     f3 = f2
-    fuzzy = proj is not None
     if fuzzy:
         g1h, ghh, g14, gh4 = gram
     if exact_filter:
@@ -619,9 +616,9 @@ class TestColumnarRecord:
 
 
 class TestRecorder:
-    """``run()`` records each sample from the step's own kernel call; every
-    recorded value equals the indexed oracle's signal on the same
-    arguments."""
+    """``run()`` records each sample from the opening kernel's own locals;
+    every recorded value equals the indexed oracle's signal at the same
+    step start, rebuilt through the standalone step (``oracle_run``)."""
 
     @pytest.mark.parametrize("record_every", [1, 7])
     @pytest.mark.parametrize("preset, dt", [
@@ -629,32 +626,61 @@ class TestRecorder:
         (electromechanical_preset, 1e-5),
     ], ids=["sl", "em"])
     @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE], ids=lambda m: m.value)
-    def test_rows_equal_the_kernel_signals(self, preset, dt, mode, record_every, monkeypatch):
+    def test_rows_equal_the_kernel_signals(self, preset, dt, mode, record_every):
         cfg = replace(preset(), mode=mode, dt=dt, t_end=200 * dt, record_every=record_every)
         plant, reference, perf, sim_cfg = build_problem(cfg)
-        open_step = sim._open_step
-        signals_at = {}
-
-        def checked(chain, bundle, t, block, row, inputs=None):
-            opened = open_step(chain, bundle, t, block, row, inputs)
-            start, inputs, (_, energies, _, proj) = opened
-            drifts = energies[0] if proj is None else proj[0]
-            sig = indexed_kernel(chain, bundle[0], bundle[1], drifts, inputs)
-            assert start == sig[:3]
-            signals_at[t] = sig, inputs[1]
-            return opened
-
-        monkeypatch.setattr(sim, "_open_step", checked)
         traj, _ = run(plant, reference, cfg.gains, perf, sim_cfg, sign_smoothing=cfg.sign_smoothing)
+        _, _, _, signals = oracle_run(plant, fresh_chain(cfg, plant, reference, perf), sim_cfg)
         n = plant.n
-        assert len(traj.data) == -(-200 // record_every) + 1
-        for values in traj.data.tolist():
+        assert len(traj.data) == len(signals) == -(-200 // record_every) + 1
+        for values, (sig, inputs) in zip(traj.data.tolist(), signals):
             row = dict(zip(traj.names, values))
-            sig, y_r = signals_at[row["t"]]
-            assert (row["e"], row["y_r"], row["eta"], row["u"]) == (sig.e, y_r, sig.eta, sig.u)
+            assert row["t"] == inputs[0]
+            assert (row["e"], row["y_r"], row["eta"], row["u"]) == (sig.e, inputs[1], sig.eta, sig.u)
             assert (row["arctan_e"], row["neg_eta"]) == (math.atan(sig.e), -sig.eta)
             assert [row[f"alpha{i}"] for i in range(1, n)] == sig.alpha
             assert [row[f"z{i}"] for i in range(1, n + 1)] == sig.z
+
+
+class TestOneLoop:
+    """``run()`` is one generated loop with the kernel inlined at every RK
+    stage; its rows, breach time and report equal, float for float, the
+    loop rebuilt from the standalone step and the indexed oracle."""
+
+    BLOCK = 6  # 30 steps read 11 blocks; every third step reads a row of an overlap
+
+    @pytest.mark.parametrize("record_every", [1, 7, 50])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE], ids=lambda m: m.value)
+    @pytest.mark.parametrize("smoothing", [0.0, 0.05])
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "explicit"])
+    def test_distinct_chains_equal_the_oracle_loop(self, n, mode, smoothing, exact, record_every, monkeypatch):
+        monkeypatch.setattr(sim, "BASIS_BLOCK", self.BLOCK)
+        plant, chain = distinct_problem(n, mode, smoothing, 2.0)
+        # dt within the explicit stepper's limit lam_min / 5 = 4e-3
+        cfg = SimConfig(
+            dt=2e-3, t_end=0.06, x0=[math.sin(0.0) + 0.8, 0.3, -0.2, 0.1][:n], mode=mode,
+            record_every=record_every, exact_filter=exact,
+        )
+        self.assert_equal_to_the_oracle(plant, chain, cfg)
+
+    @pytest.mark.parametrize("record_every", [1, 10])
+    def test_the_weak_gain_breach_equals_the_oracle_loop(self, record_every):
+        cfg = replace(weak_gain_single_link(), dt=1e-4, t_end=0.6, record_every=record_every)
+        plant, reference, perf, sim_cfg = build_problem(cfg)
+        breach = self.assert_equal_to_the_oracle(plant, fresh_chain(cfg, plant, reference, perf), sim_cfg)
+        assert breach is not None
+
+    @staticmethod
+    def assert_equal_to_the_oracle(plant, chain, cfg):
+        traj, report = run(
+            plant, chain.reference, chain.gains, chain.transform.perf, cfg, sign_smoothing=chain.sign_smoothing)
+        rows, breach, want, _ = oracle_run(plant, chain, cfg)
+        assert traj.data.tolist() == rows
+        assert traj.breach == breach
+        assert report == want
+        assert list(report.signal_sup_norms) == list(want.signal_sup_norms)
+        return breach
 
 
 class TestBreachHandling:
@@ -726,26 +752,26 @@ class TestDivergenceHandling:
         with pytest.raises(SimulationDivergenceError):
             run(plant, reference, gains, perf, cfg)
 
-    def test_overflow_in_a_step_is_divergence(self, monkeypatch):
+    def test_overflow_in_a_step_is_divergence(self):
         plant, reference, gains, perf = sl_problem()
 
-        def overflowing(kernel, x, filter_states, drifts, inputs):
-            if inputs[0] > 4.7e-4:  # the t+dt stage of step 4
+        def overflowing(x, u, t):
+            if t > 4.7e-4:  # the t+dt stage of step 4
                 raise OverflowError("(34, 'Numerical result out of range')")
-            return kernel(x, filter_states, drifts, inputs)
+            return plant.rhs(x, u, t)
 
-        wrap_kernel(monkeypatch, overflowing)
         cfg = SimConfig(dt=1e-4, t_end=0.01, x0=(3.3, 0.0), mode=ControlMode.APPROX_FREE)
         with pytest.raises(SimulationDivergenceError) as err:
-            run(plant, reference, gains, perf, cfg)
+            run(replace(plant, rhs=overflowing), reference, gains, perf, cfg)
         assert err.value.t == pytest.approx(4e-4)
         assert isinstance(err.value.__cause__, OverflowError)
 
     @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE], ids=lambda m: m.value)
     def test_overflow_of_the_stage_one_square_is_divergence(self, mode):
         """A reference slope of 1e160 from t = 3e-4 makes w * beta1 overflow
-        at its ``** 2`` in the compiled kernel, first at the end stage of
-        the step from 2e-4."""
+        at its ``** 2`` in the kernel, first at the end stage of the step
+        from 2e-4: the traceback shows the kernel's line as the run's loop
+        inlines it at RK stage 4."""
         plant, reference, gains, perf = sl_problem()
         steep = ReferenceSignal(
             value=reference.value, derivative=lambda t: 1e160 if t >= 3e-4 else reference.derivative(t))
@@ -756,8 +782,8 @@ class TestDivergenceHandling:
         cause = err.value.__cause__
         assert isinstance(cause, OverflowError)
         frame = traceback.extract_tb(cause.__traceback__)[-1]
-        assert frame.name == "kernel" and frame.filename.endswith(f"controller.py<kernel n=2 {mode.value} sign>")
-        assert frame.line == "-wb * beta1 / (lo1 * sqrt(wb ** 2 + delta2_1))"
+        assert frame.name == "run_loop" and frame.filename.endswith(f"sim.py<run n=2 {mode.value} sign exact>")
+        assert frame.line == "-wb__4 * beta1__4 / (lo1 * sqrt(wb__4 ** 2 + delta2_1))"
 
     def test_overflow_at_the_start_is_divergence(self):
         plant, reference, gains, perf = sl_problem()
