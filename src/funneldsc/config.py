@@ -37,10 +37,11 @@ class ConfigError(ValueError):
 
 
 def plant_order(plant: str) -> int:
-    """Order of the registered plant ``plant``; ConfigError if unknown."""
+    """Order of the registered plant ``plant``, read from its registry
+    entry without building it; ConfigError if unknown."""
     if plant not in PLANTS:
         raise ConfigError(f"plant must be one of {sorted(PLANTS)}, got {plant!r}")
-    return PLANTS[plant].plant().n
+    return PLANTS[plant].n
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,10 @@ class ExperimentConfig:
     """One run's settings.  Each is checked by the object that uses it
     (``SimConfig``, ``PerfFunction``, ``StageGains``), whose error
     becomes a ConfigError naming the config key; the envelope is the
-    paper's four ``perf_*`` parameters.  An ``x0`` that starts outside
-    the funnel is left to ``sim.run``, which names ``x0``."""
+    paper's four ``perf_*`` parameters.  Every value must read back, as
+    itself and of its type, from the line ``serialize_config`` writes for
+    it, so a saved ``config.txt`` replays the run.  An ``x0`` that starts
+    outside the funnel is left to ``sim.run``, which names ``x0``."""
 
     preset: str                       # electromechanical | single-link | custom
     plant: str                        # which built-in plant the run uses
@@ -72,6 +75,8 @@ class ExperimentConfig:
         n = plant_order(self.plant)
         for row in KEYS:
             value = getattr(self, row.field)
+            if row.parse in (float, str) and not isinstance(value, row.parse):
+                _read_back(row, value)  # before a check that needs the type
             if row.parse is float and not math.isfinite(value):
                 raise ConfigError(f"{row.key} must be finite, got {value!r}")
             # a text value must read back from the one line serialize_config writes
@@ -96,6 +101,11 @@ class ExperimentConfig:
                 raise ConfigError(f"sim.dt: {exc}") from None
         object.__setattr__(self, "x0", sim.x0)
         object.__setattr__(self, "gains", tuple(self.gains))
+        for row in KEYS:
+            _read_back(row, getattr(self, row.field))
+        for stage, g in zip(_stage_rows(n), self.gains):
+            for row in stage:
+                _read_back(row, getattr(g, row.field))
 
 
 def _checked(build, **kwargs):
@@ -267,14 +277,37 @@ def _parse_pairs(text: str) -> dict:
     return pairs
 
 
+def _default(row: Key):
+    """The value of ``row`` if a file leaves it out; MISSING if required."""
+    return _FIELD_DEFAULTS.get(row.field, MISSING) if row.default is _OWN_DEFAULT else row.default
+
+
 def _value(row: Key, pairs: dict):
     """The value of ``row`` read from ``pairs``, or its default."""
     if row.key in pairs:
         return row.read(pairs[row.key])
-    default = _FIELD_DEFAULTS.get(row.field, MISSING) if row.default is _OWN_DEFAULT else row.default
+    default = _default(row)
     if default is MISSING:
         raise ConfigError(f"missing required key {row.key!r}")
     return default
+
+
+def _read_back(row: Key, value) -> None:
+    """ConfigError naming ``row.key`` unless ``value`` reads back, as
+    itself and of its type, from the line serialize_config writes for it;
+    None writes no line, so it must be the value a file without the key
+    gets."""
+    if value is None:
+        ok = _default(row) is None
+    else:
+        try:
+            back = row.parse(row.fmt(value))
+            ok = type(back) is type(value) and back == value
+        except (AttributeError, LookupError, TypeError, ValueError):
+            ok = False
+    if not ok:
+        raise ConfigError(f"{row.key} = {value!r} would not read back from its config line "
+                          f"({row.expected or 'expected text'})")
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -20,23 +20,24 @@ to this module, and registered in :mod:`linecache`, so tracebacks show
 its lines.  The kernel's statements, :data:`_KERNEL_BODY`, are one text:
 :meth:`ControllerChain.inline_kernel` emits them, each local renamed, for
 ``sim.run``'s loop to inline at every RK stage, where profiles count
-them under ``sim``.
+them under ``sim``.  The kernel's time inputs, the reference and the
+envelope at a time, are their texts too: :func:`inline_time_inputs` emits
+them for the loop, and each chain compiles them as ``time_inputs(t)``.
 """
 
 from __future__ import annotations
 
 import enum
-import linecache
 import math
-import re
 import textwrap
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .codegen import compile_function, rename
 from .fuzzy import AdaptiveWeights, GaussianGrid
-from .perf import _HALF_PI, PHI_FLOOR, ErrorTransform, FunnelBreachError
+from .perf import _HALF_PI, PHI_FLOOR, ErrorTransform, FunnelBreachError, PerfFunction
 from .plants import PlantBounds, ReferenceSignal
 
 __all__ = [
@@ -90,17 +91,8 @@ class ControllerState:
     filter_states: list
 
 
-def compile_function(source: str, filename: str, namespace: dict):
-    """The one function that ``source`` defines, compiled under
-    ``filename`` with ``namespace`` as its globals.  The source is
-    registered in :mod:`linecache` under that name as a lazy entry, one
-    string until a traceback reads its lines.  The function is not kept
-    in its globals, so no cycle outlives its last reference."""
-    code = compile(source, filename, "exec")
-    linecache.cache[filename] = (lambda: source,)
-    exec(code, namespace)
-    return namespace.pop(code.co_names[0])
-
+# The kernel's names of its time inputs: the time, y_r, dy_r, eta, eta_dot.
+_TIME_INPUTS = ("t", "y_r", "dy_r", "eta_v", "eta_d")
 
 # The kernel of an n-stage chain as a function around {body}, its
 # _KERNEL_BODY statements, which ControllerChain.inline_kernel also emits.
@@ -121,6 +113,7 @@ def kernel(x, filter_states, drifts, inputs):
     {xs}, = x
     {ss}, = filter_states
     {drifts} = drifts
+    {inputs} = inputs
 {body}    return alpha{n}, [{alphas}], {drives}
 '''
 
@@ -129,7 +122,6 @@ def kernel(x, filter_states, drifts, inputs):
 # delta2_<i>, sigma2_<i>, varpi<i> and, for i >= 2, rho2_<i>, tau2_<i>,
 # varrho<i> and invlam<i> (see ControllerChain._kernel_text).
 _KERNEL_BODY = '''\
-    t, y_r, dy_r, eta_v, eta_d = inputs
     e = x1 - y_r
     atan_e = atan(e)
     if abs(atan_e) >= eta_v:
@@ -185,6 +177,20 @@ _KERNEL_STAGE = '''
 '''
 
 
+def inline_time_inputs(reference: ReferenceSignal, perf: PerfFunction, tag: str, names):
+    """``(statements, namespace)``: the kernel's time inputs as statements
+    to inline into a generated function, at indentation 0, and the globals
+    they read.  At the caller's local time ``names[0]`` they assign the
+    reference, its derivative, eta and eta_dot to the locals named by
+    ``names[1:]``, by the texts of ``reference`` and of the envelope of
+    ``perf``; the envelope's own locals ``v`` are renamed ``v__<tag>``."""
+    t, y_r, dy_r, eta, eta_dot = names
+    value, derivative, namespace = reference.inline(t)
+    envelope, constants = perf.inline_envelope(tag, t, (eta, eta_dot))
+    namespace.update(constants)
+    return f"{y_r} = {value}\n{dy_r} = {derivative}\n{envelope}", namespace
+
+
 class ControllerChain:
     """Evaluates the full control chain for one plant/reference pairing.
 
@@ -221,10 +227,10 @@ class ControllerChain:
         self.grid = GaussianGrid.reference_grid(dim=1)
         self.sign_smoothing = sign_smoothing
         self.kernel = self._compile_kernel()
+        self.time_inputs, self._reference_values = self._compile_time_functions()
         self._mu = tuple(g.mu for g in self.gains)
         self._varpi = tuple(g.varpi for g in self.gains)
         self._lam = tuple(g.lam for g in self.gains[1:])
-        self._inputs = (reference.value, reference.derivative, transform.perf.envelope)
 
     def _kernel_text(self):
         """``(body, namespace)``: :data:`_KERNEL_BODY` for this chain's n,
@@ -266,13 +272,28 @@ class ControllerChain:
             return ", ".join(template.format(i=i) for i in range(first, n + 1))
 
         source = _KERNEL.format(
-            n=n, xs=each("x{i}"), ss=each("s{i}", 2), body=body,
+            n=n, xs=each("x{i}"), ss=each("s{i}", 2), inputs=", ".join(_TIME_INPUTS), body=body,
             drifts=each("est{i}") + "," if fuzzy else "energy",
             drives=f"[w, {each('zt{i}', 2)}]" if fuzzy else "None",
             alphas=", ".join(f"alpha{i}" for i in range(1, n)),
         )
         sign = "tanh" if self.sign_smoothing > 0.0 else "sign"
         return compile_function(source, f"{__file__}<kernel n={n} {self.mode.value} {sign}>", namespace)
+
+    def _compile_time_functions(self):
+        """``(time_inputs, reference_values)``, compiled from the texts of
+        the reference and the envelope.  ``time_inputs(t)`` gives ``(t,
+        y_r, dy_r, eta, eta_dot)``: the reference and the envelope at t
+        with their derivatives, the kernel's only inputs of time, by
+        :func:`inline_time_inputs`.  ``reference_values(times)`` gives the
+        reference at each of ``times`` as a list, its value text inlined
+        into one comprehension."""
+        statements, namespace = inline_time_inputs(self.reference, self.transform.perf, "", _TIME_INPUTS)
+        source = f"def time_inputs(t):\n{textwrap.indent(statements, ' ' * 4)}    return {', '.join(_TIME_INPUTS)}\n"
+        time_inputs = compile_function(source, f"{__file__}<time_inputs>", namespace)
+        value, _, namespace = self.reference.inline("t")
+        source = f"def reference_values(times):\n    return [{value} for t in times]\n"
+        return time_inputs, compile_function(source, f"{__file__}<reference_values>", namespace)
 
     def inline_kernel(self, tag: str, args, outputs, keep=()):
         """``(statements, namespace)``: the kernel as statements to inline
@@ -283,7 +304,8 @@ class ControllerChain:
         locals named by ``args`` = (x, filter_states, drifts, inputs): a
         name per plant state, per filter (stages 2..n) and per stage drift
         estimate in fuzzy mode, or one for the energy in approximator-free
-        mode, and the time inputs.  They assign the kernel's outputs to the
+        mode, and one per time input (t, y_r, dy_r, eta, eta_dot; see
+        :func:`inline_time_inputs`).  They assign the kernel's outputs to the
         names in ``outputs`` = (u, alpha, drives); drives is None in
         approximator-free mode.  Every other local ``v`` of the kernel is
         renamed ``v__<tag>``, so copies with different tags do not share a
@@ -292,7 +314,8 @@ class ControllerChain:
         arctan, the reference, eta and the surfaces."""
         n = self.bounds.n
         (x, s, drifts, inputs), (u, alpha, drives) = args, outputs
-        names = {"inputs": inputs, f"alpha{n}": u}
+        names = dict(zip(_TIME_INPUTS, inputs))
+        names[f"alpha{n}"] = u
         names.update((f"x{i}", v) for i, v in enumerate(x, start=1))
         names.update((f"s{i}", v) for i, v in enumerate(s, start=2))
         names.update((f"alpha{i}", v) for i, v in enumerate(alpha, start=1))
@@ -302,10 +325,9 @@ class ControllerChain:
         else:
             names["energy"] = drifts
         names.update((name, name) for name in keep)
-        local = set(self.kernel.__code__.co_varnames)
+        names = {v: names.get(v, f"{v}__{tag}") for v in self.kernel.__code__.co_varnames}
         body, namespace = self._kernel_text()
-        body = re.sub(r"\b[A-Za-z_]\w*", lambda m: names.get(m[0], f"{m[0]}__{tag}") if m[0] in local else m[0], body)
-        return textwrap.dedent(body), namespace
+        return textwrap.dedent(rename(body, names)), namespace
 
     # -- setup ------------------------------------------------------------
 
@@ -335,18 +357,13 @@ class ControllerChain:
         fuzzy mode, the Gram products b_i.b_{i+1} and b_i.b_{i+2} as lists
         (None in approximator-free mode).  Each energy is a sum of squares,
         so no row depends on the other times of the call.  Stores nothing."""
-        rows = self.grid.basis(np.array([self.reference.value(t) for t in times]))
+        rows = self.grid.basis(np.array(self._reference_values(times)))
         energies = (rows * rows).sum(axis=1).tolist()
         if self.mode is not ControlMode.FUZZY:
             return rows, energies, None, None
         cross1 = (rows[:-1] * rows[1:]).sum(axis=1).tolist()
         return rows, energies, cross1, (rows[:-2] * rows[2:]).sum(axis=1).tolist()
 
-    def time_inputs(self, t: float) -> tuple:
-        """``(t, y_r, dy_r, eta, eta_dot)``: the reference and the envelope
-        at t with their derivatives, the kernel's only inputs of time."""
-        value, derivative, envelope = self._inputs
-        return (t, value(t), derivative(t), *envelope(t))
 
     def evaluate(self, x: Sequence[float], state: ControllerState, t: float) -> tuple:
         """``(u, alpha, theta_dot)``: the control input, the virtual controls

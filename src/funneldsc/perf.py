@@ -7,15 +7,27 @@ by ``|arctan(e)| < eta(t)`` to an unconstrained variable ``z1``; boundedness
 of ``z1`` certifies the funnel bound.  This is the paper's one
 transformation.  The controller's auxiliaries ``psi`` and ``varphi`` are
 written once, in the control kernel, which reads ``eta`` and ``eta_dot``
-from :meth:`PerfFunction.envelope`.
+as time inputs.
+
+The envelope is written once, as the statements :data:`_ENVELOPE`, over
+the constants of each :class:`PerfFunction` (its ``names``).
+:attr:`PerfFunction.envelope` is that text compiled, under the name
+``.../perf.py<envelope>``, which profiles count under this module;
+``sim`` inlines the same text into its step instead
+(:meth:`PerfFunction.inline_envelope`).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
+import textwrap
 from dataclasses import dataclass, field
+from types import MappingProxyType
+
+from .codegen import compile_function, inline
 
 __all__ = [
     "FunnelBreachError",
@@ -34,6 +46,23 @@ _POLE_GUARD = 1e-12
 # Floor of the auxiliary varphi, which the controller divides by; it only
 # binds in the unreachable limit |z1| -> inf while eta is still near pi/2.
 PHI_FLOOR = 1e-12
+
+# eta(t) and eta_dot(t) of one decay: eta_dot is nonpositive and exactly 0
+# for t >= T, past the pole guard GUARD = T - _POLE_GUARD*T.  The decay
+# underflows to 0 as t -> T, giving a continuous junction.  The other
+# constants are A = a, C = c, NEG_B = -b, H = h, H1 = h + 1 and
+# PREFACTOR = -a*b*h*T**h (see PerfFunction.names).
+_ENVELOPE = """\
+if t >= GUARD:
+    eta, eta_dot = C, 0.0
+else:
+    rem = T - t
+    decay = exp(NEG_B * (T / rem) ** H)
+    if decay == 0.0:
+        eta, eta_dot = C, 0.0
+    else:
+        eta, eta_dot = A * decay + C, PREFACTOR / rem ** H1 * decay
+"""
 
 
 class FunnelBreachError(ValueError):
@@ -62,7 +91,8 @@ class PerfFunction:
     initial condition: the tangent-based error transformation accepts every
     initial error whose arctan rounds below pi/2.  A ValueError starts with
     the parameter to change, ``b=``, ``c=``, ``h=`` or ``T=``, also where
-    :meth:`envelope` would overflow or underflow.
+    :attr:`envelope` would overflow or underflow.  ``names`` holds the
+    derived constants that :data:`_ENVELOPE` reads.
     """
 
     b: float
@@ -98,23 +128,31 @@ class PerfFunction:
         # eta_dot's a*b*h*T**h before and after it is divided by (T - t)**(h + 1)
         if log_abh + max(h * log_T, (h + 1.0) * live - log_T) >= big:
             raise ValueError(f"b={b!r} is too large: eta_dot overflows as t nears T")
-        # envelope()'s constants, each by the expression it once evaluated per call
-        prefactor = -self.a * self.b * self.h * self.T**self.h
-        guard = self.T - _POLE_GUARD * self.T
-        object.__setattr__(self, "_envelope", (guard, self.T, -self.b, self.h, prefactor, self.h + 1.0))
+        # the envelope's constants, each by the expression it once evaluated per call
+        object.__setattr__(self, "names", MappingProxyType({
+            "GUARD": self.T - _POLE_GUARD * self.T, "T": self.T, "NEG_B": -self.b, "H": self.h,
+            "PREFACTOR": -self.a * self.b * self.h * self.T**self.h, "H1": self.h + 1.0, "A": self.a, "C": self.c,
+            "exp": math.exp,
+        }))
 
-    def envelope(self, t: float) -> tuple:
-        """``(eta(t), eta_dot(t))`` from one decay; eta_dot is nonpositive
-        and exactly 0 for t >= T."""
-        guard, T, neg_b, h, prefactor, h1 = self._envelope
-        if t >= guard:
-            return self.c, 0.0
-        rem = T - t
-        # the decay underflows to 0 as t -> T, giving a continuous junction
-        decay = math.exp(neg_b * (T / rem) ** h)
-        if decay == 0.0:
-            return self.c, 0.0
-        return self.a * decay + self.c, prefactor / rem**h1 * decay
+    def __reduce__(self):
+        # the four parameters; the derived constants and the compiled envelope are rebuilt
+        return PerfFunction, (self.b, self.c, self.h, self.T)
+
+    @functools.cached_property
+    def envelope(self):
+        """``envelope(t)``: ``(eta(t), eta_dot(t))`` by :data:`_ENVELOPE`."""
+        source = f"def envelope(t):\n{textwrap.indent(_ENVELOPE, ' ' * 4)}    return eta, eta_dot\n"
+        return compile_function(source, f"{__file__}<envelope>", dict(self.names))
+
+    def inline_envelope(self, tag: str, t: str, outputs):
+        """``(statements, namespace)``: :data:`_ENVELOPE` at indentation 0
+        on the caller's local ``t``, assigning eta and eta_dot to the names
+        in ``outputs``; every other local ``v`` is renamed ``v__<tag>``.
+        The namespace holds its constants, each name prefixed with
+        ``env_``."""
+        eta, eta_dot = outputs
+        return inline(_ENVELOPE, self.envelope, {"t": t, "eta": eta, "eta_dot": eta_dot}, tag, self.names, "env_")
 
     def eta(self, t: float) -> float:
         """Envelope value at time t >= 0."""

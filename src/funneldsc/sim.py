@@ -2,20 +2,22 @@
 
 The augmented state couples the plant, the first-order filters of the
 control chain, and (in fuzzy mode) the adaptive weights.  Each step
-evaluates the plant's one right-hand side (``plant.rhs``) and the
-controller's one kernel (``ControllerChain.kernel``), which takes numbers
-only.  Its basis input comes from one read per step of the basis rows at
-t, t+dt/2 and t+dt, their energies and Gram products: the drift estimates
-theta_i . basis in fuzzy mode, the energy basis . basis in
+evaluates the plant's one right-hand side (its text ``plant.rhs_text``)
+and the controller's one kernel (``ControllerChain.kernel``), which takes
+numbers only.  Its basis input comes from one read per step of the basis
+rows at t, t+dt/2 and t+dt, their energies and Gram products: the drift
+estimates theta_i . basis in fuzzy mode, the energy basis . basis in
 approximator-free mode.  ``run()`` tabulates the half-step grid i*dt/2 in
 blocks of :data:`BASIS_BLOCK` rows plus two rows of overlap, and step k
 reads rows 2k..2k+2 of the block that holds row 2k; a standalone
-:func:`step` tabulates its own three rows.  Its time inputs
-(``ControllerChain.time_inputs``) are built once per stage time: t (whose
-y_r the verifier reads too), t + 0.5*dt for RK stages 2 and 3, and t + dt.
-At some steps these differ by an ulp from the grid's (2k+1)*dt/2 and
-(2k+2)*dt/2, enough to move the weak-gain run's peaks past the benchmark's
-golden records, so they stay off the grid until those are re-recorded.
+:func:`step` tabulates its own three rows.  Its time inputs (y_r, dy_r,
+eta and eta_dot, by the texts of the reference and the envelope,
+``controller.inline_time_inputs``) are evaluated once per stage time, into
+locals: t (whose y_r the verifier reads too), t + 0.5*dt for RK stages 2
+and 3, and t + dt.  At some steps these differ by an ulp from the grid's
+(2k+1)*dt/2 and (2k+2)*dt/2, enough to move the weak-gain run's peaks
+past the benchmark's golden records, so they stay off the grid until
+those are re-recorded.
 
 One RK4 step: the plant takes the four RK4 stages.  The weights take the
 same RK4 step of their linear law in closed form, once per step: one
@@ -29,18 +31,24 @@ filters as scalar locals.  ``run()`` compiles one function per run,
 :data:`_LOOP`: the whole step loop, that is each step's basis read and
 opening kernel evaluation, the recorded row, the streaming verifier and
 the RK4 step, with the chain's kernel text inlined at all four RK stages
-(``ControllerChain.inline_kernel``), each copy's locals renamed per stage.
-It is compiled under the name ``.../sim.py<run n=3 fuzzy sign exact>``,
-so profiles count the kernel's time under this module, and tracebacks
-show the kernel's lines as inlined.  The standalone :func:`step` is the
-same statements with ``chain.kernel`` called where the loop inlines it,
-compiled under ``.../sim.py<step n=3 fuzzy exact>`` and cached by value.
-Numpy ops stay numpy ops, as BLAS and pairwise sums add in another order
-than a Python loop; the tests' oracle ``comprehension_step`` takes every
-float's operations in the step's order, and ``oracle_run`` rebuilds
-``run()`` from :func:`step`.  The step's end passes its time inputs at
-t + dt to the next step wherever (k+1)*dt is the float k*dt + dt.  The two
-steppers differ only in how the filters s' = (alpha - s)/lam move:
+(``ControllerChain.inline_kernel``), each copy's locals renamed per stage,
+and so are the plant's right-hand side (``plant.inline_rhs``) and the
+time inputs at each stage time.  The loop calls no Python function per
+step: only ``math`` builtins and, in fuzzy mode, the numpy ops.  It is
+compiled under the name ``.../sim.py<run n=3 fuzzy sign exact>``, so
+profiles count the inlined texts' time under this module, and tracebacks
+show their lines as inlined.  The standalone :func:`step` is the same
+statements with ``chain.kernel`` called where the loop inlines it, on the
+time inputs packed as a tuple per stage time, compiled under
+``.../sim.py<step n=3 fuzzy exact>`` and cached by value: by the plant,
+the reference and the envelope, which compare by their texts and names,
+and the chain's constants.  Numpy ops stay numpy ops, as BLAS and pairwise
+sums add in another order than a Python loop; the tests' oracle
+``comprehension_step`` takes every float's operations in the step's
+order, and ``oracle_run`` rebuilds ``run()`` from :func:`step`.  The
+step's end passes its time inputs at t + dt to the next step wherever
+(k+1)*dt is the float k*dt + dt.  The two steppers differ only in how the
+filters s' = (alpha - s)/lam move:
 
 - exact filter (default): along their closed-form exponential toward the
   virtual control ``alpha`` frozen at the step start.  This removes the
@@ -76,7 +84,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .controller import ControlMode, ControllerChain, StageGains, compile_function
+from .codegen import compile_function
+from .controller import _TIME_INPUTS, ControlMode, ControllerChain, StageGains, inline_time_inputs
 from .perf import ErrorTransform, FunnelBreachError, PerfFunction, TransformKind
 from .plants import ReferenceSignal, StrictFeedbackPlant
 
@@ -131,7 +140,7 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if not value > 0.0:
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        if not isinstance(self.record_every, int) or self.record_every < 1:
+        if not isinstance(self.record_every, int) or isinstance(self.record_every, bool) or self.record_every < 1:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every!r}")
         step_count(self.t_end, self.dt)
         try:
@@ -244,43 +253,54 @@ def _step_constants(mus: tuple, varpis: tuple, lams: tuple, dt: float):
 # and the run loop share.  Per RK stage k, x<k>_<j> is plant state j,
 # s<k>_<i> filter i, u<k> the control, a<k>_<i> the alpha that filter i
 # tracks, d<k>_<j> the drive and f<k>_<j> the drift estimate of stage j,
-# and k<k>_<j> the plant derivative.  The opening reads the step's basis
-# rows (from ``row`` of the table ``basis, energy, cross1, cross2``) and
-# evaluates the kernel at t; the advance takes the RK4 step and leaves the
-# new state in x1_<j>, s1_<i> and theta.  The constants are globals:
+# and k<k>_<j> the plant derivative.  The time inputs at the stage times
+# t, tm = t + dt/2 and te = t + dt are the locals of _START, _MID and _END.
+# The opening reads the step's basis rows (from ``row`` of the table
+# ``basis, energy, cross1, cross2``) and evaluates the kernel at t; the
+# advance takes the RK4 step and leaves the new state in x1_<j>, s1_<i>
+# and theta.  The plant's right-hand side and the time inputs are their
+# texts inlined ({rhs<k>}, {mid}, {end}).  The constants are globals:
 # HALF = 0.5*dt, DT = dt, DT6 = dt/6.0, the _step_constants coefficients
 # c2_<j>_<m>, c3_<j>_<m>, c4_<j>_<m>, m_<j>_<m> and GROWTH, the decays
-# dh<i> and df<i> and the filter time constants lam<i>.
+# dh<i> and df<i> and the filter time constants lam<i>, and the globals of
+# the inlined texts.
 _ADVANCE = """\
 tm = t + HALF
 te = t + DT
-mid = time_inputs(tm)
-end = time_inputs(te)
+{mid}
+{end}
 {filters1}
-{k1} = rhs({x1_list}, u1, t)
+{rhs1}
 {x2}
 {kernel2}
-{k2} = rhs({x2_list}, u2, tm)
+{rhs2}
 {filters2}
 {x3}
 {kernel3}
-{k3} = rhs({x3_list}, u3, tm)
+{rhs3}
 {filters3}
 {x4}
 {kernel4}
-{k4} = rhs({x4_list}, u4, te)
+{rhs4}
 {filters4}
 {x_new}
 {weights}
 """
 
+# The time inputs' locals at each stage time: the time, y_r, dy_r, eta and
+# eta_dot.  The start's keep the kernel's own names, which a recorded row
+# reads.
+_START = _TIME_INPUTS
+_MID = ("tm", "y_m", "dy_m", "eta_m", "etad_m")
+_END = ("te", "y_e", "dy_e", "eta_e", "etad_e")
+
 # The standalone step: the kernel is called, and it reads its own rows.
 _STEP = """\
-def step(kernel, rhs, time_inputs, tabulate, bundle, t):
+def step(kernel, tabulate, bundle, t):
     {x1}, {s1}, theta = bundle
     basis, energy, cross1, cross2 = tabulate([t, t + HALF, t + DT])
     row = 0
-    inputs = time_inputs(t)
+{inputs}
 {opening}
 {advance}
     return ({x_list}, {s_list}, theta), start
@@ -297,7 +317,7 @@ def run_loop(x, s, theta, samples, n_steps):
     recorded = 0
     max_err = max_err_after = max_u = peak_u_t = 0.0
     steady_ok = True
-    breach = te = end = None
+    breach = te = None
     first = -BLOCK  # first row of the basis block; sample 0 fills one
     for k in range(n_steps + 1):
         t = k * DT
@@ -307,9 +327,12 @@ def run_loop(x, s, theta, samples, n_steps):
             basis, energy, cross1, cross2 = tabulate([i * HALF for i in range(first, first + BLOCK + 2)])
         row = 2 * k - first
         try:
-            # time_inputs is a pure function of the float, so the last
+            # the time inputs are pure functions of the float, so the last
             # step's end serves as this start wherever k*dt is that float
-            inputs = end if t == te else time_inputs(t)
+            if t == te:
+                y_r, dy_r, eta_v, eta_d = y_e, dy_e, eta_e, etad_e
+            else:
+{inputs}
 {opening}
             if closing or k % RECORD_EVERY == 0:
                 samples[recorded] = [{sample}]
@@ -342,13 +365,30 @@ def run_loop(x, s, theta, samples, n_steps):
 """
 
 
-def _step_text(n: int, fuzzy: bool, exact_filter: bool, kernel_at):
-    """``(opening, advance)``: the step's statements for one chain shape,
-    mode and filter update, at indentation 0.  ``kernel_at(k, args,
-    outputs)`` gives the statements that evaluate the kernel at RK stage k
-    on the locals named by ``args`` = (x, filter_states, drifts, inputs),
-    into those named by ``outputs`` = (u, alpha, drives)."""
+def _step_text(plant: StrictFeedbackPlant, reference: ReferenceSignal, perf: PerfFunction, fuzzy: bool,
+               exact_filter: bool, kernel_at):
+    """``(inputs, opening, advance, namespace)``: the step's statements for
+    one plant, reference, envelope, mode and filter update, at indentation
+    0, and the globals of the texts they inline.  ``inputs`` are the time
+    inputs at t, which the opening reads.  ``kernel_at(k, args, outputs)``
+    gives the statements that evaluate the kernel at RK stage k on the
+    locals named by ``args`` = (x, filter_states, drifts, inputs), inputs
+    being one of :data:`_START`, :data:`_MID` and :data:`_END`, into those
+    named by ``outputs`` = (u, alpha, drives)."""
+    n = plant.n
     states, filters = range(1, n + 1), range(2, n + 1)
+    namespace = {}
+
+    def inlined(statements, globals_):
+        namespace.update(globals_)
+        return statements
+
+    def time_inputs(names):
+        return inlined(*inline_time_inputs(reference, perf, names[0], names))
+
+    def rhs(k):
+        t = ("t", "tm", "tm", "te")[k - 1]
+        return inlined(*plant.inline_rhs(f"rhs{k}", names(f"x{k}_{{i}}"), f"u{k}", t, names(f"k{k}_{{i}}")))
 
     def names(template, indices=states):
         return [template.format(i=i) for i in indices]
@@ -368,23 +408,22 @@ def _step_text(n: int, fuzzy: bool, exact_filter: bool, kernel_at):
             drifts = names("p1_{i}" if k == 1 else f"f{k}_{{i}}")
         else:
             drifts = ("en1", "enh", "enh", "en4")[k - 1]
-        inputs = ("inputs", "mid", "mid", "end")[k - 1]
+        inputs = (_START, _MID, _MID, _END)[k - 1]
         outputs = (f"u{k}", names(f"a{k}_{{i}}", filters), names(f"d{k}_{{i}}") if fuzzy else None)
         return kernel_at(k, (names(f"x{k}_{{i}}"), names(f"s{filtered}_{{i}}", filters), drifts, inputs), outputs)
 
     fields = {
-        "x1_list": listed("x1_{i}"), "x2_list": listed("x2_{i}"), "x3_list": listed("x3_{i}"),
-        "x4_list": listed("x4_{i}"),
+        "mid": time_inputs(_MID), "end": time_inputs(_END),
         "x_new": lines("x1_{i} = x1_{i} + DT6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"),
         "weights": "",
     }
     drifts = {2: "", 3: "", 4: ""}
     for k in range(1, 5):
-        fields[f"k{k}"] = unpacked(f"k{k}_{{i}}")
+        fields[f"rhs{k}"] = rhs(k)
     if fuzzy:
         basis = (
             "rows = basis[row:row + 3]\n"
-            f"{unpacked('p1_{i}')}, {unpacked('ph_{i}')}, {unpacked('p4_{i}')} = dot(rows, theta.T).tolist()\n"
+            f"{unpacked('p1_{i}')}, {unpacked('ph_{i}')}, {unpacked('p4_{i}')} = (rows @ theta.T).tolist()\n"
             "g1h, ghh, g14, gh4 = cross1[row], energy[row + 1], cross2[row], cross1[row + 1]\n"
         )
         drifts = {
@@ -394,8 +433,8 @@ def _step_text(n: int, fuzzy: bool, exact_filter: bool, kernel_at):
                 "f4_{i} = c4_{i}_0 * p4_{i} + c4_{i}_1 * d1_{i} * g14 + (c4_{i}_2 * d3_{i} + c4_{i}_3 * d2_{i}) * gh4"),
         }
         fields["weights"] = (
-            "theta = GROWTH * theta + dot(array("
-            + listed("[m_{i}_0 * d1_{i}, m_{i}_1 * d2_{i} + m_{i}_2 * d3_{i}, m_{i}_3 * d4_{i}]") + "), rows)"
+            "theta = GROWTH * theta + array("
+            + listed("[m_{i}_0 * d1_{i}, m_{i}_1 * d2_{i} + m_{i}_2 * d3_{i}, m_{i}_3 * d4_{i}]") + ") @ rows"
         )
     else:
         basis = "en1, enh, en4 = energy[row:row + 3]\n"
@@ -420,27 +459,30 @@ def _step_text(n: int, fuzzy: bool, exact_filter: bool, kernel_at):
                 "s1_{i} = s1_{i} + DT6 * (ks1_{i} + 2.0 * ks2_{i} + 2.0 * ks3_{i} + ks4_{i})", indices=filters),
         )
     fields.update(kernel2=kernel(2), kernel3=kernel(3), kernel4=kernel(4))
-    return basis + kernel(1), _ADVANCE.format(**fields)
+    return time_inputs(_START), basis + kernel(1), _ADVANCE.format(**fields), namespace
 
 
 def _kernel_call(k: int, args, outputs) -> str:
-    """RK stage k's kernel as a call of the ``kernel`` argument; the
-    opening's call keeps its output as ``start``."""
+    """RK stage k's kernel as a call of the ``kernel`` argument, on the
+    time inputs packed as one tuple per stage time, which stages 2 and 3
+    share; the opening's call keeps its output as ``start``."""
     (x, s, drifts, inputs), (u, alpha, drives) = args, outputs
+    packed = ("inputs", "mid", "mid", "end")[k - 1]
 
     def listed(names):
         return f"[{', '.join(names)}]"
 
-    call = f"kernel({listed(x)}, {listed(s)}, {drifts if isinstance(drifts, str) else listed(drifts)}, {inputs})"
+    pack = "" if k == 3 else f"{packed} = ({', '.join(inputs)})\n"
+    call = f"kernel({listed(x)}, {listed(s)}, {drifts if isinstance(drifts, str) else listed(drifts)}, {packed})"
     target = f"{u}, ({', '.join(alpha)},), " + (f"({', '.join(drives)},)" if drives else "_")
-    return f"start = {call}\n{target} = start\n" if k == 1 else f"{target} = {call}\n"
+    return pack + (f"start = {call}\n{target} = start\n" if k == 1 else f"{target} = {call}\n")
 
 
 def _step_globals(mus: tuple, varpis: tuple, lams: tuple, dt: float) -> dict:
     """The step's constants by their names in the step's statements."""
     c2, c3, c4, cmix, growth, half_decay, full_decay = _step_constants(mus, varpis, lams, dt)
     namespace = {
-        "np": np, "dot": np.dot, "array": np.array, "HALF": 0.5 * dt, "DT": dt, "DT6": dt / 6.0, "GROWTH": growth,
+        "np": np, "array": np.array, "HALF": 0.5 * dt, "DT": dt, "DT6": dt / 6.0, "GROWTH": growth,
     }
     for prefix, table in (("c2", c2), ("c3", c3), ("c4", c4), ("m", cmix)):
         for j, coefficients in enumerate(table, start=1):
@@ -451,19 +493,24 @@ def _step_globals(mus: tuple, varpis: tuple, lams: tuple, dt: float) -> dict:
 
 
 @functools.lru_cache(maxsize=8)
-def _standalone_step(n: int, fuzzy: bool, exact_filter: bool, mus: tuple, varpis: tuple, lams: tuple, dt: float):
-    """:data:`_STEP` for one chain shape, compiled with its constants
-    bound in: ``step(kernel, rhs, time_inputs, tabulate, bundle, t)``.
-    Cached by value."""
-    opening, advance = _step_text(n, fuzzy, exact_filter, _kernel_call)
+def _standalone_step(plant: StrictFeedbackPlant, reference: ReferenceSignal, perf: PerfFunction, fuzzy: bool,
+                     exact_filter: bool, mus: tuple, varpis: tuple, lams: tuple, dt: float):
+    """:data:`_STEP` for one plant, reference, envelope and chain shape,
+    compiled with its constants bound in: ``step(kernel, tabulate,
+    bundle, t)``.  Cached by value: the plant, the reference and the
+    envelope compare by their texts and names."""
+    inputs, opening, advance, namespace = _step_text(plant, reference, perf, fuzzy, exact_filter, _kernel_call)
+    n = plant.n
     states, filters = range(1, n + 1), range(2, n + 1)
     x, s = [f"x1_{j}" for j in states], [f"s1_{i}" for i in filters]
     source = _STEP.format(
         x1=f"({', '.join(x)},)", s1=f"({', '.join(s)},)", x_list=f"[{', '.join(x)}]", s_list=f"[{', '.join(s)}]",
-        opening=textwrap.indent(opening, " " * 4), advance=textwrap.indent(advance, " " * 4),
+        inputs=textwrap.indent(inputs, " " * 4), opening=textwrap.indent(opening, " " * 4),
+        advance=textwrap.indent(advance, " " * 4),
     )
+    namespace.update(_step_globals(mus, varpis, lams, dt))
     filename = f"{__file__}<step n={n} {'fuzzy' if fuzzy else 'approx-free'} {'exact' if exact_filter else 'explicit'}>"
-    return compile_function(source, filename, _step_globals(mus, varpis, lams, dt))
+    return compile_function(source, filename, namespace)
 
 
 def _compile_loop(plant: StrictFeedbackPlant, chain: ControllerChain, perf: PerfFunction, config: SimConfig):
@@ -472,16 +519,18 @@ def _compile_loop(plant: StrictFeedbackPlant, chain: ControllerChain, perf: Perf
     samples, n_steps)`` records into ``samples`` and returns the recorded
     row count, the breach time and the streamed verification."""
     n, fuzzy, exact_filter = chain.bounds.n, chain._fuzzy, config.exact_filter
-    namespace = _step_globals(chain._mu, chain._varpi, chain._lam, config.dt)
     # the opening's locals that a recorded row and the verifier read
     keep = ("e", "atan_e", "y_r", "eta_v", *(f"z{i}" for i in range(1, n + 1)))
+    kernel_constants = {}
 
     def inline(k, args, outputs):
         statements, constants = chain.inline_kernel(str(k), args, outputs, keep if k == 1 else ())
-        namespace.update(constants)
+        kernel_constants.update(constants)
         return statements
 
-    opening, advance = _step_text(n, fuzzy, exact_filter, inline)
+    inputs, opening, advance, namespace = _step_text(plant, chain.reference, perf, fuzzy, exact_filter, inline)
+    namespace.update(kernel_constants)
+    namespace.update(_step_globals(chain._mu, chain._varpi, chain._lam, config.dt))
     states, filters = range(1, n + 1), range(2, n + 1)
     x, s = [f"x1_{j}" for j in states], [f"s1_{i}" for i in filters]
     norms = ["*np.sqrt(np.add.reduce(theta * theta, axis=1)).tolist()"] if fuzzy else []
@@ -492,11 +541,12 @@ def _compile_loop(plant: StrictFeedbackPlant, chain: ControllerChain, perf: Perf
     source = _LOOP.format(
         x1=f"({', '.join(x)},)", s1=f"({', '.join(s)},)", sample=", ".join(sample),
         finite=" and ".join(f"isfinite({v})" for v in x),
-        opening=textwrap.indent(opening, " " * 12), advance=textwrap.indent(advance, " " * 16),
+        inputs=textwrap.indent(inputs, " " * 16), opening=textwrap.indent(opening, " " * 12),
+        advance=textwrap.indent(advance, " " * 16),
     )
     namespace.update(
         BLOCK=BASIS_BLOCK, RECORD_EVERY=config.record_every, AFTER_T=perf.T, TAN_C=math.tan(perf.c),
-        tabulate=chain.tabulate_basis, time_inputs=chain.time_inputs, rhs=plant.rhs, isfinite=math.isfinite,
+        tabulate=chain.tabulate_basis, isfinite=math.isfinite,
         FunnelBreachError=FunnelBreachError, SimulationDivergenceError=SimulationDivergenceError,
     )
     sign = "tanh" if chain.sign_smoothing > 0.0 else "sign"
@@ -523,8 +573,9 @@ def step(
     docstring).  The step's statements are those of ``run()``'s loop, with
     ``chain.kernel`` called where the loop inlines it.
     """
-    advance = _standalone_step(chain.bounds.n, chain._fuzzy, exact_filter, chain._mu, chain._varpi, chain._lam, dt)
-    return advance(chain.kernel, plant.rhs, chain.time_inputs, chain.tabulate_basis, bundle, t)
+    advance = _standalone_step(
+        plant, chain.reference, chain.transform.perf, chain._fuzzy, exact_filter, chain._mu, chain._varpi, chain._lam, dt)
+    return advance(chain.kernel, chain.tabulate_basis, bundle, t)
 
 
 def run(

@@ -8,6 +8,11 @@ formulas, and the oracle equals the compiled kernel float for float.
 ``zeta`` is the oracle's energy-slope factor, the kernel's ``zt<i>``.
 ``oracle_run`` is ``sim.run`` rebuilt sample by sample from the
 standalone step and the oracle.
+
+``RHS``, ``REFERENCES`` and ``envelope_method`` are the built-in plants'
+right-hand sides, their references and the envelope as they were
+hand-written before each became one source text; the compiled texts
+equal them float for float.
 """
 
 import math
@@ -15,10 +20,57 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from funneldsc import plants
 from funneldsc.controller import ControlMode, ControllerChain, StageGains
-from funneldsc.perf import PHI_FLOOR, ErrorTransform, FunnelBreachError, PerfFunction
-from funneldsc.plants import PlantBounds, ReferenceSignal
+from funneldsc.perf import _POLE_GUARD, PHI_FLOOR, ErrorTransform, FunnelBreachError, PerfFunction
+from funneldsc.plants import EM_B, EM_M, EM_N, PlantBounds, ReferenceSignal
 from funneldsc.sim import VerificationReport, step, step_count
+
+# sin(t) and its derivative, a reference whose every value differs from the built-in ones
+SINE = ReferenceSignal("sin(t)", "cos(t)", {"sin": math.sin, "cos": math.cos})
+
+
+def electromechanical_rhs(x, u, t):
+    n_over_m = EM_N / EM_M
+    b_over_m = EM_B / EM_M
+    kb_ml = plants._KB / (EM_M * plants._LA)
+    r_ml = plants._RA / (EM_M * plants._LA)
+    return [
+        x[1] + 2.0 * math.sin(5.0 * t),
+        -n_over_m * math.sin(x[0]) - b_over_m * x[1] + x[2] + 5.0 * math.cos(2.0 * t),
+        -kb_ml * x[1] - r_ml * x[2] + u + 10.0 * math.sin(t),
+    ]
+
+
+def single_link_rhs(x, u, t):
+    return [
+        x[1],
+        -(plants._SL_B * x[1] + plants._SL_M * plants._G * plants._SL_L * math.sin(x[0])) / plants._SL_I
+        + (1.0 / plants._SL_I) * u
+        + 10.0 * math.cos(5.0 * t),
+    ]
+
+
+RHS = {"electromechanical": electromechanical_rhs, "single-link": single_link_rhs}
+# (value, derivative) of each built-in plant's reference
+REFERENCES = {
+    "electromechanical": (lambda t: math.sin(10.0 * t) + 2.0, lambda t: 10.0 * math.cos(10.0 * t)),
+    "single-link": (lambda t: math.pi + 2.0 * math.sin(10.0 * t), lambda t: 20.0 * math.cos(10.0 * t)),
+}
+
+
+def envelope_method(p: PerfFunction, t: float) -> tuple:
+    """``PerfFunction.envelope`` as the method it was, on the constants
+    its construction prepared."""
+    guard, T, neg_b, h, prefactor, h1 = (
+        p.T - _POLE_GUARD * p.T, p.T, -p.b, p.h, -p.a * p.b * p.h * p.T**p.h, p.h + 1.0)
+    if t >= guard:
+        return p.c, 0.0
+    rem = T - t
+    decay = math.exp(neg_b * (T / rem) ** h)
+    if decay == 0.0:
+        return p.c, 0.0
+    return p.a * decay + p.c, prefactor / rem**h1 * decay
 
 
 class Signals(NamedTuple):
@@ -74,8 +126,7 @@ def distinct_chain(n, mode, smoothing):
         for k in range(1, n + 1)
     ]
     perf = PerfFunction(b=0.4, c=0.05, h=1.0, T=0.5)
-    reference = ReferenceSignal(value=math.sin, derivative=math.cos)
-    return ControllerChain(bounds, gains, ErrorTransform(perf=perf), reference, mode, smoothing)
+    return ControllerChain(bounds, gains, ErrorTransform(perf=perf), SINE, mode, smoothing)
 
 
 def indexed_kernel(chain, x, s, drifts, inputs) -> Signals:

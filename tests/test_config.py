@@ -24,6 +24,7 @@ from funneldsc.config import (
     weak_gain_single_link,
 )
 from funneldsc.controller import ControlMode
+from funneldsc.plants import PLANTS
 
 
 class TestPresets:
@@ -209,6 +210,27 @@ class TestValidation:
         with pytest.raises(ConfigError, match="^" + re.escape(message)):
             replace(single_link_preset(), **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("record_every", True), ("dt", True), ("t_end", True), ("sign_smoothing", True), ("perf_b", True),
+        ("exact_filter", 1), ("exact_filter", "no"), ("exact_filter", 0.0), ("mode", "fuzzy"), ("out", 5),
+        ("dt", "1e-4"), ("perf_T", 1),
+    ])
+    def test_rejects_a_value_its_config_line_would_not_read_back(self, field, value):
+        """Each of these was accepted, but its saved ``config.txt`` line
+        did not parse (``sim.record_every = True``) or read back as
+        another value (``exact_filter = 'no'`` ran the exact filter)."""
+        key = {row.field: row.key for row in KEYS}[field]
+        with pytest.raises(ConfigError, match="^" + re.escape(key)):
+            replace(single_link_preset(), **{field: value})
+
+    @pytest.mark.parametrize("stage, name, value", [(1, "delta", True), (2, "lam", True), (2, "rho", None)])
+    def test_rejects_a_stage_gain_its_config_line_would_not_read_back(self, stage, name, value):
+        cfg = single_link_preset()
+        gains = list(cfg.gains)
+        gains[stage - 1] = replace(gains[stage - 1], **{name: value})
+        with pytest.raises(ConfigError, match=rf"^stage{stage}\.{name} = {value} would not read back"):
+            replace(cfg, gains=tuple(gains))
+
     def test_rejects_negative_sign_smoothing(self):
         with pytest.raises(ConfigError, match="sign_smoothing must be nonnegative"):
             replace(single_link_preset(), sign_smoothing=-1.0)
@@ -230,6 +252,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="plant") as info:
             replace(single_link_preset(), plant="pendulum")
         assert "electromechanical" in str(info.value) and "single-link" in str(info.value)
+
+    def test_the_order_is_read_without_building_a_plant(self, monkeypatch):
+        """Every config reads its plant's order; it builds no plant."""
+        def unbuilt():
+            raise AssertionError("a plant or reference was built")
+
+        for name, entry in list(PLANTS.items()):
+            monkeypatch.setitem(PLANTS, name, entry._replace(plant=unbuilt, reference=unbuilt))
+        for preset in (electromechanical_preset, single_link_preset):
+            assert parse_config(serialize_config(preset())) == preset()
 
     def test_unknown_plant_in_file(self):
         text = serialize_config(single_link_preset()).replace(

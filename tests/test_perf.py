@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import re
 
 import pytest
@@ -13,6 +14,7 @@ from funneldsc.perf import (
     PerfFunction,
     _POLE_GUARD,
 )
+from oracles import envelope_method
 
 HALF_PI = math.pi / 2.0
 
@@ -225,3 +227,23 @@ class TestEnvelopeConstants:
             times += [q.T - f * _POLE_GUARD * q.T for f in (3.0, 1.5, 1.0, 0.5, 0.0)]
             assert [q.envelope(t) for t in times] == [direct_envelope(q, t) for t in times]
         assert copy.envelope(0.5 * T) != p.envelope(0.5 * T)
+
+    def test_pickles_by_its_four_parameters(self):
+        p = PerfFunction(b=0.9, c=0.2, h=2.5, T=1.3)
+        p.envelope(0.4)  # compiled, and cached on the instance
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and q.envelope(0.4) == p.envelope(0.4)
+
+    @given(
+        b=st.floats(0.01, 5.0), c=st.floats(0.01, 1.5), h=st.floats(0.2, 5.0), T=st.floats(0.05, 50.0),
+        # t as a fraction of T over [0, 1.5 T], or in guards from the pole guard
+        where=st.one_of(st.floats(0.0, 1.5).map(lambda f: (f, 0.0)), st.floats(0.0, 4.0).map(lambda g: (1.0, g))),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_envelope_text_equals_the_method_it_was(self, b, c, h, T, where):
+        """The compiled envelope text gives the floats of the method it
+        replaced (``tests/oracles.py``), sign of zero included."""
+        p = PerfFunction(b=b, c=c, h=h, T=T)
+        f, g = where
+        t = f * T - g * _POLE_GUARD * T
+        assert list(map(float.hex, p.envelope(t))) == list(map(float.hex, envelope_method(p, t)))

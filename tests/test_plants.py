@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funneldsc.plants import (
     EM_B,
@@ -14,6 +16,12 @@ from funneldsc.plants import (
     make_single_link,
     single_link_reference,
 )
+from oracles import REFERENCES, RHS
+
+
+def bits(values) -> list:
+    """Each float as its hex form: equal lists hold the same floats, sign of zero included."""
+    return [float.hex(v) for v in values]
 
 class TestElectromechanicalConstants:
     def test_lumped_parameters(self):
@@ -117,9 +125,71 @@ class TestRegistry:
         assert PLANTS["electromechanical"].reference().value(0.0) == pytest.approx(2.0)
         assert PLANTS["single-link"].reference().value(0.0) == pytest.approx(math.pi)
 
+    @pytest.mark.parametrize("name", sorted(PLANTS))
+    def test_each_entry_states_its_plants_order(self, name):
+        assert PLANTS[name].n == PLANTS[name].plant().n
 
-def zero_rhs(x, u, t):
-    return [0.0] * len(x)
+    @pytest.mark.parametrize("name", sorted(PLANTS))
+    def test_each_built_in_is_built_and_compiled_once(self, name):
+        entry = PLANTS[name]
+        assert entry.plant() is entry.plant() and entry.reference() is entry.reference()
+        assert entry.plant().rhs is entry.plant().rhs
+        assert entry.reference().value is entry.reference().value
+
+
+FLOATS = st.floats(-1e6, 1e6)
+
+
+class TestTextsEqualTheHandWrittenFormulas:
+    """Each built-in text, compiled, gives the floats of the formula it
+    replaced (``tests/oracles.py``), sign of zero included."""
+
+    @pytest.mark.parametrize("name", sorted(PLANTS))
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rhs(self, name, data):
+        plant = PLANTS[name].plant()
+        x = data.draw(st.lists(FLOATS, min_size=plant.n, max_size=plant.n))
+        u, t = data.draw(FLOATS), data.draw(st.floats(0.0, 1e3))
+        assert bits(plant.rhs(x, u, t)) == bits(RHS[name](x, u, t))
+        assert bits(plant.state_derivative(x, u, t)) == bits(RHS[name](x, u, t))
+
+    @pytest.mark.parametrize("name", sorted(PLANTS))
+    @given(t=st.floats(-1e3, 1e3))
+    @settings(max_examples=300, deadline=None)
+    def test_reference(self, name, t):
+        reference = PLANTS[name].reference()
+        value, derivative = REFERENCES[name]
+        assert bits([reference.value(t), reference.derivative(t)]) == bits([value(t), derivative(t)])
+
+
+class TestTexts:
+    def test_names_are_read_only_and_compare_by_value(self):
+        plant = make_single_link()
+        with pytest.raises(TypeError):
+            plant.names["B"] = 3.0
+        assert StrictFeedbackPlant(**{f: getattr(plant, f) for f in (
+            "n", "rhs_text", "names", "gain_lower", "gain_upper", "lipschitz_rate")}) == plant
+        other = single_link_reference()
+        copy = type(other)(other.value_text, other.derivative_text, dict(other.names))
+        assert copy == other and hash(copy) == hash(other)
+
+    def test_inline_renames_locals_and_prefixes_names(self):
+        plant = StrictFeedbackPlant(
+            n=2, rhs_text="w = gain * sin(x1)\ndx1 = x2 + w\ndx2 = u - w * t\n",
+            names={"gain": 0.5, "sin": math.sin}, gain_lower=(1.0, 1.0), gain_upper=(1.0, 1.0),
+            lipschitz_rate=(1.0, 1.0),
+        )
+        text, namespace = plant.inline_rhs("s2", ["p", "q"], "v", "tm", ["k1", "k2"])
+        assert text == "w__s2 = rhs_gain * rhs_sin(p)\nk1 = q + w__s2\nk2 = v - w__s2 * tm\n"
+        assert namespace == {"rhs_gain": 0.5, "rhs_sin": math.sin}
+        local = {"p": 0.3, "q": -1.2, "v": 2.0, "tm": 0.7}
+        exec(text, dict(namespace), local)
+        assert [local["k1"], local["k2"]] == plant.rhs([0.3, -1.2], 2.0, 0.7)
+
+
+def zero_rhs(n):
+    return "".join(f"dx{i} = 0.0\n" for i in range(1, n + 1))
 
 
 class TestValidation:
@@ -127,7 +197,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             StrictFeedbackPlant(
                 n=1,
-                rhs=zero_rhs,
+                rhs_text=zero_rhs(1),
+                names={},
                 gain_lower=(0.0,),
                 gain_upper=(1.0,),
                 lipschitz_rate=(1.0,),
@@ -137,7 +208,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             StrictFeedbackPlant(
                 n=2,
-                rhs=zero_rhs,
+                rhs_text=zero_rhs(2),
+                names={},
                 gain_lower=(0.1,),
                 gain_upper=(1.0, 1.0),
                 lipschitz_rate=(1.0, 1.0),
@@ -146,5 +218,5 @@ class TestValidation:
     def test_rejects_order_zero(self):
         with pytest.raises(ValueError):
             StrictFeedbackPlant(
-                n=0, rhs=zero_rhs, gain_lower=(), gain_upper=(), lipschitz_rate=(),
+                n=0, rhs_text=zero_rhs(0), names={}, gain_lower=(), gain_upper=(), lipschitz_rate=(),
             )

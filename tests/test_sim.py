@@ -1,5 +1,7 @@
 import csv
+import gc
 import math
+import sys
 import traceback
 import tracemalloc
 from dataclasses import replace
@@ -13,7 +15,6 @@ from funneldsc.config import electromechanical_preset, single_link_preset, weak_
 from funneldsc.controller import ControlMode, ControllerChain, StageGains
 from funneldsc.perf import ErrorTransform, FunnelBreachError, PerfFunction
 from funneldsc.plants import (
-    ReferenceSignal,
     StrictFeedbackPlant,
     make_single_link,
     single_link_reference,
@@ -26,7 +27,7 @@ from funneldsc.sim import (
     step,
     step_count,
 )
-from oracles import oracle_at, oracle_run
+from oracles import SINE, oracle_at, oracle_run
 
 
 def sl_problem():
@@ -84,7 +85,8 @@ def distinct_problem(n, mode, smoothing, varpi):
     from stage to stage; ``varpi`` scales the weights' leakage gains."""
     plant = StrictFeedbackPlant(
         n=n,
-        rhs=lambda x, u, t: [*(x[i + 1] + 0.1 * math.sin(x[i] + t) for i in range(n - 1)), u - 0.3 * x[-1]],
+        rhs_text="".join(f"dx{i} = x{i + 1} + 0.1 * sin(x{i} + t)\n" for i in range(1, n)) + f"dx{n} = u - 0.3 * x{n}\n",
+        names={"sin": math.sin},
         gain_lower=(0.5, 0.7, 0.9, 1.1)[:n],
         gain_upper=(2.0, 3.0, 4.5, 6.0)[:n],
         lipschitz_rate=(1.3, 0.8, 2.2, 1.7)[:n],
@@ -97,8 +99,7 @@ def distinct_problem(n, mode, smoothing, varpi):
         for k in range(1, n + 1)
     ]
     perf = PerfFunction(b=0.4, c=0.05, h=1.0, T=0.5)
-    reference = ReferenceSignal(value=math.sin, derivative=math.cos)
-    return plant, ControllerChain(plant.bounds(), gains, ErrorTransform(perf=perf), reference, mode, smoothing)
+    return plant, ControllerChain(plant.bounds(), gains, ErrorTransform(perf=perf), SINE, mode, smoothing)
 
 
 def fresh_chain(cfg, plant, reference, perf):
@@ -252,6 +253,32 @@ class TestStepConstants:
                 assert bundles[j][1] == want
         assert bundles[0][1][1] != bundles[1][1][1]
 
+    def test_plants_references_and_envelopes_differing_in_one_text_or_name_keep_their_own_step(self):
+        """The standalone step's cache key covers every text it inlines and
+        the names they read: stepped one after the other from one state,
+        each variant gives the comprehension form's floats on its own
+        plant, reference and envelope, and no two give the same state."""
+        cfg = single_link_preset()
+        plant, reference, perf, _ = build_problem(cfg)
+        variants = [
+            (plant, reference, perf),
+            (replace(plant, names={**plant.names, "B": 2.5}), reference, perf),
+            (replace(plant, rhs_text=plant.rhs_text.replace("10.0 *", "11.0 *")), reference, perf),
+            (plant, replace(reference, value_text=reference.value_text.replace("2.0", "2.5")), perf),
+            (plant, replace(reference, derivative_text=reference.derivative_text.replace("20.0", "21.0")), perf),
+            (plant, reference, replace(perf, T=0.7)),
+        ]
+        states = set()
+        for p, r, e in variants:
+            chain = fresh_chain(cfg, p, r, e)
+            state = chain.init_state([3.3, 0.0])
+            bundle = ([3.3, 0.0], list(state.filter_states), np.zeros((0, 0)))
+            got, start = step(p, chain, bundle, 0.1, 1e-4)
+            want, want_start = comprehension_step(p, chain, bundle, 0.1, 1e-4)
+            assert (got[:2], start) == (want[:2], want_start)
+            states.add((*got[0], *got[1]))
+        assert len(states) == len(variants)
+
     def test_each_run_compiles_its_loop_once(self, monkeypatch):
         """Whatever the process ran before, a run compiles its loop exactly
         once, so two identical runs make the same calls."""
@@ -272,34 +299,34 @@ class TestStepConstants:
 
 
 class TestStageTimes:
-    def test_run_keeps_the_stage_times_off_the_half_step_grid(self, monkeypatch):
+    def test_run_keeps_the_stage_times_off_the_half_step_grid(self):
         """``run()`` evaluates the RK stages at k*dt, k*dt + 0.5*dt and
         k*dt + dt, not at the basis grid's (2k+1)*dt/2 and (2k+2)*dt/2,
         which differ by an ulp at some k for dt = 1e-5: the plant's
         right-hand side takes the stage times, and the kernel the time
         inputs built at them.  Step k's start reuses the time inputs of
-        step k-1's end where (k-1)*dt + dt is the float k*dt."""
+        step k-1's end where (k-1)*dt + dt is the float k*dt.  The
+        recorders go in through the names of the inlined texts: one at
+        the right-hand side, one at the reference's derivative, which only
+        the time inputs read."""
         dt, n_steps = 1e-5, 200
         half = 0.5 * dt
         assert any((2 * k + 1) * half != k * dt + half for k in range(n_steps))
         reused = [k for k in range(1, n_steps + 1) if (k - 1) * dt + dt == k * dt]
         assert 0 < len(reused) < n_steps
         built, evaluated = [], []
-        time_inputs = ControllerChain.time_inputs
 
-        def recorded(chain, t):
+        def recorded(t, value):
             built.append(t)
-            return time_inputs(chain, t)
+            return value
 
-        monkeypatch.setattr(ControllerChain, "time_inputs", recorded)
         plant, reference, gains, perf = sl_problem()
-
-        def rhs(x, u, t):
-            evaluated.append(t)
-            return plant.rhs(x, u, t)
-
+        plant = replace(plant, rhs_text="record(t)\n" + plant.rhs_text, names={**plant.names, "record": evaluated.append})
+        reference = replace(
+            reference, derivative_text=f"record(t, {reference.derivative_text})",
+            names={**reference.names, "record": recorded})
         cfg = SimConfig(dt=dt, t_end=n_steps * dt, x0=(3.3, 0.0), mode=ControlMode.APPROX_FREE)
-        run(replace(plant, rhs=rhs), reference, gains, perf, cfg)
+        run(plant, reference, gains, perf, cfg)
         # per step its start, the shared t + dt/2 of RK stages 2 and 3 and t + dt
         assert evaluated == [s for k in range(n_steps) for s in (k * dt, k * dt + half, k * dt + half, k * dt + dt)]
         # each stage time's inputs are built once, a reused start not again
@@ -308,6 +335,44 @@ class TestStageTimes:
             for s in ([] if k in reused else [k * dt]) + [k * dt + half, k * dt + dt]
         ]
         assert built == want + ([] if n_steps in reused else [n_steps * dt])
+
+
+class TestNoCallPerStep:
+    """``run()``'s loop calls no Python function per step: the plant, the
+    reference and the envelope are inlined like the kernel, so only
+    builtins remain.  Counted as the profiler's ``call`` events of two runs
+    whose horizons end in one basis block, with the garbage collector off,
+    as it would finalize other code's generators at random."""
+
+    @pytest.mark.parametrize("preset, dt", [
+        (electromechanical_preset, 1e-6),
+        (single_link_preset, 1e-4),
+    ], ids=["em", "sl"])
+    @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE], ids=lambda m: m.value)
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "explicit"])
+    def test_two_horizons_make_the_same_calls(self, preset, dt, mode, exact):
+        def calls(steps):
+            cfg = replace(preset(mode=mode), dt=dt, t_end=steps * dt, record_every=3, exact_filter=exact)
+            plant, reference, perf, sim_cfg = build_problem(cfg)
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                count += event == "call"
+
+            gc.collect()
+            gc.disable()
+            sys.setprofile(profile)
+            try:
+                run(plant, reference, cfg.gains, perf, sim_cfg)
+            finally:
+                sys.setprofile(None)
+                gc.enable()
+            return count
+
+        calls(10)  # builds what a process builds once
+        assert 2 * 40 + 2 < sim.BASIS_BLOCK
+        assert calls(40) == calls(10)
 
 
 CASES = pytest.mark.parametrize("preset, dt, exact", [
@@ -740,7 +805,8 @@ class TestDivergenceHandling:
 
         plant = StrictFeedbackPlant(
             n=2,
-            rhs=lambda x, u, t: [1e-300 * x[1], quint(x[1]) + u],
+            rhs_text="dx1 = 1e-300 * x2\ndx2 = quint(x2) + u\n",
+            names={"quint": quint},
             gain_lower=(1e-300, 0.5),
             gain_upper=(1e-300, 10.0),
             lipschitz_rate=(1.0, 1.0),
@@ -755,14 +821,14 @@ class TestDivergenceHandling:
     def test_overflow_in_a_step_is_divergence(self):
         plant, reference, gains, perf = sl_problem()
 
-        def overflowing(x, u, t):
+        def overflowing(t):
             if t > 4.7e-4:  # the t+dt stage of step 4
                 raise OverflowError("(34, 'Numerical result out of range')")
-            return plant.rhs(x, u, t)
 
+        plant = replace(plant, rhs_text="overflow(t)\n" + plant.rhs_text, names={**plant.names, "overflow": overflowing})
         cfg = SimConfig(dt=1e-4, t_end=0.01, x0=(3.3, 0.0), mode=ControlMode.APPROX_FREE)
         with pytest.raises(SimulationDivergenceError) as err:
-            run(replace(plant, rhs=overflowing), reference, gains, perf, cfg)
+            run(plant, reference, gains, perf, cfg)
         assert err.value.t == pytest.approx(4e-4)
         assert isinstance(err.value.__cause__, OverflowError)
 
@@ -773,8 +839,7 @@ class TestDivergenceHandling:
         from 2e-4: the traceback shows the kernel's line as the run's loop
         inlines it at RK stage 4."""
         plant, reference, gains, perf = sl_problem()
-        steep = ReferenceSignal(
-            value=reference.value, derivative=lambda t: 1e160 if t >= 3e-4 else reference.derivative(t))
+        steep = replace(reference, derivative_text=f"1e160 if t >= 3e-4 else {reference.derivative_text}")
         cfg = SimConfig(dt=1e-4, t_end=0.01, x0=(3.3, 0.0), mode=mode)
         with pytest.raises(SimulationDivergenceError) as err:
             run(plant, steep, gains, perf, cfg)
@@ -820,6 +885,8 @@ class TestConfigValidation:
     def test_rejects_silent_rounding(self):
         with pytest.raises(ValueError, match="record_every"):
             SimConfig(dt=1e-3, t_end=1.0, x0=(0.0, 0.0), record_every=2.7)
+        with pytest.raises(ValueError, match="^record_every must be a positive integer, got True"):
+            SimConfig(dt=1e-3, t_end=1.0, x0=(0.0, 0.0), record_every=True)
         with pytest.raises(ValueError, match="multiple"):
             SimConfig(dt=1e-3, t_end=0.01234, x0=(0.0, 0.0))
         with pytest.raises(ValueError, match="multiple"):
