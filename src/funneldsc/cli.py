@@ -7,8 +7,8 @@ verification summary, and exits 0 exactly when both funnel bounds held.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -18,7 +18,7 @@ from .config import ExperimentConfig
 from .controller import ControlMode
 from .perf import PerfFunction
 from .plants import PLANTS
-from .sim import SimConfig, SimulationDivergenceError, export_trajectory, run
+from .sim import SimConfig, SimulationDivergenceError, run
 
 OUT_DIR_ENV = "FUNNELDSC_OUT_DIR"
 
@@ -64,22 +64,37 @@ def _print(text: str) -> None:
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
     """Run one experiment, write artifacts, return the process exit status.
-    A run rejected or diverged raises and creates no output directory."""
+
+    The run writes its rows to ``trajectory.csv`` block by block as it
+    goes, and keeps none.  A run rejected or diverged raises and leaves no
+    output: its partial CSV and every directory this call created are
+    removed, and the artifacts of an earlier run in ``out`` stay as they
+    were."""
     out = Path(out_dir or cfg.out or os.environ.get(OUT_DIR_ENV, "."))
     plant, reference, perf, sim_cfg = build_problem(cfg)
-    traj, report = run(
-        plant,
-        reference,
-        cfg.gains,
-        perf,
-        sim_cfg,
-        kind=cfg.transform_kind,
-        sign_smoothing=cfg.sign_smoothing,
-    )
-
+    created = list(itertools.takewhile(lambda p: not p.exists(), (out, *out.parents)))
     out.mkdir(parents=True, exist_ok=True)
+    partial = out / "trajectory.csv.partial"
+    try:
+        with open(partial, "w", newline="") as fh:
+            traj, report = run(
+                plant,
+                reference,
+                cfg.gains,
+                perf,
+                sim_cfg,
+                kind=cfg.transform_kind,
+                sign_smoothing=cfg.sign_smoothing,
+                csv_file=fh,
+            )
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        for path in created:  # deepest first
+            path.rmdir()
+        raise
+
     (out / "config.txt").write_text(cfgmod.serialize_config(cfg))
-    export_trajectory(traj, out / "trajectory.csv")
+    partial.replace(out / "trajectory.csv")
     summary = report.as_dict()
     summary["breach_time"] = traj.breach
     (out / "verification.json").write_text(json.dumps(summary, indent=2) + "\n")
@@ -150,6 +165,15 @@ def main(argv=None) -> int:
             if (j := first.setdefault(Path(path).stem, i)) != i:
                 print(f"error: {args.sweep[j]} and {path} would both write {Path(out_root) / Path(path).stem}", file=sys.stderr)
                 return EXIT_ERROR
+        import multiprocessing  # only a sweep starts workers; a single run skips its import
+
+        # each worker creates only its own directory, so one worker's failed
+        # run never removes a directory that another writes into
+        try:
+            Path(out_root).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         with multiprocessing.Pool(min(len(args.sweep), cores or 1)) as pool:
             results = pool.map(_sweep_worker, [(p, out_root) for p in args.sweep])

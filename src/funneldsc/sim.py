@@ -64,23 +64,30 @@ and the last, at t_end, is opened, recorded and verified like the others
 but takes no step and adds nothing to max|u|.  A breach raised at an RK
 stage state ends the run after its step's row was recorded, before that
 step's max|e| and max|u| are updated.  Each recorded sample
-(every ``record_every``-th step start, and t_end) is one row of one array,
-allocated for every row the run can record, so it never moves as it fills;
-``Trajectory.data`` is its recorded rows.  The sup norms and the
-funnel margin are read from its columns after the run.  A row takes u,
-alpha, y_r, eta, e, arctan e and z_1..z_n from the opening kernel's own
-locals, so each value is the kernel's float.  :func:`export_trajectory` writes the rows as the
-``repr`` of each float, ``,`` between fields and ``\\r\\n`` line ends: the
-bytes ``csv.writer`` writes for them.
+(every ``record_every``-th step start, and t_end) is one row, packed by
+one ``struct.pack_into`` into a block of :data:`RECORD_BLOCK` rows (fewer
+when the run records fewer).  Each full block, and the last one after the
+loop, is folded into the report's reductions, the column peaks for the
+sup norms and the minimum funnel margin with its first time, and then
+handed on: by default the block is a window of one array allocated for
+every row the run can record, so ``Trajectory.data`` is the recorded
+rows; a run given a ``csv_file`` writes each block's rows to it and reuses
+the block.  The peaks and the margin are exact per block, so the report
+does not depend on where blocks end.  A row takes u, alpha, y_r, eta, e,
+arctan e and z_1..z_n from the opening kernel's own locals, so each value
+is the kernel's float.  :func:`export_trajectory` and a ``csv_file`` write
+the rows as the ``repr`` of each float, ``,`` between fields and
+``\\r\\n`` line ends: the bytes ``csv.writer`` writes for them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 import textwrap
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -106,6 +113,14 @@ __all__ = [
 # 0.6 MB with the Gram products), while refilling costs one vectorised pass
 # per 2048 steps, within noise of tabulating the whole run up front.
 BASIS_BLOCK = 4096
+# Rows per recorded block in run(), for the same reason: a run that writes
+# its rows as it goes holds one block whatever its horizon.  A block of
+# 4096 rows of 13 columns (single-link, approximator-free) is 425 984
+# bytes.  Each block costs a few numpy reductions, so a run of up to 4096
+# recorded rows, one block, makes the same numpy calls whatever its length:
+# the benchmark counts numpy calls per step as the difference between runs
+# of 501 and 2001 rows.
+RECORD_BLOCK = 4096
 # Explicit RK4 stability margin for the fastest filter: dt <= lam_min / 5.
 _EXPLICIT_STIFFNESS_FACTOR = 5.0
 # Relative slack on t_end/dt that still counts as a whole number of steps;
@@ -179,7 +194,8 @@ def step_count(t_end: float, dt: float) -> int:
 class Trajectory:
     """Recorded samples of one run, one row of ``data`` per sample; ``names``
     labels the columns: those of ``trajectory.csv``, then ``z1..zn``, which
-    are not exported.  ``breach`` holds the first breach time."""
+    are not exported.  ``breach`` holds the first breach time.  ``data``
+    has no rows when ``run()`` wrote them to its ``csv_file``."""
 
     names: tuple
     data: np.ndarray
@@ -310,11 +326,15 @@ def step(kernel, tabulate, bundle, t):
 # which reads rows 2k..2k+2 of the half-step grid i*dt/2, tabulated in
 # blocks of BLOCK rows plus two of overlap; the last sample, at t_end,
 # closes the run.  A recorded row takes e, arctan e, y_r, eta and z from
-# the opening kernel's own locals.
+# the opening kernel's own locals, and is packed into the next row of
+# ``block``, BLOCK_ROWS rows of ROW_BYTES bytes.  A full block goes to
+# ``fold`` before the next row, so all its rows opened a step; ``fold``
+# returns the block to fill next.  The loop returns the rows of its last
+# block, which ``run()`` folds.
 _LOOP = """\
-def run_loop(x, s, theta, samples, n_steps):
+def run_loop(x, s, theta, block, fold, n_steps):
     {x1}, {s1} = x, s
-    recorded = 0
+    filled = 0
     max_err = max_err_after = max_u = peak_u_t = 0.0
     steady_ok = True
     breach = te = None
@@ -335,8 +355,11 @@ def run_loop(x, s, theta, samples, n_steps):
 {inputs}
 {opening}
             if closing or k % RECORD_EVERY == 0:
-                samples[recorded] = [{sample}]
-                recorded += 1
+                if filled == BLOCK_ROWS:
+                    block = fold(filled, filled)
+                    filled = 0
+                pack_row(block, filled * ROW_BYTES, {sample})
+                filled += 1
             if not closing:
 {advance}
         except FunnelBreachError as br:
@@ -361,7 +384,7 @@ def run_loop(x, s, theta, samples, n_steps):
             peak_u_t = t
         if not ({finite}):
             raise SimulationDivergenceError(t + DT)
-    return recorded, breach, max_err, max_err_after, max_u, peak_u_t, steady_ok
+    return filled, breach, max_err, max_err_after, max_u, peak_u_t, steady_ok
 """
 
 
@@ -513,11 +536,13 @@ def _standalone_step(plant: StrictFeedbackPlant, reference: ReferenceSignal, per
     return compile_function(source, filename, namespace)
 
 
-def _compile_loop(plant: StrictFeedbackPlant, chain: ControllerChain, perf: PerfFunction, config: SimConfig):
+def _compile_loop(plant: StrictFeedbackPlant, chain: ControllerChain, perf: PerfFunction, config: SimConfig,
+                  blocks: _Blocks):
     """:data:`_LOOP` for one run, with the chain's kernel inlined at each
     RK stage and the run's constants bound in: ``run_loop(x, s, theta,
-    samples, n_steps)`` records into ``samples`` and returns the recorded
-    row count, the breach time and the streamed verification."""
+    block, fold, n_steps)`` records into the blocks of ``blocks`` and
+    returns the rows of its last block, the breach time and the streamed
+    verification."""
     n, fuzzy, exact_filter = chain.bounds.n, chain._fuzzy, config.exact_filter
     # the opening's locals that a recorded row and the verifier read
     keep = ("e", "atan_e", "y_r", "eta_v", *(f"z{i}" for i in range(1, n + 1)))
@@ -545,7 +570,8 @@ def _compile_loop(plant: StrictFeedbackPlant, chain: ControllerChain, perf: Perf
         advance=textwrap.indent(advance, " " * 16),
     )
     namespace.update(
-        BLOCK=BASIS_BLOCK, RECORD_EVERY=config.record_every, AFTER_T=perf.T, TAN_C=math.tan(perf.c),
+        BLOCK=BASIS_BLOCK, BLOCK_ROWS=blocks.size, ROW_BYTES=blocks.row.size, pack_row=blocks.row.pack_into,
+        RECORD_EVERY=config.record_every, AFTER_T=perf.T, TAN_C=math.tan(perf.c),
         tabulate=chain.tabulate_basis, isfinite=math.isfinite,
         FunnelBreachError=FunnelBreachError, SimulationDivergenceError=SimulationDivergenceError,
     )
@@ -587,6 +613,7 @@ def run(
     *,
     kind: TransformKind = TransformKind.SYMMETRIC_TAN,
     sign_smoothing: float = 0.0,
+    csv_file: Optional[TextIO] = None,
 ):
     """Integrate the closed loop over [0, t_end] and verify the funnel bounds.
 
@@ -596,6 +623,13 @@ def run(
     overflow in the controller, raises :class:`SimulationDivergenceError`.
     An x0 whose error's arctan rounds to eta(0) = pi/2, |e(0)| of about
     2e15 or more, is an input error: a ValueError starting with ``x0``.
+
+    By default ``Trajectory.data`` holds the recorded rows.  With
+    ``csv_file``, an open text file (``newline=""``), the rows are written
+    to it block by block (see the module docstring), in the bytes
+    :func:`export_trajectory` writes, and none is kept: ``Trajectory.data``
+    holds no rows, and the rows take one block of memory whatever the
+    horizon.  The report is the same float for float either way.
     """
     n = plant.n
     if len(config.x0) != n:
@@ -626,7 +660,6 @@ def run(
         "t", *(f"x{i}" for i in range(1, n + 1)), "y_r", "e", "arctan_e", "eta", "neg_eta", "u",
         *filters, *alphas, *norms, *zs,
     )
-    samples = np.empty((n_steps // config.record_every + 2, len(names)))
 
     try:
         cstate = chain.init_state(config.x0)
@@ -636,27 +669,20 @@ def run(
         theta = np.array([w.theta_hat for w in cstate.theta_hat])
     else:
         theta = np.zeros((0, 0))
-    run_loop = _compile_loop(plant, chain, perf, config)
+    blocks = _Blocks(names, n_steps // config.record_every + 2, csv_file)
+    run_loop = _compile_loop(plant, chain, perf, config, blocks)
     rows, breach, max_err, max_err_after, max_u, peak_u_t, steady_ok = run_loop(
-        config.x0, cstate.filter_states, theta, samples, n_steps)
-
-    traj = Trajectory(names, samples[:rows], breach)
-    data = traj.data
+        config.x0, cstate.filter_states, theta, memoryview(blocks.block), blocks.fold, n_steps)
     transient_ok = breach is None
-    # sup norms over the samples that opened a step: all but the closing one
-    opening = data[:-1] if transient_ok else data
-    first = names.index("u")
-    # max|v| as max(max v, -min v), exact like abs, without an |v| copy
-    cols = opening[:, first:]
-    peaks = np.maximum(cols.max(axis=0, initial=0.0), -cols.min(axis=0, initial=0.0)).tolist()
-    peaks = dict(zip(names[first:], peaks), u=max_u)
+    # the sup norms skip the closing sample, which opens no step
+    blocks.fold(rows, rows - transient_ok)
+
+    peaks = dict(zip(names[blocks.first:], np.maximum(blocks.high, -blocks.low).tolist()), u=max_u)
     sup = {
         name.replace("_norm", ""): peaks[name]
         for name in (*zs, *filters, *alphas, "u", *norms)
         if peaks[name] > 0.0
     }
-    margins = data[:, names.index("eta")] - np.abs(data[:, names.index("arctan_e")])
-    i = int(np.argmin(margins))
     report = VerificationReport(
         transient_ok=transient_ok,
         steady_ok=steady_ok and transient_ok,
@@ -664,27 +690,84 @@ def run(
         max_abs_error_after_T=max_err_after,
         max_abs_control=max_u,
         signal_sup_norms=sup,
-        min_funnel_margin=float(margins[i]),
-        min_margin_time=float(data[i, 0]),
+        min_funnel_margin=blocks.margin,
+        min_margin_time=blocks.margin_time,
         peak_control_time=peak_u_t,
     )
-    return traj, report
+    return Trajectory(names, blocks.kept[:blocks.rows], breach), report
+
+
+class _Blocks:
+    """The recorded rows of one run, in blocks of at most
+    :data:`RECORD_BLOCK` rows, and the report's reductions over them.
+
+    The loop packs rows into ``block``.  ``fold(rows, opening)`` folds the
+    block's first ``rows`` rows into the minimum funnel margin and its
+    first ``opening`` rows, those that opened a step, into the column
+    peaks from ``u`` on; it then hands the rows on and returns the next
+    block to fill, as a memoryview.  Without ``csv_file`` each block is a
+    window of ``kept``, one array for every row the run can record;
+    with it each block's rows are appended to that file and ``kept`` holds
+    none, so the run's rows take one block of memory whatever its horizon.
+    """
+
+    def __init__(self, names: tuple, capacity: int, csv_file: Optional[TextIO]):
+        width = len(names)
+        self.size = min(RECORD_BLOCK, capacity)
+        self.row = struct.Struct(f"{width}d")
+        self.first, self.eta, self.atan = names.index("u"), names.index("eta"), names.index("arctan_e")
+        self.high = self.low = np.zeros(width - self.first)
+        self.margin = self.margin_time = None
+        self.rows = 0  # rows folded so far
+        if csv_file is None:
+            self.kept, self.write = np.empty((capacity, width)), None
+            self.block = self.kept[:self.size]
+        else:
+            self.kept, self.write = np.empty((0, width)), _csv_writer(csv_file, names)
+            self.block = np.empty((self.size, width))
+
+    def fold(self, rows: int, opening: int) -> memoryview:
+        block = self.block[:rows]
+        # max|v| as max(max v, -min v), exact like abs, without an |v| copy;
+        # the maxima and minima of the blocks are those of the run
+        cols = block[:opening, self.first:]
+        self.high = np.maximum(self.high, cols.max(axis=0, initial=0.0))
+        self.low = np.minimum(self.low, cols.min(axis=0, initial=0.0))
+        margins = block[:, self.eta] - np.abs(block[:, self.atan])
+        i = int(np.argmin(margins))
+        if self.margin is None or margins[i] < self.margin:  # an equal later minimum keeps the first
+            self.margin, self.margin_time = float(margins[i]), float(block[i, 0])
+        self.rows += rows
+        if self.write is None:
+            self.block = self.kept[self.rows:self.rows + self.size]
+        else:
+            self.write(block)
+        return memoryview(self.block)
+
+
+def _csv_writer(fh: TextIO, names: tuple):
+    """Write the header line of :func:`export_trajectory` to ``fh``;
+    returns ``write(rows)``, which appends the lines of the rows of a float
+    array, each line as :func:`export_trajectory` writes it."""
+    width = names.index("z1")
+    fh.write(",".join(names[:width]) + "\r\n")
+
+    def write(rows: np.ndarray) -> None:
+        # a flat view of the C-ordered rows: each line reads its fields from
+        # a slice, so no row list or float outlives its line, and the numpy
+        # calls do not grow with the rows
+        flat, stride = memoryview(np.ascontiguousarray(rows, dtype=float).ravel()), rows.shape[1]
+        fh.writelines(",".join(map(repr, flat[i:i + width])) + "\r\n" for i in range(0, len(flat), stride))
+
+    return write
 
 
 def export_trajectory(traj: Trajectory, path) -> None:
     """Write a run as comma-separated text: a header of column names, then
-    one row per recorded sample.  Each field is the ``repr`` of its float,
-    fields are joined by ``,`` and every line ends in ``\\r\\n``: the bytes
-    ``csv.writer`` writes for these rows, since no name or float repr
-    needs quoting."""
-    names = traj.names[:traj.names.index("z1")]  # the z columns are not exported
-    width, stride = len(names), traj.data.shape[1]
-    # a flat view of the C-ordered rows: each line reads its fields from a
-    # slice, so no row list or float outlives its line, and the numpy calls
-    # do not grow with the rows
-    flat = memoryview(np.ascontiguousarray(traj.data, dtype=float).ravel())
+    one row per recorded sample, without the z columns.  Each field is the
+    ``repr`` of its float, fields are joined by ``,`` and every line ends
+    in ``\\r\\n``: the bytes ``csv.writer`` writes for these rows, since no
+    name or float repr needs quoting.  ``run()`` writes the same bytes to
+    its ``csv_file``."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\r\n")
-        fh.writelines(
-            ",".join(map(repr, flat[i:i + width])) + "\r\n" for i in range(0, len(flat), stride)
-        )
+        _csv_writer(fh, traj.names)(traj.data)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from funneldsc import cli
+from funneldsc import cli, sim
 from funneldsc.config import (
     KEYS,
     ConfigError,
@@ -511,15 +511,71 @@ class TestCli:
         word = ": x0 starts outside the funnel"
         self.check_rejected(tmp_path, capfd, word, ("init.x0 = 0.0, 0.0", "init.x0 = 1e17, 0.0"), ["--x0", "1e17,0"])
 
-    @pytest.mark.parametrize("flags", [["--x0", "1e17,0"], ["--x0", "3.14159,1e160"], ["--t-end", "inf"]],
-                             ids=["outside-the-funnel", "diverged", "bad-setting"])
-    def test_a_rejected_run_leaves_no_output_directory(self, tmp_path, capfd, flags):
+    @pytest.mark.parametrize("flags", [
+        ["--x0", "1e17,0"], ["--x0", "3.14159,1e160"], ["--t-end", "inf"], ["--dt", "1e-4", "--t-end", "0.05"],
+    ], ids=["outside-the-funnel", "diverged", "bad-setting", "diverged-after-written-blocks"])
+    def test_a_rejected_run_leaves_no_output_directory(self, tmp_path, capfd, monkeypatch, flags):
         """A run rejected as an input error, or one that diverges, exits 2
-        and creates no output directory."""
-        out = tmp_path / "o17"
+        and leaves no directory that it created, also after it wrote blocks
+        of its rows: in the last case the plant's right-hand side overflows
+        at t > 2.05e-2, after five blocks of 4 rows (one every 10 steps)
+        were written."""
+        folds = []
+        if flags[0] == "--dt":
+            def overflowing(t):
+                if t > 2.05e-2:
+                    raise OverflowError("(34, 'Numerical result out of range')")
+
+            entry = PLANTS["single-link"]
+            plant = entry.plant()
+            late = replace(plant, rhs_text="overflow(t)\n" + plant.rhs_text, names={**plant.names, "overflow": overflowing})
+            monkeypatch.setitem(PLANTS, "single-link", entry._replace(plant=lambda: late))
+            monkeypatch.setattr(sim, "RECORD_BLOCK", 4)
+            fold = sim._Blocks.fold
+
+            def counted(blocks, rows, opening):
+                folds.append(rows)
+                return fold(blocks, rows, opening)
+
+            monkeypatch.setattr(sim._Blocks, "fold", counted)
+        out = tmp_path / "o17" / "run"
         assert cli.main(["--preset", "single-link", *flags, "--out", str(out)]) == cli.EXIT_ERROR
         assert capfd.readouterr().err.startswith("error:")
-        assert not out.exists()
+        assert folds == ([4] * 5 if flags[0] == "--dt" else [])
+        assert not (tmp_path / "o17").exists()
+
+    def test_a_failed_run_keeps_an_earlier_runs_artifacts(self, tmp_path, capfd):
+        """The rows go to a partial file until the run ends: a run that
+        fails in a directory an earlier run wrote leaves its files as they
+        were."""
+        out = tmp_path / "run"
+        assert cli.main(["--preset", "single-link", "--dt", "1e-4", "--t-end", "0.01", "--out", str(out)]) == cli.EXIT_OK
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert set(before) == {"config.txt", "trajectory.csv", "verification.json", "verification.txt"}
+        assert cli.main(["--preset", "single-link", "--x0", "3.14159,1e160", "--out", str(out)]) == cli.EXIT_ERROR
+        assert capfd.readouterr().err.endswith("error: simulation diverged at t=0\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_a_sweep_whose_output_root_cannot_be_made_exits_2(self, tmp_path, capsys):
+        """The sweep makes its output root before its workers start; a path
+        that cannot be a directory is an error, exit 2, and no run starts."""
+        config = tmp_path / "exp.cfg"
+        config.write_text(serialize_config(short_single_link()))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli.main(["--sweep", str(config), "--out", str(taken / "sweep")]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 20] Not a directory:")
+
+    def test_a_single_run_does_not_import_multiprocessing(self):
+        """Only ``--sweep`` starts workers, so importing the CLI leaves
+        ``multiprocessing`` unimported."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, funneldsc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
     @pytest.mark.parametrize("sweep", [False, True], ids=["single", "sweep"])
     def test_a_closed_stdout_keeps_the_verdicts_exit_status(self, tmp_path, sweep):

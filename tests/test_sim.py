@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from funneldsc import sim
+from funneldsc import cli, sim
 from funneldsc.cli import build_problem
 from funneldsc.config import electromechanical_preset, single_link_preset, weak_gain_single_link
 from funneldsc.controller import ControlMode, ControllerChain, StageGains
@@ -678,6 +678,89 @@ class TestColumnarRecord:
         for key in ("min_funnel_margin", "min_margin_time", "peak_control_time"):
             assert d[key] == getattr(report, key)
             assert isinstance(d[key], float)
+
+
+class TestStreamedRecord:
+    """Given ``csv_file``, ``run()`` writes each block of rows as it fills
+    and keeps none; its report and its CSV equal those of the kept rows,
+    float for float and byte for byte, wherever the blocks end."""
+
+    @staticmethod
+    def kept_and_streamed(cfg, tmp_path):
+        plant, reference, perf, sim_cfg = build_problem(cfg)
+        kept, report = run(plant, reference, cfg.gains, perf, sim_cfg, sign_smoothing=cfg.sign_smoothing)
+        with open(tmp_path / "streamed.csv", "w", newline="") as fh:
+            streamed, streamed_report = run(
+                plant, reference, cfg.gains, perf, sim_cfg, sign_smoothing=cfg.sign_smoothing, csv_file=fh)
+        export_trajectory(kept, tmp_path / "kept.csv")
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "kept.csv").read_bytes()
+        assert repr(streamed_report.as_dict()) == repr(report.as_dict())
+        assert (streamed.names, streamed.breach) == (kept.names, kept.breach)
+        assert streamed.data.shape == (0, len(kept.names))
+        return kept, report
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("preset, dt, t_end", [
+        (single_link_preset, 1e-4, 0.9),
+        (electromechanical_preset, 1e-5, 0.082),
+    ], ids=["sl", "em"])
+    @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE], ids=lambda m: m.value)
+    def test_kept_and_streamed_runs_agree(self, preset, dt, t_end, mode, record_every, tmp_path):
+        cfg = replace(preset(mode=mode), dt=dt, t_end=t_end, record_every=record_every)
+        kept, _ = self.kept_and_streamed(cfg, tmp_path)
+        if record_every == 1:
+            assert len(kept.data) > 2 * sim.RECORD_BLOCK
+
+    @pytest.mark.parametrize("record_every", [1, 10])
+    def test_the_weak_gain_breach_agrees(self, record_every, tmp_path):
+        cfg = replace(weak_gain_single_link(), dt=1e-4, t_end=0.6, record_every=record_every)
+        kept, _ = self.kept_and_streamed(cfg, tmp_path)
+        assert kept.breach is not None
+
+    @pytest.mark.parametrize("case", ["breach", "closing"])
+    def test_blocks_ending_at_the_last_row(self, case, tmp_path, monkeypatch):
+        """Blocks of a few rows, ending at the breach row or at the closing
+        row, or leaving it alone in the last block, give the rows and the
+        report of one block."""
+        if case == "breach":
+            cfg = replace(weak_gain_single_link(), dt=1e-4, t_end=0.6, record_every=10)
+        else:
+            cfg = replace(single_link_preset(), dt=1e-4, t_end=0.05, record_every=7)
+        whole, report = self.kept_and_streamed(cfg, tmp_path)
+        rows = len(whole.data)
+        assert rows < sim.RECORD_BLOCK and (whole.breach is None) == (case == "closing")
+        sizes = (1, 2, 3, rows - 1)
+        assert {rows % size for size in sizes} >= {0, 1}
+        for size in sizes:
+            monkeypatch.setattr(sim, "RECORD_BLOCK", size)
+            kept, blocked_report = self.kept_and_streamed(cfg, tmp_path)
+            assert kept.data.tolist() == whole.data.tolist()
+            assert repr(blocked_report.as_dict()) == repr(report.as_dict())
+
+    def test_a_written_runs_memory_does_not_grow_with_its_horizon(self, tmp_path, monkeypatch, capsys):
+        """``cli.run_experiment`` writes its rows block by block, so the
+        traced peaks of runs of 101 and 401 rows agree within one block;
+        kept rows grow the peak by 104 bytes a row, 31 kB here.  Each step
+        of the compiled loop takes milliseconds under ``tracemalloc``, so
+        the block is cut to 64 rows (6.6 kB) to keep the horizons short.
+        Each peak is the lower of two runs: a table that the process grows
+        once, such as the compiler's, can land in either run."""
+        monkeypatch.setattr(sim, "RECORD_BLOCK", 64, raising=False)
+
+        def peak(t_end):
+            cfg = replace(single_link_preset(), dt=1e-4, t_end=t_end, record_every=1)
+            tracemalloc.start()
+            try:
+                cli.run_experiment(cfg, out_dir=tmp_path / "run")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1e-3)  # builds what a process builds once
+        short = min(peak(0.01), peak(0.01))
+        long = min(peak(0.04), peak(0.04))
+        assert len((tmp_path / "run" / "trajectory.csv").read_bytes().splitlines()) == 1 + 401
+        assert abs(long - short) <= 64 * 13 * 8
 
 
 class TestRecorder:
