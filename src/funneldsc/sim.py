@@ -71,20 +71,30 @@ loop, is folded into the report's reductions, the column peaks for the
 sup norms and the minimum funnel margin with its first time, and then
 handed on: by default the block is a window of one array allocated for
 every row the run can record, so ``Trajectory.data`` is the recorded
-rows; a run given a ``csv_file`` writes each block's rows to it and reuses
-the block.  The peaks and the margin are exact per block, so the report
-does not depend on where blocks end.  A row takes u, alpha, y_r, eta, e,
-arctan e and z_1..z_n from the opening kernel's own locals, so each value
-is the kernel's float.  :func:`export_trajectory` and a ``csv_file`` write
-the rows as the ``repr`` of each float, ``,`` between fields and
-``\\r\\n`` line ends: the bytes ``csv.writer`` writes for them.
+rows.  A run given a ``csv_file`` reuses the block: when its first block
+fills, it starts one writer process, a fresh interpreter whose stdout is
+that file, and sends it each block's bytes from then on; the writer
+formats each block while the loop fills the next.  A run whose rows fit
+in one block starts no process and formats them itself after the loop.
+The peaks and the margin are exact per block, so the report does not
+depend on where blocks end.  A row takes u, alpha, y_r, eta, e, arctan e
+and z_1..z_n from the opening kernel's own locals, so each value is the
+kernel's float.  :func:`export_trajectory`, the writer and a single-block
+run format rows by one text (:data:`_FORMAT`), one ``%`` per block in the
+writer and per :data:`_FORMAT_ROWS` rows in this process: the ``repr`` of
+each float, ``,`` between fields and ``\\r\\n`` line ends, the bytes
+``csv.writer`` writes for them, wherever they are formatted.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import os
+import signal
 import struct
+import sys
 import textwrap
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, TextIO
@@ -121,6 +131,12 @@ BASIS_BLOCK = 4096
 # the benchmark counts numpy calls per step as the difference between runs
 # of 501 and 2001 rows.
 RECORD_BLOCK = 4096
+# Rows per ``%`` where this process formats rows: a run that fills no
+# block, and export_trajectory.  A whole block's text and its floats are
+# a few MB at once, enough to raise a sweep worker's peak RSS by 1 MB; 128
+# rows hold about 0.2 MB, and the time per row does not depend on the
+# count.  The writer formats whole blocks.
+_FORMAT_ROWS = 128
 # Explicit RK4 stability margin for the fastest filter: dt <= lam_min / 5.
 _EXPLICIT_STIFFNESS_FACTOR = 5.0
 # Relative slack on t_end/dt that still counts as a whole number of steps;
@@ -625,11 +641,16 @@ def run(
     2e15 or more, is an input error: a ValueError starting with ``x0``.
 
     By default ``Trajectory.data`` holds the recorded rows.  With
-    ``csv_file``, an open text file (``newline=""``), the rows are written
-    to it block by block (see the module docstring), in the bytes
-    :func:`export_trajectory` writes, and none is kept: ``Trajectory.data``
-    holds no rows, and the rows take one block of memory whatever the
-    horizon.  The report is the same float for float either way.
+    ``csv_file``, a text file opened with ``newline=""`` (it must have a
+    ``fileno()``, or a ValueError starting with ``csv_file`` is raised
+    before the run starts), the rows are written to it block by block, in
+    the bytes :func:`export_trajectory` writes, and none is kept:
+    ``Trajectory.data`` holds no rows, and the rows take one block of
+    memory whatever the horizon.  From the first full block on, a writer
+    process formats the rows while the loop runs (see the module
+    docstring); ``run()`` waits for it before it returns, raises OSError
+    if it failed, and kills it if the run raises.  The report is the same
+    float for float either way.
     """
     n = plant.n
     if len(config.x0) != n:
@@ -639,6 +660,11 @@ def run(
         raise ValueError(f"x0 starts outside the funnel: arctan of the error e(0) = {e0!r} rounds to eta(0) = {eta0!r}")
     if not config.exact_filter:
         check_explicit_step(gains, config.dt)
+    if csv_file is not None:
+        try:
+            csv_file.fileno()
+        except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+            raise ValueError(f"csv_file must be a file with a descriptor, such as open() returns, got {csv_file!r}") from None
 
     chain = ControllerChain(
         bounds=plant.bounds(),
@@ -670,12 +696,15 @@ def run(
     else:
         theta = np.zeros((0, 0))
     blocks = _Blocks(names, n_steps // config.record_every + 2, csv_file)
-    run_loop = _compile_loop(plant, chain, perf, config, blocks)
-    rows, breach, max_err, max_err_after, max_u, peak_u_t, steady_ok = run_loop(
-        config.x0, cstate.filter_states, theta, memoryview(blocks.block), blocks.fold, n_steps)
-    transient_ok = breach is None
-    # the sup norms skip the closing sample, which opens no step
-    blocks.fold(rows, rows - transient_ok)
+    try:
+        run_loop = _compile_loop(plant, chain, perf, config, blocks)
+        rows, breach, max_err, max_err_after, max_u, peak_u_t, steady_ok = run_loop(
+            config.x0, cstate.filter_states, theta, memoryview(blocks.block), blocks.fold, n_steps)
+        transient_ok = breach is None
+        # the sup norms skip the closing sample, which opens no step
+        blocks.close(rows, rows - transient_ok)
+    finally:
+        blocks.stop()
 
     peaks = dict(zip(names[blocks.first:], np.maximum(blocks.high, -blocks.low).tolist()), u=max_u)
     sup = {
@@ -701,14 +730,18 @@ class _Blocks:
     """The recorded rows of one run, in blocks of at most
     :data:`RECORD_BLOCK` rows, and the report's reductions over them.
 
-    The loop packs rows into ``block``.  ``fold(rows, opening)`` folds the
-    block's first ``rows`` rows into the minimum funnel margin and its
-    first ``opening`` rows, those that opened a step, into the column
+    The loop packs rows into ``block``.  ``fold(rows, opening)`` folds a
+    full block: its first ``rows`` rows into the minimum funnel margin and
+    its first ``opening`` rows, those that opened a step, into the column
     peaks from ``u`` on; it then hands the rows on and returns the next
-    block to fill, as a memoryview.  Without ``csv_file`` each block is a
-    window of ``kept``, one array for every row the run can record;
-    with it each block's rows are appended to that file and ``kept`` holds
-    none, so the run's rows take one block of memory whatever its horizon.
+    block to fill, as a memoryview.  ``close(rows, opening)`` folds and
+    hands on the last block.  Without ``csv_file`` each block is a window
+    of ``kept``, one array for every row the run can record.  With it the
+    header line goes to that file at once and ``kept`` holds no rows: the
+    first full block starts a writer process (:data:`_WRITER`), which
+    formats every block from then on while the loop goes on; a run that
+    never fills a block formats its rows in this process.  ``stop()`` kills
+    a writer that ``close`` did not end.
     """
 
     def __init__(self, names: tuple, capacity: int, csv_file: Optional[TextIO]):
@@ -719,14 +752,15 @@ class _Blocks:
         self.high = self.low = np.zeros(width - self.first)
         self.margin = self.margin_time = None
         self.rows = 0  # rows folded so far
+        self.csv_file, self.writer, self.pipe = csv_file, None, None
         if csv_file is None:
-            self.kept, self.write = np.empty((capacity, width)), None
+            self.kept = np.empty((capacity, width))
             self.block = self.kept[:self.size]
         else:
-            self.kept, self.write = np.empty((0, width)), _csv_writer(csv_file, names)
-            self.block = np.empty((self.size, width))
+            self.fields = _csv_header(csv_file, names)
+            self.kept, self.block = np.empty((0, width)), np.empty((self.size, width))
 
-    def fold(self, rows: int, opening: int) -> memoryview:
+    def _reduce(self, rows: int, opening: int) -> np.ndarray:
         block = self.block[:rows]
         # max|v| as max(max v, -min v), exact like abs, without an |v| copy;
         # the maxima and minima of the blocks are those of the run
@@ -738,28 +772,119 @@ class _Blocks:
         if self.margin is None or margins[i] < self.margin:  # an equal later minimum keeps the first
             self.margin, self.margin_time = float(margins[i]), float(block[i, 0])
         self.rows += rows
-        if self.write is None:
+        return block
+
+    def fold(self, rows: int, opening: int) -> memoryview:
+        block = self._reduce(rows, opening)
+        if self.csv_file is None:
             self.block = self.kept[self.rows:self.rows + self.size]
         else:
-            self.write(block)
+            self._send(block)
         return memoryview(self.block)
 
+    def close(self, rows: int, opening: int) -> None:
+        block = self._reduce(rows, opening)
+        if self.writer is not None:
+            self._send(block)
+            self._finish()
+        elif self.csv_file is not None:
+            _write_rows(self.csv_file, _row_format(block.shape[1], self.fields), block)
 
-def _csv_writer(fh: TextIO, names: tuple):
+    def _send(self, block: np.ndarray) -> None:
+        """The block to the writer, started at the first: its row count,
+        then its own bytes."""
+        if self.writer is None:
+            self.csv_file.flush()  # the header goes first
+            read, write = os.pipe()
+            self.pipe = open(write, "wb", buffering=0)
+            try:
+                self.writer = os.posix_spawn(
+                    sys.executable,
+                    [sys.executable, "-I", "-S", "-c", _WRITER, "funneldsc-csv-writer", str(block.shape[1]), str(self.fields)],
+                    os.environ,
+                    # the file first: where stdin is closed, it may be descriptor 0
+                    file_actions=[(os.POSIX_SPAWN_DUP2, self.csv_file.fileno(), 1), (os.POSIX_SPAWN_DUP2, read, 0)],
+                )
+            finally:
+                os.close(read)
+        try:
+            for data in (len(block).to_bytes(8, sys.byteorder), memoryview(block).cast("B")):
+                while data:  # a signal handler can cut a write short
+                    data = data[self.pipe.write(data):]
+        except BrokenPipeError:
+            self._finish()  # the writer ended early: its status is the error
+            raise
+
+    def _finish(self) -> None:
+        """Close the writer's input and wait for it; OSError if it failed."""
+        self.pipe.close()
+        status = os.waitstatus_to_exitcode(os.waitpid(self.writer, 0)[1])
+        self.writer = None
+        if status:
+            raise OSError(f"{getattr(self.csv_file, 'name', 'csv_file')}: the CSV writer exited with status {status}")
+
+    def stop(self) -> None:
+        """Kill a writer that ``close`` did not end, and wait for it."""
+        if self.writer is not None:
+            os.kill(self.writer, signal.SIGKILL)
+            os.waitpid(self.writer, 0)
+            self.writer = None
+        if self.pipe is not None:
+            self.pipe.close()
+
+
+# The lines of trajectory.csv for a block of recorded rows: the repr of
+# each float (%r), "," between fields and "\r\n" after each row, of the
+# first ``fields`` floats of each row of ``width``.  ``block`` is any
+# C-ordered float64 buffer of whole rows: an array block, or the bytes
+# that the writer reads.  One text, compiled in this process and run by
+# the writer.
+_FORMAT = """\
+def row_format(width, fields):
+    line = ",".join(["%r"] * fields) + "\\r\\n"
+    keep = [True] * fields + [False] * (width - fields)
+
+    def format_rows(block):
+        values = memoryview(block).cast("B").cast("d")
+        return (line * (len(values) // width)) % tuple(compress(values, cycle(keep)))
+
+    return format_rows
+"""
+
+_row_format = compile_function(_FORMAT, f"{__file__}<format>", {"compress": itertools.compress, "cycle": itertools.cycle})
+
+# The writer process: argv is the marker, the row width and the number of
+# fields written.  It reads blocks from stdin, each a row count (8 bytes,
+# native order) and those rows' floats, and writes their lines to stdout,
+# until stdin closes.  It ignores SIGINT: a ^C reaches the run, whose
+# ``finally`` kills the writer.
+_WRITER = f"""\
+import signal, sys
+from itertools import compress, cycle
+{_FORMAT}
+signal.signal(signal.SIGINT, signal.SIG_IGN)
+width, fields = int(sys.argv[2]), int(sys.argv[3])
+format_rows = row_format(width, fields)
+read, write = sys.stdin.buffer.read, sys.stdout.buffer.write
+while header := read(8):
+    write(format_rows(read(8 * width * int.from_bytes(header, sys.byteorder))).encode())
+sys.stdout.flush()
+"""
+
+
+def _csv_header(fh: TextIO, names: tuple) -> int:
     """Write the header line of :func:`export_trajectory` to ``fh``;
-    returns ``write(rows)``, which appends the lines of the rows of a float
-    array, each line as :func:`export_trajectory` writes it."""
-    width = names.index("z1")
-    fh.write(",".join(names[:width]) + "\r\n")
+    returns the number of fields it names, those before ``z1``."""
+    fields = names.index("z1")
+    fh.write(",".join(names[:fields]) + "\r\n")
+    return fields
 
-    def write(rows: np.ndarray) -> None:
-        # a flat view of the C-ordered rows: each line reads its fields from
-        # a slice, so no row list or float outlives its line, and the numpy
-        # calls do not grow with the rows
-        flat, stride = memoryview(np.ascontiguousarray(rows, dtype=float).ravel()), rows.shape[1]
-        fh.writelines(",".join(map(repr, flat[i:i + width])) + "\r\n" for i in range(0, len(flat), stride))
 
-    return write
+def _write_rows(fh: TextIO, format_rows, data: np.ndarray) -> None:
+    """Write the lines of the rows of ``data``, :data:`_FORMAT_ROWS` rows
+    per ``format_rows`` call."""
+    for start in range(0, len(data), _FORMAT_ROWS):
+        fh.write(format_rows(data[start:start + _FORMAT_ROWS]))
 
 
 def export_trajectory(traj: Trajectory, path) -> None:
@@ -769,5 +894,6 @@ def export_trajectory(traj: Trajectory, path) -> None:
     in ``\\r\\n``: the bytes ``csv.writer`` writes for these rows, since no
     name or float repr needs quoting.  ``run()`` writes the same bytes to
     its ``csv_file``."""
+    data = np.ascontiguousarray(traj.data, dtype=float)
     with open(path, "w", newline="") as fh:
-        _csv_writer(fh, traj.names)(traj.data)
+        _write_rows(fh, _row_format(data.shape[1], _csv_header(fh, traj.names)), data)

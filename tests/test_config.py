@@ -544,6 +544,20 @@ class TestCli:
         assert folds == ([4] * 5 if flags[0] == "--dt" else [])
         assert not (tmp_path / "o17").exists()
 
+    def test_a_failed_writer_exits_2(self, tmp_path, capfd, monkeypatch):
+        """A CSV writer process that exits non-zero is exit 2 with an error
+        line naming trajectory.csv; the partial file and every directory
+        the run created are removed.  Blocks of 16 rows make the 51-row run
+        start its writer."""
+        monkeypatch.setattr(sim, "RECORD_BLOCK", 16)
+        monkeypatch.setattr(sim, "_WRITER", "raise SystemExit(3)")
+        out = tmp_path / "new" / "run"
+        assert cli.main(["--preset", "single-link", "--dt", "1e-4", "--t-end", "0.05", "--out", str(out)]) == cli.EXIT_ERROR
+        assert capfd.readouterr().err == f"error: {out / 'trajectory.csv.partial'}: the CSV writer exited with status 3\n"
+        assert not (tmp_path / "new").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_a_failed_run_keeps_an_earlier_runs_artifacts(self, tmp_path, capfd):
         """The rows go to a partial file until the run ends: a run that
         fails in a directory an earlier run wrote leaves its files as they

@@ -1,6 +1,8 @@
 import csv
 import gc
+import io
 import math
+import os
 import sys
 import traceback
 import tracemalloc
@@ -761,6 +763,111 @@ class TestStreamedRecord:
         long = min(peak(0.04), peak(0.04))
         assert len((tmp_path / "run" / "trajectory.csv").read_bytes().splitlines()) == 1 + 401
         assert abs(long - short) <= 64 * 13 * 8
+
+
+def assert_no_child():
+    """No child process is left, running or zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWriter:
+    """A run given ``csv_file`` formats its rows in a writer process from
+    its first full block on, and one that never fills a block formats them
+    itself; no writer outlives its run, however the run ends."""
+
+    @pytest.fixture(autouse=True)
+    def spawns(self, monkeypatch):
+        """The writers started, by their argv; no child before the case."""
+        assert_no_child()
+        started, spawn = [], os.posix_spawn
+
+        def counted(path, argv, *args, **kwargs):
+            started.append(argv)
+            return spawn(path, argv, *args, **kwargs)
+
+        monkeypatch.setattr(os, "posix_spawn", counted)
+        return started
+
+    @staticmethod
+    def written(cfg, path):
+        plant, reference, perf, sim_cfg = build_problem(cfg)
+        with open(path, "w", newline="") as fh:
+            return run(plant, reference, cfg.gains, perf, sim_cfg, sign_smoothing=cfg.sign_smoothing, csv_file=fh)
+
+    def test_a_run_of_three_blocks(self, spawns, tmp_path):
+        cfg = replace(single_link_preset(), dt=1e-4, t_end=0.9, record_every=1)
+        _, report = self.written(cfg, tmp_path / "run.csv")
+        assert_no_child()
+        assert len(spawns) == 1 and "funneldsc-csv-writer" in spawns[0]
+        rows = len((tmp_path / "run.csv").read_bytes().splitlines()) - 1
+        assert report.transient_ok and rows == 9001 > 2 * sim.RECORD_BLOCK
+
+    def test_the_weak_gain_breach(self, spawns, tmp_path):
+        cfg = replace(weak_gain_single_link(), dt=1e-4, t_end=0.6, record_every=1)
+        traj, _ = self.written(cfg, tmp_path / "run.csv")
+        assert_no_child()
+        rows = len((tmp_path / "run.csv").read_bytes().splitlines()) - 1
+        assert traj.breach is not None and len(spawns) == 1
+        assert sim.RECORD_BLOCK < rows < 2 * sim.RECORD_BLOCK
+
+    def test_an_exception_in_fold_kills_the_writer(self, spawns, tmp_path, monkeypatch):
+        fold = sim._Blocks.fold
+
+        def failing(blocks, rows, opening):
+            fold(blocks, rows, opening)
+            raise RuntimeError("fold failed")
+
+        monkeypatch.setattr(sim._Blocks, "fold", failing)
+        cfg = replace(single_link_preset(), dt=1e-4, t_end=0.6, record_every=1)
+        with pytest.raises(RuntimeError, match="fold failed"):
+            self.written(cfg, tmp_path / "run.csv")
+        assert_no_child()
+        assert len(spawns) == 1
+
+    def test_a_full_device_raises(self, tmp_path):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        cfg = replace(single_link_preset(), dt=1e-4, t_end=0.6, record_every=1)
+        with pytest.raises(OSError):
+            self.written(cfg, "/dev/full")
+        assert_no_child()
+
+    def test_a_writer_that_fails_raises(self, spawns, tmp_path, monkeypatch):
+        """A writer that exits non-zero, before or after it reads the
+        rows, is an OSError naming the file."""
+        monkeypatch.setattr(sim, "_WRITER", "import sys; sys.stdin.buffer.read(); raise SystemExit(3)")
+        cfg = replace(single_link_preset(), dt=1e-4, t_end=0.6, record_every=1)
+        with pytest.raises(OSError, match=r"run\.csv: the CSV writer exited with status 3"):
+            self.written(cfg, tmp_path / "run.csv")
+        assert_no_child()
+        monkeypatch.setattr(sim, "_WRITER", "raise SystemExit(3)")
+        with pytest.raises(OSError, match=r"run\.csv: the CSV writer exited with status 3"):
+            self.written(cfg, tmp_path / "run.csv")
+        assert_no_child()
+        assert len(spawns) == 2
+
+    def test_a_single_block_run_starts_no_process(self, tmp_path, monkeypatch):
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("a single-block run started a process")
+
+        monkeypatch.setattr(os, "posix_spawn", no_spawn)
+        cfg = replace(single_link_preset(), dt=1e-4, t_end=0.4, record_every=1)
+        self.written(cfg, tmp_path / "run.csv")
+        plant, reference, perf, sim_cfg = build_problem(cfg)
+        kept, _ = run(plant, reference, cfg.gains, perf, sim_cfg, sign_smoothing=cfg.sign_smoothing)
+        assert len(kept.data) == 4001 <= sim.RECORD_BLOCK
+        export_trajectory(kept, tmp_path / "kept.csv")
+        assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "kept.csv").read_bytes()
+
+    @pytest.mark.parametrize("csv_file", [io.StringIO(), object()], ids=["StringIO", "object"])
+    def test_csv_file_must_be_a_real_file(self, csv_file):
+        cfg = replace(single_link_preset(), dt=1e-4, t_end=0.01)
+        plant, reference, perf, sim_cfg = build_problem(cfg)
+        with pytest.raises(ValueError, match="^csv_file must be a file with a descriptor"):
+            run(plant, reference, cfg.gains, perf, sim_cfg, csv_file=csv_file)
+        if isinstance(csv_file, io.StringIO):
+            assert csv_file.getvalue() == ""
 
 
 class TestRecorder:
