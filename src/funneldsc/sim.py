@@ -26,15 +26,17 @@ every stage's drift estimate as a scalar recurrence, and one update forms
 the new weights.  The step's statements come from one text
 (:func:`_step_text`), unrolled over the n stages as straight-line Python
 with the closed-form coefficients and the filter decays of
-:func:`_step_constants` bound in as globals, and the plant state and the
-filters as scalar locals.  ``run()`` compiles one function per run,
+:func:`_step_constants` bound in, and the plant state and the filters as
+scalar locals; ``codegen.compile_function`` compiles every finite float
+or int constant as a literal.  ``run()`` compiles one function per run,
 :data:`_LOOP`: the whole step loop, that is each step's basis read and
 opening kernel evaluation, the recorded row, the streaming verifier and
 the RK4 step, with the chain's kernel text inlined at all four RK stages
 (``ControllerChain.inline_kernel``), each copy's locals renamed per stage,
 and so are the plant's right-hand side (``plant.inline_rhs``) and the
 time inputs at each stage time.  The loop calls no Python function per
-step: only ``math`` builtins and, in fuzzy mode, the numpy ops.  It is
+step: only ``math`` builtins and, in fuzzy mode, the weight step's numpy
+methods and ``struct.pack_into``.  It is
 compiled under the name ``.../sim.py<run n=3 fuzzy sign exact>``, so
 profiles count the inlined texts' time under this module, and tracebacks
 show their lines as inlined.  The standalone :func:`step` is the same
@@ -42,9 +44,24 @@ statements with ``chain.kernel`` called where the loop inlines it, on the
 time inputs packed as a tuple per stage time, compiled under
 ``.../sim.py<step n=3 fuzzy exact>`` and cached by value: by the plant,
 the reference and the envelope, which compare by their texts and names,
-and the chain's constants.  Numpy ops stay numpy ops, as BLAS and pairwise
-sums add in another order than a Python loop; the tests' oracle
-``comprehension_step`` takes every float's operations in the step's
+and the chain's constants.
+
+In fuzzy mode the weight step runs in buffers that the generated function
+allocates once, at its start: ``rows.dot(thetaT, PROJ)`` projects theta on
+the step's three basis rows (``thetaT`` is a view of theta's transpose), one
+``struct.pack_into`` writes the 3n drive coefficients of the update into
+``DRIVES``, ``DRIVES.dot(rows, MIX)`` mixes the rows, and ``theta *=
+GROWTH`` and ``theta += MIX`` form the new weights in place.  That is the
+dgemm and the elementwise operations of ``GROWTH * theta + drives @ rows``,
+on the same operands in the same order, so every float is the same; a
+recorded row's weight norms are ``sqrt(add.reduce(theta * theta, 1))``
+into buffers of their own likewise.  The loop owns ``run()``'s weights;
+the standalone :func:`step` updates a copy of the caller's.  The products
+are the ``ndarray.dot`` method, not ``np.dot``, whose Python-level
+dispatcher would be one Python call per step, and not ``np.matmul(...,
+out=...)``, which is slower than ``@``.  The weight step stays numpy, as
+BLAS and pairwise sums add in another order than a Python loop; the tests'
+oracle ``comprehension_step`` takes every float's operations in the step's
 order, and ``oracle_run`` rebuilds ``run()`` from :func:`step`.  The
 step's end passes its time inputs at t + dt to the next step wherever
 (k+1)*dt is the float k*dt + dt.  The two steppers differ only in how the
@@ -290,12 +307,13 @@ def _step_constants(mus: tuple, varpis: tuple, lams: tuple, dt: float):
 # The opening reads the step's basis rows (from ``row`` of the table
 # ``basis, energy, cross1, cross2``) and evaluates the kernel at t; the
 # advance takes the RK4 step and leaves the new state in x1_<j>, s1_<i>
-# and theta.  The plant's right-hand side and the time inputs are their
-# texts inlined ({rhs<k>}, {mid}, {end}).  The constants are globals:
-# HALF = 0.5*dt, DT = dt, DT6 = dt/6.0, the _step_constants coefficients
-# c2_<j>_<m>, c3_<j>_<m>, c4_<j>_<m>, m_<j>_<m> and GROWTH, the decays
-# dh<i> and df<i> and the filter time constants lam<i>, and the globals of
-# the inlined texts.
+# and, updated in place through the buffers of _BUFFERS, theta.  The
+# plant's right-hand side and the time inputs are their texts inlined
+# ({rhs<k>}, {mid}, {end}).  The constants are globals, compiled as
+# literals where they are numbers: HALF = 0.5*dt, DT = dt, DT6 = dt/6.0,
+# the _step_constants coefficients c2_<j>_<m>, c3_<j>_<m>, c4_<j>_<m>,
+# m_<j>_<m> and GROWTH, the decays dh<i> and df<i> and the filter time
+# constants lam<i>, and the globals of the inlined texts.
 _ADVANCE = """\
 tm = t + HALF
 te = t + DT
@@ -326,10 +344,21 @@ _START = _TIME_INPUTS
 _MID = ("tm", "y_m", "dy_m", "eta_m", "etad_m")
 _END = ("te", "y_e", "dy_e", "eta_e", "etad_e")
 
+# The weight step's buffers in fuzzy mode, allocated once per call of the
+# generated function: PROJ for the projections of theta on a step's three
+# basis rows, DRIVES for the update's drive coefficients and MIX for their
+# product with the rows.  thetaT is a view, so it follows theta's updates,
+# which are in place.
+_BUFFERS = """\
+PROJ, DRIVES, MIX = empty((3, len(theta))), empty((len(theta), 3)), empty_like(theta)
+thetaT = theta.T"""
+
 # The standalone step: the kernel is called, and it reads its own rows.
+# It updates a copy of the caller's weights.
 _STEP = """\
 def step(kernel, tabulate, bundle, t):
     {x1}, {s1}, theta = bundle
+{buffers}
     basis, energy, cross1, cross2 = tabulate([t, t + HALF, t + DT])
     row = 0
 {inputs}
@@ -350,6 +379,7 @@ def step(kernel, tabulate, bundle, t):
 _LOOP = """\
 def run_loop(x, s, theta, block, fold, n_steps):
     {x1}, {s1} = x, s
+{buffers}
     filled = 0
     max_err = max_err_after = max_u = peak_u_t = 0.0
     steady_ok = True
@@ -374,6 +404,7 @@ def run_loop(x, s, theta, block, fold, n_steps):
                 if filled == BLOCK_ROWS:
                     block = fold(filled, filled)
                     filled = 0
+{norms}
                 pack_row(block, filled * ROW_BYTES, {sample})
                 filled += 1
             if not closing:
@@ -438,9 +469,6 @@ def _step_text(plant: StrictFeedbackPlant, reference: ReferenceSignal, perf: Per
     def unpacked(template, indices=states):
         return f"({', '.join(names(template, indices))},)"
 
-    def listed(template, indices=states):
-        return f"[{', '.join(names(template, indices))}]"
-
     def kernel(k):
         filtered = (1, 2, 2, 4)[k - 1] if exact_filter else k  # exact: stages 2, 3 share s2
         if fuzzy:
@@ -462,7 +490,7 @@ def _step_text(plant: StrictFeedbackPlant, reference: ReferenceSignal, perf: Per
     if fuzzy:
         basis = (
             "rows = basis[row:row + 3]\n"
-            f"{unpacked('p1_{i}')}, {unpacked('ph_{i}')}, {unpacked('p4_{i}')} = (rows @ theta.T).tolist()\n"
+            f"{unpacked('p1_{i}')}, {unpacked('ph_{i}')}, {unpacked('p4_{i}')} = rows.dot(thetaT, PROJ).tolist()\n"
             "g1h, ghh, g14, gh4 = cross1[row], energy[row + 1], cross2[row], cross1[row + 1]\n"
         )
         drifts = {
@@ -472,8 +500,11 @@ def _step_text(plant: StrictFeedbackPlant, reference: ReferenceSignal, perf: Per
                 "f4_{i} = c4_{i}_0 * p4_{i} + c4_{i}_1 * d1_{i} * g14 + (c4_{i}_2 * d3_{i} + c4_{i}_3 * d2_{i}) * gh4"),
         }
         fields["weights"] = (
-            "theta = GROWTH * theta + array("
-            + listed("[m_{i}_0 * d1_{i}, m_{i}_1 * d2_{i} + m_{i}_2 * d3_{i}, m_{i}_3 * d4_{i}]") + ") @ rows"
+            "pack_drives(DRIVES, 0, "
+            + ", ".join(names("m_{i}_0 * d1_{i}, m_{i}_1 * d2_{i} + m_{i}_2 * d3_{i}, m_{i}_3 * d4_{i}")) + ")\n"
+            "DRIVES.dot(rows, MIX)\n"
+            "theta *= GROWTH\n"
+            "theta += MIX"
         )
     else:
         basis = "en1, enh, en4 = energy[row:row + 3]\n"
@@ -521,7 +552,8 @@ def _step_globals(mus: tuple, varpis: tuple, lams: tuple, dt: float) -> dict:
     """The step's constants by their names in the step's statements."""
     c2, c3, c4, cmix, growth, half_decay, full_decay = _step_constants(mus, varpis, lams, dt)
     namespace = {
-        "np": np, "array": np.array, "HALF": 0.5 * dt, "DT": dt, "DT6": dt / 6.0, "GROWTH": growth,
+        "empty": np.empty, "empty_like": np.empty_like, "pack_drives": struct.Struct(f"{3 * len(mus)}d").pack_into,
+        "HALF": 0.5 * dt, "DT": dt, "DT6": dt / 6.0, "GROWTH": growth,
     }
     for prefix, table in (("c2", c2), ("c3", c3), ("c4", c4), ("m", cmix)):
         for j, coefficients in enumerate(table, start=1):
@@ -544,6 +576,7 @@ def _standalone_step(plant: StrictFeedbackPlant, reference: ReferenceSignal, per
     x, s = [f"x1_{j}" for j in states], [f"s1_{i}" for i in filters]
     source = _STEP.format(
         x1=f"({', '.join(x)},)", s1=f"({', '.join(s)},)", x_list=f"[{', '.join(x)}]", s_list=f"[{', '.join(s)}]",
+        buffers=textwrap.indent("theta = theta.copy()\n" + _BUFFERS, " " * 4) if fuzzy else "",
         inputs=textwrap.indent(inputs, " " * 4), opening=textwrap.indent(opening, " " * 4),
         advance=textwrap.indent(advance, " " * 4),
     )
@@ -574,14 +607,19 @@ def _compile_loop(plant: StrictFeedbackPlant, chain: ControllerChain, perf: Perf
     namespace.update(_step_globals(chain._mu, chain._varpi, chain._lam, config.dt))
     states, filters = range(1, n + 1), range(2, n + 1)
     x, s = [f"x1_{j}" for j in states], [f"s1_{i}" for i in filters]
-    norms = ["*np.sqrt(np.add.reduce(theta * theta, axis=1)).tolist()"] if fuzzy else []
-    sample = [
-        "t", *x, "y_r", "e", "atan_e", "eta_v", "-eta_v", "u1", *s, *(f"a1_{i}" for i in filters), *norms,
-        *(f"z{i}" for i in states),
-    ]
+    sample = ["t", *x, "y_r", "e", "atan_e", "eta_v", "-eta_v", "u1", *s, *(f"a1_{i}" for i in filters)]
+    buffers = norms = ""
+    if fuzzy:
+        # a recorded row's weight norms: np.sqrt(np.add.reduce(theta * theta,
+        # axis=1)), the path np.linalg.norm takes, into buffers of their own
+        buffers = _BUFFERS + "\nSQ, NORMS = empty_like(theta), empty(len(theta))"
+        norms = "multiply(theta, theta, SQ)\nadd_reduce(SQ, 1, None, NORMS)\nsquare_root(NORMS, NORMS)"
+        sample.append("*NORMS.tolist()")
+    sample += [f"z{i}" for i in states]
     source = _LOOP.format(
         x1=f"({', '.join(x)},)", s1=f"({', '.join(s)},)", sample=", ".join(sample),
         finite=" and ".join(f"isfinite({v})" for v in x),
+        buffers=textwrap.indent(buffers, " " * 4), norms=textwrap.indent(norms, " " * 16),
         inputs=textwrap.indent(inputs, " " * 16), opening=textwrap.indent(opening, " " * 12),
         advance=textwrap.indent(advance, " " * 16),
     )
@@ -589,6 +627,7 @@ def _compile_loop(plant: StrictFeedbackPlant, chain: ControllerChain, perf: Perf
         BLOCK=BASIS_BLOCK, BLOCK_ROWS=blocks.size, ROW_BYTES=blocks.row.size, pack_row=blocks.row.pack_into,
         RECORD_EVERY=config.record_every, AFTER_T=perf.T, TAN_C=math.tan(perf.c),
         tabulate=chain.tabulate_basis, isfinite=math.isfinite,
+        multiply=np.multiply, add_reduce=np.add.reduce, square_root=np.sqrt,
         FunnelBreachError=FunnelBreachError, SimulationDivergenceError=SimulationDivergenceError,
     )
     sign = "tanh" if chain.sign_smoothing > 0.0 else "sign"
@@ -613,7 +652,8 @@ def step(
     and the weights the same RK4 step of their law in closed form;
     ``exact_filter`` selects only the filter update (see the module
     docstring).  The step's statements are those of ``run()``'s loop, with
-    ``chain.kernel`` called where the loop inlines it.
+    ``chain.kernel`` called where the loop inlines it.  It updates a copy
+    of the bundle's weights, so the caller's bundle stays as it was.
     """
     advance = _standalone_step(
         plant, chain.reference, chain.transform.perf, chain._fuzzy, exact_filter, chain._mu, chain._varpi, chain._lam, dt)

@@ -419,7 +419,8 @@ class TestCompiledKernelRaises:
     def test_overflow_of_the_stage_one_square(self, mode):
         """A stage-1 product ``w * beta1`` past 1.34e154 raises OverflowError
         at its ``** 2``, as the oracle's does, and the traceback shows the
-        generated line."""
+        generated line, with stage 1's constants as the literals the kernel
+        was compiled with."""
         chain = distinct_chain(3, mode, 0.0)
         t, y_r, _, eta, eta_dot = chain.time_inputs(0.13)
         x, s = [y_r + 0.5, 0.3, -0.2], [0.1, 0.4]
@@ -431,7 +432,8 @@ class TestCompiledKernelRaises:
             chain.kernel(x, s, drifts, inputs)
         frame = err.traceback[-1]
         assert frame.name == "kernel" and "<kernel n=3" in str(frame.path)
-        assert "-wb * beta1 / (lo1 * sqrt(wb ** 2 + delta2_1))" in str(frame.statement)
+        lo1, delta2_1 = chain.bounds.gain_lower[0], chain.gains[0].delta ** 2
+        assert f"-wb * beta1 / ({lo1!r} * sqrt(wb ** 2 + {delta2_1!r}))" in str(frame.statement)
 
 
 class TestAdaptiveLaw:

@@ -55,6 +55,23 @@ class TestStep:
         assert start == sig0[:3]
         assert new_bundle[0] != bundle[0]
 
+    def test_step_leaves_the_callers_bundle_untouched(self):
+        """The step updates its own copy of the weights in place; the
+        caller's bundle keeps its states and its weights."""
+        cfg = electromechanical_preset()
+        plant, reference, perf, _ = build_problem(cfg)
+        chain = fresh_chain(cfg, plant, reference, perf)
+        state = chain.init_state(list(cfg.x0))
+        bundle = (list(cfg.x0), list(state.filter_states), np.array([w.theta_hat for w in state.theta_hat]))
+        for k in range(3):  # weights away from zero
+            bundle, _ = step(plant, chain, bundle, k * cfg.dt, cfg.dt)
+        x, s, theta = bundle
+        kept = (list(x), list(s), theta.copy())
+        new, _ = step(plant, chain, bundle, 3 * cfg.dt, cfg.dt)
+        assert bundle[0] is x and bundle[1] is s and bundle[2] is theta
+        assert (x, s) == kept[:2] and np.array_equal(theta, kept[2])
+        assert new[2] is not theta and not np.array_equal(new[2], theta)
+
     def test_exact_and_explicit_filters_agree(self):
         plant, reference, gains, perf = sl_problem()
         results = {}
@@ -298,6 +315,42 @@ class TestStepConstants:
             run(plant, reference, gains, perf, cfg)
             assert len(compiled) == k
             assert compiled[-1].endswith("sim.py<run n=2 approx-free sign exact>")
+
+
+class TestLiteralConstants:
+    """``run()``'s loop reads no finite float or int as a global:
+    ``codegen.compile_function`` compiles each constant as a literal, those
+    of the inlined texts included."""
+
+    @pytest.mark.parametrize("preset, dt", [
+        (electromechanical_preset, 1e-6),
+        (single_link_preset, 1e-4),
+    ], ids=["em", "sl"])
+    @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE], ids=lambda m: m.value)
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "explicit"])
+    def test_the_loop_reads_no_number_global(self, preset, dt, mode, exact, monkeypatch):
+        loops = []
+        compile_function = sim.compile_function
+
+        def kept(source, filename, namespace):
+            loops.append(compile_function(source, filename, namespace))
+            return loops[-1]
+
+        monkeypatch.setattr(sim, "compile_function", kept)
+        cfg = replace(preset(mode=mode), dt=dt, t_end=10 * dt, exact_filter=exact)
+        plant, reference, perf, sim_cfg = build_problem(cfg)
+        run(plant, reference, cfg.gains, perf, sim_cfg)
+        (loop,) = loops
+
+        def names(code):  # the loop's and its comprehension's
+            return {*code.co_names, *(n for c in code.co_consts if hasattr(c, "co_names") for n in names(c))}
+
+        def number(value):
+            return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+        read = {name: loop.__globals__[name] for name in names(loop.__code__) if name in loop.__globals__}
+        assert {"tabulate", "pack_row"} <= set(read)
+        assert [name for name, value in read.items() if number(value)] == []
 
 
 class TestStageTimes:
@@ -594,6 +647,22 @@ class TestRunBookkeeping:
     def test_rejects_wrong_initial_state_length(self):
         with pytest.raises(ValueError, match="x0"):
             self.run_short(x0=(0.0, 0.0, 0.0))
+
+    def test_runs_carry_no_state_from_one_to_the_next(self):
+        """Each run allocates its own buffers: a fuzzy run repeated after
+        runs of another order and of another start gives the same rows and
+        report."""
+        def fuzzy_run(preset, **changes):
+            cfg = replace(preset(mode=ControlMode.FUZZY), t_end=0.01, record_every=1, **changes)
+            plant, reference, perf, sim_cfg = build_problem(cfg)
+            return run(plant, reference, cfg.gains, perf, sim_cfg)
+
+        traj, report = fuzzy_run(electromechanical_preset)
+        fuzzy_run(single_link_preset, dt=1e-4)
+        fuzzy_run(electromechanical_preset, x0=(-5.0, -3.0, -2.0))
+        again_traj, again_report = fuzzy_run(electromechanical_preset)
+        assert np.array_equal(again_traj.data, traj.data)
+        assert again_report == report
 
 
 class TestColumnarRecord:
@@ -1027,7 +1096,8 @@ class TestDivergenceHandling:
         """A reference slope of 1e160 from t = 3e-4 makes w * beta1 overflow
         at its ``** 2`` in the kernel, first at the end stage of the step
         from 2e-4: the traceback shows the kernel's line as the run's loop
-        inlines it at RK stage 4."""
+        inlines it at RK stage 4, with stage 1's constants as the literals
+        the loop was compiled with."""
         plant, reference, gains, perf = sl_problem()
         steep = replace(reference, derivative_text=f"1e160 if t >= 3e-4 else {reference.derivative_text}")
         cfg = SimConfig(dt=1e-4, t_end=0.01, x0=(3.3, 0.0), mode=mode)
@@ -1038,7 +1108,8 @@ class TestDivergenceHandling:
         assert isinstance(cause, OverflowError)
         frame = traceback.extract_tb(cause.__traceback__)[-1]
         assert frame.name == "run_loop" and frame.filename.endswith(f"sim.py<run n=2 {mode.value} sign exact>")
-        assert frame.line == "-wb__4 * beta1__4 / (lo1 * sqrt(wb__4 ** 2 + delta2_1))"
+        lo1, delta2_1 = plant.bounds().gain_lower[0], gains[0].delta ** 2
+        assert frame.line == f"-wb__4 * beta1__4 / ({lo1!r} * sqrt(wb__4 ** 2 + {delta2_1!r}))"
 
     def test_overflow_at_the_start_is_divergence(self):
         plant, reference, gains, perf = sl_problem()
