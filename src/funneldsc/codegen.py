@@ -69,6 +69,10 @@ def _with_literals(source: str, filename: str, namespace: dict) -> str:
     literals = {name: text for name, value in namespace.items() if (text := _literal(value)) is not None}
     if not literals:
         return source
+    # The bound names come from the symbol table, not from _KEYWORD, which
+    # cannot tell "X = 2.0" from "f(X=2.0)": without the table an assigned X
+    # would stay a name while later reads of X became the global's literal,
+    # and the text would compile, with no SyntaxError to show it.
     for name in _bound(symtable.symtable(source, filename, "exec")):
         literals.pop(name, None)
     parts = _TOKEN.split(source)

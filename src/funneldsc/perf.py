@@ -178,10 +178,7 @@ class ErrorTransform:
 
     def transform(self, e: float, t: float) -> float:
         """Map error e to the unconstrained coordinate z1; raises on breach."""
-        return self._transform(e, t, self.perf.eta(t))
-
-    @staticmethod
-    def _transform(e: float, t: float, eta: float) -> float:
+        eta = self.perf.eta(t)
         theta = math.atan(e)
         if abs(theta) >= eta:
             raise FunnelBreachError(t, e, eta)

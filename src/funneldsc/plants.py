@@ -59,7 +59,7 @@ def _statements(text: str) -> str:
 class ReferenceSignal:
     """Reference trajectory with its analytic derivative: ``value_text``
     and ``derivative_text`` are one-line expressions in ``t`` that read
-    every other name from ``names``, whose values must be hashable."""
+    every other name from ``names``."""
 
     value_text: str
     derivative_text: str
@@ -67,9 +67,6 @@ class ReferenceSignal:
 
     def __post_init__(self):
         object.__setattr__(self, "names", MappingProxyType(dict(self.names)))
-
-    def __hash__(self):
-        return hash((self.value_text, self.derivative_text, *sorted(self.names.items())))
 
     def _compiled(self, name: str, text: str):
         return compile_function(f"def {name}(t):\n    return {text.strip()}\n", f"{__file__}<reference {name}>",
@@ -100,8 +97,8 @@ class StrictFeedbackPlant:
 
     ``rhs_text`` is the right-hand side of the whole cascade: statements
     that assign ``dx1..dxn`` from ``x1..xn``, ``u`` and ``t`` and read
-    every other name from ``names``, whose values must be hashable.  It is
-    simulator-only; controllers must go through :meth:`bounds`.
+    every other name from ``names``.  It is simulator-only; controllers
+    must go through :meth:`bounds`.
     """
 
     n: int
@@ -121,10 +118,6 @@ class StrictFeedbackPlant:
             if not 0.0 < lo <= hi:
                 raise ValueError("gain bounds must satisfy 0 < lower <= upper")
         object.__setattr__(self, "names", MappingProxyType(dict(self.names)))
-
-    def __hash__(self):
-        return hash((self.n, self.rhs_text, *sorted(self.names.items()), self.gain_lower, self.gain_upper,
-                     self.lipschitz_rate))
 
     def bounds(self) -> PlantBounds:
         """The controller-visible view of this plant."""

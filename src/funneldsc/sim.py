@@ -1,71 +1,26 @@
 """Fixed-step closed-loop integration and performance-bound verification.
 
 The augmented state couples the plant, the first-order filters of the
-control chain, and (in fuzzy mode) the adaptive weights.  Each step
-evaluates the plant's one right-hand side (its text ``plant.rhs_text``)
-and the controller's one kernel (``ControllerChain.kernel``), which takes
-numbers only.  Its basis input comes from one read per step of the basis
-rows at t, t+dt/2 and t+dt, their energies and Gram products: the drift
-estimates theta_i . basis in fuzzy mode, the energy basis . basis in
-approximator-free mode.  ``run()`` tabulates the half-step grid i*dt/2 in
-blocks of :data:`BASIS_BLOCK` rows plus two rows of overlap, and step k
-reads rows 2k..2k+2 of the block that holds row 2k; a standalone
-:func:`step` tabulates its own three rows.  Its time inputs (y_r, dy_r,
-eta and eta_dot, by the texts of the reference and the envelope,
-``controller.inline_time_inputs``) are evaluated once per stage time, into
-locals: t (whose y_r the verifier reads too), t + 0.5*dt for RK stages 2
-and 3, and t + dt.  At some steps these differ by an ulp from the grid's
-(2k+1)*dt/2 and (2k+2)*dt/2, enough to move the weak-gain run's peaks
-past the benchmark's golden records, so they stay off the grid until
-those are re-recorded.
+control chain, and (in fuzzy mode) the adaptive weights.  :func:`run`
+integrates it over [0, t_end] and verifies the funnel bounds; :func:`step`
+takes one step of it.
 
-One RK4 step: the plant takes the four RK4 stages.  The weights take the
-same RK4 step of their linear law in closed form, once per step: one
-projection of theta on the step's three basis rows (t, t+dt/2, t+dt) gives
-every stage's drift estimate as a scalar recurrence, and one update forms
-the new weights.  The step's statements come from one text
-(:func:`_step_text`), unrolled over the n stages as straight-line Python
-with the closed-form coefficients and the filter decays of
-:func:`_step_constants` bound in, and the plant state and the filters as
-scalar locals; ``codegen.compile_function`` compiles every finite float
-or int constant as a literal.  ``run()`` compiles one function per run,
-:data:`_LOOP`: the whole step loop, that is each step's basis read and
-opening kernel evaluation, the recorded row, the streaming verifier and
-the RK4 step, with the chain's kernel text inlined at all four RK stages
-(``ControllerChain.inline_kernel``), each copy's locals renamed per stage,
-and so are the plant's right-hand side (``plant.inline_rhs``) and the
-time inputs at each stage time.  The loop calls no Python function per
-step: only ``math`` builtins and, in fuzzy mode, the weight step's numpy
-methods and ``struct.pack_into``.  It is
-compiled under the name ``.../sim.py<run n=3 fuzzy sign exact>``, so
-profiles count the inlined texts' time under this module, and tracebacks
-show their lines as inlined.  The standalone :func:`step` is the same
-statements with ``chain.kernel`` called where the loop inlines it, on the
-time inputs packed as a tuple per stage time, compiled under
-``.../sim.py<step n=3 fuzzy exact>`` and cached by value: by the plant,
-the reference and the envelope, which compare by their texts and names,
-and the chain's constants.
-
-In fuzzy mode the weight step runs in buffers that the generated function
-allocates once, at its start: ``rows.dot(thetaT, PROJ)`` projects theta on
-the step's three basis rows (``thetaT`` is a view of theta's transpose), one
-``struct.pack_into`` writes the 3n drive coefficients of the update into
-``DRIVES``, ``DRIVES.dot(rows, MIX)`` mixes the rows, and ``theta *=
-GROWTH`` and ``theta += MIX`` form the new weights in place.  That is the
-dgemm and the elementwise operations of ``GROWTH * theta + drives @ rows``,
-on the same operands in the same order, so every float is the same; a
-recorded row's weight norms are ``sqrt(add.reduce(theta * theta, 1))``
-into buffers of their own likewise.  The loop owns ``run()``'s weights;
-the standalone :func:`step` updates a copy of the caller's.  The products
-are the ``ndarray.dot`` method, not ``np.dot``, whose Python-level
-dispatcher would be one Python call per step, and not ``np.matmul(...,
-out=...)``, which is slower than ``@``.  The weight step stays numpy, as
-BLAS and pairwise sums add in another order than a Python loop; the tests'
-oracle ``comprehension_step`` takes every float's operations in the step's
-order, and ``oracle_run`` rebuilds ``run()`` from :func:`step`.  The
-step's end passes its time inputs at t + dt to the next step wherever
-(k+1)*dt is the float k*dt + dt.  The two steppers differ only in how the
-filters s' = (alpha - s)/lam move:
+One RK4 step: the plant takes the four RK4 stages, each evaluating the
+plant's one right-hand side (its text ``plant.rhs_text``) and the
+controller's one kernel (``ControllerChain.kernel``), which takes numbers
+only.  The time inputs (y_r, dy_r, eta and eta_dot, by the texts of the
+reference and the envelope) are evaluated once per stage time: t, t +
+0.5*dt for RK stages 2 and 3, and t + dt.  At some steps these differ by an
+ulp from the basis grid's (2k+1)*dt/2 and (2k+2)*dt/2, enough to move the
+weak-gain run's peaks past the benchmark's golden records, so they stay
+off the grid until those are re-recorded.  The weights take the same RK4
+step of their linear law in closed form, once per step
+(:func:`_step_constants`): one projection of theta on the step's three
+basis rows (t, t+dt/2, t+dt) gives every stage's drift estimate as a
+scalar recurrence (theta_i . basis in fuzzy mode; approximator-free mode
+reads the energies basis . basis), and one update ``GROWTH * theta +
+drives @ rows`` forms the new weights.  The filters s' = (alpha - s)/lam
+move in one of two ways:
 
 - exact filter (default): along their closed-form exponential toward the
   virtual control ``alpha`` frozen at the step start.  This removes the
@@ -75,6 +30,37 @@ filters s' = (alpha - s)/lam move:
 - ``exact_filter=False``: by the RK4 stages of their law, from the
   ``alpha`` the kernel returns at each stage; it needs dt <= lam_min / 5
   (:func:`check_explicit_step`).
+
+:func:`step` is that step in its plain form: ``chain.kernel`` and
+``plant.rhs`` called per RK stage, one list comprehension per stage
+quantity, numpy for the weights.  ``run()`` never calls it.  ``run()``
+compiles one function per run, :data:`_LOOP`: the whole step loop, that is
+each step's basis read and opening kernel evaluation, the recorded row,
+the streaming verifier and the RK4 step, unrolled over the n stages as
+straight-line Python (:func:`_step_text`) with the kernel, the right-hand
+side and the time inputs inlined as text at each RK stage and every
+finite number compiled as a literal (``codegen.compile_function``).  The
+loop calls no Python function per step: only ``math`` builtins and, in
+fuzzy mode, the weight step's numpy methods and ``struct.pack_into``.  Its
+statements take :func:`step`'s float operations in the same order, so
+every float is the same, and the tests hold the loop to a run rebuilt from
+:func:`step`, which shares no text with it.  It is compiled under the name
+``.../sim.py<run n=3 fuzzy sign exact>``, so profiles count the inlined
+texts' time under this module, and tracebacks show their lines as inlined.
+``run()`` tabulates the basis on the half-step grid i*dt/2 in blocks of
+:data:`BASIS_BLOCK` rows plus two rows of overlap, and step k reads rows
+2k..2k+2 of the block that holds row 2k; :func:`step` tabulates its own
+three rows.  The loop passes a step's time inputs at t + dt to the next
+step wherever (k+1)*dt is the float k*dt + dt.
+
+In fuzzy mode the loop forms the new weights in place, in buffers that it
+allocates once per run (:data:`_BUFFERS`), by the dgemm and the
+elementwise operations of :func:`step`'s ``GROWTH * theta + drives @
+rows``, on the same operands in the same order.  The products are the
+``ndarray.dot`` method, not ``np.dot``, whose Python-level dispatcher would
+be one Python call per step, and not ``np.matmul(..., out=...)``, which is
+slower than ``@``.  The weight step stays numpy, as BLAS and pairwise sums
+add in another order than a Python loop.
 
 The loop runs over the n_steps + 1 sample times; sample k opens step k,
 and the last, at t_end, is opened, recorded and verified like the others
@@ -105,7 +91,6 @@ each float, ``,`` between fields and ``\\r\\n`` line ends, the bytes
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -292,14 +277,13 @@ def _step_constants(mus: tuple, varpis: tuple, lams: tuple, dt: float):
         z = varpi * dt
         growth.append(1.0 - z + z * z / 2.0 - z**3 / 6.0 + z**4 / 24.0)
     growth = np.array(growth)[:, None]
-    growth.flags.writeable = False  # shared by every call of the compiled step
     half = tuple(math.exp(-0.5 * dt / lam) for lam in lams)
     full = tuple(math.exp(-dt / lam) for lam in lams)
     return tuple(c2), tuple(c3), tuple(c4), tuple(cmix), growth, half, full
 
 
-# One RK4 step of an n-stage chain, as statements that the standalone step
-# and the run loop share.  Per RK stage k, x<k>_<j> is plant state j,
+# One RK4 step of an n-stage chain, as the run loop's statements: step()'s
+# float operations in its order.  Per RK stage k, x<k>_<j> is plant state j,
 # s<k>_<i> filter i, u<k> the control, a<k>_<i> the alpha that filter i
 # tracks, d<k>_<j> the drive and f<k>_<j> the drift estimate of stage j,
 # and k<k>_<j> the plant derivative.  The time inputs at the stage times
@@ -344,28 +328,16 @@ _START = _TIME_INPUTS
 _MID = ("tm", "y_m", "dy_m", "eta_m", "etad_m")
 _END = ("te", "y_e", "dy_e", "eta_e", "etad_e")
 
-# The weight step's buffers in fuzzy mode, allocated once per call of the
-# generated function: PROJ for the projections of theta on a step's three
-# basis rows, DRIVES for the update's drive coefficients and MIX for their
-# product with the rows.  thetaT is a view, so it follows theta's updates,
-# which are in place.
+# The loop's buffers in fuzzy mode, allocated once per run: PROJ for the
+# projections of theta on a step's three basis rows, DRIVES for the update's
+# drive coefficients and MIX for their product with the rows; SQ and NORMS
+# for a recorded row's weight norms, np.sqrt(np.add.reduce(theta * theta,
+# axis=1)), the path np.linalg.norm takes.  thetaT is a view, so it follows
+# theta's updates, which are in place.
 _BUFFERS = """\
 PROJ, DRIVES, MIX = empty((3, len(theta))), empty((len(theta), 3)), empty_like(theta)
-thetaT = theta.T"""
-
-# The standalone step: the kernel is called, and it reads its own rows.
-# It updates a copy of the caller's weights.
-_STEP = """\
-def step(kernel, tabulate, bundle, t):
-    {x1}, {s1}, theta = bundle
-{buffers}
-    basis, energy, cross1, cross2 = tabulate([t, t + HALF, t + DT])
-    row = 0
-{inputs}
-{opening}
-{advance}
-    return ({x_list}, {s_list}, theta), start
-"""
+thetaT = theta.T
+SQ, NORMS = empty_like(theta), empty(len(theta))"""
 
 # The run: the kernel is inlined at every stage.  Sample k opens step k,
 # which reads rows 2k..2k+2 of the half-step grid i*dt/2, tabulated in
@@ -435,18 +407,16 @@ def run_loop(x, s, theta, block, fold, n_steps):
 """
 
 
-def _step_text(plant: StrictFeedbackPlant, reference: ReferenceSignal, perf: PerfFunction, fuzzy: bool,
-               exact_filter: bool, kernel_at):
-    """``(inputs, opening, advance, namespace)``: the step's statements for
-    one plant, reference, envelope, mode and filter update, at indentation
-    0, and the globals of the texts they inline.  ``inputs`` are the time
-    inputs at t, which the opening reads.  ``kernel_at(k, args, outputs)``
-    gives the statements that evaluate the kernel at RK stage k on the
-    locals named by ``args`` = (x, filter_states, drifts, inputs), inputs
-    being one of :data:`_START`, :data:`_MID` and :data:`_END`, into those
-    named by ``outputs`` = (u, alpha, drives)."""
-    n = plant.n
+def _step_text(plant: StrictFeedbackPlant, chain: ControllerChain, exact_filter: bool):
+    """``(inputs, opening, advance, namespace)``: the run loop's statements
+    for one step of ``chain`` on ``plant``, at indentation 0, and the
+    globals of the texts they inline.  ``inputs`` are the time inputs at t,
+    which the opening reads.  The kernel is inlined at each RK stage
+    (``ControllerChain.inline_kernel``); the opening's copy keeps the locals
+    that a recorded row and the verifier read."""
+    n, fuzzy, reference, perf = plant.n, chain._fuzzy, chain.reference, chain.transform.perf
     states, filters = range(1, n + 1), range(2, n + 1)
+    keep = ("e", "atan_e", "y_r", "eta_v", *(f"z{i}" for i in states))
     namespace = {}
 
     def inlined(statements, globals_):
@@ -476,8 +446,9 @@ def _step_text(plant: StrictFeedbackPlant, reference: ReferenceSignal, perf: Per
         else:
             drifts = ("en1", "enh", "enh", "en4")[k - 1]
         inputs = (_START, _MID, _MID, _END)[k - 1]
+        args = (names(f"x{k}_{{i}}"), names(f"s{filtered}_{{i}}", filters), drifts, inputs)
         outputs = (f"u{k}", names(f"a{k}_{{i}}", filters), names(f"d{k}_{{i}}") if fuzzy else None)
-        return kernel_at(k, (names(f"x{k}_{{i}}"), names(f"s{filtered}_{{i}}", filters), drifts, inputs), outputs)
+        return inlined(*chain.inline_kernel(str(k), args, outputs, keep if k == 1 else ()))
 
     fields = {
         "mid": time_inputs(_MID), "end": time_inputs(_END),
@@ -532,87 +503,28 @@ def _step_text(plant: StrictFeedbackPlant, reference: ReferenceSignal, perf: Per
     return time_inputs(_START), basis + kernel(1), _ADVANCE.format(**fields), namespace
 
 
-def _kernel_call(k: int, args, outputs) -> str:
-    """RK stage k's kernel as a call of the ``kernel`` argument, on the
-    time inputs packed as one tuple per stage time, which stages 2 and 3
-    share; the opening's call keeps its output as ``start``."""
-    (x, s, drifts, inputs), (u, alpha, drives) = args, outputs
-    packed = ("inputs", "mid", "mid", "end")[k - 1]
-
-    def listed(names):
-        return f"[{', '.join(names)}]"
-
-    pack = "" if k == 3 else f"{packed} = ({', '.join(inputs)})\n"
-    call = f"kernel({listed(x)}, {listed(s)}, {drifts if isinstance(drifts, str) else listed(drifts)}, {packed})"
-    target = f"{u}, ({', '.join(alpha)},), " + (f"({', '.join(drives)},)" if drives else "_")
-    return pack + (f"start = {call}\n{target} = start\n" if k == 1 else f"{target} = {call}\n")
-
-
-def _step_globals(mus: tuple, varpis: tuple, lams: tuple, dt: float) -> dict:
-    """The step's constants by their names in the step's statements."""
-    c2, c3, c4, cmix, growth, half_decay, full_decay = _step_constants(mus, varpis, lams, dt)
-    namespace = {
-        "empty": np.empty, "empty_like": np.empty_like, "pack_drives": struct.Struct(f"{3 * len(mus)}d").pack_into,
-        "HALF": 0.5 * dt, "DT": dt, "DT6": dt / 6.0, "GROWTH": growth,
-    }
-    for prefix, table in (("c2", c2), ("c3", c3), ("c4", c4), ("m", cmix)):
-        for j, coefficients in enumerate(table, start=1):
-            namespace.update({f"{prefix}_{j}_{m}": c for m, c in enumerate(coefficients)})
-    for i, (lam, dh, df) in enumerate(zip(lams, half_decay, full_decay), start=2):
-        namespace.update({f"lam{i}": lam, f"dh{i}": dh, f"df{i}": df})
-    return namespace
-
-
-@functools.lru_cache(maxsize=8)
-def _standalone_step(plant: StrictFeedbackPlant, reference: ReferenceSignal, perf: PerfFunction, fuzzy: bool,
-                     exact_filter: bool, mus: tuple, varpis: tuple, lams: tuple, dt: float):
-    """:data:`_STEP` for one plant, reference, envelope and chain shape,
-    compiled with its constants bound in: ``step(kernel, tabulate,
-    bundle, t)``.  Cached by value: the plant, the reference and the
-    envelope compare by their texts and names."""
-    inputs, opening, advance, namespace = _step_text(plant, reference, perf, fuzzy, exact_filter, _kernel_call)
-    n = plant.n
-    states, filters = range(1, n + 1), range(2, n + 1)
-    x, s = [f"x1_{j}" for j in states], [f"s1_{i}" for i in filters]
-    source = _STEP.format(
-        x1=f"({', '.join(x)},)", s1=f"({', '.join(s)},)", x_list=f"[{', '.join(x)}]", s_list=f"[{', '.join(s)}]",
-        buffers=textwrap.indent("theta = theta.copy()\n" + _BUFFERS, " " * 4) if fuzzy else "",
-        inputs=textwrap.indent(inputs, " " * 4), opening=textwrap.indent(opening, " " * 4),
-        advance=textwrap.indent(advance, " " * 4),
-    )
-    namespace.update(_step_globals(mus, varpis, lams, dt))
-    filename = f"{__file__}<step n={n} {'fuzzy' if fuzzy else 'approx-free'} {'exact' if exact_filter else 'explicit'}>"
-    return compile_function(source, filename, namespace)
-
-
-def _compile_loop(plant: StrictFeedbackPlant, chain: ControllerChain, perf: PerfFunction, config: SimConfig,
-                  blocks: _Blocks):
+def _compile_loop(plant: StrictFeedbackPlant, chain: ControllerChain, config: SimConfig, blocks: _Blocks):
     """:data:`_LOOP` for one run, with the chain's kernel inlined at each
     RK stage and the run's constants bound in: ``run_loop(x, s, theta,
     block, fold, n_steps)`` records into the blocks of ``blocks`` and
     returns the rows of its last block, the breach time and the streamed
     verification."""
-    n, fuzzy, exact_filter = chain.bounds.n, chain._fuzzy, config.exact_filter
-    # the opening's locals that a recorded row and the verifier read
-    keep = ("e", "atan_e", "y_r", "eta_v", *(f"z{i}" for i in range(1, n + 1)))
-    kernel_constants = {}
-
-    def inline(k, args, outputs):
-        statements, constants = chain.inline_kernel(str(k), args, outputs, keep if k == 1 else ())
-        kernel_constants.update(constants)
-        return statements
-
-    inputs, opening, advance, namespace = _step_text(plant, chain.reference, perf, fuzzy, exact_filter, inline)
-    namespace.update(kernel_constants)
-    namespace.update(_step_globals(chain._mu, chain._varpi, chain._lam, config.dt))
+    n, fuzzy, exact_filter, dt = chain.bounds.n, chain._fuzzy, config.exact_filter, config.dt
+    perf = chain.transform.perf
+    inputs, opening, advance, namespace = _step_text(plant, chain, exact_filter)
+    # the step's constants by their names in _ADVANCE
+    c2, c3, c4, cmix, growth, half_decay, full_decay = _step_constants(chain._mu, chain._varpi, chain._lam, dt)
+    for prefix, table in (("c2", c2), ("c3", c3), ("c4", c4), ("m", cmix)):
+        for j, coefficients in enumerate(table, start=1):
+            namespace.update({f"{prefix}_{j}_{m}": c for m, c in enumerate(coefficients)})
+    for i, (lam, dh, df) in enumerate(zip(chain._lam, half_decay, full_decay), start=2):
+        namespace.update({f"lam{i}": lam, f"dh{i}": dh, f"df{i}": df})
     states, filters = range(1, n + 1), range(2, n + 1)
     x, s = [f"x1_{j}" for j in states], [f"s1_{i}" for i in filters]
     sample = ["t", *x, "y_r", "e", "atan_e", "eta_v", "-eta_v", "u1", *s, *(f"a1_{i}" for i in filters)]
     buffers = norms = ""
     if fuzzy:
-        # a recorded row's weight norms: np.sqrt(np.add.reduce(theta * theta,
-        # axis=1)), the path np.linalg.norm takes, into buffers of their own
-        buffers = _BUFFERS + "\nSQ, NORMS = empty_like(theta), empty(len(theta))"
+        buffers = _BUFFERS
         norms = "multiply(theta, theta, SQ)\nadd_reduce(SQ, 1, None, NORMS)\nsquare_root(NORMS, NORMS)"
         sample.append("*NORMS.tolist()")
     sample += [f"z{i}" for i in states]
@@ -624,6 +536,8 @@ def _compile_loop(plant: StrictFeedbackPlant, chain: ControllerChain, perf: Perf
         advance=textwrap.indent(advance, " " * 16),
     )
     namespace.update(
+        HALF=0.5 * dt, DT=dt, DT6=dt / 6.0, GROWTH=growth, pack_drives=struct.Struct(f"{3 * n}d").pack_into,
+        empty=np.empty, empty_like=np.empty_like,
         BLOCK=BASIS_BLOCK, BLOCK_ROWS=blocks.size, ROW_BYTES=blocks.row.size, pack_row=blocks.row.pack_into,
         RECORD_EVERY=config.record_every, AFTER_T=perf.T, TAN_C=math.tan(perf.c),
         tabulate=chain.tabulate_basis, isfinite=math.isfinite,
@@ -649,15 +563,76 @@ def step(
 
     Returns (new_bundle, start), ``start`` being the kernel output
     ``(u, alpha, drives)`` at (bundle, t).  The plant takes the RK4 stages
-    and the weights the same RK4 step of their law in closed form;
-    ``exact_filter`` selects only the filter update (see the module
-    docstring).  The step's statements are those of ``run()``'s loop, with
-    ``chain.kernel`` called where the loop inlines it.  It updates a copy
-    of the bundle's weights, so the caller's bundle stays as it was.
+    and the weights the same RK4 step of their law in closed form
+    (:func:`_step_constants`); ``exact_filter`` selects only the filter
+    update (see the module docstring).  The caller's bundle stays as it
+    was.
+
+    This is the step in its plain form: ``chain.kernel`` and ``plant.rhs``
+    called per RK stage, one list comprehension per stage quantity.
+    ``run()`` never calls it; its loop is generated text that takes the
+    same float operations in the same order, and the tests check that loop
+    against this step float for float.
     """
-    advance = _standalone_step(
-        plant, chain.reference, chain.transform.perf, chain._fuzzy, exact_filter, chain._mu, chain._varpi, chain._lam, dt)
-    return advance(chain.kernel, chain.tabulate_basis, bundle, t)
+    x, s, theta = bundle
+    half = 0.5 * dt
+    rows, energies, cross1, cross2 = chain.tabulate_basis([t, t + half, t + dt])
+    kernel, rhs, lams = chain.kernel, plant.rhs, chain._lam
+    c2, c3, c4, cmix, growth, half_decay, full_decay = _step_constants(chain._mu, chain._varpi, lams, dt)
+    mid, end = chain.time_inputs(t + half), chain.time_inputs(t + dt)
+
+    def moved(v, h, dv):
+        return [vi + h * di for vi, di in zip(v, dv)]
+
+    def rk4(v, k1, k2, k3, k4):
+        return [vi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d) for vi, a, b, c, d in zip(v, k1, k2, k3, k4)]
+
+    def rate(alpha, sk):  # the filters' law s' = (alpha - s)/lam
+        return [(a - si) / lam for a, si, lam in zip(alpha, sk, lams)]
+
+    if chain._fuzzy:
+        p1, ph, p4 = (rows @ theta.T).tolist()  # theta . b at the three rows, per stage
+        g1h, ghh, g14, gh4 = cross1[0], energies[1], cross2[0], cross1[1]
+    else:
+        p1, f2, f4 = energies
+        f3 = f2
+    start = u1, a1, d1 = kernel(x, s, p1, chain.time_inputs(t))
+    if exact_filter:  # toward the alpha frozen at t
+        s2 = s3 = [a + (si - a) * d for a, si, d in zip(a1, s, half_decay)]
+        s4 = s_new = [a + (si - a) * d for a, si, d in zip(a1, s, full_decay)]
+    else:
+        ks1 = rate(a1, s)
+        s2 = moved(s, half, ks1)
+    kx1 = rhs(x, u1, t)
+    x2 = moved(x, half, kx1)
+    if chain._fuzzy:
+        f2 = [k0 * p + k1 * da * g1h for (k0, k1), p, da in zip(c2, ph, d1)]
+    u2, a2, d2 = kernel(x2, s2, f2, mid)
+    kx2 = rhs(x2, u2, mid[0])
+    x3 = moved(x, half, kx2)
+    if not exact_filter:
+        ks2 = rate(a2, s2)
+        s3 = moved(s, half, ks2)
+    if chain._fuzzy:
+        f3 = [k0 * p + k1 * da * g1h + k2 * db * ghh for (k0, k1, k2), p, da, db in zip(c3, ph, d1, d2)]
+    u3, a3, d3 = kernel(x3, s3, f3, mid)
+    kx3 = rhs(x3, u3, mid[0])
+    x4 = moved(x, dt, kx3)
+    if not exact_filter:
+        ks3 = rate(a3, s3)
+        s4 = moved(s, dt, ks3)
+    if chain._fuzzy:
+        f4 = [k0 * p + k1 * da * g14 + (k2 * dc + k3 * db) * gh4
+              for (k0, k1, k2, k3), p, da, db, dc in zip(c4, p4, d1, d2, d3)]
+    u4, a4, d4 = kernel(x4, s4, f4, end)
+    x_new = rk4(x, kx1, kx2, kx3, rhs(x4, u4, end[0]))
+    if not exact_filter:
+        s_new = rk4(s, ks1, ks2, ks3, rate(a4, s4))
+    if chain._fuzzy:
+        drives = [[k0 * da, k1 * db + k2 * dc, k3 * dd]
+                  for (k0, k1, k2, k3), da, db, dc, dd in zip(cmix, d1, d2, d3, d4)]
+        theta = growth * theta + np.array(drives) @ rows
+    return (x_new, s_new, theta), start
 
 
 def run(
@@ -737,7 +712,7 @@ def run(
         theta = np.zeros((0, 0))
     blocks = _Blocks(names, n_steps // config.record_every + 2, csv_file)
     try:
-        run_loop = _compile_loop(plant, chain, perf, config, blocks)
+        run_loop = _compile_loop(plant, chain, config, blocks)
         rows, breach, max_err, max_err_after, max_u, peak_u_t, steady_ok = run_loop(
             config.x0, cstate.filter_states, theta, memoryview(blocks.block), blocks.fold, n_steps)
         transient_ok = breach is None

@@ -6,8 +6,9 @@ signal, where the compiled kernel returns only ``(u, alpha, drives)``.
 The stage-formula tests check the oracle's signals against the paper's
 formulas, and the oracle equals the compiled kernel float for float.
 ``zeta`` is the oracle's energy-slope factor, the kernel's ``zt<i>``.
-``oracle_run`` is ``sim.run`` rebuilt sample by sample from the
-standalone step and the oracle.
+``oracle_run`` is ``sim.run`` rebuilt sample by sample from the plain
+``sim.step`` and the oracle, which share no text with ``run()``'s
+generated loop.
 
 ``RHS``, ``REFERENCES`` and ``envelope_method`` are the built-in plants'
 right-hand sides, their references and the envelope as they were
@@ -215,7 +216,7 @@ def settled_filters(chain, x0) -> list:
 
 
 def oracle_run(plant, chain, config):
-    """``sim.run`` rebuilt from the standalone ``sim.step`` and the indexed
+    """``sim.run`` rebuilt from the plain ``sim.step`` and the indexed
     oracle, sample by sample: ``(rows, breach, report, signals)``.
 
     ``rows`` are the recorded rows in ``run()``'s column order, built from

@@ -126,6 +126,11 @@ class TestLiterals:
         ("def f():\n    return [X for X in [5.0]][0]\n", 5.0),
         ("def f():\n    return (lambda X: X)(6.0)\n", 6.0),
         ("def f():\n    global X\n    return X\n", 1.0),
+        ("def f():\n    if (X := 2.0) > 0.0:\n        return X\n", 2.0),
+        ("def f():\n    X = 2.0\n    X += 1.0\n    return X\n", 3.0),
+        ("def f():\n    X, Y = 2.0, 3.0\n    return X\n", 2.0),
+        ("def f():\n    try:\n        raise ValueError(2.0)\n    except ValueError as X:\n        return X.args[0]\n", 2.0),
+        ("def f():\n    import math as X\n    return X.pi\n", math.pi),
         # bound in a nested scope only: the outer read is a global, kept as a name
         ("def f():\n    def g():\n        X = 7.0\n    return X\n", 1.0),
     ])
