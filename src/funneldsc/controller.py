@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codegen import compile_function, rename
+from .codegen import compile_function, inline
 from .fuzzy import AdaptiveWeights, GaussianGrid
 from .perf import _HALF_PI, PHI_FLOOR, ErrorTransform, FunnelBreachError, PerfFunction
 from .plants import PlantBounds, ReferenceSignal
@@ -218,6 +218,8 @@ class ControllerChain:
                 raise ValueError(f"stage {i} gains need rho, tau, varrho and lam")
         if not 0.0 <= sign_smoothing < math.inf:
             raise ValueError("sign_smoothing must be nonnegative and finite")
+        if not isinstance(mode, ControlMode):
+            raise ValueError(f"mode must be a ControlMode, got {mode!r}")
         self.bounds = bounds
         self.gains = list(gains)
         self.transform = transform
@@ -325,9 +327,8 @@ class ControllerChain:
         else:
             names["energy"] = drifts
         names.update((name, name) for name in keep)
-        names = {v: names.get(v, f"{v}__{tag}") for v in self.kernel.__code__.co_varnames}
         body, namespace = self._kernel_text()
-        return textwrap.dedent(rename(body, names)), namespace
+        return inline(textwrap.dedent(body), self.kernel, names, tag, namespace, prefix="")
 
     # -- setup ------------------------------------------------------------
 

@@ -1,26 +1,18 @@
 """Fixed-step closed-loop integration and performance-bound verification.
 
 The augmented state couples the plant, the first-order filters of the
-control chain, and (in fuzzy mode) the adaptive weights.  :func:`run`
-integrates it over [0, t_end] and verifies the funnel bounds; :func:`step`
-takes one step of it.
+control chain and, in fuzzy mode, the adaptive weights.  :func:`run` takes
+a plant, a reference, the stage gains, the performance function and a
+:class:`SimConfig`, integrates the closed loop by RK4 over [0, t_end] and
+returns the recorded :class:`Trajectory` and the
+:class:`VerificationReport` of the funnel bounds, streamed as it goes.
+:func:`export_trajectory` writes a trajectory as CSV.  :func:`step` takes
+one RK4 step in plain form: ``chain.kernel`` and ``plant.rhs`` called per
+stage, one list comprehension per stage quantity, numpy for the weights.
 
-One RK4 step: the plant takes the four RK4 stages, each evaluating the
-plant's one right-hand side (its text ``plant.rhs_text``) and the
-controller's one kernel (``ControllerChain.kernel``), which takes numbers
-only.  The time inputs (y_r, dy_r, eta and eta_dot, by the texts of the
-reference and the envelope) are evaluated once per stage time: t, t +
-0.5*dt for RK stages 2 and 3, and t + dt.  At some steps these differ by an
-ulp from the basis grid's (2k+1)*dt/2 and (2k+2)*dt/2, enough to move the
-weak-gain run's peaks past the benchmark's golden records, so they stay
-off the grid until those are re-recorded.  The weights take the same RK4
-step of their linear law in closed form, once per step
-(:func:`_step_constants`): one projection of theta on the step's three
-basis rows (t, t+dt/2, t+dt) gives every stage's drift estimate as a
-scalar recurrence (theta_i . basis in fuzzy mode; approximator-free mode
-reads the energies basis . basis), and one update ``GROWTH * theta +
-drives @ rows`` forms the new weights.  The filters s' = (alpha - s)/lam
-move in one of two ways:
+The plant takes the four RK4 stages; the weights take the same RK4 step of
+their linear law in closed form (:func:`_step_constants`).  The filters
+s' = (alpha - s)/lam move in one of two ways:
 
 - exact filter (default): along their closed-form exponential toward the
   virtual control ``alpha`` frozen at the step start.  This removes the
@@ -31,62 +23,23 @@ move in one of two ways:
   ``alpha`` the kernel returns at each stage; it needs dt <= lam_min / 5
   (:func:`check_explicit_step`).
 
-:func:`step` is that step in its plain form: ``chain.kernel`` and
-``plant.rhs`` called per RK stage, one list comprehension per stage
-quantity, numpy for the weights.  ``run()`` never calls it.  ``run()``
-compiles one function per run, :data:`_LOOP`: the whole step loop, that is
-each step's basis read and opening kernel evaluation, the recorded row,
-the streaming verifier and the RK4 step, unrolled over the n stages as
-straight-line Python (:func:`_step_text`) with the kernel, the right-hand
-side and the time inputs inlined as text at each RK stage and every
-finite number compiled as a literal (``codegen.compile_function``).  The
-loop calls no Python function per step: only ``math`` builtins and, in
-fuzzy mode, the weight step's numpy methods and ``struct.pack_into``.  Its
-statements take :func:`step`'s float operations in the same order, so
-every float is the same, and the tests hold the loop to a run rebuilt from
-:func:`step`, which shares no text with it.  It is compiled under the name
-``.../sim.py<run n=3 fuzzy sign exact>``, so profiles count the inlined
-texts' time under this module, and tracebacks show their lines as inlined.
-``run()`` tabulates the basis on the half-step grid i*dt/2 in blocks of
-:data:`BASIS_BLOCK` rows plus two rows of overlap, and step k reads rows
-2k..2k+2 of the block that holds row 2k; :func:`step` tabulates its own
-three rows.  The loop passes a step's time inputs at t + dt to the next
-step wherever (k+1)*dt is the float k*dt + dt.
+What is the same, and why:
 
-In fuzzy mode the loop forms the new weights in place, in buffers that it
-allocates once per run (:data:`_BUFFERS`), by the dgemm and the
-elementwise operations of :func:`step`'s ``GROWTH * theta + drives @
-rows``, on the same operands in the same order.  The products are the
-``ndarray.dot`` method, not ``np.dot``, whose Python-level dispatcher would
-be one Python call per step, and not ``np.matmul(..., out=...)``, which is
-slower than ``@``.  The weight step stays numpy, as BLAS and pairwise sums
-add in another order than a Python loop.
-
-The loop runs over the n_steps + 1 sample times; sample k opens step k,
-and the last, at t_end, is opened, recorded and verified like the others
-but takes no step and adds nothing to max|u|.  A breach raised at an RK
-stage state ends the run after its step's row was recorded, before that
-step's max|e| and max|u| are updated.  Each recorded sample
-(every ``record_every``-th step start, and t_end) is one row, packed by
-one ``struct.pack_into`` into a block of :data:`RECORD_BLOCK` rows (fewer
-when the run records fewer).  Each full block, and the last one after the
-loop, is folded into the report's reductions, the column peaks for the
-sup norms and the minimum funnel margin with its first time, and then
-handed on: by default the block is a window of one array allocated for
-every row the run can record, so ``Trajectory.data`` is the recorded
-rows.  A run given a ``csv_file`` reuses the block: when its first block
-fills, it starts one writer process, a fresh interpreter whose stdout is
-that file, and sends it each block's bytes from then on; the writer
-formats each block while the loop fills the next.  A run whose rows fit
-in one block starts no process and formats them itself after the loop.
-The peaks and the margin are exact per block, so the report does not
-depend on where blocks end.  A row takes u, alpha, y_r, eta, e, arctan e
-and z_1..z_n from the opening kernel's own locals, so each value is the
-kernel's float.  :func:`export_trajectory`, the writer and a single-block
-run format rows by one text (:data:`_FORMAT`), one ``%`` per block in the
-writer and per :data:`_FORMAT_ROWS` rows in this process: the ``repr`` of
-each float, ``,`` between fields and ``\\r\\n`` line ends, the bytes
-``csv.writer`` writes for them, wherever they are formatted.
+- ``run()`` and :func:`step`, float for float.  ``run()`` never calls
+  ``step``: it compiles one function per run (:data:`_LOOP`, whose
+  comment gives the mechanism), whose statements take ``step``'s float
+  operations in the same order, each constant the float it names.  The
+  tests hold the loop to a run rebuilt from ``step``, which shares no text
+  with it.
+- The report, whether the rows are kept in ``Trajectory.data`` or written
+  to a ``csv_file``: it is reduced block by block by exact operations (the
+  column peaks for the sup norms, the minimum funnel margin with its first
+  time), so it does not depend on where blocks end.
+- The bytes of the CSV, whichever way the rows are formatted (in this
+  process, or block by block in a writer process while the loop runs):
+  one text, :data:`_FORMAT`, writes the ``repr`` of each float, ``,``
+  between fields and ``\\r\\n`` line ends, the bytes ``csv.writer``
+  writes for them.
 """
 
 from __future__ import annotations
@@ -175,6 +128,10 @@ class SimConfig:
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
         if not isinstance(self.record_every, int) or isinstance(self.record_every, bool) or self.record_every < 1:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every!r}")
+        if not isinstance(self.mode, ControlMode):
+            raise ValueError(f"mode must be a ControlMode, got {self.mode!r}")
+        if not isinstance(self.exact_filter, bool):
+            raise ValueError(f"exact_filter must be a bool, got {self.exact_filter!r}")
         step_count(self.t_end, self.dt)
         try:
             x0 = tuple(float(v) for v in self.x0)
@@ -282,45 +239,6 @@ def _step_constants(mus: tuple, varpis: tuple, lams: tuple, dt: float):
     return tuple(c2), tuple(c3), tuple(c4), tuple(cmix), growth, half, full
 
 
-# One RK4 step of an n-stage chain, as the run loop's statements: step()'s
-# float operations in its order.  Per RK stage k, x<k>_<j> is plant state j,
-# s<k>_<i> filter i, u<k> the control, a<k>_<i> the alpha that filter i
-# tracks, d<k>_<j> the drive and f<k>_<j> the drift estimate of stage j,
-# and k<k>_<j> the plant derivative.  The time inputs at the stage times
-# t, tm = t + dt/2 and te = t + dt are the locals of _START, _MID and _END.
-# The opening reads the step's basis rows (from ``row`` of the table
-# ``basis, energy, cross1, cross2``) and evaluates the kernel at t; the
-# advance takes the RK4 step and leaves the new state in x1_<j>, s1_<i>
-# and, updated in place through the buffers of _BUFFERS, theta.  The
-# plant's right-hand side and the time inputs are their texts inlined
-# ({rhs<k>}, {mid}, {end}).  The constants are globals, compiled as
-# literals where they are numbers: HALF = 0.5*dt, DT = dt, DT6 = dt/6.0,
-# the _step_constants coefficients c2_<j>_<m>, c3_<j>_<m>, c4_<j>_<m>,
-# m_<j>_<m> and GROWTH, the decays dh<i> and df<i> and the filter time
-# constants lam<i>, and the globals of the inlined texts.
-_ADVANCE = """\
-tm = t + HALF
-te = t + DT
-{mid}
-{end}
-{filters1}
-{rhs1}
-{x2}
-{kernel2}
-{rhs2}
-{filters2}
-{x3}
-{kernel3}
-{rhs3}
-{filters3}
-{x4}
-{kernel4}
-{rhs4}
-{filters4}
-{x_new}
-{weights}
-"""
-
 # The time inputs' locals at each stage time: the time, y_r, dy_r, eta and
 # eta_dot.  The start's keep the kernel's own names, which a recorded row
 # reads.
@@ -339,15 +257,45 @@ PROJ, DRIVES, MIX = empty((3, len(theta))), empty((len(theta), 3)), empty_like(t
 thetaT = theta.T
 SQ, NORMS = empty_like(theta), empty(len(theta))"""
 
-# The run: the kernel is inlined at every stage.  Sample k opens step k,
-# which reads rows 2k..2k+2 of the half-step grid i*dt/2, tabulated in
-# blocks of BLOCK rows plus two of overlap; the last sample, at t_end,
-# closes the run.  A recorded row takes e, arctan e, y_r, eta and z from
-# the opening kernel's own locals, and is packed into the next row of
-# ``block``, BLOCK_ROWS rows of ROW_BYTES bytes.  A full block goes to
-# ``fold`` before the next row, so all its rows opened a step; ``fold``
-# returns the block to fill next.  The loop returns the rows of its last
-# block, which ``run()`` folds.
+# The run, one function compiled per run by _compile_loop under the name
+# ``.../sim.py<run n=3 fuzzy sign exact>``, so profiles count the texts it
+# inlines under this module and tracebacks show their lines.  It is
+# straight-line Python: the kernel (ControllerChain.inline_kernel), the
+# plant's right-hand side and the time inputs are inlined as text at each
+# RK stage and every finite constant is a literal (codegen), so the loop
+# calls no Python function per step, only math builtins and, in fuzzy mode,
+# the weight step's numpy methods and struct.pack_into.
+#
+# Sample k opens step k: it reads rows 2k..2k+2 of the basis on the
+# half-step grid i*dt/2, tabulated in blocks of BLOCK rows plus two of
+# overlap, and evaluates the kernel at t ({opening}).  Its row takes e,
+# arctan e, y_r, eta and z from that kernel's own locals and is packed into
+# the next row of ``block``, BLOCK_ROWS rows of ROW_BYTES bytes; a full
+# block goes to ``fold`` before the next row, and ``fold`` returns the
+# block to fill next.  The last sample, at t_end, opens no step.  A breach
+# at an RK stage ends the run after its step's row was recorded, before
+# that step's max|e| and max|u| are updated.  The loop returns the rows of
+# its last block, which run() folds.
+#
+# {step} is one RK4 step, stage by stage, in step()'s float operations and
+# order.  Per RK stage k, x<k>_<j> is plant state j, s<k>_<i> filter i,
+# u<k> the control, a<k>_<i> the alpha that filter i tracks, d<k>_<j> the
+# drive and f<k>_<j> the drift estimate of stage j, and k<k>_<j> the plant
+# derivative; the step leaves the new state in x1_<j> and s1_<i>.  The time
+# inputs are evaluated once per stage time, t, tm and te (the locals of
+# _START, _MID and _END), not read at the basis grid's (2k+1)*dt/2 and
+# (2k+2)*dt/2: these differ by an ulp at some steps, enough to move the
+# weak-gain run's golden peaks.  A step's inputs at te open the next step
+# wherever (k+1)*dt is the float k*dt + dt.  In fuzzy mode the projections
+# of theta on the three rows give every stage's drift estimate by the
+# scalar recurrences of _step_constants, and theta = GROWTH * theta +
+# drives @ rows is formed in place in the buffers of _BUFFERS.  The
+# products are the ndarray.dot method: np.dot's dispatcher is a Python call
+# per step, and np.matmul with ``out=`` is slower than ``@``.  The constants
+# are globals, literals where they are numbers: HALF = 0.5*dt, DT,
+# DT6 = dt/6.0, the _step_constants coefficients c2_<j>_<m>, c3_<j>_<m>,
+# c4_<j>_<m>, m_<j>_<m> and GROWTH, the decays dh<i> and df<i>, the filter
+# time constants lam<i> and the globals of the inlined texts.
 _LOOP = """\
 def run_loop(x, s, theta, block, fold, n_steps):
     {x1}, {s1} = x, s
@@ -380,7 +328,9 @@ def run_loop(x, s, theta, block, fold, n_steps):
                 pack_row(block, filled * ROW_BYTES, {sample})
                 filled += 1
             if not closing:
-{advance}
+                tm = t + HALF
+                te = t + DT
+{step}
         except FunnelBreachError as br:
             breach = br.t
             break
@@ -406,29 +356,29 @@ def run_loop(x, s, theta, block, fold, n_steps):
     return filled, breach, max_err, max_err_after, max_u, peak_u_t, steady_ok
 """
 
+# A fuzzy stage's drift estimate at RK stages 2..4 (see _step_constants).
+_DRIFTS = {
+    2: "f2_{i} = c2_{i}_0 * ph_{i} + c2_{i}_1 * d1_{i} * g1h",
+    3: "f3_{i} = c3_{i}_0 * ph_{i} + c3_{i}_1 * d1_{i} * g1h + c3_{i}_2 * d2_{i} * ghh",
+    4: "f4_{i} = c4_{i}_0 * p4_{i} + c4_{i}_1 * d1_{i} * g14 + (c4_{i}_2 * d3_{i} + c4_{i}_3 * d2_{i}) * gh4",
+}
 
-def _step_text(plant: StrictFeedbackPlant, chain: ControllerChain, exact_filter: bool):
-    """``(inputs, opening, advance, namespace)``: the run loop's statements
-    for one step of ``chain`` on ``plant``, at indentation 0, and the
-    globals of the texts they inline.  ``inputs`` are the time inputs at t,
-    which the opening reads.  The kernel is inlined at each RK stage
-    (``ControllerChain.inline_kernel``); the opening's copy keeps the locals
-    that a recorded row and the verifier read."""
-    n, fuzzy, reference, perf = plant.n, chain._fuzzy, chain.reference, chain.transform.perf
+
+def _compile_loop(plant: StrictFeedbackPlant, chain: ControllerChain, config: SimConfig, blocks: _Blocks):
+    """:data:`_LOOP` for one run of ``chain`` on ``plant``, with the run's
+    constants bound in: ``run_loop(x, s, theta, block, fold, n_steps)``
+    records into the blocks of ``blocks`` and returns the rows of its last
+    block, the breach time and the streamed verification."""
+    n, fuzzy, exact_filter, dt = plant.n, chain._fuzzy, config.exact_filter, config.dt
+    reference, perf = chain.reference, chain.transform.perf
     states, filters = range(1, n + 1), range(2, n + 1)
     keep = ("e", "atan_e", "y_r", "eta_v", *(f"z{i}" for i in states))
+    stage_inputs = (_START, _MID, _MID, _END)  # the time inputs of RK stages 1..4
     namespace = {}
 
     def inlined(statements, globals_):
         namespace.update(globals_)
         return statements
-
-    def time_inputs(names):
-        return inlined(*inline_time_inputs(reference, perf, names[0], names))
-
-    def rhs(k):
-        t = ("t", "tm", "tm", "te")[k - 1]
-        return inlined(*plant.inline_rhs(f"rhs{k}", names(f"x{k}_{{i}}"), f"u{k}", t, names(f"k{k}_{{i}}")))
 
     def names(template, indices=states):
         return [template.format(i=i) for i in indices]
@@ -436,105 +386,80 @@ def _step_text(plant: StrictFeedbackPlant, chain: ControllerChain, exact_filter:
     def lines(*templates, indices=states):
         return "\n".join(line for template in templates for line in names(template, indices))
 
-    def unpacked(template, indices=states):
-        return f"({', '.join(names(template, indices))},)"
+    def time_inputs(local_names):
+        return inlined(*inline_time_inputs(reference, perf, local_names[0], local_names))
+
+    def advanced(v, rate, k):
+        """The template of v at RK stage k + 1 from the rates of stages
+        1..k, or after stage 4 the step's new v."""
+        if k < 4:
+            return f"{v}{k + 1}_{{i}} = {v}1_{{i}} + {('HALF', 'HALF', 'DT')[k - 1]} * {rate}{k}_{{i}}"
+        return (f"{v}1_{{i}} = {v}1_{{i}} + DT6 * "
+                f"({rate}1_{{i}} + 2.0 * {rate}2_{{i}} + 2.0 * {rate}3_{{i}} + {rate}4_{{i}})")
 
     def kernel(k):
         filtered = (1, 2, 2, 4)[k - 1] if exact_filter else k  # exact: stages 2, 3 share s2
-        if fuzzy:
-            drifts = names("p1_{i}" if k == 1 else f"f{k}_{{i}}")
-        else:
-            drifts = ("en1", "enh", "enh", "en4")[k - 1]
-        inputs = (_START, _MID, _MID, _END)[k - 1]
-        args = (names(f"x{k}_{{i}}"), names(f"s{filtered}_{{i}}", filters), drifts, inputs)
+        drifts = names("p1_{i}" if k == 1 else f"f{k}_{{i}}") if fuzzy else ("en1", "enh", "enh", "en4")[k - 1]
+        args = (names(f"x{k}_{{i}}"), names(f"s{filtered}_{{i}}", filters), drifts, stage_inputs[k - 1])
         outputs = (f"u{k}", names(f"a{k}_{{i}}", filters), names(f"d{k}_{{i}}") if fuzzy else None)
         return inlined(*chain.inline_kernel(str(k), args, outputs, keep if k == 1 else ()))
 
-    fields = {
-        "mid": time_inputs(_MID), "end": time_inputs(_END),
-        "x_new": lines("x1_{i} = x1_{i} + DT6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"),
-        "weights": "",
-    }
-    drifts = {2: "", 3: "", 4: ""}
+    def rhs(k):
+        t = stage_inputs[k - 1][0]
+        return inlined(*plant.inline_rhs(f"rhs{k}", names(f"x{k}_{{i}}"), f"u{k}", t, names(f"k{k}_{{i}}")))
+
+    def filter_update(k):
+        if exact_filter:  # toward the alpha frozen at t: s2 serves RK stages 2 and 3, s4 stage 4 and the step's end
+            frozen = ("s2_{i} = a1_{i} + (s1_{i} - a1_{i}) * dh{i}", "s4_{i} = a1_{i} + (s1_{i} - a1_{i}) * df{i}")
+            templates = {1: frozen, 4: ("s1_{i} = s4_{i}",)}.get(k, ())
+        else:  # the RK4 stages of s' = (alpha - s)/lam, from each stage's alpha
+            templates = (f"ks{k}_{{i}} = (a{k}_{{i}} - s{k}_{{i}}) / lam{{i}}", advanced("s", "ks", k))
+        return lines(*templates, indices=filters)
+
+    step = [time_inputs(_MID), time_inputs(_END)]
     for k in range(1, 5):
-        fields[f"rhs{k}"] = rhs(k)
+        if k == 1:  # the kernel at t is the opening's
+            step += [filter_update(1), rhs(1)]
+        else:
+            drifts = lines(_DRIFTS[k]) if fuzzy else ""
+            step += [lines(advanced("x", "k", k - 1)), drifts, kernel(k), rhs(k), filter_update(k)]
+    step.append(lines(advanced("x", "k", 4)))
+    x, s = names("x1_{i}"), names("s1_{i}", filters)
+    sample = ["t", *x, "y_r", "e", "atan_e", "eta_v", "-eta_v", "u1", *s, *names("a1_{i}", filters)]
+    buffers = norms = ""
     if fuzzy:
-        basis = (
+        unpacked = ", ".join(f"({', '.join(names(f'p{r}_{{i}}'))},)" for r in ("1", "h", "4"))
+        opening = (
             "rows = basis[row:row + 3]\n"
-            f"{unpacked('p1_{i}')}, {unpacked('ph_{i}')}, {unpacked('p4_{i}')} = rows.dot(thetaT, PROJ).tolist()\n"
+            f"{unpacked} = rows.dot(thetaT, PROJ).tolist()\n"
             "g1h, ghh, g14, gh4 = cross1[row], energy[row + 1], cross2[row], cross1[row + 1]\n"
         )
-        drifts = {
-            2: lines("f2_{i} = c2_{i}_0 * ph_{i} + c2_{i}_1 * d1_{i} * g1h"),
-            3: lines("f3_{i} = c3_{i}_0 * ph_{i} + c3_{i}_1 * d1_{i} * g1h + c3_{i}_2 * d2_{i} * ghh"),
-            4: lines(
-                "f4_{i} = c4_{i}_0 * p4_{i} + c4_{i}_1 * d1_{i} * g14 + (c4_{i}_2 * d3_{i} + c4_{i}_3 * d2_{i}) * gh4"),
-        }
-        fields["weights"] = (
+        step.append(
             "pack_drives(DRIVES, 0, "
             + ", ".join(names("m_{i}_0 * d1_{i}, m_{i}_1 * d2_{i} + m_{i}_2 * d3_{i}, m_{i}_3 * d4_{i}")) + ")\n"
             "DRIVES.dot(rows, MIX)\n"
             "theta *= GROWTH\n"
             "theta += MIX"
         )
+        buffers = _BUFFERS
+        norms = "multiply(theta, theta, SQ)\nadd_reduce(SQ, 1, None, NORMS)\nsquare_root(NORMS, NORMS)"
+        sample.append("*NORMS.tolist()")
     else:
-        basis = "en1, enh, en4 = energy[row:row + 3]\n"
-    fields["x2"] = lines("x2_{i} = x1_{i} + HALF * k1_{i}") + "\n" + drifts[2]
-    fields["x3"] = lines("x3_{i} = x1_{i} + HALF * k2_{i}") + "\n" + drifts[3]
-    fields["x4"] = lines("x4_{i} = x1_{i} + DT * k3_{i}") + "\n" + drifts[4]
-    if exact_filter:
-        # toward the alpha frozen at t: s2 serves RK stages 2 and 3, s4 stage 4 and the step's end
-        fields.update(
-            filters1=lines("s2_{i} = a1_{i} + (s1_{i} - a1_{i}) * dh{i}", "s4_{i} = a1_{i} + (s1_{i} - a1_{i}) * df{i}",
-                           indices=filters),
-            filters2="", filters3="", filters4=lines("s1_{i} = s4_{i}", indices=filters),
-        )
-    else:
-        # the RK4 stages of s' = (alpha - s)/lam, from each stage's alpha
-        fields.update(
-            filters1=lines("ks1_{i} = (a1_{i} - s1_{i}) / lam{i}", "s2_{i} = s1_{i} + HALF * ks1_{i}", indices=filters),
-            filters2=lines("ks2_{i} = (a2_{i} - s2_{i}) / lam{i}", "s3_{i} = s1_{i} + HALF * ks2_{i}", indices=filters),
-            filters3=lines("ks3_{i} = (a3_{i} - s3_{i}) / lam{i}", "s4_{i} = s1_{i} + DT * ks3_{i}", indices=filters),
-            filters4=lines(
-                "ks4_{i} = (a4_{i} - s4_{i}) / lam{i}",
-                "s1_{i} = s1_{i} + DT6 * (ks1_{i} + 2.0 * ks2_{i} + 2.0 * ks3_{i} + ks4_{i})", indices=filters),
-        )
-    fields.update(kernel2=kernel(2), kernel3=kernel(3), kernel4=kernel(4))
-    return time_inputs(_START), basis + kernel(1), _ADVANCE.format(**fields), namespace
-
-
-def _compile_loop(plant: StrictFeedbackPlant, chain: ControllerChain, config: SimConfig, blocks: _Blocks):
-    """:data:`_LOOP` for one run, with the chain's kernel inlined at each
-    RK stage and the run's constants bound in: ``run_loop(x, s, theta,
-    block, fold, n_steps)`` records into the blocks of ``blocks`` and
-    returns the rows of its last block, the breach time and the streamed
-    verification."""
-    n, fuzzy, exact_filter, dt = chain.bounds.n, chain._fuzzy, config.exact_filter, config.dt
-    perf = chain.transform.perf
-    inputs, opening, advance, namespace = _step_text(plant, chain, exact_filter)
-    # the step's constants by their names in _ADVANCE
+        opening = "en1, enh, en4 = energy[row:row + 3]\n"
+    sample += names("z{i}")
+    source = _LOOP.format(
+        x1=f"({', '.join(x)},)", s1=f"({', '.join(s)},)", sample=", ".join(sample),
+        finite=" and ".join(f"isfinite({v})" for v in x),
+        buffers=textwrap.indent(buffers, " " * 4), norms=textwrap.indent(norms, " " * 16),
+        inputs=textwrap.indent(time_inputs(_START), " " * 16), opening=textwrap.indent(opening + kernel(1), " " * 12),
+        step=textwrap.indent("\n".join(step), " " * 16),
+    )
     c2, c3, c4, cmix, growth, half_decay, full_decay = _step_constants(chain._mu, chain._varpi, chain._lam, dt)
     for prefix, table in (("c2", c2), ("c3", c3), ("c4", c4), ("m", cmix)):
         for j, coefficients in enumerate(table, start=1):
             namespace.update({f"{prefix}_{j}_{m}": c for m, c in enumerate(coefficients)})
     for i, (lam, dh, df) in enumerate(zip(chain._lam, half_decay, full_decay), start=2):
         namespace.update({f"lam{i}": lam, f"dh{i}": dh, f"df{i}": df})
-    states, filters = range(1, n + 1), range(2, n + 1)
-    x, s = [f"x1_{j}" for j in states], [f"s1_{i}" for i in filters]
-    sample = ["t", *x, "y_r", "e", "atan_e", "eta_v", "-eta_v", "u1", *s, *(f"a1_{i}" for i in filters)]
-    buffers = norms = ""
-    if fuzzy:
-        buffers = _BUFFERS
-        norms = "multiply(theta, theta, SQ)\nadd_reduce(SQ, 1, None, NORMS)\nsquare_root(NORMS, NORMS)"
-        sample.append("*NORMS.tolist()")
-    sample += [f"z{i}" for i in states]
-    source = _LOOP.format(
-        x1=f"({', '.join(x)},)", s1=f"({', '.join(s)},)", sample=", ".join(sample),
-        finite=" and ".join(f"isfinite({v})" for v in x),
-        buffers=textwrap.indent(buffers, " " * 4), norms=textwrap.indent(norms, " " * 16),
-        inputs=textwrap.indent(inputs, " " * 16), opening=textwrap.indent(opening, " " * 12),
-        advance=textwrap.indent(advance, " " * 16),
-    )
     namespace.update(
         HALF=0.5 * dt, DT=dt, DT6=dt / 6.0, GROWTH=growth, pack_drives=struct.Struct(f"{3 * n}d").pack_into,
         empty=np.empty, empty_like=np.empty_like,
@@ -806,8 +731,7 @@ class _Blocks:
             _write_rows(self.csv_file, _row_format(block.shape[1], self.fields), block)
 
     def _send(self, block: np.ndarray) -> None:
-        """The block to the writer, started at the first: its row count,
-        then its own bytes."""
+        """The block's bytes to the writer, started at the first block."""
         if self.writer is None:
             self.csv_file.flush()  # the header goes first
             read, write = os.pipe()
@@ -815,7 +739,8 @@ class _Blocks:
             try:
                 self.writer = os.posix_spawn(
                     sys.executable,
-                    [sys.executable, "-I", "-S", "-c", _WRITER, "funneldsc-csv-writer", str(block.shape[1]), str(self.fields)],
+                    [sys.executable, "-I", "-S", "-c", _WRITER, "funneldsc-csv-writer",
+                     *map(str, (block.shape[1], self.size, self.fields))],
                     os.environ,
                     # the file first: where stdin is closed, it may be descriptor 0
                     file_actions=[(os.POSIX_SPAWN_DUP2, self.csv_file.fileno(), 1), (os.POSIX_SPAWN_DUP2, read, 0)],
@@ -823,9 +748,9 @@ class _Blocks:
             finally:
                 os.close(read)
         try:
-            for data in (len(block).to_bytes(8, sys.byteorder), memoryview(block).cast("B")):
-                while data:  # a signal handler can cut a write short
-                    data = data[self.pipe.write(data):]
+            data = memoryview(block).cast("B")
+            while data:  # a signal handler can cut a write short
+                data = data[self.pipe.write(data):]
         except BrokenPipeError:
             self._finish()  # the writer ended early: its status is the error
             raise
@@ -868,9 +793,9 @@ def row_format(width, fields):
 
 _row_format = compile_function(_FORMAT, f"{__file__}<format>", {"compress": itertools.compress, "cycle": itertools.cycle})
 
-# The writer process: argv is the marker, the row width and the number of
-# fields written.  It reads blocks from stdin, each a row count (8 bytes,
-# native order) and those rows' floats, and writes their lines to stdout,
+# The writer process: argv is the marker, the row width, the rows per block
+# and the number of fields written.  It reads the floats of whole blocks
+# from stdin, all full but the last, and writes their lines to stdout,
 # until stdin closes.  It ignores SIGINT: a ^C reaches the run, whose
 # ``finally`` kills the writer.
 _WRITER = f"""\
@@ -878,11 +803,11 @@ import signal, sys
 from itertools import compress, cycle
 {_FORMAT}
 signal.signal(signal.SIGINT, signal.SIG_IGN)
-width, fields = int(sys.argv[2]), int(sys.argv[3])
+width, rows, fields = map(int, sys.argv[2:])
 format_rows = row_format(width, fields)
 read, write = sys.stdin.buffer.read, sys.stdout.buffer.write
-while header := read(8):
-    write(format_rows(read(8 * width * int.from_bytes(header, sys.byteorder))).encode())
+while data := read(8 * width * rows):
+    write(format_rows(data).encode())
 sys.stdout.flush()
 """
 

@@ -131,6 +131,17 @@ class TestChainConstruction:
                 transform=ErrorTransform(perf=perf), reference=single_link_reference(),
             )
 
+    @pytest.mark.parametrize("mode", ["fuzzy", "approx-free", None])
+    def test_rejects_a_mode_that_is_not_a_control_mode(self, mode):
+        """A mode that is not a ControlMode selected the approximator-free law."""
+        cfg = single_link_preset()
+        perf = PerfFunction(b=cfg.perf_b, c=cfg.perf_c, h=cfg.perf_h, T=cfg.perf_T)
+        with pytest.raises(ValueError, match="^mode must be a ControlMode"):
+            ControllerChain(
+                bounds=make_single_link().bounds(), gains=cfg.gains,
+                transform=ErrorTransform(perf=perf), reference=single_link_reference(), mode=mode,
+            )
+
     def test_rejects_negative_smoothing(self):
         with pytest.raises(ValueError):
             sl_chain(sign_smoothing=-1.0)

@@ -6,6 +6,7 @@ import os
 import sys
 import traceback
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -996,6 +997,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
             SimConfig(x0=(0.0, 0.0), **settings)
 
+    @pytest.mark.parametrize("name, value", [
+        ("mode", "fuzzy"), ("mode", None), ("exact_filter", "no"), ("exact_filter", 1), ("exact_filter", None),
+    ])
+    def test_rejects_a_mode_or_filter_flag_of_another_type_naming_it(self, name, value):
+        """``mode="fuzzy"`` compiled the approximator-free kernel and then
+        failed with an AttributeError, and ``exact_filter="no"`` ran the
+        exact filter."""
+        with pytest.raises(ValueError, match=f"^{name} must be a"):
+            SimConfig(dt=1e-3, t_end=1.0, x0=(0.0, 0.0), **{name: value})
+
     def test_rejects_a_non_numeric_x0_naming_it(self):
         with pytest.raises(ValueError, match="^x0 must be a sequence of numbers"):
             SimConfig(dt=1e-3, t_end=1.0, x0=("a", "b"))
@@ -1021,6 +1032,24 @@ class TestConfigValidation:
             step_count(t_end, dt)
         with pytest.raises(ValueError):
             SimConfig(dt=dt, t_end=t_end, x0=(0.0, 0.0))
+
+
+class TestWarnings:
+    """Compiling and running each of the 16 generated loops warns nothing.
+    A SyntaxWarning from generated code does not fail a pytest run by
+    itself, so each run turns warnings into errors."""
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.05], ids=["sign", "tanh"])
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "explicit"])
+    @pytest.mark.parametrize("mode", list(ControlMode), ids=lambda mode: mode.value)
+    @pytest.mark.parametrize("preset", [electromechanical_preset, single_link_preset], ids=["em", "sl"])
+    def test_a_short_run_with_warnings_as_errors(self, preset, mode, exact, smoothing):
+        cfg = replace(preset(mode=mode), exact_filter=exact, sign_smoothing=smoothing, dt=1e-6, t_end=1e-5)
+        plant, reference, perf, sim_cfg = build_problem(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj, report = run(plant, reference, cfg.gains, perf, sim_cfg, sign_smoothing=smoothing)
+        assert report.transient_ok and len(traj.data) == 2
 
 
 class TestExport:
