@@ -1,11 +1,15 @@
 """Formulas written once as source text, compiled or inlined.
 
-A formula (the kernel, a plant's right-hand side, a reference, the
-envelope) is one text over named locals and the globals of its own names
-dict.  :func:`compile_function` makes the text a callable;
-:func:`inline` renames its locals to a caller's and its globals apart, so
-that the same statements run inside another generated function, such as
-``sim.run``'s loop, without a call.
+Inputs: a formula (the kernel, a plant's right-hand side, a reference, the
+envelope) is one text, statements at indentation 0 or one expression, over
+named locals and the globals of its own names dict.  Outputs:
+:func:`function` writes the one ``def`` around a text and compiles it
+(:func:`compile_function`); :func:`inline` renames the names the text
+binds, by its symbol table, and its globals apart, so that another
+generated function, such as ``sim.run``'s loop, runs the same statements
+without a call; it compiles nothing.  What is identical, and why: a
+formula's function and its inlined copies take the same float operations
+in the same order, since they are one text and only names differ.
 
 Constants are compiled as literals.  Each name that the text reads as a
 global whose value is a finite ``float``, or an ``int`` that is not a
@@ -13,25 +17,26 @@ global whose value is a finite ``float``, or an ``int`` that is not a
 that starts with a minus sign (so ``-0.0`` and ``-1.5`` stay one operand)
 or an attribute follows.  ``repr`` round-trips every finite float,
 subnormals and the largest included, so each literal is the very float
-the global held.  CPython's
-compiler then folds an operation whose operands are all literals, such as
-``2.0 / pi`` or ``M * G * L``, by the same IEEE operation that would run at
-run time, and a literal costs no dictionary lookup, so no float changes
-and the step runs faster.  Infinities and nans have no literal and stay
-globals, as do other types: a numpy scalar does not compute like a Python
-float.  Only name tokens are replaced, not attributes (``theta.T``),
-keyword names, strings or comments, and never a name that the text binds
-anywhere, in any scope.
+the global held.  CPython's compiler then folds an operation whose
+operands are all literals, such as ``2.0 / pi`` or ``M * G * L``, by the
+same IEEE operation that would run at run time, and a literal costs no
+dictionary lookup, so no float changes and the step runs faster.
+Infinities and nans have no literal and stay globals, as do other types:
+a numpy scalar does not compute like a Python float.  Only name tokens are
+replaced, not attributes (``theta.T``), keyword names, strings or
+comments, and never a name that the text binds anywhere, in any scope.
 """
 
 from __future__ import annotations
 
+import functools
 import linecache
 import math
 import re
 import symtable
+import textwrap
 
-__all__ = ["compile_function", "rename", "inline"]
+__all__ = ["compile_function", "function", "rename", "inline"]
 
 # A comment, a string, or an identifier that is not an attribute (after a
 # ".") or the tail of a number: splitting a text by it puts these tokens at
@@ -99,6 +104,14 @@ def compile_function(source: str, filename: str, namespace: dict):
     return namespace.pop(code.co_names[0])
 
 
+def function(name: str, params: str, text: str, returns: str, filename: str, names):
+    """``def name(params):``, ``text`` (statements at indentation 0, each
+    line ending in a newline, or empty) and ``return returns``, compiled
+    by :func:`compile_function` under ``filename`` on a copy of ``names``."""
+    body = textwrap.indent(text, " " * 4)
+    return compile_function(f"def {name}({params}):\n{body}    return {returns}\n", filename, dict(names))
+
+
 def rename(text: str, names: dict) -> str:
     """``text`` with each identifier that is a key of ``names`` replaced
     by its value; strings and comments are kept as written."""
@@ -107,13 +120,19 @@ def rename(text: str, names: dict) -> str:
     return "".join(parts)
 
 
-def inline(text: str, function, mapping: dict, tag: str, names, prefix: str):
-    """``(text, namespace)``: ``text``, which the compiled ``function``
-    evaluates, renamed for a caller to inline, and the globals it reads.
+@functools.cache
+def _locals(text: str) -> frozenset:
+    """The names that ``text`` binds in any scope, by its symbol table."""
+    return frozenset(_bound(symtable.symtable(text, "<inline>", "exec")))
 
-    Each local of ``function`` is renamed to its entry in ``mapping``, or
-    else to ``<local>__<tag>``; each name in ``names`` (the text's globals)
-    to ``<prefix><name>``, its key in the returned namespace."""
+
+def inline(text: str, mapping: dict, tag: str, names, prefix: str):
+    """``(text, namespace)``: ``text`` renamed for a caller to inline, and
+    the globals it reads.  Each name in ``mapping`` is renamed to its
+    value, every other name the text binds to ``<name>__<tag>``, and each
+    name in ``names`` (its globals) to ``<prefix><name>``, its key in the
+    namespace; a name that the text only reads is otherwise left alone."""
     renamed = {name: prefix + name for name in names}
-    renamed.update((name, mapping.get(name, f"{name}__{tag}")) for name in function.__code__.co_varnames)
+    renamed.update((name, f"{name}__{tag}") for name in _locals(text))
+    renamed.update(mapping)
     return rename(text, renamed), {prefix + name: value for name, value in names.items()}

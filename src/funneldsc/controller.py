@@ -7,35 +7,30 @@ the virtual controllers.  Two modes are supported: an adaptive fuzzy mode
 that estimates the unknown drift online, and an approximator-free mode that
 replaces the estimate with a regressor-energy damping term.
 
-Each chain compiles its kernel at construction: :data:`_KERNEL` unrolled
-over the chain's n stages for its mode and sign (``sign_smoothing``), as
-straight-line Python whose constants are globals of the chain's own
-namespace.  The kernel has one output, ``(u, alpha, drives)``; the tests'
-indexed oracle returns the same floats and every stage signal besides.
-The squared guards stay ``** 2``: pow raises OverflowError where ``*``
-gives inf, and v ** 2 != v * v for some v.  The source is compiled under
-the name
-``.../controller.py<kernel n=3 fuzzy sign>``, which profiles attribute
-to this module, and registered in :mod:`linecache`, so tracebacks show
-its lines.  The kernel's statements, :data:`_KERNEL_BODY`, are one text:
-:meth:`ControllerChain.inline_kernel` emits them, each local renamed, for
-``sim.run``'s loop to inline at every RK stage, where profiles count
-them under ``sim``.  The kernel's time inputs, the reference and the
-envelope at a time, are their texts too: :func:`inline_time_inputs` emits
-them for the loop, and each chain compiles them as ``time_inputs(t)``.
+Inputs: a :class:`ControllerChain` takes the plant's bounds, one
+:class:`StageGains` per stage, the error transformation, the reference,
+the mode and the sign form (``sign_smoothing``).  Outputs: its ``kernel``,
+the same statements for ``sim.run``'s loop to inline at every RK stage
+(:meth:`~ControllerChain.inline_kernel`), and its inputs of time,
+``time_inputs(t)`` and :func:`inline_time_inputs`.  What is identical, and
+why: the chain builds its kernel text (:data:`_KERNEL_BODY` over its n
+stages) once, at construction, and both compiles and inlines that text, so
+the kernel and each inlined copy take the same float operations in the
+same order; the tests' indexed oracle gives the same floats.  The squared
+guards stay ``** 2``: pow raises OverflowError where ``*`` gives inf, and
+v ** 2 != v * v for some v.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import textwrap
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .codegen import compile_function, inline
+from .codegen import function, inline
 from .fuzzy import AdaptiveWeights, GaussianGrid
 from .perf import _HALF_PI, PHI_FLOOR, ErrorTransform, FunnelBreachError, PerfFunction
 from .plants import PlantBounds, ReferenceSignal
@@ -94,86 +89,63 @@ class ControllerState:
 # The kernel's names of its time inputs: the time, y_r, dy_r, eta, eta_dot.
 _TIME_INPUTS = ("t", "y_r", "dy_r", "eta_v", "eta_d")
 
-# The kernel of an n-stage chain as a function around {body}, its
-# _KERNEL_BODY statements, which ControllerChain.inline_kernel also emits.
-_KERNEL = '''\
-def kernel(x, filter_states, drifts, inputs):
-    """One evaluation of the chain at plant state ``x``, filter states
-    ``filter_states`` (stages 2..n) and ``inputs``, the time_inputs of its
-    time t.  ``drifts`` is the caller's basis input for t: the drift
-    estimates theta_i . basis(t) in fuzzy mode, the float energy
-    basis(t) . basis(t) in approximator-free mode.  The kernel reads no
-    basis and calls no function of time.
-
-    Returns ``(u, alpha, drives)``: the control input, the virtual
-    controls alpha_1..alpha_(n-1) and the drives (w, zeta_2, ..., zeta_n)
-    of the adaptive law (None in approximator-free mode).  Raises
-    FunnelBreachError if the output error left the performance funnel.
-    """
-    {xs}, = x
-    {ss}, = filter_states
-    {drifts} = drifts
-    {inputs} = inputs
-{body}    return alpha{n}, [{alphas}], {drives}
-'''
-
 # The kernel's statements: {stages} holds one _KERNEL_STAGE per stage
 # 2..n.  Stage i's constants are the globals lo<i>, hi<i>, rate<i>,
 # delta2_<i>, sigma2_<i>, varpi<i> and, for i >= 2, rho2_<i>, tau2_<i>,
 # varrho<i> and invlam<i> (see ControllerChain._kernel_text).
 _KERNEL_BODY = '''\
-    e = x1 - y_r
-    atan_e = atan(e)
-    if abs(atan_e) >= eta_v:
-        raise FunnelBreachError(t, e, eta_v)
-    z1 = tan(HALF_PI * atan_e / eta_v)
-    atan_z1 = atan(z1)
-    psi_v = pi * (1.0 + z1 * z1) / (2.0 * eta_v)
-    cphi = cos(2.0 / pi * eta_v * atan_z1)
-    phi_v = cphi * cphi
-    if phi_v < PHI_FLOOR:
-        phi_v = PHI_FLOOR
+e = x1 - y_r
+atan_e = atan(e)
+if abs(atan_e) >= eta_v:
+    raise FunnelBreachError(t, e, eta_v)
+z1 = tan(HALF_PI * atan_e / eta_v)
+atan_z1 = atan(z1)
+psi_v = pi * (1.0 + z1 * z1) / (2.0 * eta_v)
+cphi = cos(2.0 / pi * eta_v * atan_z1)
+phi_v = cphi * cphi
+if phi_v < PHI_FLOOR:
+    phi_v = PHI_FLOOR
 
-    # stage 1: funnel-shaping virtual control
-    w = z1 * phi_v * psi_v
-    beta1 = {drift1} - dy_r - 2.0 / (pi * phi_v) * eta_d * atan_z1
-    chi1 = rate1 * abs(e)
-    # -w * beta1 * beta1 is ((-w) * beta1) * beta1 and (-w) * beta1 == -(w * beta1)
-    wb, wc = w * beta1, w * chi1
-    alpha1 = (
-        -wb * beta1 / (lo1 * sqrt(wb ** 2 + delta2_1))
-        - wc * chi1 / (lo1 * sqrt(wc ** 2 + sigma2_1))
-        - w / lo1
-        - varpi1 * z1 / (2.0 * lo1 * phi_v * psi_v)
-    )
-    dev2 = e * e
-    coupling = hi1 * phi_v * psi_v * abs(z1)
+# stage 1: funnel-shaping virtual control
+w = z1 * phi_v * psi_v
+beta1 = {drift1} - dy_r - 2.0 / (pi * phi_v) * eta_d * atan_z1
+chi1 = rate1 * abs(e)
+# -w * beta1 * beta1 is ((-w) * beta1) * beta1 and (-w) * beta1 == -(w * beta1)
+wb, wc = w * beta1, w * chi1
+alpha1 = (
+    -wb * beta1 / (lo1 * sqrt(wb ** 2 + delta2_1))
+    - wc * chi1 / (lo1 * sqrt(wc ** 2 + sigma2_1))
+    - w / lo1
+    - varpi1 * z1 / (2.0 * lo1 * phi_v * psi_v)
+)
+dev2 = e * e
+coupling = hi1 * phi_v * psi_v * abs(z1)
 {stages}'''
 
 # Stage i >= 2 tracks the filtered alpha_(i-1); the last stage's alpha is u.
 _KERNEL_STAGE = '''
-    # stage {i}
-    z{i} = x{i} - s{i}
-    r{i} = s{i} - alpha{p}
-    sgn = {sign}
-    zt{i} = 1.0 / (1.0 + z{i} * z{i}) + varrho{i} * sgn
-    beta{i} = {drift} - (alpha{p} - s{i}) * invlam{i}
-    dev = x{i} - y_r
-    dev2 += dev * dev
-    chi{i} = rate{i} * sqrt(dev2)
-    gamma{i} = coupling * abs(z{i}) / zt{i}
-    xi{i} = coupling * abs(r{i}) / zt{i}
-    zb, zc, zg = zt{i} * beta{i}, zt{i} * chi{i}, zt{i} * gamma{i}
-    zg2 = zg ** 2
-    alpha{i} = -(
-        zb * beta{i} / (lo{i} * sqrt(zb ** 2 + delta2_{i}))
-        + zc * chi{i} / (lo{i} * sqrt(zc ** 2 + sigma2_{i}))
-        + zg * gamma{i} / (lo{i} * sqrt(zg2 + rho2_{i}))
-        # the paper's guard on the xi term is gamma, not xi
-        + zt{i} * xi{i} * xi{i} / (lo{i} * sqrt(zg2 + tau2_{i}))
-        + varpi{i} * (atan(z{i}) + varrho{i} * abs(z{i})) / (lo{i} * zt{i})
-        + zt{i} / lo{i}
-    )
+# stage {i}
+z{i} = x{i} - s{i}
+r{i} = s{i} - alpha{p}
+sgn = {sign}
+zt{i} = 1.0 / (1.0 + z{i} * z{i}) + varrho{i} * sgn
+beta{i} = {drift} - (alpha{p} - s{i}) * invlam{i}
+dev = x{i} - y_r
+dev2 += dev * dev
+chi{i} = rate{i} * sqrt(dev2)
+gamma{i} = coupling * abs(z{i}) / zt{i}
+xi{i} = coupling * abs(r{i}) / zt{i}
+zb, zc, zg = zt{i} * beta{i}, zt{i} * chi{i}, zt{i} * gamma{i}
+zg2 = zg ** 2
+alpha{i} = -(
+    zb * beta{i} / (lo{i} * sqrt(zb ** 2 + delta2_{i}))
+    + zc * chi{i} / (lo{i} * sqrt(zc ** 2 + sigma2_{i}))
+    + zg * gamma{i} / (lo{i} * sqrt(zg2 + rho2_{i}))
+    # the paper's guard on the xi term is gamma, not xi
+    + zt{i} * xi{i} * xi{i} / (lo{i} * sqrt(zg2 + tau2_{i}))
+    + varpi{i} * (atan(z{i}) + varrho{i} * abs(z{i})) / (lo{i} * zt{i})
+    + zt{i} / lo{i}
+)
 '''
 
 
@@ -193,6 +165,14 @@ def inline_time_inputs(reference: ReferenceSignal, perf: PerfFunction, tag: str,
 
 class ControllerChain:
     """Evaluates the full control chain for one plant/reference pairing.
+
+    ``kernel(x, filter_states, drifts, inputs)``, at ``inputs =
+    time_inputs(t)`` and ``drifts`` the drift estimates theta_i . basis(t)
+    (fuzzy) or the energy basis(t) . basis(t), returns ``(u, alpha,
+    drives)``: the control, alpha_1..alpha_(n-1) and the adaptive law's
+    drives (w, zeta_2..zeta_n; None in approximator-free mode), or raises
+    FunnelBreachError.  Profiles count it, ``.../controller.py<kernel n=3
+    fuzzy sign>``, under this module.
 
     Pure function of (plant state, controller state, time): the chain keeps
     no cache, and the integrator owns all mutation of
@@ -228,6 +208,7 @@ class ControllerChain:
         self._fuzzy = mode is ControlMode.FUZZY
         self.grid = GaussianGrid.reference_grid(dim=1)
         self.sign_smoothing = sign_smoothing
+        self._body, self._names = self._kernel_text()
         self.kernel = self._compile_kernel()
         self.time_inputs, self._reference_values = self._compile_time_functions()
         self._mu = tuple(g.mu for g in self.gains)
@@ -261,48 +242,39 @@ class ControllerChain:
                 drift=f"est{i}" if fuzzy else f"zt{i} * energy",
             ))
             if i < n:
-                stages.append(f"    coupling = hi{i} * abs(zt{i})\n")
+                stages.append(f"coupling = hi{i} * abs(zt{i})\n")
         body = _KERNEL_BODY.format(stages="".join(stages), drift1="est1" if fuzzy else "w * energy")
         return body, namespace
 
     def _compile_kernel(self):
-        """:data:`_KERNEL` for this chain, its constants bound in as globals."""
+        """:attr:`kernel`: the kernel text after lines that unpack its arguments."""
         n, fuzzy = self.bounds.n, self._fuzzy
-        body, namespace = self._kernel_text()
-
-        def each(template, first=1):
-            return ", ".join(template.format(i=i) for i in range(first, n + 1))
-
-        source = _KERNEL.format(
-            n=n, xs=each("x{i}"), ss=each("s{i}", 2), inputs=", ".join(_TIME_INPUTS), body=body,
-            drifts=each("est{i}") + "," if fuzzy else "energy",
-            drives=f"[w, {each('zt{i}', 2)}]" if fuzzy else "None",
-            alphas=", ".join(f"alpha{i}" for i in range(1, n)),
-        )
+        xs, ss, ests, zts = (", ".join(f"{v}{i}" for i in range(first, n + 1))
+                             for v, first in (("x", 1), ("s", 2), ("est", 1), ("zt", 2)))
+        alphas = ", ".join(f"alpha{i}" for i in range(1, n))
+        drifts, drives = (ests + ",", f"[w, {zts}]") if fuzzy else ("energy", "None")
+        unpack = f"{xs}, = x\n{ss}, = filter_states\n{drifts} = drifts\n{', '.join(_TIME_INPUTS)} = inputs\n"
         sign = "tanh" if self.sign_smoothing > 0.0 else "sign"
-        return compile_function(source, f"{__file__}<kernel n={n} {self.mode.value} {sign}>", namespace)
+        return function("kernel", "x, filter_states, drifts, inputs", unpack + self._body,
+                        f"alpha{n}, [{alphas}], {drives}", f"{__file__}<kernel n={n} {self.mode.value} {sign}>",
+                        self._names)
 
     def _compile_time_functions(self):
-        """``(time_inputs, reference_values)``, compiled from the texts of
-        the reference and the envelope.  ``time_inputs(t)`` gives ``(t,
-        y_r, dy_r, eta, eta_dot)``: the reference and the envelope at t
-        with their derivatives, the kernel's only inputs of time, by
-        :func:`inline_time_inputs`.  ``reference_values(times)`` gives the
-        reference at each of ``times`` as a list, its value text inlined
-        into one comprehension."""
+        """``(time_inputs, reference_values)``: ``time_inputs(t)`` gives
+        ``(t, y_r, dy_r, eta, eta_dot)``, the kernel's only inputs of time,
+        by :func:`inline_time_inputs`; ``reference_values(times)`` the
+        reference at each of ``times``, as a list."""
         statements, namespace = inline_time_inputs(self.reference, self.transform.perf, "", _TIME_INPUTS)
-        source = f"def time_inputs(t):\n{textwrap.indent(statements, ' ' * 4)}    return {', '.join(_TIME_INPUTS)}\n"
-        time_inputs = compile_function(source, f"{__file__}<time_inputs>", namespace)
+        time_inputs = function("time_inputs", "t", statements, ", ".join(_TIME_INPUTS), f"{__file__}<time_inputs>",
+                               namespace)
         value, _, namespace = self.reference.inline("t")
-        source = f"def reference_values(times):\n    return [{value} for t in times]\n"
-        return time_inputs, compile_function(source, f"{__file__}<reference_values>", namespace)
+        return time_inputs, function("reference_values", "times", "", f"[{value} for t in times]",
+                                     f"{__file__}<reference_values>", namespace)
 
     def inline_kernel(self, tag: str, args, outputs, keep=()):
-        """``(statements, namespace)``: the kernel as statements to inline
-        into a generated function, at indentation 0, and the constants they
-        read as globals.
-
-        They are :attr:`kernel`'s own statements, evaluated on the caller's
+        """``(statements, namespace)``: :attr:`kernel`'s own text, built
+        once at construction, as statements to inline into a generated
+        function, and the constants they read as globals.  They are evaluated on the caller's
         locals named by ``args`` = (x, filter_states, drifts, inputs): a
         name per plant state, per filter (stages 2..n) and per stage drift
         estimate in fuzzy mode, or one for the energy in approximator-free
@@ -327,8 +299,7 @@ class ControllerChain:
         else:
             names["energy"] = drifts
         names.update((name, name) for name in keep)
-        body, namespace = self._kernel_text()
-        return inline(textwrap.dedent(body), self.kernel, names, tag, namespace, prefix="")
+        return inline(self._body, names, tag, self._names, prefix="")
 
     # -- setup ------------------------------------------------------------
 

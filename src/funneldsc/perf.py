@@ -9,12 +9,14 @@ transformation.  The controller's auxiliaries ``psi`` and ``varphi`` are
 written once, in the control kernel, which reads ``eta`` and ``eta_dot``
 as time inputs.
 
-The envelope is written once, as the statements :data:`_ENVELOPE`, over
-the constants of each :class:`PerfFunction` (its ``names``).
-:attr:`PerfFunction.envelope` is that text compiled, under the name
-``.../perf.py<envelope>``, which profiles count under this module;
-``sim`` inlines the same text into its step instead
-(:meth:`PerfFunction.inline_envelope`).
+Inputs: the paper's four parameters ``(b, c, h, T)``; a ValueError names
+the one to change.  Outputs: the envelope, written once as the statements
+:data:`_ENVELOPE` over each :class:`PerfFunction`'s constants (``names``),
+compiled as :attr:`PerfFunction.envelope` (``.../perf.py<envelope>``,
+counted under this module by profiles) and renamed for ``sim.run``'s loop
+by :meth:`PerfFunction.inline_envelope`, uncompiled.  Both forms are the
+one text (:mod:`funneldsc.codegen`), so they take the same float
+operations in the same order.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ import enum
 import functools
 import math
 import sys
-import textwrap
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .codegen import compile_function, inline
+from .codegen import function, inline
 
 __all__ = [
     "FunnelBreachError",
@@ -142,8 +143,7 @@ class PerfFunction:
     @functools.cached_property
     def envelope(self):
         """``envelope(t)``: ``(eta(t), eta_dot(t))`` by :data:`_ENVELOPE`."""
-        source = f"def envelope(t):\n{textwrap.indent(_ENVELOPE, ' ' * 4)}    return eta, eta_dot\n"
-        return compile_function(source, f"{__file__}<envelope>", dict(self.names))
+        return function("envelope", "t", _ENVELOPE, "eta, eta_dot", f"{__file__}<envelope>", self.names)
 
     def inline_envelope(self, tag: str, t: str, outputs):
         """``(statements, namespace)``: :data:`_ENVELOPE` at indentation 0
@@ -152,7 +152,7 @@ class PerfFunction:
         The namespace holds its constants, each name prefixed with
         ``env_``."""
         eta, eta_dot = outputs
-        return inline(_ENVELOPE, self.envelope, {"t": t, "eta": eta, "eta_dot": eta_dot}, tag, self.names, "env_")
+        return inline(_ENVELOPE, {"t": t, "eta": eta, "eta_dot": eta_dot}, tag, self.names, "env_")
 
     def eta(self, t: float) -> float:
         """Envelope value at time t >= 0."""

@@ -3,15 +3,17 @@
 A plant of order n is a cascade
     xdot_i = f_i(x_1..x_i) + g_i(x_1..x_i) * x_{i+1} + w_i(t)   (i < n)
     xdot_n = f_n(x) + g_n(x) * u + w_n(t)
-Each plant writes the whole cascade out once, as source text
+Inputs: each plant writes the whole cascade out once, as source text
 (``rhs_text``): statements that assign ``dx1..dxn`` from ``x1..xn``, ``u``
-and ``t``, reading every other name from the plant's ``names`` dict.  A
+and ``t``, reading every other name from the plant's ``names`` dict; a
 reference writes its value and its derivative as two expressions in
-``t``.  :attr:`StrictFeedbackPlant.rhs`, :attr:`ReferenceSignal.value` and
-:attr:`ReferenceSignal.derivative` are those texts compiled, under names
-such as ``.../plants.py<rhs n=3>``, which profiles count under this
-module; ``sim`` inlines the same texts into its step instead
+``t``.  Outputs: each text compiled (:attr:`StrictFeedbackPlant.rhs`,
+:attr:`ReferenceSignal.value` and ``derivative``, under names such as
+``.../plants.py<rhs n=3>``, counted under this module by profiles) and
+renamed for ``sim.run``'s loop to inline, uncompiled
 (:meth:`StrictFeedbackPlant.inline_rhs`, :meth:`ReferenceSignal.inline`).
+Both forms are the one text (:mod:`funneldsc.codegen`), so they take the
+same float operations in the same order.
 The controller never reads f_i, g_i or w_i; it only sees the gain bounds
 and the constant Lipschitz rates exposed through :class:`PlantBounds`.
 ``PLANTS`` registers the built-in plants by name, with their order; each
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .codegen import compile_function, inline
+from .codegen import function, inline
 
 __all__ = [
     "StrictFeedbackPlant",
@@ -68,26 +70,23 @@ class ReferenceSignal:
     def __post_init__(self):
         object.__setattr__(self, "names", MappingProxyType(dict(self.names)))
 
-    def _compiled(self, name: str, text: str):
-        return compile_function(f"def {name}(t):\n    return {text.strip()}\n", f"{__file__}<reference {name}>",
-                                dict(self.names))
-
     @functools.cached_property
     def value(self) -> Callable[[float], float]:
         """``value(t)``: :attr:`value_text` compiled."""
-        return self._compiled("value", self.value_text)
+        return function("value", "t", "", self.value_text.strip(), f"{__file__}<reference value>", self.names)
 
     @functools.cached_property
     def derivative(self) -> Callable[[float], float]:
         """``derivative(t)``: :attr:`derivative_text` compiled."""
-        return self._compiled("derivative", self.derivative_text)
+        return function("derivative", "t", "", self.derivative_text.strip(), f"{__file__}<reference derivative>",
+                        self.names)
 
     def inline(self, t: str):
         """``(value, derivative, namespace)``: the two expressions at the
         caller's local ``t``, and the globals they read, each name of
         :attr:`names` prefixed with ``ref_``."""
-        value, namespace = inline(self.value_text.strip(), self.value, {"t": t}, "ref", self.names, "ref_")
-        derivative, _ = inline(self.derivative_text.strip(), self.derivative, {"t": t}, "ref", self.names, "ref_")
+        value, namespace = inline(self.value_text.strip(), {"t": t}, "ref", self.names, "ref_")
+        derivative, _ = inline(self.derivative_text.strip(), {"t": t}, "ref", self.names, "ref_")
         return value, derivative, namespace
 
 
@@ -132,9 +131,8 @@ class StrictFeedbackPlant:
     def rhs(self) -> Callable[[Sequence[float], float, float], list]:
         """``rhs(x, u, t)``: ``[dx1, ..., dxn]`` by :attr:`rhs_text`."""
         xs, dxs = (", ".join(f"{v}{i}" for i in range(1, self.n + 1)) for v in ("x", "dx"))
-        body = textwrap.indent(_statements(self.rhs_text), " " * 4)
-        source = f"def rhs(x, u, t):\n    {xs}, = x\n{body}    return [{dxs}]\n"
-        return compile_function(source, f"{__file__}<rhs n={self.n}>", dict(self.names))
+        text = f"{xs}, = x\n{_statements(self.rhs_text)}"
+        return function("rhs", "x, u, t", text, f"[{dxs}]", f"{__file__}<rhs n={self.n}>", self.names)
 
     def inline_rhs(self, tag: str, x: Sequence[str], u: str, t: str, dx: Sequence[str]):
         """``(statements, namespace)``: :attr:`rhs_text` at indentation 0
@@ -145,7 +143,7 @@ class StrictFeedbackPlant:
         mapping = {"u": u, "t": t}
         mapping.update((f"x{i}", v) for i, v in enumerate(x, start=1))
         mapping.update((f"dx{i}", v) for i, v in enumerate(dx, start=1))
-        return inline(_statements(self.rhs_text), self.rhs, mapping, tag, self.names, "rhs_")
+        return inline(_statements(self.rhs_text), mapping, tag, self.names, "rhs_")
 
     def state_derivative(self, x: Sequence[float], u: float, t: float) -> list:
         """Right-hand side at state x, input u, time t, with its inputs

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 import signal
 import struct
@@ -122,6 +123,8 @@ class SimConfig:
     def __post_init__(self):
         for name in ("dt", "t_end"):
             value = getattr(self, name)
+            if not _real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if not value > 0.0:
@@ -134,12 +137,20 @@ class SimConfig:
             raise ValueError(f"exact_filter must be a bool, got {self.exact_filter!r}")
         step_count(self.t_end, self.dt)
         try:
-            x0 = tuple(float(v) for v in self.x0)
-        except (TypeError, ValueError):
-            raise ValueError(f"x0 must be a sequence of numbers, got {self.x0!r}") from None
+            x0 = tuple(self.x0)
+        except TypeError:
+            x0 = None
+        if x0 is None or isinstance(self.x0, (str, bytes)) or not all(map(_real, x0)):
+            raise ValueError(f"x0 must be a sequence of numbers, got {self.x0!r}")
+        x0 = tuple(map(float, x0))
         if not all(map(math.isfinite, x0)):
             raise ValueError(f"x0 must be finite, got {x0!r}")
         object.__setattr__(self, "x0", x0)
+
+
+def _real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool, which reads as 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_explicit_step(gains: Sequence[StageGains], dt: float) -> None:

@@ -12,7 +12,7 @@ import traceback
 import numpy as np
 import pytest
 
-from funneldsc.codegen import compile_function, inline, rename
+from funneldsc.codegen import compile_function, function, inline, rename
 
 
 # not "<...>": linecache reads no lazy entry under such a name
@@ -51,6 +51,23 @@ class TestCompileFunction:
         assert frame.line == "return v / (0.5 - 0.5 * v)" == text.splitlines()[1].strip()
         if sys.version_info >= (3, 11):  # the carets' columns
             assert text.splitlines()[1][frame.colno:frame.end_colno] == "v / (0.5 - 0.5 * v)"
+
+
+class TestFunction:
+    def test_registers_exactly_the_def_it_documents(self):
+        filename = next(FILENAMES)
+        names = {"GAIN": 3.0}
+        f = function("f", "x, t", "y = GAIN * x\nz = y - t\n", "y, z", filename, names)
+        want = "def f(x, t):\n    y = 3.0 * x\n    z = y - t\n    return y, z\n"
+        assert "".join(linecache.getlines(filename)) == want
+        assert f(2.0, 0.5) == (6.0, 5.5)
+        assert names == {"GAIN": 3.0}  # its globals are a copy
+
+    def test_an_empty_text_returns_an_expression(self):
+        filename = next(FILENAMES)
+        f = function("g", "t", "", "[SCALE * v for v in t]", filename, {"SCALE": 2})
+        assert "".join(linecache.getlines(filename)) == "def g(t):\n    return [2 * v for v in t]\n"
+        assert f([1.0, 2.5]) == [2.0, 5.0]
 
 
 class TestLiterals:
@@ -152,9 +169,21 @@ class TestInline:
         namespace = {"K": 2.0, "OFFSET": 0.5}
         function = compile_function(source, "<test inline>", dict(namespace))
         body = "w = K * t\nout = w + OFFSET\n"
-        text, globals_ = inline(body, function, {"t": "time"}, "s1", namespace, "c_")
+        text, globals_ = inline(body, {"t": "time", "out": "out"}, "s1", namespace, "c_")
         assert text == "w__s1 = c_K * time\nout = w__s1 + c_OFFSET\n"
         assert globals_ == {"c_K": 2.0, "c_OFFSET": 0.5}
         body = textwrap.indent(text, " " * 4)
         g = compile_function(f"def g(time):\n{body}    return out\n", "<test g>", globals_)
         assert g(1.5) == function(1.5) == 3.5
+
+    def test_renames_a_text_that_was_never_compiled(self):
+        """A bound name that ``mapping`` leaves out and a comprehension
+        variable are tagged; a name the text only reads, in neither
+        ``mapping`` nor ``names``, is left alone."""
+        body = "w = [v * K for v in xs]\ntotal = sum(w) + offset\n"
+        text, globals_ = inline(body, {"total": "out"}, "k2", {"K": 1.5}, "c_")
+        assert text == "w__k2 = [v__k2 * c_K for v__k2 in xs]\nout = sum(w__k2) + offset\n"
+        assert globals_ == {"c_K": 1.5}
+        local = {"xs": [1.0, 2.0], "offset": 0.25}
+        exec(text, {**globals_, "sum": sum}, local)
+        assert local["out"] == 4.75

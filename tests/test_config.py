@@ -197,6 +197,10 @@ class TestValidation:
 
     @pytest.mark.parametrize("field, value, message", [
         ("x0", ("a", "b"), "init.x0 must be a sequence of numbers"),
+        # each was once accepted, as the SimConfig tuple (1.0, 2.0), (1.0, 0.0) and (3.5, 0.0)
+        ("x0", "12", "init.x0 must be a sequence of numbers, got '12'"),
+        ("x0", (True, 0.0), "init.x0 must be a sequence of numbers, got (True, 0.0)"),
+        ("x0", ("3.5", "0"), "init.x0 must be a sequence of numbers, got ('3.5', '0')"),
         ("dt", -1e-4, "sim.dt must be strictly positive, got -0.0001"),
         ("t_end", 0.0, "sim.t_end must be strictly positive, got 0.0"),
         ("record_every", 0, "sim.record_every must be a positive integer, got 0"),

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from funneldsc import cli, sim
+from funneldsc import cli, codegen, sim
 from funneldsc.cli import build_problem
 from funneldsc.config import electromechanical_preset, single_link_preset, weak_gain_single_link
 from funneldsc.controller import ControlMode, ControllerChain, StageGains
@@ -290,6 +290,37 @@ class TestStepConstants:
             run(plant, reference, gains, perf, cfg)
             assert len(compiled) == k
             assert compiled[-1].endswith("sim.py<run n=2 approx-free sign exact>")
+
+    @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE], ids=lambda m: m.value)
+    def test_a_first_run_compiles_each_text_it_calls_and_builds_the_kernel_text_once(self, mode, monkeypatch):
+        """On plant, reference and envelope objects that compiled nothing
+        yet, a run compiles the reference value and the envelope it checks
+        x0 with, the chain's kernel, time inputs and reference values, and
+        its loop: it inlines the right-hand side and the reference
+        derivative without compiling them, and builds the kernel text once
+        for both the kernel and the loop."""
+        compiled, texts = [], []
+        compile_function, kernel_text = codegen.compile_function, ControllerChain._kernel_text
+
+        def counted(source, filename, namespace):
+            compiled.append(filename.rsplit("<", 1)[1].split(" n=")[0].rstrip(">"))
+            return compile_function(source, filename, namespace)
+
+        def built(chain):
+            texts.append(chain)
+            return kernel_text(chain)
+
+        monkeypatch.setattr(codegen, "compile_function", counted)
+        monkeypatch.setattr(sim, "compile_function", counted)
+        monkeypatch.setattr(ControllerChain, "_kernel_text", built)
+        plant, reference, gains, perf = sl_problem()
+        plant = StrictFeedbackPlant(**{f: getattr(plant, f) for f in (
+            "n", "rhs_text", "names", "gain_lower", "gain_upper", "lipschitz_rate")})
+        reference = type(reference)(reference.value_text, reference.derivative_text, reference.names)
+        perf = PerfFunction(perf.b, perf.c, perf.h, perf.T)
+        run(plant, reference, gains, perf, SimConfig(dt=1e-4, t_end=0.01, x0=(3.3, 0.0), mode=mode))
+        assert sorted(compiled) == ["envelope", "kernel", "reference value", "reference_values", "run", "time_inputs"]
+        assert len(texts) == 1
 
 
 class TestLiteralConstants:
@@ -1008,14 +1039,22 @@ class TestConfigValidation:
             SimConfig(dt=1e-3, t_end=1.0, x0=(0.0, 0.0), **{name: value})
 
     def test_rejects_a_non_numeric_x0_naming_it(self):
-        with pytest.raises(ValueError, match="^x0 must be a sequence of numbers"):
-            SimConfig(dt=1e-3, t_end=1.0, x0=("a", "b"))
+        """``x0="12"`` ran from (1.0, 2.0), and ``("3.5", "0")`` and
+        ``(True, 0)`` were taken as numbers."""
+        for x0 in [("a", "b"), "12", b"12", ("3.5", "0"), (True, 0), (0.0, False)]:
+            with pytest.raises(ValueError, match="^x0 must be a sequence of numbers"):
+                SimConfig(dt=1e-3, t_end=1.0, x0=x0)
 
     def test_rejects_silent_rounding(self):
         with pytest.raises(ValueError, match="record_every"):
             SimConfig(dt=1e-3, t_end=1.0, x0=(0.0, 0.0), record_every=2.7)
         with pytest.raises(ValueError, match="^record_every must be a positive integer, got True"):
             SimConfig(dt=1e-3, t_end=1.0, x0=(0.0, 0.0), record_every=True)
+        # dt=True ran with dt = 1, and dt="0.1" raised a bare TypeError
+        for name, value in [("dt", True), ("dt", "0.1"), ("t_end", True), ("t_end", "1.0")]:
+            settings = {"dt": 1e-3, "t_end": 1.0, name: value}
+            with pytest.raises(ValueError, match=f"^{name} must be a real number, got {value!r}$"):
+                SimConfig(x0=(0.0, 0.0), **settings)
         with pytest.raises(ValueError, match="multiple"):
             SimConfig(dt=1e-3, t_end=0.01234, x0=(0.0, 0.0))
         with pytest.raises(ValueError, match="multiple"):
