@@ -16,9 +16,8 @@ from pathlib import Path
 from . import config as cfgmod
 from .config import ExperimentConfig
 from .controller import ControlMode
-from .perf import PerfFunction
 from .plants import PLANTS
-from .sim import SimConfig, SimulationDivergenceError, run
+from .sim import SimulationDivergenceError, run
 
 OUT_DIR_ENV = "FUNNELDSC_OUT_DIR"
 
@@ -37,19 +36,10 @@ PER_RUN_FLAGS = {
 
 
 def build_problem(cfg: ExperimentConfig):
-    """Materialize plant, reference, perf function and sim config."""
+    """The plant, reference, perf function and sim config of one run; the
+    last two are the config's own ``perf`` and ``sim``."""
     entry = PLANTS[cfg.plant]
-    plant, reference = entry.plant(), entry.reference()
-    perf = PerfFunction(b=cfg.perf_b, c=cfg.perf_c, h=cfg.perf_h, T=cfg.perf_T)
-    sim_cfg = SimConfig(
-        dt=cfg.dt,
-        t_end=cfg.t_end,
-        x0=cfg.x0,
-        mode=cfg.mode,
-        record_every=cfg.record_every,
-        exact_filter=cfg.exact_filter,
-    )
-    return plant, reference, perf, sim_cfg
+    return entry.plant(), entry.reference(), cfg.perf, cfg.sim
 
 
 def _print(text: str) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import lru_cache, partial
 from operator import attrgetter
 from typing import Callable, Optional
@@ -51,8 +51,10 @@ class ExperimentConfig:
     becomes a ConfigError naming the config key; the envelope is the
     paper's four ``perf_*`` parameters.  Every value must read back, as
     itself and of its type, from the line ``serialize_config`` writes for
-    it, so a saved ``config.txt`` replays the run.  An ``x0`` that starts
-    outside the funnel is left to ``sim.run``, which names ``x0``."""
+    it, so a saved ``config.txt`` replays the run.  The ``PerfFunction``
+    and ``SimConfig`` built to check them are kept as ``perf`` and
+    ``sim``, the run's own.  An ``x0`` that starts outside the funnel is
+    left to ``sim.run``, which names ``x0``."""
 
     preset: str                       # electromechanical | single-link | custom
     plant: str                        # which built-in plant the run uses
@@ -70,6 +72,8 @@ class ExperimentConfig:
     sign_smoothing: float = 0.0
     transform_kind: TransformKind = TransformKind.SYMMETRIC_TAN
     out: Optional[str] = None
+    perf: PerfFunction = field(init=False, compare=False, repr=False)
+    sim: SimConfig = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = plant_order(self.plant)
@@ -89,7 +93,7 @@ class ExperimentConfig:
             raise ConfigError(f"plant {self.plant!r} needs {n} stage-gain blocks, got {len(self.gains)}")
         if len(self.x0) != n:
             raise ConfigError(f"init.x0 needs {n} entries, got {len(self.x0)}")
-        _checked(PerfFunction, b=self.perf_b, c=self.perf_c, h=self.perf_h, T=self.perf_T)
+        perf = _checked(PerfFunction, b=self.perf_b, c=self.perf_c, h=self.perf_h, T=self.perf_T)
         sim = _checked(
             SimConfig, dt=self.dt, t_end=self.t_end, x0=self.x0, mode=self.mode,
             record_every=self.record_every, exact_filter=self.exact_filter,
@@ -99,8 +103,8 @@ class ExperimentConfig:
                 check_explicit_step(self.gains, self.dt)
             except ValueError as exc:
                 raise ConfigError(f"sim.dt: {exc}") from None
-        object.__setattr__(self, "x0", sim.x0)
-        object.__setattr__(self, "gains", tuple(self.gains))
+        for name, value in (("x0", sim.x0), ("gains", tuple(self.gains)), ("perf", perf), ("sim", sim)):
+            object.__setattr__(self, name, value)
         for row in KEYS:
             _read_back(row, getattr(self, row.field))
         for stage, g in zip(_stage_rows(n), self.gains):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -72,9 +73,11 @@ class StageGains:
                 continue
             floor, rule = (1.0, "exceed 1") if name == "varrho" else (0.0, "be strictly positive")
             # the chain squares the gains and inverts lam once at construction;
-            # a square that underflows to 0 would divide by zero in the kernel
+            # a square that underflows to 0 would divide by zero in the kernel,
+            # and float() of an int beyond the floats raises OverflowError
             also = "squared and inverted" if name == "lam" else "squared"
-            if not (floor < v and 0.0 < float(v) * v < math.inf and (name != "lam" or math.isfinite(1.0 / v))):
+            if not (floor < v <= sys.float_info.max and 0.0 < float(v) * v < math.inf
+                    and (name != "lam" or math.isfinite(1.0 / v))):
                 raise ValueError(f"StageGains.{name} must {rule} and be finite, also {also}, got {v!r}")
 
 

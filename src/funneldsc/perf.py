@@ -104,7 +104,8 @@ class PerfFunction:
 
     def __post_init__(self):
         for name in ("b", "c", "h", "T"):
-            if not 0.0 < (value := getattr(self, name)) < math.inf:
+            # not math.inf: an int beyond the floats compares below it
+            if not 0.0 < (value := getattr(self, name)) <= sys.float_info.max:
                 raise ValueError(f"{name}={value!r} must be strictly positive and finite")
         # the logs of the extreme normal floats
         big, small = math.log(sys.float_info.max), math.log(sys.float_info.min)

@@ -7,13 +7,14 @@ Inputs: each plant writes the whole cascade out once, as source text
 (``rhs_text``): statements that assign ``dx1..dxn`` from ``x1..xn``, ``u``
 and ``t``, reading every other name from the plant's ``names`` dict; a
 reference writes its value and its derivative as two expressions in
-``t``.  Outputs: each text compiled (:attr:`StrictFeedbackPlant.rhs`,
-:attr:`ReferenceSignal.value` and ``derivative``, under names such as
-``.../plants.py<rhs n=3>``, counted under this module by profiles) and
-renamed for ``sim.run``'s loop to inline, uncompiled
-(:meth:`StrictFeedbackPlant.inline_rhs`, :meth:`ReferenceSignal.inline`).
-Both forms are the one text (:mod:`funneldsc.codegen`), so they take the
-same float operations in the same order.
+``t``.  Outputs: the right-hand side and the reference's value compiled
+(:attr:`StrictFeedbackPlant.rhs`, :attr:`ReferenceSignal.value`, under
+names such as ``.../plants.py<rhs n=3>``, counted under this module by
+profiles), and every text renamed for ``sim.run``'s loop to inline,
+uncompiled (:meth:`StrictFeedbackPlant.inline_rhs`,
+:meth:`ReferenceSignal.inline`).  Both forms are the one text
+(:mod:`funneldsc.codegen`), so they take the same float operations in the
+same order.
 The controller never reads f_i, g_i or w_i; it only sees the gain bounds
 and the constant Lipschitz rates exposed through :class:`PlantBounds`.
 ``PLANTS`` registers the built-in plants by name, with their order; each
@@ -74,12 +75,6 @@ class ReferenceSignal:
     def value(self) -> Callable[[float], float]:
         """``value(t)``: :attr:`value_text` compiled."""
         return function("value", "t", "", self.value_text.strip(), f"{__file__}<reference value>", self.names)
-
-    @functools.cached_property
-    def derivative(self) -> Callable[[float], float]:
-        """``derivative(t)``: :attr:`derivative_text` compiled."""
-        return function("derivative", "t", "", self.derivative_text.strip(), f"{__file__}<reference derivative>",
-                        self.names)
 
     def inline(self, t: str):
         """``(value, derivative, namespace)``: the two expressions at the

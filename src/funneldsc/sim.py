@@ -125,7 +125,7 @@ class SimConfig:
             value = getattr(self, name)
             if not _real(value):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
+            if not _finite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if not value > 0.0:
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
@@ -142,15 +142,20 @@ class SimConfig:
             x0 = None
         if x0 is None or isinstance(self.x0, (str, bytes)) or not all(map(_real, x0)):
             raise ValueError(f"x0 must be a sequence of numbers, got {self.x0!r}")
-        x0 = tuple(map(float, x0))
-        if not all(map(math.isfinite, x0)):
+        if not all(map(_finite, x0)):
             raise ValueError(f"x0 must be finite, got {x0!r}")
-        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "x0", tuple(map(float, x0)))
 
 
 def _real(value) -> bool:
     """Whether ``value`` is a real number and not a bool, which reads as 1."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    """Whether the real ``value`` lies within the finite floats; an int
+    beyond them is not, where math.isfinite raises OverflowError."""
+    return -sys.float_info.max <= value <= sys.float_info.max
 
 
 def check_explicit_step(gains: Sequence[StageGains], dt: float) -> None:
@@ -313,7 +318,6 @@ def run_loop(x, s, theta, block, fold, n_steps):
 {buffers}
     filled = 0
     max_err = max_err_after = max_u = peak_u_t = 0.0
-    steady_ok = True
     breach = te = None
     first = -BLOCK  # first row of the basis block; sample 0 fills one
     for k in range(n_steps + 1):
@@ -351,11 +355,8 @@ def run_loop(x, s, theta, block, fold, n_steps):
         ae = abs(e)
         if ae > max_err:
             max_err = ae
-        if t >= AFTER_T:
-            if ae > max_err_after:
-                max_err_after = ae
-            if ae >= TAN_C:
-                steady_ok = False
+        if t >= AFTER_T and ae > max_err_after:
+            max_err_after = ae
         if closing:
             break
         au = abs(u1)
@@ -364,7 +365,7 @@ def run_loop(x, s, theta, block, fold, n_steps):
             peak_u_t = t
         if not ({finite}):
             raise SimulationDivergenceError(t + DT)
-    return filled, breach, max_err, max_err_after, max_u, peak_u_t, steady_ok
+    return filled, breach, max_err, max_err_after, max_u, peak_u_t
 """
 
 # A fuzzy stage's drift estimate at RK stages 2..4 (see _step_constants).
@@ -475,7 +476,7 @@ def _compile_loop(plant: StrictFeedbackPlant, chain: ControllerChain, config: Si
         HALF=0.5 * dt, DT=dt, DT6=dt / 6.0, GROWTH=growth, pack_drives=struct.Struct(f"{3 * n}d").pack_into,
         empty=np.empty, empty_like=np.empty_like,
         BLOCK=BASIS_BLOCK, BLOCK_ROWS=blocks.size, ROW_BYTES=blocks.row.size, pack_row=blocks.row.pack_into,
-        RECORD_EVERY=config.record_every, AFTER_T=perf.T, TAN_C=math.tan(perf.c),
+        RECORD_EVERY=config.record_every, AFTER_T=perf.T,
         tabulate=chain.tabulate_basis, isfinite=math.isfinite,
         multiply=np.multiply, add_reduce=np.add.reduce, square_root=np.sqrt,
         FunnelBreachError=FunnelBreachError, SimulationDivergenceError=SimulationDivergenceError,
@@ -589,7 +590,10 @@ def run(
     is reported, not raised; divergence, a non-finite plant state or a float
     overflow in the controller, raises :class:`SimulationDivergenceError`.
     An x0 whose error's arctan rounds to eta(0) = pi/2, |e(0)| of about
-    2e15 or more, is an input error: a ValueError starting with ``x0``.
+    2e15 or more, is an input error that the kernel finds at t = 0, after
+    the checks of ``dt`` and ``csv_file``: a ValueError starting with
+    ``x0``.  The steady bound holds if the transient one does and the
+    streamed max|e| after T is below tan(c).
 
     By default ``Trajectory.data`` holds the recorded rows.  With
     ``csv_file``, a text file opened with ``newline=""`` (it must have a
@@ -606,9 +610,6 @@ def run(
     n = plant.n
     if len(config.x0) != n:
         raise ValueError(f"x0 must have {n} entries")
-    e0, eta0 = config.x0[0] - reference.value(0.0), perf.envelope(0.0)[0]
-    if abs(math.atan(e0)) >= eta0:
-        raise ValueError(f"x0 starts outside the funnel: arctan of the error e(0) = {e0!r} rounds to eta(0) = {eta0!r}")
     if not config.exact_filter:
         check_explicit_step(gains, config.dt)
     if csv_file is not None:
@@ -640,16 +641,16 @@ def run(
 
     try:
         cstate = chain.init_state(config.x0)
+    except FunnelBreachError as br:  # the kernel's own check of e(0) against eta(0)
+        raise ValueError(f"x0 starts outside the funnel: arctan of the error e(0) = {br.e!r} "
+                         f"rounds to eta(0) = {br.eta!r}") from None
     except OverflowError as exc:
         raise SimulationDivergenceError(0.0) from exc
-    if cstate.theta_hat:
-        theta = np.array([w.theta_hat for w in cstate.theta_hat])
-    else:
-        theta = np.zeros((0, 0))
+    theta = np.array([w.theta_hat for w in cstate.theta_hat]) if cstate.theta_hat else np.zeros((0, 0))
     blocks = _Blocks(names, n_steps // config.record_every + 2, csv_file)
     try:
         run_loop = _compile_loop(plant, chain, config, blocks)
-        rows, breach, max_err, max_err_after, max_u, peak_u_t, steady_ok = run_loop(
+        rows, breach, max_err, max_err_after, max_u, peak_u_t = run_loop(
             config.x0, cstate.filter_states, theta, memoryview(blocks.block), blocks.fold, n_steps)
         transient_ok = breach is None
         # the sup norms skip the closing sample, which opens no step
@@ -665,7 +666,8 @@ def run(
     }
     report = VerificationReport(
         transient_ok=transient_ok,
-        steady_ok=steady_ok and transient_ok,
+        # the loop raises on a non-finite state, so max|e| after T decides the bound
+        steady_ok=transient_ok and max_err_after < math.tan(perf.c),
         max_abs_error=max_err,
         max_abs_error_after_T=max_err_after,
         max_abs_control=max_u,
@@ -684,9 +686,9 @@ class _Blocks:
     The loop packs rows into ``block``.  ``fold(rows, opening)`` folds a
     full block: its first ``rows`` rows into the minimum funnel margin and
     its first ``opening`` rows, those that opened a step, into the column
-    peaks from ``u`` on; it then hands the rows on and returns the next
-    block to fill, as a memoryview.  ``close(rows, opening)`` folds and
-    hands on the last block.  Without ``csv_file`` each block is a window
+    peaks after ``u`` (the loop streams u's); it then hands the rows on
+    and returns the next block to fill, as a memoryview.  ``close(rows,
+    opening)`` folds and hands on the last block.  Without ``csv_file`` each block is a window
     of ``kept``, one array for every row the run can record.  With it the
     header line goes to that file at once and ``kept`` holds no rows: the
     first full block starts a writer process (:data:`_WRITER`), which
@@ -699,7 +701,7 @@ class _Blocks:
         width = len(names)
         self.size = min(RECORD_BLOCK, capacity)
         self.row = struct.Struct(f"{width}d")
-        self.first, self.eta, self.atan = names.index("u"), names.index("eta"), names.index("arctan_e")
+        self.first, self.eta, self.atan = names.index("u") + 1, names.index("eta"), names.index("arctan_e")
         self.high = self.low = np.zeros(width - self.first)
         self.margin = self.margin_time = None
         self.rows = 0  # rows folded so far

@@ -13,7 +13,8 @@ generated loop.
 ``RHS``, ``REFERENCES`` and ``envelope_method`` are the built-in plants'
 right-hand sides, their references and the envelope as they were
 hand-written before each became one source text; the compiled texts
-equal them float for float.
+equal them float for float.  ``reference_derivative`` compiles a reference's
+derivative text, which the package only inlines.
 """
 
 import math
@@ -21,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from funneldsc import plants
+from funneldsc import codegen, plants
 from funneldsc.controller import ControlMode, ControllerChain, StageGains
 from funneldsc.perf import _POLE_GUARD, PHI_FLOOR, ErrorTransform, FunnelBreachError, PerfFunction
 from funneldsc.plants import EM_B, EM_M, EM_N, PlantBounds, ReferenceSignal
@@ -50,6 +51,13 @@ def single_link_rhs(x, u, t):
         + (1.0 / plants._SL_I) * u
         + 10.0 * math.cos(5.0 * t),
     ]
+
+
+def reference_derivative(reference: ReferenceSignal):
+    """``derivative(t)``: ``reference.derivative_text`` compiled by
+    ``codegen.function``, as ``reference.value`` is."""
+    return codegen.function("derivative", "t", "", reference.derivative_text.strip(), "<reference derivative>",
+                            reference.names)
 
 
 RHS = {"electromechanical": electromechanical_rhs, "single-link": single_link_rhs}

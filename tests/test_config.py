@@ -24,7 +24,9 @@ from funneldsc.config import (
     weak_gain_single_link,
 )
 from funneldsc.controller import ControlMode
+from funneldsc.perf import PerfFunction
 from funneldsc.plants import PLANTS
+from funneldsc.sim import SimConfig
 
 
 class TestPresets:
@@ -190,7 +192,8 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             replace(single_link_preset(), **{field: value})
 
-    @pytest.mark.parametrize("x0", [(math.inf, 0.0), (0.0, math.nan)])
+    # an int beyond the floats, which float() cannot convert
+    @pytest.mark.parametrize("x0", [(math.inf, 0.0), (0.0, math.nan), (10**400, 0.0)])
     def test_rejects_non_finite_x0(self, x0):
         with pytest.raises(ConfigError, match="init.x0 must be finite"):
             replace(single_link_preset(), x0=x0)
@@ -238,6 +241,24 @@ class TestValidation:
     def test_rejects_negative_sign_smoothing(self):
         with pytest.raises(ConfigError, match="sign_smoothing must be nonnegative"):
             replace(single_link_preset(), sign_smoothing=-1.0)
+
+    def test_build_problem_returns_the_run_objects_the_config_checked(self):
+        """The PerfFunction and SimConfig a config builds to check itself
+        are its ``perf`` and ``sim``, which ``build_problem`` returns, and
+        ``replace`` builds them anew; they take no part in equality,
+        hashing or repr."""
+        cfg = single_link_preset()
+        _, _, perf, sim_cfg = cli.build_problem(cfg)
+        assert perf is cfg.perf and sim_cfg is cfg.sim
+        assert perf == PerfFunction(b=cfg.perf_b, c=cfg.perf_c, h=cfg.perf_h, T=cfg.perf_T)
+        assert sim_cfg == SimConfig(dt=cfg.dt, t_end=cfg.t_end, x0=cfg.x0, mode=cfg.mode,
+                                    record_every=cfg.record_every, exact_filter=cfg.exact_filter)
+        changed = replace(cfg, perf_c=0.04, dt=2e-5, x0=(3, 0.5), mode=ControlMode.FUZZY, record_every=1)
+        assert changed.perf == PerfFunction(b=0.9, c=0.04, h=1.0, T=0.5)
+        assert changed.sim == SimConfig(dt=2e-5, t_end=3.0, x0=(3.0, 0.5), mode=ControlMode.FUZZY, record_every=1)
+        _, _, perf, sim_cfg = cli.build_problem(changed)
+        assert perf is changed.perf and sim_cfg is changed.sim
+        assert replace(cfg) == cfg and hash(replace(cfg)) == hash(cfg) and "perf=" not in repr(cfg)
 
     def test_wrong_gain_count(self):
         cfg = single_link_preset()

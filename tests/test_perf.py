@@ -87,7 +87,8 @@ class TestPerfFunction:
             PerfFunction(**{**dict(b=0.9, c=0.05, h=1.0, T=0.5), **kwargs})
 
     @pytest.mark.parametrize("name", ["b", "c", "h", "T"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    # an int beyond the floats compares below inf, and b and h overflow in float arithmetic
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0, pytest.param(10**400, id="10**400")])
     def test_names_the_failing_parameter(self, name, value):
         kwargs = {**dict(b=0.9, c=0.05, h=1.0, T=0.5), name: value}
         with pytest.raises(ValueError, match=f"^{name}={re.escape(repr(value))} must be strictly positive and finite$"):

@@ -16,7 +16,7 @@ from funneldsc.plants import (
     make_single_link,
     single_link_reference,
 )
-from oracles import REFERENCES, RHS
+from oracles import REFERENCES, RHS, reference_derivative
 
 
 def bits(values) -> list:
@@ -104,17 +104,17 @@ class TestReferences:
         h = 1e-7
         for t in (0.0, 0.13, 0.5, 1.7):
             fd = (ref.value(t + h) - ref.value(t - h)) / (2.0 * h)
-            assert ref.derivative(t) == pytest.approx(fd, rel=1e-6, abs=1e-6)
+            assert reference_derivative(ref)(t) == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
     def test_electromechanical_reference_values(self):
         ref = electromechanical_reference()
         assert ref.value(0.0) == pytest.approx(2.0)
-        assert ref.derivative(0.0) == pytest.approx(10.0)
+        assert reference_derivative(ref)(0.0) == pytest.approx(10.0)
 
     def test_single_link_reference_values(self):
         ref = single_link_reference()
         assert ref.value(0.0) == pytest.approx(math.pi)
-        assert ref.derivative(0.0) == pytest.approx(20.0)
+        assert reference_derivative(ref)(0.0) == pytest.approx(20.0)
 
 
 class TestRegistry:
@@ -160,7 +160,7 @@ class TestTextsEqualTheHandWrittenFormulas:
     def test_reference(self, name, t):
         reference = PLANTS[name].reference()
         value, derivative = REFERENCES[name]
-        assert bits([reference.value(t), reference.derivative(t)]) == bits([value(t), derivative(t)])
+        assert bits([reference.value(t), reference_derivative(reference)(t)]) == bits([value(t), derivative(t)])
 
 
 class TestTexts:

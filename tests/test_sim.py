@@ -294,11 +294,11 @@ class TestStepConstants:
     @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE], ids=lambda m: m.value)
     def test_a_first_run_compiles_each_text_it_calls_and_builds_the_kernel_text_once(self, mode, monkeypatch):
         """On plant, reference and envelope objects that compiled nothing
-        yet, a run compiles the reference value and the envelope it checks
-        x0 with, the chain's kernel, time inputs and reference values, and
-        its loop: it inlines the right-hand side and the reference
-        derivative without compiling them, and builds the kernel text once
-        for both the kernel and the loop."""
+        yet, a run compiles the chain's kernel, which checks x0, its time
+        inputs and reference values, and its loop: it inlines the
+        right-hand side, the reference and the envelope without compiling
+        them, and builds the kernel text once for both the kernel and the
+        loop."""
         compiled, texts = [], []
         compile_function, kernel_text = codegen.compile_function, ControllerChain._kernel_text
 
@@ -319,7 +319,7 @@ class TestStepConstants:
         reference = type(reference)(reference.value_text, reference.derivative_text, reference.names)
         perf = PerfFunction(perf.b, perf.c, perf.h, perf.T)
         run(plant, reference, gains, perf, SimConfig(dt=1e-4, t_end=0.01, x0=(3.3, 0.0), mode=mode))
-        assert sorted(compiled) == ["envelope", "kernel", "reference value", "reference_values", "run", "time_inputs"]
+        assert sorted(compiled) == ["kernel", "reference_values", "run", "time_inputs"]
         assert len(texts) == 1
 
 
@@ -932,6 +932,22 @@ class TestBreachHandling:
         with pytest.raises(ValueError, match=r"^x0 starts outside the funnel: arctan of the error e\(0\) = "):
             run(plant, reference, gains, perf, cfg)
 
+    def test_the_x0_error_names_e0_and_eta0_after_the_dt_and_csv_file_checks(self):
+        """The kernel's check at t = 0 gives the text that run()'s own
+        check once did, e(0) and eta(0) from the reference and envelope;
+        a dt above the explicit filter's limit and a csv_file without a
+        descriptor are reported first."""
+        plant, reference, gains, perf = sl_problem()
+        cfg = SimConfig(dt=1e-4, t_end=0.01, x0=(math.pi + 1e17, 0.0), mode=ControlMode.APPROX_FREE)
+        e0, eta0 = cfg.x0[0] - reference.value(0.0), perf.envelope(0.0)[0]
+        with pytest.raises(ValueError) as err:
+            run(plant, reference, gains, perf, cfg)
+        assert str(err.value) == f"x0 starts outside the funnel: arctan of the error e(0) = {e0!r} rounds to eta(0) = {eta0!r}"
+        with pytest.raises(ValueError, match="^explicit stepping needs dt"):
+            run(plant, reference, gains, perf, replace(cfg, dt=1e-3, exact_filter=False))
+        with pytest.raises(ValueError, match="^csv_file must be a file with a descriptor"):
+            run(plant, reference, gains, perf, cfg, csv_file=io.StringIO())
+
     @pytest.mark.parametrize("e0", [5e15, -5e15])
     def test_every_other_start_records_its_t0_sample(self, e0):
         """Below the limit the run starts, records t = 0 and breaches at
@@ -943,6 +959,39 @@ class TestBreachHandling:
         assert traj.data[:, 0].tolist() == [0.0]
         assert report.min_margin_time == 0.0
         assert 0.0 < report.min_funnel_margin <= 2.0 * math.ulp(math.pi / 2)
+
+
+class TestSteadyVerdict:
+    """The steady verdict is the transient one and the streamed max|e|
+    after T below tan(c); the kept rows give the same verdict sample by
+    sample."""
+
+    @pytest.mark.parametrize("preset, dt, t_end", [
+        (electromechanical_preset, 2e-5, 0.52),
+        (single_link_preset, 5e-5, 0.6),
+        (single_link_preset, 5e-5, 0.3),  # ends before T: no sample after it
+    ], ids=["em", "sl", "sl-before-T"])
+    @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE], ids=lambda m: m.value)
+    def test_a_run_reads_its_verdict_from_the_maximum_after_T(self, preset, dt, t_end, mode):
+        cfg = replace(preset(mode=mode), dt=dt, t_end=t_end, record_every=1)
+        traj, report = self.verdict(cfg)
+        assert report.transient_ok and report.steady_ok
+        after = np.abs(traj.column("e")[traj.column("t") >= cfg.perf_T])
+        assert report.max_abs_error_after_T == (after.max() if t_end > cfg.perf_T else 0.0)
+        assert bool(np.all(after < math.tan(cfg.perf_c)))
+
+    def test_the_weak_gain_breach_fails_it(self):
+        cfg = replace(weak_gain_single_link(), dt=1e-4, t_end=0.6, record_every=1)
+        traj, report = self.verdict(cfg)
+        assert traj.breach is not None and not report.transient_ok and not report.steady_ok
+        assert report.max_abs_error_after_T > 0.0
+
+    @staticmethod
+    def verdict(cfg):
+        plant, reference, perf, sim_cfg = build_problem(cfg)
+        traj, report = run(plant, reference, cfg.gains, perf, sim_cfg, sign_smoothing=cfg.sign_smoothing)
+        assert report.steady_ok == (report.transient_ok and report.max_abs_error_after_T < math.tan(cfg.perf_c))
+        return traj, report
 
 
 class TestDivergenceHandling:
@@ -1017,12 +1066,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(dt=1e-3, t_end=1.0, x0=(0.0, 0.0), record_every=0)
         # a non-finite start is an input error, not a breach or divergence
-        for x0 in [(math.inf, 0.0), (math.nan, 0.0), (3.14, math.nan), (3.14, -math.inf)]:
+        # an int beyond the floats, which float() cannot convert
+        for x0 in [(math.inf, 0.0), (math.nan, 0.0), (3.14, math.nan), (3.14, -math.inf),
+                   (10**400, 0.0), (3.14, -10**400)]:
             with pytest.raises(ValueError, match="x0 must be finite"):
                 SimConfig(dt=1e-3, t_end=1.0, x0=x0)
 
     @pytest.mark.parametrize("name", ["dt", "t_end"])
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    # an int beyond the floats, on which math.isfinite overflows
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="10**400")])
     def test_reports_a_non_finite_step_or_horizon_as_such(self, name, value):
         settings = {"dt": 1e-3, "t_end": 1.0, name: value}
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
