@@ -326,19 +326,23 @@ class ControllerChain:
 
     # -- evaluation -------------------------------------------------------
 
-    def tabulate_basis(self, times: Sequence[float]):
+    def tabulate_basis(self, times: Sequence[float], buffers=None):
         """``(rows, energies, cross1, cross2)``: the reference basis at
         ``times`` as a (len(times), m) array, the energies b_i.b_i and, in
         fuzzy mode, the Gram products b_i.b_{i+1} and b_i.b_{i+2} as lists
         (None in approximator-free mode).  Each energy is a sum of squares,
-        so no row depends on the other times of the call.  Stores nothing."""
-        rows = self.grid.basis(np.array(self._reference_values(times)))
-        energies = (rows * rows).sum(axis=1).tolist()
-        if self.mode is not ControlMode.FUZZY:
-            return rows, energies, None, None
-        cross1 = (rows[:-1] * rows[1:]).sum(axis=1).tolist()
-        return rows, energies, cross1, (rows[:-2] * rows[2:]).sum(axis=1).tolist()
-
+        so no row depends on the other times of the call.  The arrays are
+        computed in ``buffers``, ``self.grid.buffers(len(times))`` (new ones
+        if None), and ``rows`` is their first; so a caller that passes
+        buffers again overwrites the rows.  Stores nothing."""
+        rows, work, sums = buffers = self.grid.buffers(len(times)) if buffers is None else buffers
+        self.grid.basis(np.array(self._reference_values(times)), buffers)
+        products = []
+        for lag in (0, 1, 2) if self._fuzzy else (0,):
+            k = len(rows) - lag
+            np.multiply(rows[:k], rows[lag:], out=work[:k])
+            products.append(np.add.reduce(work[:k], axis=1, out=sums[:k]).tolist())
+        return (rows, *products) if self._fuzzy else (rows, products[0], None, None)
 
     def evaluate(self, x: Sequence[float], state: ControllerState, t: float) -> tuple:
         """``(u, alpha, theta_dot)``: the control input, the virtual controls

@@ -32,27 +32,41 @@ class GaussianGrid:
             raise ValueError(f"the reference grid has one input dimension, got dim={dim!r}")
         return cls()
 
-    def basis(self, y) -> np.ndarray:
+    def buffers(self, k: int) -> tuple:
+        """Arrays for :meth:`basis` to fill for a batch of k inputs: its
+        rows, a work array of their shape and the row sums."""
+        return np.empty((k, self.m)), np.empty((k, self.m)), np.empty(k)
+
+    def basis(self, y, buffers=None) -> np.ndarray:
         """Normalized basis at input y: shape ``(m,)`` for a scalar,
-        ``(k, m)`` for a 1-D batch of k inputs.  This is the only place
-        the rule activations are computed."""
+        ``(k, m)`` for a 1-D batch of k inputs, computed in ``buffers``
+        (:meth:`buffers` of k, or of 1 for a scalar; new ones if None) and
+        returned in its rows.  This is the only place the rule activations
+        are computed."""
         y = np.asarray(y, dtype=float)
-        diff = y.reshape(-1, 1) - self.centers
-        # in place where the float is the same: fewer (k, m) temporaries
-        exponent = diff * diff
-        exponent *= self._scale
-        activation = np.exp(-exponent)
-        activation *= 10.0
-        total = activation.sum(axis=1)
+        out, work, total = self.buffers(y.size) if buffers is None else buffers
+        # each ufunc takes whole (k, m) arrays: numpy buffers a broadcast
+        # operand, 64 kB per operand and call, and np.copyto does not
+        np.copyto(work, y.reshape(-1, 1))
+        np.copyto(out, self.centers)
+        np.subtract(work, out, out=work)
+        with np.errstate(over="ignore"):  # a square past the floats is inf, a dead row
+            np.multiply(work, work, out=work)
+        work *= self._scale
+        np.exp(np.negative(work, out=work), out=out)
+        out *= 10.0
+        np.add.reduce(out, axis=1, out=total)
         dead = total == 0.0
         if dead.any():
             # input far outside the grid: fall back to the nearest rule so the
-            # probability-vector invariant survives underflow
-            nearest = exponent[dead].argmin(axis=1)
-            activation[dead] = 0.0
-            activation[np.flatnonzero(dead), nearest] = 1.0
+            # probability-vector invariant survives underflow; clipped to the
+            # grid, so that an input past every center is nearest its end
+            near = np.abs(y.reshape(-1)[dead].clip(self.centers[0], self.centers[-1])[:, None] - self.centers)
+            out[dead] = 0.0
+            out[np.flatnonzero(dead), near.argmin(axis=1)] = 1.0
             total[dead] = 1.0
-        out = activation / total[:, None]
+        np.copyto(work, total.reshape(-1, 1))
+        np.divide(out, work, out=out)
         return out if y.ndim else out[0]
 
 

@@ -75,9 +75,13 @@ __all__ = [
 ]
 
 # Rows per tabulated basis block in run().  A fixed block bounds the
-# table's memory whatever the horizon (4096 rows of 11 rules is about
-# 0.6 MB with the Gram products), while refilling costs one vectorised pass
-# per 2048 steps, within noise of tabulating the whole run up front.
+# table's memory whatever the horizon, and each run tabulates every block
+# into one set of buffers (GaussianGrid.buffers), so a refill allocates no
+# (rows, m) array: 4098 rows of 11 rules are two 361 kB arrays.  Refilling
+# costs one vectorised pass per 2048 steps.  1024 rows would hold a quarter
+# of that at no measured cost in time, but then perfbench/selftest.py's
+# short sl-recorded runs would count numpy calls per step where it expects
+# none.
 BASIS_BLOCK = 4096
 # Rows per recorded block in run(), for the same reason: a run that writes
 # its rows as it goes holds one block whatever its horizon.  A block of
@@ -284,14 +288,15 @@ SQ, NORMS = empty_like(theta), empty(len(theta))"""
 #
 # Sample k opens step k: it reads rows 2k..2k+2 of the basis on the
 # half-step grid i*dt/2, tabulated in blocks of BLOCK rows plus two of
-# overlap, and evaluates the kernel at t ({opening}).  Its row takes e,
-# arctan e, y_r, eta and z from that kernel's own locals and is packed into
-# the next row of ``block``, BLOCK_ROWS rows of ROW_BYTES bytes; a full
-# block goes to ``fold`` before the next row, and ``fold`` returns the
-# block to fill next.  The last sample, at t_end, opens no step.  A breach
-# at an RK stage ends the run after its step's row was recorded, before
-# that step's max|e| and max|u| are updated.  The loop returns the rows of
-# its last block, which run() folds.
+# overlap, each into the run's one set of buffers BASIS, and evaluates the
+# kernel at t ({opening}).  Its row takes e, arctan e, y_r, eta and z from
+# that kernel's own locals and is packed into the next row of ``block``,
+# BLOCK_ROWS rows of ROW_BYTES bytes; a full block goes to ``fold`` before
+# the next row, and ``fold`` returns the block to fill next.  The last
+# sample, at t_end, opens no step.  A breach at an RK stage ends the run
+# after its step's row was recorded, before that step's max|e| and max|u|
+# are updated.  The loop returns the rows of its last block, which run()
+# folds.
 #
 # {step} is one RK4 step, stage by stage, in step()'s float operations and
 # order.  Per RK stage k, x<k>_<j> is plant state j, s<k>_<i> filter i,
@@ -325,7 +330,8 @@ def run_loop(x, s, theta, block, fold, n_steps):
         closing = k == n_steps
         if 2 * k - first >= BLOCK:
             first = 2 * k
-            basis, energy, cross1, cross2 = tabulate([i * HALF for i in range(first, first + BLOCK + 2)])
+            energy = cross1 = cross2 = None  # the last block's lists go before the next's are made
+            basis, energy, cross1, cross2 = tabulate([i * HALF for i in range(first, first + BLOCK + 2)], BASIS)
         row = 2 * k - first
         try:
             # the time inputs are pure functions of the float, so the last
@@ -477,7 +483,7 @@ def _compile_loop(plant: StrictFeedbackPlant, chain: ControllerChain, config: Si
         empty=np.empty, empty_like=np.empty_like,
         BLOCK=BASIS_BLOCK, BLOCK_ROWS=blocks.size, ROW_BYTES=blocks.row.size, pack_row=blocks.row.pack_into,
         RECORD_EVERY=config.record_every, AFTER_T=perf.T,
-        tabulate=chain.tabulate_basis, isfinite=math.isfinite,
+        tabulate=chain.tabulate_basis, BASIS=chain.grid.buffers(BASIS_BLOCK + 2), isfinite=math.isfinite,
         multiply=np.multiply, add_reduce=np.add.reduce, square_root=np.sqrt,
         FunnelBreachError=FunnelBreachError, SimulationDivergenceError=SimulationDivergenceError,
     )

@@ -1,5 +1,7 @@
 import functools
 import math
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -478,7 +480,9 @@ class TestBasisBlocks:
         """The multi-time ``tabulate_basis`` calls of an em fuzzy run with
         ``sim.BASIS_BLOCK = BLOCK``, as (times, block) pairs, and the run's
         reads of the blocks' basis rows as (rows, key) pairs: each block's
-        rows log every index the run takes of them."""
+        rows log every index the run takes of them.  The run tabulates
+        every block into one set of buffers, so each block's rows are
+        copied as they are tabulated, and the run reads the copy."""
         monkeypatch.setattr(sim, "BASIS_BLOCK", self.BLOCK)
         blocks, reads = [], []
         tabulate = ControllerChain.tabulate_basis
@@ -488,10 +492,10 @@ class TestBasisBlocks:
                 reads.append((self, key))
                 return np.asarray(np.ndarray.__getitem__(self, key))
 
-        def tabulated(chain, times):
-            block = tabulate(chain, times)
+        def tabulated(chain, times, buffers=None):
+            block = tabulate(chain, times, buffers)
             if len(times) > 1:  # not a read of init_state or evaluate
-                block = (block[0].view(Logged), *block[1:])
+                block = (block[0].copy().view(Logged), *block[1:])
                 blocks.append((list(times), block))
             return block
 
@@ -631,6 +635,74 @@ class TestOneBasisRoutine:
         after = vars(chain)
         assert after.keys() == before.keys()
         assert all(after[name] is value for name, value in before.items())
+
+
+class TestBasisBuffers:
+    """``tabulate_basis`` computes in the buffers it is passed, and
+    ``run()`` passes one set per run to every refill of its block."""
+
+    @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE])
+    @pytest.mark.parametrize("k", [1, 3, 6, 1026])
+    def test_buffered_equals_fresh(self, mode, k):
+        chain = em_chain(mode)
+        buffers = chain.grid.buffers(k)
+        for buffer in buffers:
+            buffer.fill(np.nan)  # nothing of an earlier fill may show
+        for start in (0.0, 0.4321):  # the second fill overwrites the first
+            times = [start + i * 5e-6 for i in range(k)]
+            fresh = chain.tabulate_basis(times)
+            block = chain.tabulate_basis(times, buffers)
+            assert block[0] is buffers[0] and block[0].tobytes() == fresh[0].tobytes()
+            assert block[1:] == fresh[1:]
+
+    def test_buffered_dead_rows_equal_fresh(self):
+        grid = em_chain().grid
+        ys = np.array([-1e6, 0.0, 3.7, 1e6, -70.0, 150.0, 1e200, -math.inf])
+        buffers = grid.buffers(len(ys))
+        for buffer in buffers:
+            buffer.fill(np.nan)
+        rows = grid.basis(ys, buffers)
+        assert rows is buffers[0] and rows.tobytes() == grid.basis(ys).tobytes()
+        assert (np.count_nonzero(rows, axis=1) == 1).tolist() == [True, False, False, True, False, True, True, True]
+
+    @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE])
+    def test_run_passes_one_row_buffer_to_every_refill(self, mode, monkeypatch):
+        monkeypatch.setattr(sim, "BASIS_BLOCK", 6)
+        passed = []
+        tabulate = ControllerChain.tabulate_basis
+
+        def logged(chain, times, buffers=None):
+            if len(times) > 1:  # not init_state's read
+                passed.append(buffers)
+            return tabulate(chain, times, buffers)
+
+        monkeypatch.setattr(ControllerChain, "tabulate_basis", logged)
+        cfg = replace(electromechanical_preset(mode=mode), dt=1e-5, t_end=1e-4)
+        plant, reference, perf, sim_cfg = build_problem(cfg)
+        sim.run(plant, reference, cfg.gains, perf, sim_cfg)
+        assert len(passed) == 4  # half-step rows 0..20 in blocks of 6
+        assert passed[0][0].shape == (8, 11)
+        assert all(buffers[0] is passed[0][0] for buffers in passed)
+
+    @pytest.mark.parametrize("mode", [ControlMode.FUZZY, ControlMode.APPROX_FREE])
+    def test_a_refill_allocates_less_than_one_row_array(self, mode):
+        """A refill of a 1026-row block keeps only the lists it returns,
+        and beyond them allocates less than one (1026, m) array at its
+        peak; numpy traces its data, so every temporary array counts."""
+        chain = em_chain(mode)
+        times = [i * 5e-6 for i in range(4000, 5026)]
+        buffers = chain.grid.buffers(len(times))
+        chain.tabulate_basis(times, buffers)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            block = chain.tabulate_basis(times, buffers)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = sys.getsizeof(block) + sum(sys.getsizeof(v) + sum(map(sys.getsizeof, v)) for v in block[1:] if v)
+        assert held - start <= returned
+        assert peak - start - returned < buffers[0].nbytes
 
 
 class TestBreachPropagation:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,3 +122,28 @@ class TestBasisInvariants:
         assert (far * far).sum() == 1.0
         # at a center the dominant rule concentrates the mass
         assert (centre * centre).sum() > 1.0 / g.m
+
+
+class TestHugeInputs:
+    """An input whose squared distance to a center passes the floats is a
+    dead row like any other: one-hot at its nearest rule, the end of the
+    grid on its side, with no warning."""
+
+    @pytest.mark.parametrize("y", [1e200, math.inf, -math.inf])
+    def test_scalar(self, y):
+        g = GaussianGrid.reference_grid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi, mirrored = g.basis(y), g.basis(-y)
+        assert np.array_equal(phi, np.eye(g.m)[g.m - 1 if y > 0 else 0])
+        assert np.array_equal(mirrored, phi[::-1])
+
+    def test_batch(self):
+        g = GaussianGrid.reference_grid()
+        ys = [1e200, -1e200, math.inf, -math.inf, 2.5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = g.basis(np.array(ys))
+        for y, row in zip(ys[:4], rows):
+            assert np.array_equal(row, np.eye(g.m)[g.m - 1 if y > 0 else 0])
+        np.testing.assert_array_equal(rows[4], g.basis(2.5))

@@ -459,9 +459,9 @@ class TestOneBasisRead:
         reads = []
         tabulate = ControllerChain.tabulate_basis
 
-        def counted(chain, times):
+        def counted(chain, times, buffers=None):
             reads.append(len(times))
-            return tabulate(chain, times)
+            return tabulate(chain, times, buffers)
 
         monkeypatch.setattr(ControllerChain, "tabulate_basis", counted)
         chain = fresh_chain(cfg, plant, reference, perf)
