@@ -11,14 +11,15 @@ Inputs: a :class:`ControllerChain` takes the plant's bounds, one
 :class:`StageGains` per stage, the error transformation, the reference,
 the mode and the sign form (``sign_smoothing``).  Outputs: its ``kernel``,
 the same statements for ``sim.run``'s loop to inline at every RK stage
-(:meth:`~ControllerChain.inline_kernel`), and its inputs of time,
-``time_inputs(t)`` and :func:`inline_time_inputs`.  What is identical, and
-why: the chain builds its kernel text (:data:`_KERNEL_BODY` over its n
-stages) once, at construction, and both compiles and inlines that text, so
-the kernel and each inlined copy take the same float operations in the
-same order; the tests' indexed oracle gives the same floats.  The squared
-guards stay ``** 2``: pow raises OverflowError where ``*`` gives inf, and
-v ** 2 != v * v for some v.
+(:meth:`~ControllerChain.inline_kernel`), its inputs of time,
+``time_inputs(t)`` and :func:`inline_time_inputs`, and the basis at the
+reference read through ``reference.value`` (:meth:`~ControllerChain.tabulate_basis`).
+What is identical, and why: the chain builds its kernel text
+(:data:`_KERNEL_BODY` over its n stages) once, at construction, and both
+compiles and inlines that text, so the kernel and each inlined copy take
+the same float operations in the same order; the tests' indexed oracle
+gives the same floats.  The squared guards stay ``** 2``: pow raises
+OverflowError where ``*`` gives inf, and v ** 2 != v * v for some v.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .codegen import function, inline
 from .fuzzy import AdaptiveWeights, GaussianGrid
-from .perf import _HALF_PI, PHI_FLOOR, ErrorTransform, FunnelBreachError, PerfFunction
+from .perf import _HALF_PI, PHI_FLOOR, ErrorTransform, FunnelBreachError, PerfFunction, _finite, _real
 from .plants import PlantBounds, ReferenceSignal
 
 __all__ = [
@@ -71,6 +72,8 @@ class StageGains:
             v = getattr(self, name)
             if v is None and name in ("rho", "tau", "varrho", "lam"):
                 continue
+            if not _real(v):
+                raise ValueError(f"StageGains.{name} must be a real number, got {v!r}")
             floor, rule = (1.0, "exceed 1") if name == "varrho" else (0.0, "be strictly positive")
             # the chain squares the gains and inverts lam once at construction;
             # a square that underflows to 0 would divide by zero in the kernel,
@@ -199,7 +202,9 @@ class ControllerChain:
         for i, g in enumerate(gains[1:], start=2):
             if g.rho is None or g.tau is None or g.varrho is None or g.lam is None:
                 raise ValueError(f"stage {i} gains need rho, tau, varrho and lam")
-        if not 0.0 <= sign_smoothing < math.inf:
+        if not _real(sign_smoothing):
+            raise ValueError(f"sign_smoothing must be a real number, got {sign_smoothing!r}")
+        if not (0.0 <= sign_smoothing and _finite(sign_smoothing)):
             raise ValueError("sign_smoothing must be nonnegative and finite")
         if not isinstance(mode, ControlMode):
             raise ValueError(f"mode must be a ControlMode, got {mode!r}")
@@ -213,10 +218,9 @@ class ControllerChain:
         self.sign_smoothing = sign_smoothing
         self._body, self._names = self._kernel_text()
         self.kernel = self._compile_kernel()
-        self.time_inputs, self._reference_values = self._compile_time_functions()
-        self._mu = tuple(g.mu for g in self.gains)
-        self._varpi = tuple(g.varpi for g in self.gains)
-        self._lam = tuple(g.lam for g in self.gains[1:])
+        statements, namespace = inline_time_inputs(reference, transform.perf, "", _TIME_INPUTS)
+        self.time_inputs = function("time_inputs", "t", statements, ", ".join(_TIME_INPUTS), f"{__file__}<time_inputs>",
+                                    namespace)
 
     def _kernel_text(self):
         """``(body, namespace)``: :data:`_KERNEL_BODY` for this chain's n,
@@ -249,58 +253,45 @@ class ControllerChain:
         body = _KERNEL_BODY.format(stages="".join(stages), drift1="est1" if fuzzy else "w * energy")
         return body, namespace
 
+    def _signature(self):
+        """``(args, outputs)``: the kernel's own names of its arguments and
+        outputs, in the shapes of :meth:`inline_kernel`'s ``args`` and
+        ``outputs``."""
+        n, fuzzy = self.bounds.n, self._fuzzy
+        states, filters = range(1, n + 1), range(2, n + 1)
+        drifts = [f"est{i}" for i in states] if fuzzy else "energy"
+        drives = ["w", *(f"zt{i}" for i in filters)] if fuzzy else None
+        args = ([f"x{i}" for i in states], [f"s{i}" for i in filters], drifts, _TIME_INPUTS)
+        return args, (f"alpha{n}", [f"alpha{i}" for i in range(1, n)], drives)
+
     def _compile_kernel(self):
         """:attr:`kernel`: the kernel text after lines that unpack its arguments."""
-        n, fuzzy = self.bounds.n, self._fuzzy
-        xs, ss, ests, zts = (", ".join(f"{v}{i}" for i in range(first, n + 1))
-                             for v, first in (("x", 1), ("s", 2), ("est", 1), ("zt", 2)))
-        alphas = ", ".join(f"alpha{i}" for i in range(1, n))
-        drifts, drives = (ests + ",", f"[w, {zts}]") if fuzzy else ("energy", "None")
-        unpack = f"{xs}, = x\n{ss}, = filter_states\n{drifts} = drifts\n{', '.join(_TIME_INPUTS)} = inputs\n"
+        (x, s, drifts, inputs), (u, alpha, drives) = self._signature()
+        targets = [v if isinstance(v, str) else ", ".join(v) + "," for v in (x, s, drifts)] + [", ".join(inputs)]
+        unpack = "".join(f"{v} = {p}\n" for v, p in zip(targets, ("x", "filter_states", "drifts", "inputs")))
+        returns = f"{u}, [{', '.join(alpha)}], " + (f"[{', '.join(drives)}]" if drives else "None")
         sign = "tanh" if self.sign_smoothing > 0.0 else "sign"
-        return function("kernel", "x, filter_states, drifts, inputs", unpack + self._body,
-                        f"alpha{n}, [{alphas}], {drives}", f"{__file__}<kernel n={n} {self.mode.value} {sign}>",
-                        self._names)
-
-    def _compile_time_functions(self):
-        """``(time_inputs, reference_values)``: ``time_inputs(t)`` gives
-        ``(t, y_r, dy_r, eta, eta_dot)``, the kernel's only inputs of time,
-        by :func:`inline_time_inputs`; ``reference_values(times)`` the
-        reference at each of ``times``, as a list."""
-        statements, namespace = inline_time_inputs(self.reference, self.transform.perf, "", _TIME_INPUTS)
-        time_inputs = function("time_inputs", "t", statements, ", ".join(_TIME_INPUTS), f"{__file__}<time_inputs>",
-                               namespace)
-        value, _, namespace = self.reference.inline("t")
-        return time_inputs, function("reference_values", "times", "", f"[{value} for t in times]",
-                                     f"{__file__}<reference_values>", namespace)
+        return function("kernel", "x, filter_states, drifts, inputs", unpack + self._body, returns,
+                        f"{__file__}<kernel n={len(x)} {self.mode.value} {sign}>", self._names)
 
     def inline_kernel(self, tag: str, args, outputs, keep=()):
         """``(statements, namespace)``: :attr:`kernel`'s own text, built
         once at construction, as statements to inline into a generated
-        function, and the constants they read as globals.  They are evaluated on the caller's
-        locals named by ``args`` = (x, filter_states, drifts, inputs): a
-        name per plant state, per filter (stages 2..n) and per stage drift
-        estimate in fuzzy mode, or one for the energy in approximator-free
-        mode, and one per time input (t, y_r, dy_r, eta, eta_dot; see
-        :func:`inline_time_inputs`).  They assign the kernel's outputs to the
-        names in ``outputs`` = (u, alpha, drives); drives is None in
-        approximator-free mode.  Every other local ``v`` of the kernel is
-        renamed ``v__<tag>``, so copies with different tags do not share a
-        local, except those in ``keep``, which keep their names: ``e``,
-        ``atan_e``, ``y_r``, ``eta_v`` and ``z1..zn`` are the error, its
-        arctan, the reference, eta and the surfaces."""
-        n = self.bounds.n
-        (x, s, drifts, inputs), (u, alpha, drives) = args, outputs
-        names = dict(zip(_TIME_INPUTS, inputs))
-        names[f"alpha{n}"] = u
-        names.update((f"x{i}", v) for i, v in enumerate(x, start=1))
-        names.update((f"s{i}", v) for i, v in enumerate(s, start=2))
-        names.update((f"alpha{i}", v) for i, v in enumerate(alpha, start=1))
-        if self._fuzzy:
-            names.update((f"est{i}", v) for i, v in enumerate(drifts, start=1))
-            names.update(zip(["w", *(f"zt{i}" for i in range(2, n + 1))], drives))
-        else:
-            names["energy"] = drifts
+        function, and the constants they read as globals.  The caller's
+        locals named in ``args`` = (x, filter_states, drifts, inputs) and
+        ``outputs`` = (u, alpha, drives) take the places of the kernel's own
+        (:meth:`_signature`): a name per plant state, per filter (stages
+        2..n), per stage drift estimate in fuzzy mode or one for the energy,
+        and per time input (t, y_r, dy_r, eta, eta_dot; see
+        :func:`inline_time_inputs`); drives is None in approximator-free
+        mode.  Every other local ``v`` of the kernel is renamed
+        ``v__<tag>``, so copies with different tags do not share a local,
+        except those in ``keep``, which keep their names: ``e``, ``atan_e``,
+        ``y_r``, ``eta_v`` and ``z1..zn`` are the error, its arctan, the
+        reference, eta and the surfaces."""
+        (own_args, own_outputs), names = self._signature(), {}
+        for own, theirs in zip((*own_args, *own_outputs), (*args, *outputs)):
+            names.update({own: theirs} if isinstance(own, str) else zip(own or (), theirs or ()))
         names.update((name, name) for name in keep)
         return inline(self._body, names, tag, self._names, prefix="")
 
@@ -327,16 +318,17 @@ class ControllerChain:
     # -- evaluation -------------------------------------------------------
 
     def tabulate_basis(self, times: Sequence[float], buffers=None):
-        """``(rows, energies, cross1, cross2)``: the reference basis at
-        ``times`` as a (len(times), m) array, the energies b_i.b_i and, in
-        fuzzy mode, the Gram products b_i.b_{i+1} and b_i.b_{i+2} as lists
-        (None in approximator-free mode).  Each energy is a sum of squares,
-        so no row depends on the other times of the call.  The arrays are
-        computed in ``buffers``, ``self.grid.buffers(len(times))`` (new ones
-        if None), and ``rows`` is their first; so a caller that passes
-        buffers again overwrites the rows.  Stores nothing."""
+        """``(rows, energies, cross1, cross2)``: the basis at the reference
+        at ``times``, read through ``reference.value``, as a (len(times), m)
+        array, the energies b_i.b_i and, in fuzzy mode, the Gram products
+        b_i.b_{i+1} and b_i.b_{i+2} as lists (None in approximator-free
+        mode).  Each energy is a sum of squares, so no row depends on the
+        other times of the call.  The arrays are computed in ``buffers``,
+        ``self.grid.buffers(len(times))`` (new ones if None), and ``rows``
+        is their first; so a caller that passes buffers again overwrites
+        the rows.  Stores nothing."""
         rows, work, sums = buffers = self.grid.buffers(len(times)) if buffers is None else buffers
-        self.grid.basis(np.array(self._reference_values(times)), buffers)
+        self.grid.basis(np.fromiter(map(self.reference.value, times), float, len(times)), buffers)
         products = []
         for lag in (0, 1, 2) if self._fuzzy else (0,):
             k = len(rows) - lag
@@ -360,5 +352,5 @@ class ControllerChain:
         theta = np.array([w.theta_hat for w in state.theta_hat])
         u, alpha, drives = self.kernel(x, state.filter_states, (theta @ basis).tolist(), inputs)
         # the adaptive law theta_i' = mu_i * drive_i * basis - varpi_i * theta_i
-        mu_drives = np.array([m * d for m, d in zip(self._mu, drives)])
-        return u, alpha, mu_drives[:, None] * basis - np.array(self._varpi)[:, None] * theta
+        mu_drives = np.array([g.mu * d for g, d in zip(self.gains, drives)])
+        return u, alpha, mu_drives[:, None] * basis - np.array([g.varpi for g in self.gains])[:, None] * theta

@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -66,6 +67,17 @@ else:
 """
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool, which reads as 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    """Whether the real ``value`` lies within the finite floats; an int
+    beyond them is not, where math.isfinite raises OverflowError."""
+    return -sys.float_info.max <= value <= sys.float_info.max
+
+
 class FunnelBreachError(ValueError):
     """The tracking error left the performance funnel.
 
@@ -104,8 +116,9 @@ class PerfFunction:
 
     def __post_init__(self):
         for name in ("b", "c", "h", "T"):
-            # not math.inf: an int beyond the floats compares below it
-            if not 0.0 < (value := getattr(self, name)) <= sys.float_info.max:
+            if not _real(value := getattr(self, name)):
+                raise ValueError(f"{name}={value!r} must be a real number")
+            if not (0.0 < value and _finite(value)):
                 raise ValueError(f"{name}={value!r} must be strictly positive and finite")
         # the logs of the extreme normal floats
         big, small = math.log(sys.float_info.max), math.log(sys.float_info.min)
@@ -176,6 +189,10 @@ class ErrorTransform:
 
     perf: PerfFunction
     kind: TransformKind = TransformKind.SYMMETRIC_TAN
+
+    def __post_init__(self):
+        if not isinstance(self.kind, TransformKind):
+            raise ValueError(f"kind must be a TransformKind, got {self.kind!r}")
 
     def transform(self, e: float, t: float) -> float:
         """Map error e to the unconstrained coordinate z1; raises on breach."""

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import os
 import signal
 import struct
@@ -59,7 +58,7 @@ import numpy as np
 
 from .codegen import compile_function
 from .controller import _TIME_INPUTS, ControlMode, ControllerChain, StageGains, inline_time_inputs
-from .perf import ErrorTransform, FunnelBreachError, PerfFunction, TransformKind
+from .perf import ErrorTransform, FunnelBreachError, PerfFunction, TransformKind, _finite, _real
 from .plants import ReferenceSignal, StrictFeedbackPlant
 
 __all__ = [
@@ -151,17 +150,6 @@ class SimConfig:
         object.__setattr__(self, "x0", tuple(map(float, x0)))
 
 
-def _real(value) -> bool:
-    """Whether ``value`` is a real number and not a bool, which reads as 1."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _finite(value) -> bool:
-    """Whether the real ``value`` lies within the finite floats; an int
-    beyond them is not, where math.isfinite raises OverflowError."""
-    return -sys.float_info.max <= value <= sys.float_info.max
-
-
 def check_explicit_step(gains: Sequence[StageGains], dt: float) -> None:
     """Raise ValueError unless dt <= lam_min / 5, the explicit RK4 limit
     of the fastest filter (``exact_filter=False``)."""
@@ -220,7 +208,7 @@ class VerificationReport:
         return asdict(self)
 
 
-def _step_constants(mus: tuple, varpis: tuple, lams: tuple, dt: float):
+def _step_constants(gains: Sequence[StageGains], dt: float):
     """The coefficients of one RK4 step of the adaptive law in closed form,
     then the filter decays exp(-0.5*dt/lam) and exp(-dt/lam).
 
@@ -242,20 +230,20 @@ def _step_constants(mus: tuple, varpis: tuple, lams: tuple, dt: float):
     """
     h = 0.5 * dt
     c2, c3, c4, cmix, growth = [], [], [], [], []
-    for mu, varpi in zip(mus, varpis):
-        a = varpi * h
+    for g in gains:
+        a = g.varpi * h
         q = 1.0 - a + a * a
-        hmu = h * mu
-        e = dt / 6.0 * mu
+        hmu = h * g.mu
+        e = dt / 6.0 * g.mu
         c2.append((1.0 - a, hmu))
         c3.append((q, -a * hmu, hmu))
-        c4.append((1.0 - 2.0 * a * q, 2.0 * a * a * hmu, dt * mu, -2.0 * a * hmu))
+        c4.append((1.0 - 2.0 * a * q, 2.0 * a * a * hmu, dt * g.mu, -2.0 * a * hmu))
         cmix.append((e * (1.0 - 2.0 * a * q), e * 2.0 * q, e * (2.0 - 2.0 * a), e))
-        z = varpi * dt
+        z = g.varpi * dt
         growth.append(1.0 - z + z * z / 2.0 - z**3 / 6.0 + z**4 / 24.0)
     growth = np.array(growth)[:, None]
-    half = tuple(math.exp(-0.5 * dt / lam) for lam in lams)
-    full = tuple(math.exp(-dt / lam) for lam in lams)
+    half = tuple(math.exp(-0.5 * dt / g.lam) for g in gains[1:])
+    full = tuple(math.exp(-dt / g.lam) for g in gains[1:])
     return tuple(c2), tuple(c3), tuple(c4), tuple(cmix), growth, half, full
 
 
@@ -343,7 +331,7 @@ def run_loop(x, s, theta, block, fold, n_steps):
 {opening}
             if closing or k % RECORD_EVERY == 0:
                 if filled == BLOCK_ROWS:
-                    block = fold(filled, filled)
+                    block = fold()
                     filled = 0
 {norms}
                 pack_row(block, filled * ROW_BYTES, {sample})
@@ -472,12 +460,12 @@ def _compile_loop(plant: StrictFeedbackPlant, chain: ControllerChain, config: Si
         inputs=textwrap.indent(time_inputs(_START), " " * 16), opening=textwrap.indent(opening + kernel(1), " " * 12),
         step=textwrap.indent("\n".join(step), " " * 16),
     )
-    c2, c3, c4, cmix, growth, half_decay, full_decay = _step_constants(chain._mu, chain._varpi, chain._lam, dt)
+    c2, c3, c4, cmix, growth, half_decay, full_decay = _step_constants(chain.gains, dt)
     for prefix, table in (("c2", c2), ("c3", c3), ("c4", c4), ("m", cmix)):
         for j, coefficients in enumerate(table, start=1):
             namespace.update({f"{prefix}_{j}_{m}": c for m, c in enumerate(coefficients)})
-    for i, (lam, dh, df) in enumerate(zip(chain._lam, half_decay, full_decay), start=2):
-        namespace.update({f"lam{i}": lam, f"dh{i}": dh, f"df{i}": df})
+    for i, (g, dh, df) in enumerate(zip(chain.gains[1:], half_decay, full_decay), start=2):
+        namespace.update({f"lam{i}": g.lam, f"dh{i}": dh, f"df{i}": df})
     namespace.update(
         HALF=0.5 * dt, DT=dt, DT6=dt / 6.0, GROWTH=growth, pack_drives=struct.Struct(f"{3 * n}d").pack_into,
         empty=np.empty, empty_like=np.empty_like,
@@ -520,8 +508,8 @@ def step(
     x, s, theta = bundle
     half = 0.5 * dt
     rows, energies, cross1, cross2 = chain.tabulate_basis([t, t + half, t + dt])
-    kernel, rhs, lams = chain.kernel, plant.rhs, chain._lam
-    c2, c3, c4, cmix, growth, half_decay, full_decay = _step_constants(chain._mu, chain._varpi, lams, dt)
+    kernel, rhs = chain.kernel, plant.rhs
+    c2, c3, c4, cmix, growth, half_decay, full_decay = _step_constants(chain.gains, dt)
     mid, end = chain.time_inputs(t + half), chain.time_inputs(t + dt)
 
     def moved(v, h, dv):
@@ -531,7 +519,7 @@ def step(
         return [vi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d) for vi, a, b, c, d in zip(v, k1, k2, k3, k4)]
 
     def rate(alpha, sk):  # the filters' law s' = (alpha - s)/lam
-        return [(a - si) / lam for a, si, lam in zip(alpha, sk, lams)]
+        return [(a - si) / g.lam for a, si, g in zip(alpha, sk, chain.gains[1:])]
 
     if chain._fuzzy:
         p1, ph, p4 = (rows @ theta.T).tolist()  # theta . b at the three rows, per stage
@@ -689,13 +677,13 @@ class _Blocks:
     """The recorded rows of one run, in blocks of at most
     :data:`RECORD_BLOCK` rows, and the report's reductions over them.
 
-    The loop packs rows into ``block``.  ``fold(rows, opening)`` folds a
-    full block: its first ``rows`` rows into the minimum funnel margin and
-    its first ``opening`` rows, those that opened a step, into the column
-    peaks after ``u`` (the loop streams u's); it then hands the rows on
-    and returns the next block to fill, as a memoryview.  ``close(rows,
-    opening)`` folds and hands on the last block.  Without ``csv_file`` each block is a window
-    of ``kept``, one array for every row the run can record.  With it the
+    The loop packs rows into ``block``.  ``fold()`` folds a full block, each
+    row of which opened a step, into the minimum funnel margin and the
+    column peaks after ``u`` (the loop streams u's), hands the rows on and
+    returns the next block to fill, as a memoryview.  ``close(rows,
+    opening)`` folds and hands on the last block, its first ``opening`` rows
+    into the peaks.  Without ``csv_file`` each block is a window of
+    ``kept``, one array for every row the run can record.  With it the
     header line goes to that file at once and ``kept`` holds no rows: the
     first full block starts a writer process (:data:`_WRITER`), which
     formats every block from then on while the loop goes on; a run that
@@ -733,8 +721,8 @@ class _Blocks:
         self.rows += rows
         return block
 
-    def fold(self, rows: int, opening: int) -> memoryview:
-        block = self._reduce(rows, opening)
+    def fold(self) -> memoryview:
+        block = self._reduce(self.size, self.size)
         if self.csv_file is None:
             self.block = self.kept[self.rows:self.rows + self.size]
         else:
@@ -771,16 +759,17 @@ class _Blocks:
             while data:  # a signal handler can cut a write short
                 data = data[self.pipe.write(data):]
         except BrokenPipeError:
-            self._finish()  # the writer ended early: its status is the error
-            raise
+            self._finish(unread=True)
 
-    def _finish(self) -> None:
-        """Close the writer's input and wait for it; OSError if it failed."""
+    def _finish(self, unread: bool = False) -> None:
+        """Close the writer's input and wait for it; OSError if it failed,
+        or if it ended with rows ``unread``, whatever its status."""
         self.pipe.close()
         status = os.waitstatus_to_exitcode(os.waitpid(self.writer, 0)[1])
         self.writer = None
-        if status:
-            raise OSError(f"{getattr(self.csv_file, 'name', 'csv_file')}: the CSV writer exited with status {status}")
+        if status or unread:
+            raise OSError(f"{getattr(self.csv_file, 'name', 'csv_file')}: the CSV writer exited with status {status}"
+                          + ("" if status else " before it read every row"))
 
     def stop(self) -> None:
         """Kill a writer that ``close`` did not end, and wait for it."""

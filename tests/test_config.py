@@ -230,7 +230,8 @@ class TestValidation:
         with pytest.raises(ConfigError, match="^" + re.escape(key)):
             replace(single_link_preset(), **{field: value})
 
-    @pytest.mark.parametrize("stage, name, value", [(1, "delta", True), (2, "lam", True), (2, "rho", None)])
+    # an int reads back as a float; a bool is no longer a StageGains value at all
+    @pytest.mark.parametrize("stage, name, value", [(1, "delta", 2), (2, "lam", 2), (2, "rho", None)])
     def test_rejects_a_stage_gain_its_config_line_would_not_read_back(self, stage, name, value):
         cfg = single_link_preset()
         gains = list(cfg.gains)
@@ -558,9 +559,9 @@ class TestCli:
             monkeypatch.setattr(sim, "RECORD_BLOCK", 4)
             fold = sim._Blocks.fold
 
-            def counted(blocks, rows, opening):
-                folds.append(rows)
-                return fold(blocks, rows, opening)
+            def counted(blocks):
+                folds.append(blocks.size)
+                return fold(blocks)
 
             monkeypatch.setattr(sim._Blocks, "fold", counted)
         out = tmp_path / "o17" / "run"

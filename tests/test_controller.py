@@ -106,6 +106,15 @@ class TestStageGains:
         with pytest.raises(ValueError, match=f"StageGains.{name} must .* and be finite"):
             StageGains(**{**gains, name: value})
 
+    @pytest.mark.parametrize("name", ["delta", "sigma", "varpi", "mu", "rho", "tau", "varrho", "lam"])
+    @pytest.mark.parametrize("value", [True, "1e6"])
+    def test_rejects_a_bool_or_a_string_naming_it(self, name, value):
+        """``delta=True`` was taken as 1, and ``delta="1e6"`` raised a bare
+        TypeError."""
+        gains = dict(delta=1.0, sigma=1.0, varpi=1.0, mu=1.0, rho=1.0, tau=1.0, varrho=2.0, lam=1.0)
+        with pytest.raises(ValueError, match=f"^StageGains.{name} must be a real number, got {value!r}$"):
+            StageGains(**{**gains, name: value})
+
     def test_rejects_lam_whose_reciprocal_overflows(self):
         with pytest.raises(ValueError, match="StageGains.lam must .* also squared and inverted, got 1e-320"):
             StageGains(delta=1.0, sigma=1.0, varpi=1.0, mu=1.0, rho=1.0, tau=1.0, varrho=2.0, lam=1e-320)
@@ -134,6 +143,15 @@ class TestChainConstruction:
                 transform=ErrorTransform(perf=perf), reference=single_link_reference(),
             )
 
+    def test_requires_one_gain_set_per_stage(self):
+        cfg = single_link_preset()
+        perf = PerfFunction(b=cfg.perf_b, c=cfg.perf_c, h=cfg.perf_h, T=cfg.perf_T)
+        with pytest.raises(ValueError, match="^need one StageGains per plant stage$"):
+            ControllerChain(
+                bounds=make_single_link().bounds(), gains=cfg.gains[:1],
+                transform=ErrorTransform(perf=perf), reference=single_link_reference(),
+            )
+
     @pytest.mark.parametrize("mode", ["fuzzy", "approx-free", None])
     def test_rejects_a_mode_that_is_not_a_control_mode(self, mode):
         """A mode that is not a ControlMode selected the approximator-free law."""
@@ -149,9 +167,16 @@ class TestChainConstruction:
         with pytest.raises(ValueError):
             sl_chain(sign_smoothing=-1.0)
 
-    @pytest.mark.parametrize("smoothing", [math.nan, math.inf])
+    # an int beyond the floats compares below inf
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf, pytest.param(10**400, id="10**400")])
     def test_rejects_non_finite_smoothing(self, smoothing):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sign_smoothing must be nonnegative and finite$"):
+            sl_chain(sign_smoothing=smoothing)
+
+    @pytest.mark.parametrize("smoothing", [True, "0.1"])
+    def test_rejects_a_bool_or_a_string_smoothing(self, smoothing):
+        """``True`` ran tanh(z / True), and ``"0.1"`` raised a bare TypeError."""
+        with pytest.raises(ValueError, match=f"^sign_smoothing must be a real number, got {smoothing!r}$"):
             sl_chain(sign_smoothing=smoothing)
 
 

@@ -12,6 +12,7 @@ from funneldsc.perf import (
     FunnelBreachError,
     PHI_FLOOR,
     PerfFunction,
+    TransformKind,
     _POLE_GUARD,
 )
 from oracles import envelope_method
@@ -94,6 +95,13 @@ class TestPerfFunction:
         with pytest.raises(ValueError, match=f"^{name}={re.escape(repr(value))} must be strictly positive and finite$"):
             PerfFunction(**kwargs)
 
+    @pytest.mark.parametrize("name", ["b", "c", "h", "T"])
+    @pytest.mark.parametrize("value", [True, "0.1"])
+    def test_rejects_a_bool_or_a_string_naming_it(self, name, value):
+        """``b=True`` was taken as 1, and ``b="0.1"`` raised a bare TypeError."""
+        with pytest.raises(ValueError, match=f"^{name}={re.escape(repr(value))} must be a real number$"):
+            PerfFunction(**{**dict(b=0.9, c=0.05, h=1.0, T=0.5), name: value})
+
     def test_rejects_accuracy_at_half_pi(self):
         with pytest.raises(ValueError):
             PerfFunction(b=0.1, c=HALF_PI, h=1.0, T=0.5)
@@ -131,6 +139,14 @@ class TestPerfFunction:
 class TestSymmetricTransform:
     def setup_method(self):
         self.tr = ErrorTransform(perf=default_perf())
+
+    @pytest.mark.parametrize("kind", ["asymmetric-tan-upper", "symmetric-tan", None])
+    def test_rejects_a_kind_that_is_not_a_transform_kind(self, kind):
+        """The ``transform`` config key rejects a removed kind; the Python
+        API accepted any value."""
+        with pytest.raises(ValueError, match="^kind must be a TransformKind"):
+            ErrorTransform(perf=default_perf(), kind=kind)
+        assert ErrorTransform(perf=default_perf(), kind=TransformKind.SYMMETRIC_TAN).kind is TransformKind.SYMMETRIC_TAN
 
     def test_identity_at_start(self):
         # eta(0) = pi/2 collapses the map to z1 = e

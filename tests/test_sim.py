@@ -295,10 +295,11 @@ class TestStepConstants:
     def test_a_first_run_compiles_each_text_it_calls_and_builds_the_kernel_text_once(self, mode, monkeypatch):
         """On plant, reference and envelope objects that compiled nothing
         yet, a run compiles the chain's kernel, which checks x0, its time
-        inputs and reference values, and its loop: it inlines the
-        right-hand side, the reference and the envelope without compiling
-        them, and builds the kernel text once for both the kernel and the
-        loop."""
+        inputs, its loop and the reference's ``value``, which the basis
+        reads: it inlines the right-hand side, the reference and the
+        envelope without compiling them, and builds the kernel text once for
+        both the kernel and the loop.  A second run on the same reference
+        compiles its ``value`` no more."""
         compiled, texts = [], []
         compile_function, kernel_text = codegen.compile_function, ControllerChain._kernel_text
 
@@ -318,9 +319,13 @@ class TestStepConstants:
             "n", "rhs_text", "names", "gain_lower", "gain_upper", "lipschitz_rate")})
         reference = type(reference)(reference.value_text, reference.derivative_text, reference.names)
         perf = PerfFunction(perf.b, perf.c, perf.h, perf.T)
-        run(plant, reference, gains, perf, SimConfig(dt=1e-4, t_end=0.01, x0=(3.3, 0.0), mode=mode))
-        assert sorted(compiled) == ["kernel", "reference_values", "run", "time_inputs"]
+        cfg = SimConfig(dt=1e-4, t_end=0.01, x0=(3.3, 0.0), mode=mode)
+        run(plant, reference, gains, perf, cfg)
+        assert sorted(compiled) == ["kernel", "reference value", "run", "time_inputs"]
         assert len(texts) == 1
+        compiled.clear()
+        run(plant, reference, gains, perf, cfg)
+        assert sorted(compiled) == ["kernel", "run", "time_inputs"]
 
 
 class TestLiteralConstants:
@@ -766,8 +771,8 @@ class TestWriter:
     def test_an_exception_in_fold_kills_the_writer(self, spawns, tmp_path, monkeypatch):
         fold = sim._Blocks.fold
 
-        def failing(blocks, rows, opening):
-            fold(blocks, rows, opening)
+        def failing(blocks):
+            fold(blocks)
             raise RuntimeError("fold failed")
 
         monkeypatch.setattr(sim._Blocks, "fold", failing)
@@ -787,7 +792,8 @@ class TestWriter:
 
     def test_a_writer_that_fails_raises(self, spawns, tmp_path, monkeypatch):
         """A writer that exits non-zero, before or after it reads the
-        rows, is an OSError naming the file."""
+        rows, or exits 0 before it reads them, is an OSError naming the
+        file."""
         monkeypatch.setattr(sim, "_WRITER", "import sys; sys.stdin.buffer.read(); raise SystemExit(3)")
         cfg = replace(single_link_preset(), dt=1e-4, t_end=0.6, record_every=1)
         with pytest.raises(OSError, match=r"run\.csv: the CSV writer exited with status 3"):
@@ -797,7 +803,11 @@ class TestWriter:
         with pytest.raises(OSError, match=r"run\.csv: the CSV writer exited with status 3"):
             self.written(cfg, tmp_path / "run.csv")
         assert_no_child()
-        assert len(spawns) == 2
+        monkeypatch.setattr(sim, "_WRITER", "pass")
+        with pytest.raises(OSError, match=r"run\.csv: the CSV writer exited with status 0 before it read every row$"):
+            self.written(cfg, tmp_path / "run.csv")
+        assert_no_child()
+        assert len(spawns) == 3
 
     def test_a_single_block_run_starts_no_process(self, tmp_path, monkeypatch):
         def no_spawn(*args, **kwargs):
@@ -872,7 +882,7 @@ class TestOneLoop:
             dt=2e-3, t_end=0.06, x0=[math.sin(0.0) + 0.8, 0.3, -0.2, 0.1][:n], mode=mode,
             record_every=record_every, exact_filter=exact,
         )
-        c2 = sim._step_constants(chain._mu, chain._varpi, chain._lam, cfg.dt)[0]
+        c2 = sim._step_constants(chain.gains, cfg.dt)[0]
         assert all((k0 < 0.0) == (varpi > 100.0) for k0, _ in c2)
         breach = self.assert_equal_to_the_oracle(plant, chain, cfg)
         assert (breach is not None) == (varpi > 100.0)
@@ -1093,9 +1103,22 @@ class TestConfigValidation:
     def test_rejects_a_non_numeric_x0_naming_it(self):
         """``x0="12"`` ran from (1.0, 2.0), and ``("3.5", "0")`` and
         ``(True, 0)`` were taken as numbers."""
-        for x0 in [("a", "b"), "12", b"12", ("3.5", "0"), (True, 0), (0.0, False)]:
+        for x0 in [("a", "b"), "12", b"12", ("3.5", "0"), (True, 0), (0.0, False), 5]:
             with pytest.raises(ValueError, match="^x0 must be a sequence of numbers"):
                 SimConfig(dt=1e-3, t_end=1.0, x0=x0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(kind="bogus"), "kind must be a TransformKind"),
+        (dict(sign_smoothing="0.1"), "sign_smoothing must be a real number"),
+        (dict(sign_smoothing=True), "sign_smoothing must be a real number"),
+    ])
+    def test_run_rejects_a_kind_or_smoothing_of_another_type_naming_it(self, kwargs, message):
+        """``kind="bogus"`` ran and passed, and ``sign_smoothing="0.1"``
+        raised a bare TypeError."""
+        plant, reference, gains, perf = sl_problem()
+        cfg = SimConfig(dt=1e-4, t_end=0.01, x0=(3.3, 0.0))
+        with pytest.raises(ValueError, match=f"^{message}"):
+            run(plant, reference, gains, perf, cfg, **kwargs)
 
     def test_rejects_silent_rounding(self):
         with pytest.raises(ValueError, match="record_every"):
